@@ -1,51 +1,8 @@
 """Optimal global and LOCC measurement schemes for identifying a pure state
-with one of two unknown reference states (single copy each)."""
+with one of two unknown reference states (single copy each).
 
-from .linalg import (
-    Spectrum,
-    SpaceLayout,
-    factor_permutation,
-    hermitian_eig,
-    kron,
-    permutation_operator,
-    positive_part_projector,
-    psd_sqrt,
-    regroup_operator,
-)
-from .minerr import (
-    EQUAL_PRIORS,
-    MinErrSolution,
-    Priors,
-    gain_eigenvalues_mixed,
-    gain_operator,
-    locc_povm_element,
-    max_success_eigenvalue_route,
-    max_success_global,
-    mean_success,
-    optimal_global_povm,
-    solve_global,
-)
-from .povm import Povm, povm_from_dict
-from .protocol import Leaf, LoccProtocol, MeasurementStep, effective_povm, step
-from .simulate import (
-    BatchStats,
-    GlobalTrialSpec,
-    LoccTrialSpec,
-    TrialAbort,
-    TrialRecord,
-    haar_state,
-    haar_unitary,
-    run_batch,
-)
-from .symmetry import (
-    BipartiteToolkit,
-    DimensionTable,
-    DimRelationReport,
-    SymmetryToolkit,
-    bipartite_toolkit,
-    build_toolkit,
-    check_dim_relation,
-    dimension_table,
-)
+Import from the submodules: linalg, symmetry, povm, protocol, minerr,
+unambiguous, simulate, cli.
+"""
 
 __version__ = "0.1.0"

@@ -177,9 +177,7 @@ def cmd_minerr(args) -> int:
             spec = GlobalTrialSpec(global_povm, d, priors)
         stats = run_batch(spec, args.n, args.seed, args.workers, target=closed)
         report["monte_carlo"] = _mc_block(stats)
-        report["checks"].append(_flag_check(
-            "monte_carlo_within_4_sigma", closed, stats.p_hat,
-            abs(stats.p_hat - closed) <= MC_SIGMA_GATE * stats.stderr))
+        report["checks"].append(_within_sigma_check(stats))
     _finish(report)
     return _emit(report, args)
 
@@ -227,11 +225,16 @@ def cmd_unamb(args) -> int:
         report["monte_carlo"] = _mc_block(stats)
         report["checks"].append(_flag_check(
             "monte_carlo_zero_errors", 0, stats.errors, stats.errors == 0))
-        report["checks"].append(_flag_check(
-            "monte_carlo_within_4_sigma", target, stats.p_hat,
-            abs(stats.p_hat - target) <= MC_SIGMA_GATE * stats.stderr))
+        report["checks"].append(_within_sigma_check(stats))
     _finish(report)
     return _emit(report, args)
+
+
+def _within_sigma_check(stats) -> dict:
+    # the stderr is taken at the target, so an exact p_hat of 0 or 1 cannot fail
+    return _flag_check(
+        "monte_carlo_within_4_sigma", stats.target, stats.p_hat,
+        abs(stats.p_hat - stats.target) <= MC_SIGMA_GATE * stats.target_stderr)
 
 
 def _mc_block(stats) -> dict:
@@ -431,8 +434,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--d must be >= 2, got {args.d}")
     if has_split and (args.da < 2 or args.db < 2):
         parser.error(f"--da/--db must be >= 2, got ({args.da}, {args.db})")
-    if getattr(args, "eta1", 0.5) < 0 or getattr(args, "eta1", 0.5) > 1:
-        parser.error(f"--eta1 must be in [0, 1], got {args.eta1}")
+    if not 0.0 <= getattr(args, "eta1", 0.5) <= 1.0:  # also rejects nan
+        parser.error(f"--eta1 must be a number in [0, 1], got {args.eta1}")
     if getattr(args, "locc", False) and not has_split:
         parser.error("--locc needs --da and --db")
     if getattr(args, "simulate", False):

@@ -1,6 +1,7 @@
 """Dense complex linear algebra primitives: tensor products, Hermitian
 eigendecomposition, spectral projectors, PSD square roots, and tensor-factor
-permutation operators.
+permutations (as index maps, and as dense 0/1 operators for the symmetry
+toolkit and for tests).
 
 The global basis convention used everywhere in this package: the index of a
 basis vector of a tensor-product space is the mixed-radix number over the
@@ -123,6 +124,21 @@ def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
     return op
 
 
+def permute_factors(a: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Reorder the tensor factors of a vector or a square operator by an index map.
+
+    Equals permutation_operator(dims, perm) @ a for a vector and P @ a @ P.T
+    for an operator, without forming P: a is viewed as one axis per factor
+    (two per factor for an operator) and those axes are transposed.
+    """
+    k = len(dims)
+    if a.ndim == 1:
+        shape, axes = tuple(dims), tuple(perm)
+    else:
+        shape, axes = tuple(dims) * 2, tuple(perm) + tuple(k + p for p in perm)
+    return np.transpose(a.reshape(shape), axes).reshape(a.shape)
+
+
 PARTY_WHOLE = "whole"
 PARTY_ALICE = "alice"
 PARTY_BOB = "bob"
@@ -183,8 +199,9 @@ class SpaceLayout:
         return cls(tuple(factors))
 
 
-# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b)
+# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b), and back
 PARTY_MAJOR_PERM = (0, 2, 4, 1, 3, 5)
+SYSTEM_MAJOR_PERM = (0, 3, 1, 4, 2, 5)
 
 
 def factor_permutation(layout: SpaceLayout, perm: Sequence[int]) -> np.ndarray:
@@ -193,5 +210,9 @@ def factor_permutation(layout: SpaceLayout, perm: Sequence[int]) -> np.ndarray:
 
 
 def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
-    """Unitary mapping the system-major split basis to the party-major one."""
+    """Dense unitary mapping the system-major split basis to the party-major one.
+
+    The reference form of the regrouping; the package itself regroups with
+    permute_factors (see symmetry.BipartiteToolkit).
+    """
     return factor_permutation(SpaceLayout.split(d_a, d_b), PARTY_MAJOR_PERM)

@@ -43,6 +43,8 @@ class Priors:
     eta2: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.eta1) and math.isfinite(self.eta2)):
+            raise ValueError(f"priors must be finite, got ({self.eta1}, {self.eta2})")
         if self.eta1 < 0 or self.eta2 < 0:
             raise ValueError(f"priors must be nonnegative, got ({self.eta1}, {self.eta2})")
         if abs(self.eta1 + self.eta2 - 1.0) > PRIOR_ATOL:

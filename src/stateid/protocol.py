@@ -1,11 +1,17 @@
 """Finite trees of local measurements with classical communication.
 
 A protocol node holds one party's local POVM (operators on that party's own
-triple space) and a child per outcome; leaves carry the final label
-(1 or 2 for the two identification answers, 0 for inconclusive).  Flattening a
-tree composes the Kraus operators along every path, which yields the effective
-global POVM the protocol implements — the object the closed-form separable
-constructions are checked against.
+triple space, dimension d_p^3), the local Kraus operators of its outcomes, and
+a child per outcome; leaves carry the final label (1 or 2 for the two
+identification answers, 0 for inconclusive).
+
+Operators never leave their party's space.  A joint party-major state is held
+as a (d_a^3, d_b^3) matrix psi, on which Alice's Kraus operator K acts as
+K @ psi and Bob's as psi @ K.T.  Flattening a tree carries the pair (A, B) of
+each party's chronological Kraus product along every path and adds
+kron(A^dag A, B^dag B) at the leaf, which yields the effective global POVM the
+protocol implements: the object the closed-form separable constructions are
+checked against.
 
 Kraus convention: each outcome applies the PSD square root of its element
 (for projective elements that is the projector itself, kept exact).
@@ -46,20 +52,24 @@ class Leaf:
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """One party's local measurement, with a child node per outcome."""
+    """One party's local measurement, with a child node per outcome.
+
+    kraus[i], computed at construction, is the local Kraus operator of
+    measurement.elements[i].
+    """
 
     party: str
     measurement: Povm
     children: Mapping[Hashable, Union["MeasurementStep", Leaf]]
+    kraus: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.party not in (ALICE, BOB):
             raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {self.party!r}")
         if set(self.children) != set(self.measurement.labels):
             raise ValueError("children keys must match measurement outcome labels")
-
-    def kraus(self, outcome: Hashable) -> np.ndarray:
-        return _kraus_of(self.measurement.element(outcome))
+        object.__setattr__(self, "kraus",
+                           tuple(_kraus_of(op) for _, op in self.measurement.elements))
 
 
 def step(party: str, elements: dict, children: dict,
@@ -70,81 +80,45 @@ def step(party: str, elements: dict, children: dict,
     return MeasurementStep(party=party, measurement=measurement, children=children)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoccProtocol:
-    """A measurement tree over the party-major split space.
-
-    Local operators live on each party's own triple space (dim d_p^3); the
-    executor and flattener lift them to the joint space as kron(op, 1) or
-    kron(1, op).  States enter in party-major order (regroup with the
-    bipartite toolkit first).
-    """
+    """A measurement tree over the party-major split space (see module doc)."""
 
     d_a: int
     d_b: int
     root: Union[MeasurementStep, Leaf]
-    _lift_cache: dict = field(default_factory=dict, repr=False)
-
-    def __getstate__(self):
-        # the cache is keyed by object ids, which do not survive pickling
-        state = self.__dict__.copy()
-        state["_lift_cache"] = {}
-        return state
 
     @property
     def dim(self) -> int:
         return (self.d_a * self.d_b) ** 3
 
-    def lifted_kraus(self, node: MeasurementStep) -> dict:
-        """Outcome -> Kraus operator on the joint party-major space, cached."""
-        cached = self._lift_cache.get(id(node))
-        if cached is not None:
-            return cached
-        na, nb = self.d_a**3, self.d_b**3
-        lifted = {}
-        for outcome, _ in node.measurement.elements:
-            k = node.kraus(outcome)
-            if node.party == ALICE:
-                lifted[outcome] = kron(k, np.eye(nb))
-            else:
-                lifted[outcome] = kron(np.eye(na), k)
-        self._lift_cache[id(node)] = lifted
-        return lifted
-
-
-def iter_leaves(node: Union[MeasurementStep, Leaf], prefix: tuple = ()):
-    """Yield (transcript, leaf) pairs; transcript entries are (party, outcome)."""
-    if isinstance(node, Leaf):
-        yield prefix, node
-        return
-    for outcome, _ in node.measurement.elements:
-        child = node.children[outcome]
-        yield from iter_leaves(child, prefix + ((node.party, outcome),))
-
 
 def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
     """Flatten the tree into the global POVM it implements.
 
-    Element for label L = sum over leaves labeled L of K_path^dag K_path with
-    K_path the chronological product of lifted Kraus operators.  Returned in
-    the system-major basis by default (directly comparable with the closed-form
+    Element for label L = sum over leaves labeled L of
+    kron(A^dag A, B^dag B), with A and B the chronological products of
+    Alice's and Bob's local Kraus operators along the path.  Returned in the
+    system-major basis by default (directly comparable with the closed-form
     separable constructions); completeness is asserted.
     """
-    dim = protocol.dim
     buckets: dict[int, np.ndarray] = {}
 
-    def walk(node, accum: np.ndarray) -> None:
+    def walk(node, a: np.ndarray, b: np.ndarray) -> None:
         if isinstance(node, Leaf):
-            op = dagger(accum) @ accum
+            op = kron(dagger(a) @ a, dagger(b) @ b)
             buckets[node.label] = buckets.get(node.label, 0) + op
             return
-        lifted = protocol.lifted_kraus(node)
-        for outcome, _ in node.measurement.elements:
-            walk(node.children[outcome], lifted[outcome] @ accum)
+        for k, (outcome, _) in zip(node.kraus, node.measurement.elements):
+            child = node.children[outcome]
+            if node.party == ALICE:
+                walk(child, k @ a, b)
+            else:
+                walk(child, a, k @ b)
 
-    walk(protocol.root, np.eye(dim))
+    walk(protocol.root, np.eye(protocol.d_a**3), np.eye(protocol.d_b**3))
     total = sum(buckets.values())
-    defect = np.abs(total - np.eye(dim)).max()
+    defect = np.abs(total - np.eye(protocol.dim)).max()
     if defect > COMPLETENESS_ATOL:
         raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
     if system_major:

@@ -3,12 +3,17 @@
 A trial draws the true label from the priors, draws both reference states from
 the unitary-invariant (Haar) distribution, assembles the product state on the
 triple space, and samples measurement outcomes with the exact Born
-probabilities — either in one shot for a global POVM or by walking an LOCC
-tree with the square-root (Lueders) state update between steps.
+probabilities: either in one shot for a global POVM, or by walking an LOCC
+tree with the square-root (Lueders) state update between steps.  The LOCC
+walk keeps the state as the party-major (d_a^3, d_b^3) matrix psi, regrouped
+from the system-major product vector by an index map, and applies Alice's
+local Kraus operator K as K @ psi and Bob's as psi @ K.T.
 
 Determinism contract: trial i of a batch uses the generator seeded with
-(base_seed, i), so batch results are identical for any worker count; outcome
-sampling is inverse-CDF over the ordered element list.
+(base_seed, i), so batch results are identical for any worker count; a trial
+draws the label, then the two reference states, then one uniform per
+measurement step; outcome sampling is inverse-CDF over the ordered element
+list.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .minerr import Priors
 from .povm import Povm
-from .protocol import Leaf, LoccProtocol
+from .protocol import ALICE, Leaf, LoccProtocol
 from .symmetry import bipartite_toolkit
 
 PROB_SUM_ATOL = 1e-8
@@ -51,6 +56,11 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases.conj()
+
+
+def product_state(first: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """kron(first, phi1, phi2): the same products, without np.kron's overhead."""
+    return np.multiply.outer(np.multiply.outer(first, phi1), phi2).ravel()
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,11 @@ class BatchStats:
             target=target,
         )
 
+    @property
+    def target_stderr(self) -> float:
+        """Binomial standard error at the target; unlike stderr, nonzero at p_hat 0 or 1."""
+        return math.sqrt(max(self.target * (1.0 - self.target), 0.0) / self.n_trials)
+
 
 def _draw_label(priors: Priors, rng: np.random.Generator) -> int:
     return 1 if rng.random() < priors.eta1 else 2
@@ -130,7 +145,7 @@ class GlobalTrialSpec:
         if self.rotation is not None:
             phi1 = self.rotation @ phi1
             phi2 = self.rotation @ phi2
-        state = np.kron(np.kron(phi1 if label == 1 else phi2, phi1), phi2)
+        state = product_state(phi1 if label == 1 else phi2, phi1, phi2)
         probs = np.array([
             (state.conj() @ (op @ state)).real for _, op in self.povm.elements
         ])
@@ -148,8 +163,9 @@ class GlobalTrialSpec:
 class LoccTrialSpec:
     """Sequential execution of an LOCC protocol tree.
 
-    The product state is assembled system-major, regrouped party-major, and
-    updated with the outcome's Kraus operator at every step.
+    The product state is assembled system-major, regrouped into the
+    party-major state matrix, and updated with the outcome's local Kraus
+    operator at every step.
     """
 
     protocol: LoccProtocol
@@ -161,14 +177,16 @@ class LoccTrialSpec:
         label = _draw_label(self.priors, rng)
         phi1 = haar_state(d, rng)
         phi2 = haar_state(d, rng)
-        state = np.kron(np.kron(phi1 if label == 1 else phi2, phi1), phi2)
-        state = bipartite_toolkit(proto.d_a, proto.d_b).regroup @ state
+        state = product_state(phi1 if label == 1 else phi2, phi1, phi2)
+        psi = bipartite_toolkit(proto.d_a, proto.d_b).state_matrix(state)
 
         transcript: list[tuple[str, object]] = []
         node = proto.root
         while not isinstance(node, Leaf):
-            lifted = proto.lifted_kraus(node)
-            branches = [lifted[outcome] @ state for outcome, _ in node.measurement.elements]
+            if node.party == ALICE:
+                branches = [k @ psi for k in node.kraus]
+            else:
+                branches = [psi @ k.T for k in node.kraus]
             probs = np.array([np.vdot(v, v).real for v in branches])
             idx = _sample_outcome(probs, rng, f"trial {trial_index} at {node.party}")
             if probs[idx] < BRANCH_PROB_FLOOR:
@@ -176,7 +194,7 @@ class LoccTrialSpec:
                     f"trial {trial_index}: sampled branch with probability {probs[idx]!r}"
                 )
             outcome = node.measurement.elements[idx][0]
-            state = branches[idx] / math.sqrt(probs[idx])
+            psi = branches[idx] / math.sqrt(probs[idx])
             transcript.append((node.party, outcome))
             node = node.children[outcome]
         return TrialRecord(

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import kron, permutation_operator, regroup_operator
+from .linalg import PARTY_MAJOR_PERM, SYSTEM_MAJOR_PERM, permutation_operator, permute_factors
 
 # the six permutations of three positions, with their signs
 _S3_GROUP = (
@@ -122,10 +122,6 @@ class SymmetryToolkit:
     swap_diff: np.ndarray
     swap_sum: np.ndarray
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.d**3)
-
 
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
@@ -172,18 +168,18 @@ def build_toolkit(d: int) -> SymmetryToolkit:
 
 @dataclass(frozen=True)
 class BipartiteToolkit:
-    """Local toolkits for a d = d_a*d_b split plus the regrouping unitary.
+    """Local toolkits for a d = d_a*d_b split plus the regrouping index maps.
 
-    regroup maps the system-major basis |0a 0b 1a 1b 2a 2b> to the party-major
-    one |0a 1a 2a>|0b 1b 2b>; conjugating any joint permutation operator with
-    it factorizes the operator into kron(alice_op, bob_op).
+    Regrouping maps the system-major basis |0a 0b 1a 1b 2a 2b> to the
+    party-major one |0a 1a 2a>|0b 1b 2b>; conjugating any joint permutation
+    operator this way factorizes it into kron(alice_op, bob_op).  It is done
+    by transposing tensor-factor axes, never by a dense 0/1 matrix.
     """
 
     d_a: int
     d_b: int
     alice: SymmetryToolkit
     bob: SymmetryToolkit
-    regroup: np.ndarray
 
     @property
     def d(self) -> int:
@@ -191,26 +187,25 @@ class BipartiteToolkit:
 
     def to_party_major(self, op: np.ndarray) -> np.ndarray:
         """Conjugate a system-major operator into the party-major basis."""
-        return self.regroup @ op @ self.regroup.T
+        return permute_factors(op, (self.d_a, self.d_b) * 3, PARTY_MAJOR_PERM)
 
     def to_system_major(self, op: np.ndarray) -> np.ndarray:
         """Conjugate a party-major operator into the system-major basis."""
-        return self.regroup.T @ op @ self.regroup
+        return permute_factors(op, (self.d_a,) * 3 + (self.d_b,) * 3, SYSTEM_MAJOR_PERM)
 
-    def local_to_global(self, alice_op: np.ndarray, bob_op: np.ndarray) -> np.ndarray:
-        """kron(alice_op, bob_op) expressed on the system-major joint space."""
-        return self.to_system_major(kron(alice_op, bob_op))
+    def state_matrix(self, state: np.ndarray) -> np.ndarray:
+        """A system-major joint vector as the party-major (d_a^3, d_b^3) matrix psi."""
+        psi = permute_factors(state, (self.d_a, self.d_b) * 3, PARTY_MAJOR_PERM)
+        return psi.reshape(self.d_a**3, self.d_b**3)
 
 
 @lru_cache(maxsize=None)
 def bipartite_toolkit(d_a: int, d_b: int) -> BipartiteToolkit:
-    """Toolkits on both local triple spaces plus the regrouping operator.
+    """Toolkits on both local triple spaces of a d_a*d_b split.
 
     A trivial party with local dimension 1 is allowed as long as the other
     side is at least 2.
     """
     if d_a < 1 or d_b < 1 or d_a * d_b < 2:
         raise ValueError(f"invalid split ({d_a}, {d_b}); need d_a*d_b >= 2")
-    r = regroup_operator(d_a, d_b)
-    r.flags.writeable = False
-    return BipartiteToolkit(d_a=d_a, d_b=d_b, alice=_toolkit(d_a), bob=_toolkit(d_b), regroup=r)
+    return BipartiteToolkit(d_a=d_a, d_b=d_b, alice=_toolkit(d_a), bob=_toolkit(d_b))

@@ -87,6 +87,22 @@ class TestMinerr:
             main(["minerr", "--d", "2", "--eta1", "1.5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("eta1", ("nan", "inf", "-inf"))
+    def test_eta_not_finite(self, capsys, eta1):
+        with pytest.raises(SystemExit) as err:
+            main(["minerr", "--d", "2", "--eta1", eta1])
+        assert err.value.code == 2
+
+    def test_simulation_gate_on_exact_result(self, capsys):
+        # a certain prior makes every trial succeed: p_hat is exactly 1 while
+        # the closed form rounds to 1 - 1e-16, so the gate needs a nonzero stderr
+        code, report = run_json(capsys, "minerr", "--d", "2", "--eta1", "1",
+                                "--simulate", "--n", "2000", "--seed", "7")
+        assert report["monte_carlo"]["p_hat"] == 1.0
+        assert code == 0
+        row = next(r for r in report["checks"] if r["name"] == "monte_carlo_within_4_sigma")
+        assert row["pass"]
+
 
 class TestUnamb:
     def test_two_qubit_split(self, capsys):

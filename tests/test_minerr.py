@@ -40,6 +40,13 @@ class TestPriors:
         with pytest.raises(ValueError):
             Priors(-0.1, 1.1)
 
+    @pytest.mark.parametrize("eta1", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite(self, eta1):
+        with pytest.raises(ValueError):
+            Priors.from_eta1(eta1)
+        with pytest.raises(ValueError):
+            Priors(eta1, 0.5)
+
     def test_from_eta1(self):
         p = Priors.from_eta1(0.3)
         assert (p.eta1, p.eta2) == (0.3, 0.7)
@@ -207,7 +214,7 @@ class TestLoccPovmElement:
 
 
 class TestLoccProtocol:
-    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("eta1", (0.3, 0.5))
     def test_flattens_to_separable_element(self, da, db, eta1):
         p = Priors.from_eta1(eta1)

@@ -1,16 +1,22 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from stateid import unambiguous
+from stateid.linalg import kron, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
-from stateid.protocol import Leaf, LoccProtocol
+from stateid.protocol import ALICE, Leaf, LoccProtocol
 from stateid.simulate import (
+    BRANCH_PROB_FLOOR,
+    PROB_SUM_ATOL,
     BatchStats,
     GlobalTrialSpec,
     LoccTrialSpec,
     TrialAbort,
+    TrialRecord,
     haar_state,
     haar_unitary,
     run_batch,
@@ -135,6 +141,73 @@ class TestLoccTrials:
         assert abs(stats.p_hat - target) <= 3 * stats.stderr
 
 
+def dense_walk(spec: LoccTrialSpec, rng: np.random.Generator, trial_index: int) -> TrialRecord:
+    """Reference walker on the joint space: lifted kron(K, 1) / kron(1, K) matvecs.
+
+    Draws in the order of the per-trial contract (label, both references, one
+    uniform per step) and regroups with the dense 0/1 operator.
+    """
+    proto = spec.protocol
+    na, nb = proto.d_a**3, proto.d_b**3
+    label = 1 if rng.random() < spec.priors.eta1 else 2
+    phi1 = haar_state(proto.d_a * proto.d_b, rng)
+    phi2 = haar_state(proto.d_a * proto.d_b, rng)
+    state = regroup_operator(proto.d_a, proto.d_b) @ kron(phi1 if label == 1 else phi2, phi1, phi2)
+    transcript = []
+    node = proto.root
+    while not isinstance(node, Leaf):
+        lifted = [kron(k, np.eye(nb)) if node.party == ALICE else kron(np.eye(na), k)
+                  for k in node.kraus]
+        branches = [op @ state for op in lifted]
+        probs = np.array([np.vdot(v, v).real for v in branches])
+        assert abs(probs.sum() - 1.0) <= PROB_SUM_ATOL
+        idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
+                  len(probs) - 1)
+        assert probs[idx] >= BRANCH_PROB_FLOOR
+        outcome = node.measurement.elements[idx][0]
+        state = branches[idx] / math.sqrt(probs[idx])
+        transcript.append((node.party, outcome))
+        node = node.children[outcome]
+    return TrialRecord(label, node.label, tuple(transcript), trial_index)
+
+
+def make_locc_spec(task: str, da: int, db: int, eta1: float) -> LoccTrialSpec:
+    priors = Priors.from_eta1(eta1)
+    proto = locc_protocol(da, db, priors) if task == "minerr" else unambiguous.locc_protocol(da, db)
+    return LoccTrialSpec(proto, priors)
+
+
+LOCC_CASES = [("minerr", 0.5), ("minerr", 0.7), ("unamb", 0.5)]
+
+
+class TestFactoredEngine:
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("task,eta1", LOCC_CASES)
+    def test_matches_dense_reference(self, task, eta1, da, db):
+        # eta1 = 0.7 runs the label-swapped min-error tree
+        spec = make_locc_spec(task, da, db, eta1)
+        for i in range(20):
+            factored = spec.run(np.random.default_rng((11, i)), i)
+            dense = dense_walk(spec, np.random.default_rng((11, i)), i)
+            assert factored == dense
+
+    @pytest.mark.parametrize("task,eta1", LOCC_CASES)
+    def test_pickled_protocol_runs_the_same_trials(self, task, eta1):
+        spec = make_locc_spec(task, 2, 3, eta1)
+        copy = LoccTrialSpec(pickle.loads(pickle.dumps(spec.protocol)), spec.priors)
+        for i in range(50):
+            assert spec.run(np.random.default_rng((5, i)), i) == copy.run(
+                np.random.default_rng((5, i)), i)
+
+    @pytest.mark.parametrize("task,eta1,counts", [
+        ("minerr", 0.7, (174, 26, 0)),
+        ("unamb", 0.5, (60, 0, 140)),
+    ])
+    def test_seeded_counts_at_3x3(self, task, eta1, counts):
+        stats = run_batch(make_locc_spec(task, 3, 3, eta1), 200, 7)
+        assert (stats.successes, stats.errors, stats.inconclusive) == counts
+
+
 class TestRunBatch:
     def test_single_trial(self):
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
@@ -169,6 +242,15 @@ class TestRunBatch:
             # estimate stays within the shrinking 4-sigma band at every scale
             assert abs(stats[n].p_hat - PMAX_D2_HALF) <= 4 * stats[n].stderr
         assert stats[1_000].stderr > stats[10_000].stderr > stats[100_000].stderr
+
+
+def test_target_stderr_survives_exact_results():
+    stats = BatchStats.from_counts(2000, 2000, 0, 0, target=1.0 - 1e-16)
+    assert stats.stderr == 0.0
+    assert stats.target_stderr > 0.0
+    assert abs(stats.p_hat - stats.target) <= 4 * stats.target_stderr
+    half = BatchStats.from_counts(100, 40, 60, 0, target=0.5)
+    assert half.target_stderr == 0.05
 
 
 def test_batch_stats_from_counts():

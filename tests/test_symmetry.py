@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stateid.linalg import hermitian_eig, kron
+from stateid.linalg import hermitian_eig, kron, regroup_operator
 from stateid.symmetry import (
     bipartite_toolkit,
     build_toolkit,
@@ -152,6 +152,18 @@ class TestBipartite:
         rhs = kron(bt.alice.swap_diff, bt.bob.swap_diff) + kron(bt.alice.swap_sum, bt.bob.swap_sum)
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_index_maps_match_dense_regroup(self, da, db):
+        bt = bipartite_toolkit(da, db)
+        r = regroup_operator(da, db)
+        n = (da * db) ** 3
+        rng = np.random.default_rng(da * 10 + db)
+        op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(bt.to_party_major(op), r @ op @ r.T)
+        assert np.array_equal(bt.to_system_major(op), r.T @ op @ r)
+        assert np.array_equal(bt.state_matrix(vec), (r @ vec).reshape(da**3, db**3))
+
     def test_round_trip_conjugation(self):
         bt = bipartite_toolkit(2, 2)
         op = build_toolkit(4).sym01
@@ -161,7 +173,8 @@ class TestBipartite:
         bt = bipartite_toolkit(1, 2)
         assert bt.alice.dims.sym3 == 1
         assert bt.alice.dims.mixed3 == 0
-        assert bt.regroup.shape == (8, 8)
+        # with a one-dimensional Alice factor the regrouping is the identity
+        assert np.array_equal(bt.to_party_major(np.eye(8)), np.eye(8))
 
     def test_rejects_both_trivial(self):
         with pytest.raises(ValueError):

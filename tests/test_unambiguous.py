@@ -199,7 +199,7 @@ class TestSeparableOptimum:
 
 
 class TestLoccProtocol:
-    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_flattens_to_separable_optimum(self, da, db):
         eff = effective_povm(locc_protocol(da, db))
         ref = separable_unamb_povm(da, db, SeparableCoeffs.optimal())
@@ -234,7 +234,7 @@ class TestLoccProtocol:
         for _ in range(50):
             phi1, phi2 = haar_state(4, rng), haar_state(4, rng)
             for state in (kron(phi1, phi1, phi2), kron(phi2, phi1, phi2)):
-                party = bt.regroup @ state
+                party = bt.state_matrix(state).ravel()
                 assert (party.conj() @ block_sa @ party).real < 1e-12
                 assert (party.conj() @ block_as @ party).real < 1e-12
 
