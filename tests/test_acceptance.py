@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines; the Monte Carlo criteria (8 and 9) take about a minute each.
+pass/fail lines; the Monte Carlo criteria (8 and 9) take about 15 s each on
+two cores.
 """
 
 import json
