@@ -151,14 +151,9 @@ def solve_global(d: int, priors: Priors) -> MinErrSolution:
     )
 
 
-def _require_ordered_interior(priors: Priors) -> None:
-    if priors.eta1 > priors.eta2:
-        raise ValueError(
-            "separable construction assumes eta1 <= eta2; swap labels first "
-            "(locc_protocol does this automatically)"
-        )
-    if min(priors.eta1, priors.eta2) == 0.0:
-        raise ValueError("degenerate priors: no measurement is needed, use the global scheme")
+def _is_degenerate(priors: Priors) -> bool:
+    """One label is certain (eta1 in {0, 1}): guessing it needs no measurement."""
+    return min(priors.eta1, priors.eta2) == 0.0
 
 
 def _mixed_gain_projectors(tk: SymmetryToolkit, priors: Priors,
@@ -197,10 +192,18 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
     E1 combines, block by block of the local symmetry types, the local
     projectors that pick up every positive eigenvalue of the joint gain
     operator; its overlap tr[E1*G] matches the global projector's exactly.
-    Requires eta1 <= eta2 (raises otherwise).  Elements are returned in the
-    system-major basis.
+    Requires eta1 <= eta2 (raises otherwise), except for degenerate priors,
+    where the optimum is the trivial {E1 = 0 or 1, E2 = 1 - E1} of the global
+    scheme, separable as it stands.  Elements are returned in the system-major
+    basis.
     """
-    _require_ordered_interior(priors)
+    if _is_degenerate(priors):
+        return optimal_global_povm(d_a * d_b, priors)
+    if priors.eta1 > priors.eta2:
+        raise ValueError(
+            "separable construction assumes eta1 <= eta2; swap labels first "
+            "(locc_protocol does this automatically)"
+        )
     bt = bipartite_toolkit(d_a, d_b)
     tka, tkb = bt.alice, bt.bob
     pp_a, pm_a = _mixed_gain_projectors(tka, priors)
@@ -234,8 +237,11 @@ def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
     states, which also exchanges the systems holding them, so besides swapping
     the leaf labels every local operator is conjugated with the local
     system-1/2 swap (the symmetry-type projectors are invariant under it; the
-    signed projectors are not).
+    signed projectors are not).  Degenerate priors give the one-leaf tree that
+    answers the certain label without measuring.
     """
+    if _is_degenerate(priors):
+        return LoccProtocol(d_a=d_a, d_b=d_b, root=Leaf(1 if priors.eta2 == 0.0 else 2))
     swap = priors.eta1 > priors.eta2
     p = priors.swapped() if swap else priors
     one, two = (Leaf(2), Leaf(1)) if swap else (Leaf(1), Leaf(2))

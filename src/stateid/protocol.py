@@ -8,10 +8,10 @@ identification answers, 0 for inconclusive).
 Operators never leave their party's space.  A joint party-major state is held
 as a (d_a^3, d_b^3) matrix psi, on which Alice's Kraus operator K acts as
 K @ psi and Bob's as psi @ K.T.  Flattening a tree carries the pair (A, B) of
-each party's chronological Kraus product along every path and adds
-kron(A^dag A, B^dag B) at the leaf, which yields the effective global POVM the
-protocol implements: the object the closed-form separable constructions are
-checked against.
+each party's chronological Kraus product along every path and sums
+kron(A^dag A, B^dag B) over the leaves of each label, which yields the
+effective global POVM the protocol implements: the object the closed-form
+separable constructions are checked against.
 
 Kraus convention: each outcome applies the PSD square root of its element
 (for projective elements that is the projector itself, kept exact).
@@ -24,7 +24,7 @@ from typing import Hashable, Mapping, Union
 
 import numpy as np
 
-from .linalg import dagger, kron, psd_sqrt
+from .linalg import dagger, psd_sqrt
 from .povm import COMPLETENESS_ATOL, Povm, povm_from_dict
 from .symmetry import bipartite_toolkit
 
@@ -98,16 +98,18 @@ def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
 
     Element for label L = sum over leaves labeled L of
     kron(A^dag A, B^dag B), with A and B the chronological products of
-    Alice's and Bob's local Kraus operators along the path.  Returned in the
-    system-major basis by default (directly comparable with the closed-form
-    separable constructions); completeness is asserted.
+    Alice's and Bob's local Kraus operators along the path.  The sum is one
+    matrix product over the stacked leaves, regrouped into the kron layout.
+    Returned in the system-major basis by default (directly comparable with
+    the closed-form separable constructions); completeness is asserted.
     """
-    buckets: dict[int, np.ndarray] = {}
+    leaves: dict[int, tuple[list, list]] = {}
 
     def walk(node, a: np.ndarray, b: np.ndarray) -> None:
         if isinstance(node, Leaf):
-            op = kron(dagger(a) @ a, dagger(b) @ b)
-            buckets[node.label] = buckets.get(node.label, 0) + op
+            alice, bob = leaves.setdefault(node.label, ([], []))
+            alice.append(dagger(a) @ a)
+            bob.append(dagger(b) @ b)
             return
         for k, (outcome, _) in zip(node.kraus, node.measurement.elements):
             child = node.children[outcome]
@@ -116,12 +118,19 @@ def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
             else:
                 walk(child, a, k @ b)
 
-    walk(protocol.root, np.eye(protocol.d_a**3), np.eye(protocol.d_b**3))
-    total = sum(buckets.values())
+    na, nb = protocol.d_a**3, protocol.d_b**3
+    walk(protocol.root, np.eye(na), np.eye(nb))
+    elements = {}
+    for label, (alice, bob) in leaves.items():
+        # [(i, j), (k, l)] entry: sum over leaves of (A^dag A)[i, j] (B^dag B)[k, l]
+        pairs = np.reshape(alice, (len(alice), -1)).T @ np.reshape(bob, (len(bob), -1))
+        elements[label] = pairs.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(
+            protocol.dim, protocol.dim)
+    total = sum(elements.values())
     defect = np.abs(total - np.eye(protocol.dim)).max()
     if defect > COMPLETENESS_ATOL:
         raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
     if system_major:
         bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-        buckets = {label: bt.to_system_major(op) for label, op in buckets.items()}
-    return povm_from_dict(sorted(buckets.items()))
+        elements = {label: bt.to_system_major(op) for label, op in elements.items()}
+    return povm_from_dict(sorted(elements.items()))

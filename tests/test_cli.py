@@ -103,6 +103,18 @@ class TestMinerr:
         row = next(r for r in report["checks"] if r["name"] == "monte_carlo_within_4_sigma")
         assert row["pass"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--eta1", "0", "--locc"),
+        ("--eta1", "1", "--locc", "--simulate", "--n", "2000", "--seed", "7"),
+    ])
+    def test_locc_at_degenerate_priors(self, capsys, argv):
+        # a certain prior needs no measurement: a one-leaf tree, a trivial element
+        code, report = run_json(capsys, "minerr", "--da", "2", "--db", "2", *argv)
+        assert code == 0
+        assert all(row["pass"] for row in report["checks"])
+        if report["monte_carlo"]:
+            assert report["monte_carlo"]["successes"] == 2000
+
 
 class TestUnamb:
     def test_two_qubit_split(self, capsys):

@@ -18,7 +18,7 @@ from stateid.minerr import (
     solve_global,
 )
 from stateid.povm import povm_from_dict
-from stateid.protocol import effective_povm
+from stateid.protocol import Leaf, effective_povm
 from stateid.symmetry import build_toolkit, dimension_table
 
 # frozen via the eigenvalue-sum oracle (assemble gain operator, eigensolve,
@@ -208,9 +208,11 @@ class TestLoccPovmElement:
         with pytest.raises(ValueError, match="eta1 <= eta2"):
             locc_povm_element(2, 2, Priors.from_eta1(0.7))
 
-    def test_rejects_degenerate_priors(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            locc_povm_element(2, 2, Priors.from_eta1(0.0))
+    @pytest.mark.parametrize("eta1,e1", [(0.0, 0.0), (1.0, 1.0)])
+    def test_degenerate_priors_give_trivial_element(self, eta1, e1):
+        povm = locc_povm_element(2, 2, Priors.from_eta1(eta1))
+        assert np.array_equal(povm.element(1), e1 * np.eye(64))
+        assert np.array_equal(povm.element(2), (1.0 - e1) * np.eye(64))
 
 
 class TestLoccProtocol:
@@ -222,6 +224,14 @@ class TestLoccProtocol:
         ref = locc_povm_element(da, db, p)
         assert np.abs(eff.element(1) - ref.element(1)).max() < 1e-9
         assert np.abs(eff.element(2) - ref.element(2)).max() < 1e-9
+
+    @pytest.mark.parametrize("eta1,label", [(0.0, 2), (1.0, 1)])
+    def test_degenerate_priors_give_one_leaf(self, eta1, label):
+        proto = locc_protocol(2, 3, Priors.from_eta1(eta1))
+        assert proto.root == Leaf(label)
+        eff = effective_povm(proto)
+        assert eff.labels == (label,)
+        assert np.array_equal(eff.element(label), np.eye(216))
 
     def test_swapped_priors_relabel(self):
         p = Priors.from_eta1(0.7)

@@ -1,14 +1,17 @@
 import math
 import pickle
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stateid import unambiguous
 from stateid.linalg import kron, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
-from stateid.protocol import ALICE, Leaf, LoccProtocol
+from stateid.protocol import ALICE, Leaf, LoccProtocol, MeasurementStep
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
     PROB_SUM_ATOL,
@@ -17,6 +20,7 @@ from stateid.simulate import (
     LoccTrialSpec,
     TrialAbort,
     TrialRecord,
+    _run_chunk,
     haar_state,
     haar_unitary,
     run_batch,
@@ -84,6 +88,10 @@ class TestGlobalTrials:
         spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
         with pytest.raises(TrialAbort, match="sum"):
             spec.run(np.random.default_rng(0), 0)
+        with pytest.raises(TrialAbort, match=r"^trial 0: .*sum"):
+            run_batch(spec, 300, 0)
+        with pytest.raises(TrialAbort, match=r"^trial 37: .*sum"):
+            _run_chunk(spec, 0, 37, 50)
 
     def test_minerr_batch_matches_closed_form(self):
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
@@ -206,6 +214,54 @@ class TestFactoredEngine:
     def test_seeded_counts_at_3x3(self, task, eta1, counts):
         stats = run_batch(make_locc_spec(task, 3, 3, eta1), 200, 7)
         assert (stats.successes, stats.errors, stats.inconclusive) == counts
+
+
+@lru_cache(maxsize=None)
+def block_spec(case: str):
+    """Trial specs for the block-engine properties, built once per session."""
+    if case == "global":
+        return GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
+    if case == "global-rotated":
+        u = haar_unitary(3, np.random.default_rng(99))
+        return GlobalTrialSpec(global_unamb_povm(3).as_povm(), 3, EQUAL_PRIORS, rotation=u)
+    task, eta1, da, db = case.split("-")
+    return make_locc_spec(task, int(da), int(db), float(eta1))
+
+
+BLOCK_CASES = ["global", "global-rotated"] + [
+    f"{task}-{eta1}-{da}-{db}" for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3), (3, 3)]]
+
+
+def counts_of(records) -> tuple[int, int, int]:
+    records = list(records)
+    return (sum(r.success for r in records), sum(r.error for r in records),
+            sum(r.declared_label == 0 for r in records))
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @settings(max_examples=8, deadline=None)
+    @example(seed=7, start=37, length=1063)
+    @example(seed=7, start=5, length=1)
+    @given(seed=st.integers(0, 2**63), start=st.integers(0, 10**6),
+           length=st.integers(1, 150))
+    def test_chunk_counts_equal_single_trials(self, case, seed, start, length):
+        # blocks of a chunk start at `start` and split it wherever the byte
+        # budget says; every trial must come out as the block of one does
+        spec = block_spec(case)
+        stop = start + length
+        singles = counts_of(spec.run(np.random.default_rng((seed, i)), i)
+                            for i in range(start, stop))
+        assert _run_chunk(spec, seed, start, stop) == singles
+
+    def test_incomplete_locc_step_aborts_the_batch(self):
+        half = MeasurementStep(ALICE, povm_from_dict({0: np.eye(8) / 2}, np.eye(8) / 2),
+                               {0: Leaf(0)})
+        spec = LoccTrialSpec(LoccProtocol(d_a=2, d_b=2, root=half), EQUAL_PRIORS)
+        with pytest.raises(TrialAbort, match=r"^trial 0 at alice: .*sum"):
+            run_batch(spec, 300, 0)
+        with pytest.raises(TrialAbort, match=r"^trial 37 at alice: .*sum"):
+            _run_chunk(spec, 0, 37, 50)
 
 
 class TestRunBatch:
