@@ -122,15 +122,16 @@ def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
     walk(protocol.root, np.eye(na), np.eye(nb))
     elements = {}
     for label, (alice, bob) in leaves.items():
-        # [(i, j), (k, l)] entry: sum over leaves of (A^dag A)[i, j] (B^dag B)[k, l]
-        pairs = np.reshape(alice, (len(alice), -1)).T @ np.reshape(bob, (len(bob), -1))
-        elements[label] = pairs.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(
-            protocol.dim, protocol.dim)
+        # entry [(i, j), (k, l)]: sum over leaves of (A^dag A)[i, j] (B^dag B)[k, l]
+        elements[label] = (
+            np.reshape(alice, (len(alice), -1)).T @ np.reshape(bob, (len(bob), -1))
+        ).reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(protocol.dim, protocol.dim)
     total = sum(elements.values())
     defect = np.abs(total - np.eye(protocol.dim)).max()
     if defect > COMPLETENESS_ATOL:
         raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
     if system_major:
         bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-        elements = {label: bt.to_system_major(op) for label, op in elements.items()}
+        for label, op in elements.items():
+            elements[label] = bt.to_system_major(op)
     return povm_from_dict(sorted(elements.items()))

@@ -48,8 +48,9 @@ from .protocol import ALICE, Leaf, LoccProtocol
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
 # Bytes of one block's stacked complex states: 128 trials at d = 4, 11 at
-# (3,3).  Larger blocks save little more time and raise the peak memory of
-# every batch worker.
+# (3,3).  Larger blocks gain little at (2,2) and raise the peak memory of
+# every batch worker; smaller ones slow (3,3), where a tree node's share of a
+# block is a few trials.
 BLOCK_STATE_BYTES = 128 * 1024
 
 
@@ -319,7 +320,7 @@ TrialSpec = Union[GlobalTrialSpec, LoccTrialSpec]
 
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
-    size = max(1, BLOCK_STATE_BYTES // (16 * spec.dim))
+    size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
     successes = errors = inconclusive = 0
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)

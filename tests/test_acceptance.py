@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines; the Monte Carlo criteria (8 and 9) take about 15 s each on
+pass/fail lines; the Monte Carlo criteria (8 and 9) take about 4 s each on
 two cores.
 """
 
