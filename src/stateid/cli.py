@@ -29,7 +29,7 @@ import numpy as np
 from . import minerr, unambiguous
 from .linalg import positive_part_projector
 from .minerr import Priors
-from .simulate import GlobalTrialSpec, LoccTrialSpec, haar_state, run_batch
+from .simulate import GlobalTrialSpec, LoccTrialSpec, run_batch
 from .symmetry import build_toolkit, check_dim_relation, dimension_table
 
 MC_SIGMA_GATE = 4.0
@@ -281,6 +281,17 @@ def _toolkit_defect(d: int) -> float:
 
 
 def _no_error_defect(seed: int, n_pairs: int = 1000) -> float:
+    """Largest wrong-label acceptance over n_pairs Haar reference pairs per scheme.
+
+    One generator serves the schemes in turn (global d=2, global d=3,
+    separable (2,2)); each scheme draws its pairs as one standard_normal
+    block of shape (n_pairs, 2, 2, d), indexed [pair, reference, re/im].
+    Generator normals carry no state between calls, so this is the same
+    stream, in the same order, as two haar_state calls per pair (phi1 real,
+    phi1 imag, phi2 real, phi2 imag).  The label-2 state phi2 phi1 phi2 is
+    scored against e1 and the label-1 state phi1 phi1 phi2 against e2, each
+    built by one outer product in kron's association.
+    """
     rng = np.random.default_rng(seed)
     probes = []
     for d in (2, 3):
@@ -290,16 +301,15 @@ def _no_error_defect(seed: int, n_pairs: int = 1000) -> float:
     probes.append((4, sep.e1, sep.e2))
     worst = 0.0
     for d, e1, e2 in probes:
-        for _ in range(n_pairs):
-            phi1 = haar_state(d, rng)
-            phi2 = haar_state(d, rng)
-            state2 = np.kron(np.kron(phi2, phi1), phi2)  # true label 2
-            state1 = np.kron(np.kron(phi1, phi1), phi2)  # true label 1
-            worst = max(
-                worst,
-                float((state2.conj() @ (e1 @ state2)).real),
-                float((state1.conj() @ (e2 @ state1)).real),
-            )
+        z = rng.standard_normal((n_pairs, 2, 2, d))
+        refs = z[:, :, 0] + 1j * z[:, :, 1]
+        refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
+        phi1, phi2 = refs[:, 0], refs[:, 1]
+        for first, e in ((phi2, e1), (phi1, e2)):   # true label 2, then 1
+            s = ((first[:, :, None] * phi1[:, None, :])[:, :, :, None]
+                 * phi2[:, None, None, :]).reshape(n_pairs, d**3)
+            accept = np.einsum("ni,ni->n", s.conj(), s @ e.T).real
+            worst = max(worst, float(accept.max()))
     return worst
 
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import kron, permute_factors
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
 from .symmetry import bipartite_toolkit, build_toolkit, dimension_table
@@ -36,6 +37,14 @@ SEPARABLE = "separable"
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
 ALPHA_MAX = 2.0 / 3.0
+# separable POVMs kept per process; a (3,3) entry holds three 729x729 elements
+SEPARABLE_CACHE_SIZE = 8
+
+
+def _swap_references(op: np.ndarray) -> np.ndarray:
+    """swap12 @ op @ swap12 on (C^d)^x3, as an index map rather than a 0/1 matmul."""
+    d = round(op.shape[0] ** (1 / 3))
+    return permute_factors(op, (d, d, d), (0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,8 @@ class UnambPovm:
             leak = np.abs(op @ sym).max()
             if leak > NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
-        t12 = tk.swap12
-        for name, lhs, rhs in (("e2", self.e2, t12 @ self.e1 @ t12),
-                               ("e0", self.e0, t12 @ self.e0 @ t12)):
+        for name, lhs, rhs in (("e2", self.e2, _swap_references(self.e1)),
+                               ("e0", self.e0, _swap_references(self.e0))):
             defect = np.abs(lhs - rhs).max()
             if defect > NO_ERROR_ATOL:
                 raise ValueError(f"{name} breaks 1<->2 exchange symmetry (defect {defect:.3e})")
@@ -181,12 +189,17 @@ class SeparableCoeffs:
         return cls(ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, 0.5, 0.5)
 
 
+@lru_cache(maxsize=SEPARABLE_CACHE_SIZE)
 def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPovm:
     """Assemble the separable family member for the given coefficients.
 
     Elements come back in the system-major basis; the inconclusive element's
     positivity is verified by full eigendecomposition (the feasibility bound
     is the analytic statement of the same fact, so this catches assembly bugs).
+
+    The result is cached per (d_a, d_b, coeffs), up to SEPARABLE_CACHE_SIZE
+    entries, and validated once, when it is built: equal arguments return the
+    same object, whose elements are read-only arrays.
     """
     bt = bipartite_toolkit(d_a, d_b)
     tka, tkb = bt.alice, bt.bob
@@ -199,11 +212,12 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
         + coeffs.beta2 * kron(tka.mixed3 @ tka.antisym02, tkb.mixed3 @ tkb.sym02)
     )
     e1 = bt.to_system_major(e1_party)
-    t12 = build_toolkit(d_a * d_b).swap12
-    e2 = t12 @ e1 @ t12
+    e2 = _swap_references(e1)
     e0 = np.eye(e1.shape[0]) - e1 - e2
     povm = UnambPovm(e1=e1, e2=e2, e0=e0, kind=SEPARABLE)
     povm.validate()
+    for op in (e1, e2, e0):
+        op.flags.writeable = False
     return povm
 
 

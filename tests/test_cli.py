@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,13 @@ class TestOutput:
         main(argv)
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+
+def test_module_entry_point():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "stateid", "dims", "--d", "2"],
+                          cwd=root, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout

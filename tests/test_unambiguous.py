@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stateid import cli, unambiguous
 from stateid.linalg import kron
 from stateid.protocol import ALICE, BOB, effective_povm
 from stateid.simulate import haar_state, haar_unitary
 from stateid.symmetry import bipartite_toolkit, build_toolkit
 from stateid.unambiguous import (
+    SEPARABLE_CACHE_SIZE,
     SeparableCoeffs,
     UnambPovm,
     beta_feasibility,
@@ -70,6 +74,49 @@ class TestGlobalPovm:
                         (s2.conj() @ povm.e1 @ s2).real,
                         (s1.conj() @ povm.e2 @ s1).real)
         assert worst < 1e-10
+
+
+def per_pair_no_error_defect(seed, n_pairs):
+    """The per-pair haar_state/kron loop that cli._no_error_defect does in bulk."""
+    rng = np.random.default_rng(seed)
+    probes = [(d, unambiguous.global_unamb_povm(d)) for d in (2, 3)]
+    probes.append((4, unambiguous.separable_unamb_povm(2, 2, SeparableCoeffs.optimal())))
+    worst = 0.0
+    for d, povm in probes:
+        for _ in range(n_pairs):
+            phi1, phi2 = haar_state(d, rng), haar_state(d, rng)
+            s2 = np.kron(np.kron(phi2, phi1), phi2)
+            s1 = np.kron(np.kron(phi1, phi1), phi2)
+            worst = max(worst,
+                        float((s2.conj() @ (povm.e1 @ s2)).real),
+                        float((s1.conj() @ (povm.e2 @ s1)).real))
+    return worst
+
+
+class TestNoErrorProbe:
+    @settings(max_examples=5, deadline=None)
+    @example(seed=0, n_pairs=1000)
+    @example(seed=7, n_pairs=1000)
+    @example(seed=23, n_pairs=1000)
+    @given(seed=st.integers(0, 2**63), n_pairs=st.integers(1, 200))
+    def test_bulk_probe_matches_per_pair_loop(self, seed, n_pairs):
+        bulk = cli._no_error_defect(seed, n_pairs)
+        assert abs(bulk - per_pair_no_error_defect(seed, n_pairs)) <= 1e-15
+        assert bulk <= 1e-10
+
+    def test_bulk_probe_detects_swapped_elements(self, monkeypatch):
+        def swapped(povm):
+            return UnambPovm(e1=povm.e2, e2=povm.e1, e0=povm.e0, kind=povm.kind)
+
+        glob, sep = unambiguous.global_unamb_povm, unambiguous.separable_unamb_povm
+        monkeypatch.setattr(unambiguous, "global_unamb_povm", lambda d: swapped(glob(d)))
+        monkeypatch.setattr(unambiguous, "separable_unamb_povm",
+                            lambda *args: swapped(sep(*args)))
+        for seed in (0, 7, 23):
+            bulk = cli._no_error_defect(seed, 1000)
+            loop = per_pair_no_error_defect(seed, 1000)
+            assert loop > 0.1
+            assert abs(bulk - loop) <= 1e-12 * loop
 
 
 class TestSuccessProbability:
@@ -146,6 +193,28 @@ class TestSeparablePovm:
         assert np.abs(povm.e1).max() == 0.0
         assert np.abs(povm.e0 - np.eye(64)).max() < 1e-12
         assert success_probability(povm, 4) == 0.0
+
+    def test_cached_and_read_only(self):
+        povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
+        assert separable_unamb_povm(2, 2, SeparableCoeffs.optimal()) is povm
+        assert separable_unamb_povm.cache_info().maxsize == SEPARABLE_CACHE_SIZE
+        for op in (povm.e1, povm.e2, povm.e0):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+
+    def test_coefficients_key_the_cache(self):
+        optimal = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
+        zero = separable_unamb_povm(2, 2, SeparableCoeffs(0, 0, 0, 0, 0, 0))
+        assert zero is not optimal
+        assert np.array_equal(zero.e0, np.eye(64))
+        assert not np.array_equal(optimal.e0, np.eye(64))
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
+    def test_index_map_swap_equals_dense(self, da, db):
+        povm = separable_unamb_povm(da, db, SeparableCoeffs.optimal())
+        t12 = build_toolkit(da * db).swap12
+        assert np.array_equal(povm.e2, t12 @ povm.e1 @ t12)
+        assert np.array_equal(povm.e0, t12 @ povm.e0 @ t12)
 
     def test_unitary_scalar_separable(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
