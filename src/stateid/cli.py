@@ -163,9 +163,9 @@ def cmd_minerr(args) -> int:
         # separable construction follows the eta1 <= eta2 convention
         ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
         gain = minerr.gain_operator(d, ordered)
-        overlap_global = float(np.trace(positive_part_projector(gain) @ gain).real)
-        overlap_locc = float(np.trace(
-            minerr.locc_povm_element(args.da, args.db, ordered).element(1) @ gain).real)
+        overlap_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
+        overlap_locc = float(np.einsum(
+            "ij,ji->", minerr.locc_povm_element(args.da, args.db, ordered).element(1), gain).real)
         report["values"]["locc_overlap"] = overlap_locc
         report["checks"].append(_check(
             "locc_overlap_vs_global_overlap", overlap_global, overlap_locc, 1e-9))
@@ -335,9 +335,9 @@ def cmd_verify_all(args) -> int:
         for eta1 in (0.1, 0.3, 0.5):
             priors = Priors.from_eta1(eta1)
             gain = minerr.gain_operator(da * db, priors)
-            t_global = float(np.trace(positive_part_projector(gain) @ gain).real)
-            t_locc = float(np.trace(
-                minerr.locc_povm_element(da, db, priors).element(1) @ gain).real)
+            t_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
+            t_locc = float(np.einsum(
+                "ij,ji->", minerr.locc_povm_element(da, db, priors).element(1), gain).real)
             locc_gap = max(locc_gap, abs(t_global - t_locc))
     report["checks"].append(_check("minerr_locc_equality_grid", 0.0, locc_gap, 1e-9))
 

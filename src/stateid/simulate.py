@@ -28,6 +28,12 @@ that drawing the label, each reference as two calls of d normals, and one
 uniform as each step comes would give: a Generator keeps no state between
 calls for normals or uniforms, so one call of size n returns what n calls of
 size 1 would.  Outcome sampling is inverse-CDF over the ordered element list.
+
+A batch on several workers is split into consecutive chunks of trials.  The
+caller runs the first chunk itself while workers - 1 forked processes run the
+rest, one chunk each (fewer when there are fewer trials than workers).
+numpy.random is imported with this module, so the forked processes inherit
+it instead of importing it again.
 """
 
 from __future__ import annotations
@@ -35,10 +41,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.random import default_rng
 
 from .linalg import PARTY_MAJOR_PERM
 from .minerr import Priors
@@ -324,7 +331,7 @@ def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, 
     successes = errors = inconclusive = 0
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
-        block = spec.run_block([np.random.default_rng((seed, i)) for i in range(lo, hi)], lo)
+        block = spec.run_block([default_rng((seed, i)) for i in range(lo, hi)], lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
         successes += hits
@@ -335,22 +342,22 @@ def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, 
 
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
               target: float | None = None) -> BatchStats:
-    """Run n independent trials; results do not depend on the worker count."""
+    """Run n independent trials; results do not depend on the worker count.
+
+    The trials are split into min(workers, n) consecutive chunks.  The caller
+    runs the first chunk itself while one forked process per remaining chunk
+    runs the rest; the processes inherit the imported numpy.random, and all of
+    them are shut down and reaped before the counts are summed.
+    """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
-    if workers <= 1:
-        successes, errors, inconclusive = _run_chunk(spec, seed, 0, n)
+    bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int).tolist()
+    if len(bounds) <= 2:
+        parts = [_run_chunk(spec, seed, 0, n)]
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _run_chunk,
-                [spec] * workers,
-                [seed] * workers,
-                bounds[:-1].tolist(),
-                bounds[1:].tolist(),
-            ))
-        successes = sum(p[0] for p in parts)
-        errors = sum(p[1] for p in parts)
-        inconclusive = sum(p[2] for p in parts)
+        with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
+            # submitted first, so the workers run while the caller runs chunk 0
+            futures = pool.map(partial(_run_chunk, spec, seed), bounds[1:-1], bounds[2:])
+            parts = [_run_chunk(spec, seed, 0, bounds[1]), *futures]
+    successes, errors, inconclusive = map(sum, zip(*parts))
     return BatchStats.from_counts(n, successes, errors, inconclusive, target)

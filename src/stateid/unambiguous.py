@@ -90,7 +90,7 @@ def success_probability(povm: UnambPovm, d: int) -> float:
     if leak > 1e-8:
         raise ValueError(f"POVM violates the no-error condition (leak {leak:.3e})")
     table = dimension_table(d)
-    overlap = np.trace(povm.e1 @ tk.sym01) + np.trace(povm.e2 @ tk.sym02)
+    overlap = np.einsum("ij,ji->", povm.e1, tk.sym01) + np.einsum("ij,ji->", povm.e2, tk.sym02)
     return float(overlap.real) / (2 * d * table.sym2)
 
 

@@ -1,13 +1,19 @@
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stateid import unambiguous
+from stateid import simulate, unambiguous
 from stateid.linalg import kron, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
@@ -260,11 +266,75 @@ class TestBlockEngine:
         spec = LoccTrialSpec(LoccProtocol(d_a=2, d_b=2, root=half), EQUAL_PRIORS)
         with pytest.raises(TrialAbort, match=r"^trial 0 at alice: .*sum"):
             run_batch(spec, 300, 0)
+        with pytest.raises(TrialAbort, match=r"^trial 0 at alice"):
+            run_batch(spec, 300, 0, workers=2)   # raised in the caller's chunk
         with pytest.raises(TrialAbort, match=r"^trial 37 at alice: .*sum"):
             _run_chunk(spec, 0, 37, 50)
 
 
+@dataclass(frozen=True)
+class AbortFrom:
+    """A trial spec that runs spec's trials but aborts at trial `first` and later."""
+
+    spec: LoccTrialSpec
+    first: int
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    def run_block(self, rngs, first_index=0):
+        block = self.spec.run_block(rngs, first_index)
+        if first_index + len(rngs) > self.first:
+            raise TrialAbort(f"trial {max(first_index, self.first)}: forced abort")
+        return block
+
+
 class TestRunBatch:
+    @settings(max_examples=10, deadline=None)
+    @example(n=1, seed=0)
+    @example(n=2, seed=7)
+    @example(n=4, seed=7)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**63))
+    def test_counts_do_not_depend_on_workers(self, n, seed):
+        # below the worker count every chunk is one trial and fewer processes fork
+        spec = block_spec("minerr-0.5-2-2")
+        serial = run_batch(spec, n, seed, workers=1)
+        for workers in (2, 3, 5):
+            assert run_batch(spec, n, seed, workers=workers) == serial
+
+    @pytest.mark.parametrize("n,workers,forked", [(1, 4, None), (3, 5, 2), (50, 2, 1)])
+    def test_forks_one_process_per_nonempty_chunk_but_the_first(
+            self, monkeypatch, n, workers, forked):
+        sizes = []
+
+        class Pool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+        run_batch(block_spec("minerr-0.5-2-2"), n, 3, workers=workers)
+        assert sizes == ([] if forked is None else [forked])
+        assert not multiprocessing.active_children()
+
+    def test_abort_in_a_worker_chunk_propagates(self):
+        # chunks are [0, 150) in the caller and [150, 300) in the worker
+        spec = AbortFrom(block_spec("minerr-0.5-2-2"), 200)
+        assert run_batch(spec, 150, 0, workers=1).n_trials == 150
+        with pytest.raises(TrialAbort, match=r"^trial 200: forced abort"):
+            run_batch(spec, 300, 0, workers=2)
+
+    def test_import_loads_numpy_random(self):
+        # forked batch workers inherit numpy.random instead of importing it
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = "import sys, stateid.simulate; assert 'numpy.random' in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_single_trial(self):
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
         stats = run_batch(spec, 1, 0)
