@@ -101,7 +101,12 @@ def _render(report: dict, args) -> str:
 def _emit(report: dict, args) -> int:
     text = _render(report, args)
     if args.out:
-        with open(args.out, "w") as handle:
+        try:
+            handle = open(args.out, "w")
+        except OSError as exc:  # a path the caller gave: a usage error, not a failed check
+            sys.stderr.write(f"stateid: error: cannot write --out {args.out}: {exc.strerror}\n")
+            return 2
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -136,6 +141,16 @@ def cmd_dims(args) -> int:
     return _emit(report, args)
 
 
+def _locc_overlaps(d_a: int, d_b: int, priors: Priors) -> tuple[float, float]:
+    """tr[E1*G] of the global positive-part projector and of the separable
+    element, for priors with eta1 <= eta2."""
+    gain = minerr.gain_operator(d_a * d_b, priors)
+    overlap_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
+    overlap_locc = float(np.einsum(
+        "ij,ji->", minerr.locc_povm_element(d_a, d_b, priors).element(1), gain).real)
+    return overlap_global, overlap_locc
+
+
 def cmd_minerr(args) -> int:
     priors = Priors.from_eta1(args.eta1)
     d = args.d if args.d else args.da * args.db
@@ -162,10 +177,7 @@ def cmd_minerr(args) -> int:
     if args.locc:
         # separable construction follows the eta1 <= eta2 convention
         ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-        gain = minerr.gain_operator(d, ordered)
-        overlap_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
-        overlap_locc = float(np.einsum(
-            "ij,ji->", minerr.locc_povm_element(args.da, args.db, ordered).element(1), gain).real)
+        overlap_global, overlap_locc = _locc_overlaps(args.da, args.db, ordered)
         report["values"]["locc_overlap"] = overlap_locc
         report["checks"].append(_check(
             "locc_overlap_vs_global_overlap", overlap_global, overlap_locc, 1e-9))
@@ -333,11 +345,7 @@ def cmd_verify_all(args) -> int:
     locc_gap = 0.0
     for da, db in ((2, 2), (2, 3), (3, 3)):
         for eta1 in (0.1, 0.3, 0.5):
-            priors = Priors.from_eta1(eta1)
-            gain = minerr.gain_operator(da * db, priors)
-            t_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
-            t_locc = float(np.einsum(
-                "ij,ji->", minerr.locc_povm_element(da, db, priors).element(1), gain).real)
+            t_global, t_locc = _locc_overlaps(da, db, Priors.from_eta1(eta1))
             locc_gap = max(locc_gap, abs(t_global - t_locc))
     report["checks"].append(_check("minerr_locc_equality_grid", 0.0, locc_gap, 1e-9))
 

@@ -34,10 +34,6 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.abs(h - dagger(h)).max() / scale)
 
 
-def is_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    return hermiticity_defect(h) <= rtol
-
-
 def assert_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
     defect = hermiticity_defect(h)
     if defect > rtol:
@@ -139,74 +135,9 @@ def permute_factors(a: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return np.transpose(a.reshape(shape), axes).reshape(a.shape)
 
 
-PARTY_WHOLE = "whole"
-PARTY_ALICE = "alice"
-PARTY_BOB = "bob"
-
-
-@dataclass(frozen=True)
-class Factor:
-    system: int
-    party: str
-    dim: int
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Tensor-factor structure of the three-system space.
-
-    Each of systems 0, 1, 2 appears either whole or split into an Alice and a
-    Bob factor.  The basis index is mixed-radix over the factors in list
-    order, most significant first.
-    """
-
-    factors: tuple[Factor, ...]
-
-    def __post_init__(self) -> None:
-        by_system: dict[int, list[str]] = {}
-        for f in self.factors:
-            if f.dim < 1:
-                raise ValueError(f"factor dim must be >= 1, got {f.dim}")
-            by_system.setdefault(f.system, []).append(f.party)
-        if sorted(by_system) != [0, 1, 2]:
-            raise ValueError("layout must contain exactly systems 0, 1, 2")
-        for system, parties in by_system.items():
-            if parties not in ([PARTY_WHOLE], [PARTY_ALICE, PARTY_BOB]):
-                raise ValueError(
-                    f"system {system} must appear whole or as alice+bob, got {parties}"
-                )
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    @classmethod
-    def single(cls, d: int) -> "SpaceLayout":
-        """Three whole systems of local dimension d."""
-        return cls(tuple(Factor(s, PARTY_WHOLE, d) for s in range(3)))
-
-    @classmethod
-    def split(cls, d_a: int, d_b: int) -> "SpaceLayout":
-        """Three systems, each split into Alice/Bob factors, system-major order."""
-        factors = []
-        for s in range(3):
-            factors.append(Factor(s, PARTY_ALICE, d_a))
-            factors.append(Factor(s, PARTY_BOB, d_b))
-        return cls(tuple(factors))
-
-
 # system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b), and back
 PARTY_MAJOR_PERM = (0, 2, 4, 1, 3, 5)
 SYSTEM_MAJOR_PERM = (0, 3, 1, 4, 2, 5)
-
-
-def factor_permutation(layout: SpaceLayout, perm: Sequence[int]) -> np.ndarray:
-    """Permutation operator reordering the layout's factors (see permutation_operator)."""
-    return permutation_operator(layout.dims, perm)
 
 
 def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
@@ -215,4 +146,4 @@ def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
     The reference form of the regrouping; the package itself regroups with
     permute_factors (see symmetry.BipartiteToolkit).
     """
-    return factor_permutation(SpaceLayout.split(d_a, d_b), PARTY_MAJOR_PERM)
+    return permutation_operator((d_a, d_b) * 3, PARTY_MAJOR_PERM)

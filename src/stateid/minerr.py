@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CLASSIFY_TOL, hermitian_eig, kron, positive_part_projector
+from .linalg import hermitian_eig, kron, positive_part_projector
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import SymmetryToolkit, bipartite_toolkit, build_toolkit, dimension_table
+from .symmetry import (SymmetryToolkit, bipartite_toolkit, build_toolkit, dimension_table,
+                       swap_references)
 
 PRIOR_ATOL = 1e-12
 
@@ -104,11 +105,11 @@ def mean_success(povm: Povm, d: int, priors: Priors) -> float:
     if set(povm.labels) != {1, 2}:
         raise ValueError(f"min-error POVM must carry labels {{1, 2}}, got {povm.labels}")
     table = dimension_table(d)
-    overlap = np.trace(povm.element(1) @ gain_operator(d, priors))
+    overlap = np.einsum("ij,ji->", povm.element(1), gain_operator(d, priors))
     return priors.eta2 + float(overlap.real) / (d * table.sym2)
 
 
-def optimal_global_povm(d: int, priors: Priors, tol: float = CLASSIFY_TOL) -> Povm:
+def optimal_global_povm(d: int, priors: Priors) -> Povm:
     """The optimal global POVM {E1, E2}.
 
     For interior priors E1 is the positive-part projector of the gain
@@ -121,34 +122,8 @@ def optimal_global_povm(d: int, priors: Priors, tol: float = CLASSIFY_TOL) -> Po
     elif priors.eta2 == 0.0:
         e1 = np.eye(n)
     else:
-        e1 = positive_part_projector(gain_operator(d, priors), tol)
+        e1 = positive_part_projector(gain_operator(d, priors))
     return povm_from_dict({1: e1, 2: np.eye(n) - e1})
-
-
-@dataclass(frozen=True)
-class MinErrSolution:
-    """Bundle of the global solution for one (d, priors) instance."""
-
-    priors: Priors
-    d: int
-    gain: np.ndarray
-    lambda_plus: float
-    lambda_minus: float
-    p_max: float
-    povm: Povm
-
-
-def solve_global(d: int, priors: Priors) -> MinErrSolution:
-    lp, lm = gain_eigenvalues_mixed(priors)
-    return MinErrSolution(
-        priors=priors,
-        d=d,
-        gain=gain_operator(d, priors),
-        lambda_plus=lp,
-        lambda_minus=lm,
-        p_max=max_success_global(d, priors),
-        povm=optimal_global_povm(d, priors),
-    )
 
 
 def _is_degenerate(priors: Priors) -> bool:
@@ -156,34 +131,32 @@ def _is_degenerate(priors: Priors) -> bool:
     return min(priors.eta1, priors.eta2) == 0.0
 
 
-def _mixed_gain_projectors(tk: SymmetryToolkit, priors: Priors,
-                           tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Positive/negative eigenprojectors of the local gain operator inside the
-    mixed-symmetry subspace."""
-    gain = priors.eta1 * tk.sym01 - priors.eta2 * tk.sym02
-    restricted = tk.mixed3 @ gain @ tk.mixed3
-    return positive_part_projector(restricted, tol), positive_part_projector(-restricted, tol)
-
-
 def _rotation_angle(priors: Priors) -> float:
     scale = 2.0 * math.sqrt(1.0 - priors.eta1 * priors.eta2)
     return math.atan2(math.sqrt(3.0) / scale, priors.diff / scale) / 2.0
 
 
-def _rotated_involution_projectors(tk: SymmetryToolkit, priors: Priors,
-                                   tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenprojectors (+1 / -1) of the rotated swap involution on the mixed subspace.
+def _local_projectors(tk: SymmetryToolkit, priors: Priors,
+                      swap: bool = False) -> tuple[np.ndarray, ...]:
+    """One party's signed projectors (pp, pm, qp, qm) on its mixed-symmetry subspace.
 
-    The involutions x1 = (2/sqrt(3)) swap_diff and x2 = 2 swap_sum anticommute
-    and square to one there; the rotation angle is chosen so that the gain
-    operator becomes diagonal in the rotated pair.
+    pp/pm project onto the positive/negative eigenspaces of the local gain
+    operator there.  qp/qm are the +1/-1 eigenprojectors of the rotated swap
+    involution: x1 = (2/sqrt(3)) swap_diff and x2 = 2 swap_sum anticommute
+    and square to one on the mixed subspace, and the rotation angle is chosen
+    so that the gain operator becomes diagonal in the rotated pair.  swap
+    exchanges the two reference systems in all four (see swap_references).
     """
     theta = _rotation_angle(priors)
+    gain = priors.eta1 * tk.sym01 - priors.eta2 * tk.sym02
     x1 = (2.0 / math.sqrt(3.0)) * tk.swap_diff
     x2 = 2.0 * tk.swap_sum
     y2 = -math.sin(theta) * x1 + math.cos(theta) * x2
-    restricted = tk.mixed3 @ y2 @ tk.mixed3
-    return positive_part_projector(restricted, tol), positive_part_projector(-restricted, tol)
+    ops = []
+    for h in (gain, y2):
+        restricted = tk.mixed3 @ h @ tk.mixed3
+        ops += [positive_part_projector(restricted), positive_part_projector(-restricted)]
+    return tuple(swap_references(op) for op in ops) if swap else tuple(ops)
 
 
 def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
@@ -206,10 +179,8 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
         )
     bt = bipartite_toolkit(d_a, d_b)
     tka, tkb = bt.alice, bt.bob
-    pp_a, pm_a = _mixed_gain_projectors(tka, priors)
-    pp_b, pm_b = _mixed_gain_projectors(tkb, priors)
-    qp_a, qm_a = _rotated_involution_projectors(tka, priors)
-    qp_b, qm_b = _rotated_involution_projectors(tkb, priors)
+    pp_a, pm_a, qp_a, qm_a = _local_projectors(tka, priors)
+    pp_b, pm_b, qp_b, qm_b = _local_projectors(tkb, priors)
     e1_party = (
         kron(tka.sym3, pp_b)
         + kron(tka.antisym3, pm_b)
@@ -248,15 +219,8 @@ def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
 
     bt = bipartite_toolkit(d_a, d_b)
     tka, tkb = bt.alice, bt.bob
-    pp_a, pm_a = _mixed_gain_projectors(tka, p)
-    pp_b, pm_b = _mixed_gain_projectors(tkb, p)
-    qp_a, qm_a = _rotated_involution_projectors(tka, p)
-    qp_b, qm_b = _rotated_involution_projectors(tkb, p)
-    if swap:
-        pp_a, pm_a, qp_a, qm_a = (tka.swap12 @ op @ tka.swap12
-                                  for op in (pp_a, pm_a, qp_a, qm_a))
-        pp_b, pm_b, qp_b, qm_b = (tkb.swap12 @ op @ tkb.swap12
-                                  for op in (pp_b, pm_b, qp_b, qm_b))
+    pp_a, pm_a, qp_a, qm_a = _local_projectors(tka, p, swap)
+    pp_b, pm_b, qp_b, qm_b = _local_projectors(tkb, p, swap)
 
     def signed_step(party, pos, neg, support, answer_on):
         # answer_on: which sign concludes "reference 1"

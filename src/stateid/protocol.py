@@ -93,15 +93,15 @@ class LoccProtocol:
         return (self.d_a * self.d_b) ** 3
 
 
-def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
+def effective_povm(protocol: LoccProtocol) -> Povm:
     """Flatten the tree into the global POVM it implements.
 
     Element for label L = sum over leaves labeled L of
     kron(A^dag A, B^dag B), with A and B the chronological products of
     Alice's and Bob's local Kraus operators along the path.  The sum is one
     matrix product over the stacked leaves, regrouped into the kron layout.
-    Returned in the system-major basis by default (directly comparable with
-    the closed-form separable constructions); completeness is asserted.
+    Returned in the system-major basis (directly comparable with the
+    closed-form separable constructions); completeness is asserted.
     """
     leaves: dict[int, tuple[list, list]] = {}
 
@@ -130,8 +130,7 @@ def effective_povm(protocol: LoccProtocol, system_major: bool = True) -> Povm:
     defect = np.abs(total - np.eye(protocol.dim)).max()
     if defect > COMPLETENESS_ATOL:
         raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
-    if system_major:
-        bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-        for label, op in elements.items():
-            elements[label] = bt.to_system_major(op)
+    bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
+    for label, op in elements.items():
+        elements[label] = bt.to_system_major(op)
     return povm_from_dict(sorted(elements.items()))

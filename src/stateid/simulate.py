@@ -47,10 +47,10 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from numpy.random import default_rng
 
-from .linalg import PARTY_MAJOR_PERM
 from .minerr import Priors
 from .povm import Povm
 from .protocol import ALICE, Leaf, LoccProtocol
+from .symmetry import bipartite_toolkit
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
@@ -263,11 +263,8 @@ class LoccTrialSpec:
         proto = self.protocol
         labels, refs, step_u = _draw(rngs, self.priors, proto.d_a * proto.d_b, self.depth)
         n = len(labels)
-        # system-major (n, (d_a, d_b) x 3) -> party-major (n, d_a^3, d_b^3)
-        psi = np.transpose(
-            _product_states(labels, refs).reshape((n,) + (proto.d_a, proto.d_b) * 3),
-            (0,) + tuple(1 + p for p in PARTY_MAJOR_PERM),
-        ).reshape(n, proto.d_a**3, proto.d_b**3)
+        psi = bipartite_toolkit(proto.d_a, proto.d_b).state_matrix(
+            _product_states(labels, refs).reshape(n, -1))
         declared = np.empty(n, dtype=int)
         path = np.full((n, self.depth), -1)
         todo = [(proto.root, psi, np.arange(n), 0)]

@@ -159,6 +159,16 @@ def _toolkit(d: int) -> SymmetryToolkit:
     return tk
 
 
+def swap_references(op: np.ndarray) -> np.ndarray:
+    """swap12 @ op @ swap12 on (C^d)^x3, as an index map rather than a 0/1 matmul.
+
+    Exchanges the two reference systems: the relabeling 1 <-> 2 of both the
+    min-error and the unambiguous schemes.
+    """
+    d = round(op.shape[0] ** (1 / 3))
+    return permute_factors(op, (d, d, d), (0, 2, 1))
+
+
 def build_toolkit(d: int) -> SymmetryToolkit:
     """Cached symmetry toolkit on (C^d)^x3; rejects d < 2."""
     if d < 2:
@@ -194,9 +204,13 @@ class BipartiteToolkit:
         return permute_factors(op, (self.d_a,) * 3 + (self.d_b,) * 3, SYSTEM_MAJOR_PERM)
 
     def state_matrix(self, state: np.ndarray) -> np.ndarray:
-        """A system-major joint vector as the party-major (d_a^3, d_b^3) matrix psi."""
-        psi = permute_factors(state, (self.d_a, self.d_b) * 3, PARTY_MAJOR_PERM)
-        return psi.reshape(self.d_a**3, self.d_b**3)
+        """System-major joint vectors (..., d^3) as party-major (..., d_a^3, d_b^3)
+        matrices psi."""
+        lead = state.shape[:-1]
+        k = len(lead)
+        psi = np.transpose(state.reshape(lead + (self.d_a, self.d_b) * 3),
+                           tuple(range(k)) + tuple(k + p for p in PARTY_MAJOR_PERM))
+        return psi.reshape(lead + (self.d_a**3, self.d_b**3))
 
 
 @lru_cache(maxsize=None)

@@ -26,25 +26,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import kron, permute_factors
+from .linalg import kron
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import bipartite_toolkit, build_toolkit, dimension_table
-
-GLOBAL = "global"
-SEPARABLE = "separable"
+from .symmetry import bipartite_toolkit, build_toolkit, dimension_table, swap_references
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
 ALPHA_MAX = 2.0 / 3.0
 # separable POVMs kept per process; a (3,3) entry holds three 729x729 elements
 SEPARABLE_CACHE_SIZE = 8
-
-
-def _swap_references(op: np.ndarray) -> np.ndarray:
-    """swap12 @ op @ swap12 on (C^d)^x3, as an index map rather than a 0/1 matmul."""
-    d = round(op.shape[0] ** (1 / 3))
-    return permute_factors(op, (d, d, d), (0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,6 @@ class UnambPovm:
     e1: np.ndarray
     e2: np.ndarray
     e0: np.ndarray
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -72,8 +62,8 @@ class UnambPovm:
             leak = np.abs(op @ sym).max()
             if leak > NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
-        for name, lhs, rhs in (("e2", self.e2, _swap_references(self.e1)),
-                               ("e0", self.e0, _swap_references(self.e0))):
+        for name, lhs, rhs in (("e2", self.e2, swap_references(self.e1)),
+                               ("e0", self.e0, swap_references(self.e0))):
             defect = np.abs(lhs - rhs).max()
             if defect > NO_ERROR_ATOL:
                 raise ValueError(f"{name} breaks 1<->2 exchange symmetry (defect {defect:.3e})")
@@ -108,7 +98,7 @@ def global_unamb_povm(d: int) -> UnambPovm:
     e1 = ALPHA_MAX * tk.mixed3 @ tk.antisym02
     e2 = ALPHA_MAX * tk.mixed3 @ tk.antisym01
     e0 = tk.mixed3 @ (np.eye(n) + 2.0 * tk.swap_sum) / 3.0 + tk.sym3 + tk.antisym3
-    return UnambPovm(e1=e1, e2=e2, e0=e0, kind=GLOBAL)
+    return UnambPovm(e1=e1, e2=e2, e0=e0)
 
 
 def gamma_plus(beta1: float, beta2: float) -> float:
@@ -212,9 +202,9 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
         + coeffs.beta2 * kron(tka.mixed3 @ tka.antisym02, tkb.mixed3 @ tkb.sym02)
     )
     e1 = bt.to_system_major(e1_party)
-    e2 = _swap_references(e1)
+    e2 = swap_references(e1)
     e0 = np.eye(e1.shape[0]) - e1 - e2
-    povm = UnambPovm(e1=e1, e2=e2, e0=e0, kind=SEPARABLE)
+    povm = UnambPovm(e1=e1, e2=e2, e0=e0)
     povm.validate()
     for op in (e1, e2, e0):
         op.flags.writeable = False

@@ -181,6 +181,13 @@ class TestOutput:
         report = json.loads(path.read_text())
         assert report["command"] == "dims"
 
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "dir" / "report.json"
+        code = main(["dims", "--d", "2", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err
+
     def test_text_mentions_result(self, capsys):
         code, out = run_cli(capsys, "unamb", "--d", "2")
         assert "all checks passed" in out

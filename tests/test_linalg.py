@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from stateid.linalg import (
-    Factor,
-    SpaceLayout,
-    factor_permutation,
     hermitian_eig,
     kron,
     permutation_operator,
@@ -178,28 +175,6 @@ class TestPermutationOperator:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match="bijection"):
             permutation_operator((2, 2), (0, 0))
-
-
-class TestSpaceLayout:
-    def test_single_and_split(self):
-        assert SpaceLayout.single(3).dims == (3, 3, 3)
-        assert SpaceLayout.split(2, 3).dims == (2, 3, 2, 3, 2, 3)
-        assert SpaceLayout.split(2, 3).dim == 216
-
-    def test_rejects_wrong_systems(self):
-        with pytest.raises(ValueError, match="systems 0, 1, 2"):
-            SpaceLayout(tuple(Factor(s, "whole", 2) for s in (0, 1, 3)))
-
-    def test_rejects_duplicate_party(self):
-        factors = (Factor(0, "alice", 2), Factor(0, "alice", 2),
-                   Factor(1, "whole", 2), Factor(2, "whole", 2))
-        with pytest.raises(ValueError, match="alice"):
-            SpaceLayout(factors)
-
-    def test_factor_permutation_swap(self):
-        layout = SpaceLayout.single(2)
-        swap01 = factor_permutation(layout, (1, 0, 2))
-        assert np.array_equal(swap01, permutation_operator((2, 2, 2), (1, 0, 2)))
 
 
 class TestRegrouping:

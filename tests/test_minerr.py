@@ -7,6 +7,7 @@ from stateid.linalg import positive_part_projector
 from stateid.minerr import (
     EQUAL_PRIORS,
     Priors,
+    _local_projectors,
     gain_eigenvalues_mixed,
     gain_operator,
     locc_povm_element,
@@ -15,11 +16,10 @@ from stateid.minerr import (
     max_success_global,
     mean_success,
     optimal_global_povm,
-    solve_global,
 )
 from stateid.povm import povm_from_dict
 from stateid.protocol import Leaf, effective_povm
-from stateid.symmetry import build_toolkit, dimension_table
+from stateid.symmetry import bipartite_toolkit, build_toolkit, dimension_table
 
 # frozen via the eigenvalue-sum oracle (assemble gain operator, eigensolve,
 # sum positive part):
@@ -136,9 +136,9 @@ class TestMaxSuccessGlobal:
     def test_bounds(self):
         for eta1 in (0.0, 0.3, 1.0):
             p = Priors.from_eta1(eta1)
-            sol = solve_global(3, p)
-            assert max(p.eta1, p.eta2) <= sol.p_max <= 1.0 + 1e-12
-            assert sol.lambda_plus >= 0.0 >= sol.lambda_minus
+            lambda_plus, lambda_minus = gain_eigenvalues_mixed(p)
+            assert max(p.eta1, p.eta2) <= max_success_global(3, p) <= 1.0 + 1e-12
+            assert lambda_plus >= 0.0 >= lambda_minus
 
 
 class TestGlobalPovm:
@@ -207,6 +207,14 @@ class TestLoccPovmElement:
     def test_rejects_reversed_priors(self):
         with pytest.raises(ValueError, match="eta1 <= eta2"):
             locc_povm_element(2, 2, Priors.from_eta1(0.7))
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
+    def test_swapped_local_projectors_match_dense_swap(self, da, db):
+        p = Priors.from_eta1(0.3)
+        for tk in (bipartite_toolkit(da, db).alice, bipartite_toolkit(da, db).bob):
+            swapped = _local_projectors(tk, p, swap=True)
+            dense = [tk.swap12 @ op @ tk.swap12 for op in _local_projectors(tk, p)]
+            assert all(np.array_equal(a, b) for a, b in zip(swapped, dense, strict=True))
 
     @pytest.mark.parametrize("eta1,e1", [(0.0, 0.0), (1.0, 1.0)])
     def test_degenerate_priors_give_trivial_element(self, eta1, e1):

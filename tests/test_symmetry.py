@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stateid.linalg import hermitian_eig, kron, regroup_operator
+from stateid.linalg import hermitian_eig, kron, permutation_operator, regroup_operator
 from stateid.symmetry import (
     bipartite_toolkit,
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    swap_references,
 )
 
 SQRT3_2 = 0.8660254037844386
@@ -135,6 +138,16 @@ def test_toolkit_is_cached_and_readonly():
         tk.sym3[0, 0] = 5.0
 
 
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**63))
+def test_swap_references_matches_dense_conjugation(d, seed):
+    rng = np.random.default_rng(seed)
+    n = d**3
+    op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t12 = permutation_operator((d,) * 3, (0, 2, 1))
+    assert np.array_equal(swap_references(op), t12 @ op @ t12)
+
+
 class TestBipartite:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_diff_factorization(self, da, db):
@@ -159,10 +172,11 @@ class TestBipartite:
         n = (da * db) ** 3
         rng = np.random.default_rng(da * 10 + db)
         op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         assert np.array_equal(bt.to_party_major(op), r @ op @ r.T)
         assert np.array_equal(bt.to_system_major(op), r.T @ op @ r)
-        assert np.array_equal(bt.state_matrix(vec), (r @ vec).reshape(da**3, db**3))
+        assert np.array_equal(bt.state_matrix(vecs[0]), (r @ vecs[0]).reshape(da**3, db**3))
+        assert np.array_equal(bt.state_matrix(vecs), (vecs @ r.T).reshape(3, da**3, db**3))
 
     def test_round_trip_conjugation(self):
         bt = bipartite_toolkit(2, 2)

@@ -106,7 +106,7 @@ class TestNoErrorProbe:
 
     def test_bulk_probe_detects_swapped_elements(self, monkeypatch):
         def swapped(povm):
-            return UnambPovm(e1=povm.e2, e2=povm.e1, e0=povm.e0, kind=povm.kind)
+            return UnambPovm(e1=povm.e2, e2=povm.e1, e0=povm.e0)
 
         glob, sep = unambiguous.global_unamb_povm, unambiguous.separable_unamb_povm
         monkeypatch.setattr(unambiguous, "global_unamb_povm", lambda d: swapped(glob(d)))
@@ -122,19 +122,19 @@ class TestNoErrorProbe:
 class TestSuccessProbability:
     def test_zero_conclusive_elements(self):
         n = 8
-        povm = UnambPovm(np.zeros((n, n)), np.zeros((n, n)), np.eye(n), kind="global")
+        povm = UnambPovm(np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
         assert success_probability(povm, 2) == 0.0
 
     def test_rejects_no_error_violation(self):
         good = global_unamb_povm(2)
-        bad = UnambPovm(e1=good.e2, e2=good.e1, e0=good.e0, kind="global")
+        bad = UnambPovm(e1=good.e2, e2=good.e1, e0=good.e0)
         with pytest.raises(ValueError, match="no-error"):
             success_probability(bad, 2)
 
     def test_validate_flags_broken_exchange_symmetry(self):
         good = global_unamb_povm(2)
         tweaked = UnambPovm(e1=good.e1 / 2, e2=good.e2,
-                            e0=good.e0 + good.e1 / 2, kind="global")
+                            e0=good.e0 + good.e1 / 2)
         with pytest.raises(ValueError, match="exchange symmetry"):
             tweaked.validate()
 
