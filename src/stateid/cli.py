@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -98,14 +100,19 @@ def _render(report: dict, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _usage_error(message: str) -> int:
+    """Report a usage error on one stderr line; returns exit code 2."""
+    sys.stderr.write(f"stateid: error: {message}\n")
+    return 2
+
+
 def _emit(report: dict, args) -> int:
     text = _render(report, args)
     if args.out:
         try:
             handle = open(args.out, "w")
         except OSError as exc:  # a path the caller gave: a usage error, not a failed check
-            sys.stderr.write(f"stateid: error: cannot write --out {args.out}: {exc.strerror}\n")
-            return 2
+            return _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
         with handle:
             handle.write(text)
     else:
@@ -439,9 +446,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
+def _out_problem(path: str) -> str | None:
+    """Why the report could not be written to path, or None; creates no file."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if os.path.exists(path):
+        return None if os.access(path, os.W_OK) else os.strerror(errno.EACCES)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOENT)
+    return None if os.access(parent, os.W_OK | os.X_OK) else os.strerror(errno.EACCES)
+
+
+def _validate(parser: argparse.ArgumentParser, args) -> str | None:
+    """Check the flags before any work.
+
+    A bad flag combination or range exits through parser.error.  A negative
+    --seed or an --out path that cannot be written is returned as a one-line
+    message, which main reports as a usage error.
+    """
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    if args.out and (problem := _out_problem(args.out)):
+        return f"cannot write --out {args.out}: {problem}"
     if args.command == "verify-all":
-        return
+        return None
     has_d = args.d is not None
     has_split = args.da is not None or args.db is not None
     if has_d == has_split:
@@ -461,6 +490,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--n must be >= 1, got {args.n}")
         if args.workers < 1:
             parser.error(f"--workers must be >= 1, got {args.workers}")
+    return None
 
 
 _COMMANDS = {
@@ -474,7 +504,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    problem = _validate(parser, args)
+    if problem:
+        return _usage_error(problem)
     return _COMMANDS[args.command](args)
 
 

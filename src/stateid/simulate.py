@@ -29,23 +29,38 @@ uniform as each step comes would give: a Generator keeps no state between
 calls for normals or uniforms, so one call of size n returns what n calls of
 size 1 would.  Outcome sampling is inverse-CDF over the ordered element list.
 
+A chunk of a batch builds those generators without hashing each seed on its
+own.  For a window of up to 4096 trials (whose states take at most
+BLOCK_STATE_BYTES) it computes SeedSequence((seed, i)).generate_state(4,
+np.uint64) for every i at once, re-implementing numpy's SeedSequence hash on
+uint32 arrays, for any number of seed and index words.  A window ends at each
+multiple of 2^32, so all its indices have the same number of words.  Each row
+is handed to PCG64 through a numpy.random.bit_generator.ISeedSequence, so
+numpy's own PCG64 set-seed turns it into the generator default_rng((seed, i))
+would give.  Once per window the first row is compared with numpy's own
+SeedSequence, which raises RuntimeError if the hash ever differs and keeps
+numpy's ValueError for a negative seed.
+
 A batch on several workers is split into consecutive chunks of trials.  The
-caller runs the first chunk itself while workers - 1 forked processes run the
-rest, one chunk each (fewer when there are fewer trials than workers).
-numpy.random is imported with this module, so the forked processes inherit
-it instead of importing it again.
+caller runs the first chunk itself while workers - 1 processes run the rest,
+one chunk each (fewer when there are fewer trials than workers), and send
+their counts back through a pipe.  The processes are started with the fork
+method whatever the platform's default, so they inherit the trial spec
+instead of unpickling it, and numpy.random, which is imported with this
+module, instead of importing it again.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import NamedTuple, Sequence, Union
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .minerr import Priors
 from .povm import Povm
@@ -323,18 +338,141 @@ class LoccTrialSpec:
 TrialSpec = Union[GlobalTrialSpec, LoccTrialSpec]
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words, filled and cross-mixed with hashmix, and output words drawn
+# from the pool by a second multiplicative hash.  All arithmetic is mod 2^32.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# Trials seeded per window: the window's states, 4 uint64 words per trial,
+# take at most BLOCK_STATE_BYTES (4096 trials).
+_SEED_WINDOW = BLOCK_STATE_BYTES // (4 * np.dtype(np.uint64).itemsize)
+
+
+def _words(x: int) -> list[int]:
+    """Little-endian uint32 words of x >= 0, as SeedSequence splits it (0 is one word)."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """SeedSequence((seed, i)).generate_state(4, np.uint64) for i in [lo, hi), as (hi - lo, 4).
+
+    The indices must share their words above the lowest, so that every row
+    hashes the same number of entropy words: [lo, hi) lies within one
+    multiple of 2^32.  The first row is checked against numpy's own
+    SeedSequence, which also rejects a negative seed with its ValueError.
+    """
+    expected = SeedSequence((seed, lo)).generate_state(4, np.uint64)
+    n = hi - lo
+    entropy = [np.full(n, w, np.uint32) for w in _words(seed)]
+    entropy.append(np.arange(n, dtype=np.uint32) + np.uint32(lo & _MASK32))
+    if lo >> 32:
+        entropy += [np.full(n, w, np.uint32) for w in _words(lo >> 32)]
+    # a short entropy array fills the pool with hashmix(0)
+    entropy += [np.zeros(n, np.uint32)] * (_POOL_SIZE - len(entropy))
+
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    out = np.empty((n, 8), np.uint32)
+    const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        out[:, k] = value ^ (value >> _XSHIFT)
+    # word pairs read little-endian, as generate_state(..., np.uint64) does
+    states = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    if not np.array_equal(states[0], expected):
+        raise RuntimeError(f"bulk seed states differ from numpy's SeedSequence at ({seed}, {lo})")
+    return states
+
+
+class _State(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed generate_state(4, np.uint64) row.
+
+    PCG64's own set-seed then runs on it, so the generator is the one that
+    default_rng((seed, i)) builds.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise RuntimeError(f"PCG64 asked for {n_words} words of {dtype}, not 4 of uint64")
+        return self.row
+
+
+def _block_rngs(seed: int, start: int, stop: int,
+                size: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
+    """(lo, generators of trials lo, lo + 1, ...) for blocks of at most size trials.
+
+    Trial i gets the generator default_rng((seed, i)) would give.  The seed
+    states are hashed a window at a time; a window ends at each multiple of
+    2^32, and its generators are built one block at a time.
+    """
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + _SEED_WINDOW, ((lo >> 32) + 1) << 32)
+        states = _seed_states(seed, lo, hi)
+        for a in range(0, hi - lo, size):
+            yield lo + a, [Generator(PCG64(_State(row))) for row in states[a:a + size]]
+        lo = hi
+
+
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
     size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
     successes = errors = inconclusive = 0
-    for lo in range(start, stop, size):
-        hi = min(lo + size, stop)
-        block = spec.run_block([default_rng((seed, i)) for i in range(lo, hi)], lo)
+    for lo, rngs in _block_rngs(seed, start, stop, size):
+        block = spec.run_block(rngs, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
         successes += hits
         inconclusive += blanks
-        errors += hi - lo - hits - blanks
+        errors += len(rngs) - hits - blanks
     return successes, errors, inconclusive
+
+
+def _chunk_worker(conn, spec: TrialSpec, seed: int, start: int, stop: int) -> None:
+    """Body of a forked batch worker: send (True, counts) or (False, exception)."""
+    try:
+        result = (True, _run_chunk(spec, seed, start, stop))
+    except Exception as exc:  # handed to the caller, which raises it
+        result = (False, exc)
+    try:
+        conn.send(result)
+    except BrokenPipeError:
+        pass  # the caller stopped listening after an error of its own
+    finally:
+        conn.close()
 
 
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
@@ -343,18 +481,40 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
 
     The trials are split into min(workers, n) consecutive chunks.  The caller
     runs the first chunk itself while one forked process per remaining chunk
-    runs the rest; the processes inherit the imported numpy.random, and all of
-    them are shut down and reaped before the counts are summed.
+    runs the rest and sends its counts back through a pipe.  The results are
+    read in chunk order, a worker's exception is raised in the caller, and
+    every pipe is closed and every process reaped before run_batch returns.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int).tolist()
-    if len(bounds) <= 2:
-        parts = [_run_chunk(spec, seed, 0, n)]
-    else:
-        with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
-            # submitted first, so the workers run while the caller runs chunk 0
-            futures = pool.map(partial(_run_chunk, spec, seed), bounds[1:-1], bounds[2:])
-            parts = [_run_chunk(spec, seed, 0, bounds[1]), *futures]
+    procs, pipes = [], []
+    try:
+        if len(bounds) > 2:
+            # fork explicitly: the workers inherit the spec and numpy.random
+            fork = multiprocessing.get_context("fork")
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                recv, send = fork.Pipe(duplex=False)
+                pipes.append(recv)
+                procs.append(fork.Process(target=_chunk_worker, args=(send, spec, seed, lo, hi)))
+                procs[-1].start()
+                send.close()   # the worker holds the only writer, so its exit ends the pipe
+        parts = [_run_chunk(spec, seed, 0, bounds[1])]
+        for k, (recv, proc) in enumerate(zip(pipes, procs), 1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"batch worker for chunk {k} (trials {bounds[k]} to {bounds[k + 1]}) exited "
+                    f"with code {proc.exitcode} without a result") from None
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        for recv in pipes:
+            recv.close()
+        for proc in procs:
+            proc.join()
     successes, errors, inconclusive = map(sum, zip(*parts))
     return BatchStats.from_counts(n, successes, errors, inconclusive, target)

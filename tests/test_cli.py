@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stateid import cli
 from stateid.cli import main
 
 
@@ -167,6 +168,18 @@ class TestVerifyAll:
             assert set(row) == {"name", "analytic", "oracle", "diff", "pass"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("minerr", "--d", "2", "--simulate", "--n", "10", "--seed", "-1"),
+    ("verify-all", "--seed", "-1"),
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--seed" in captured.err
+
+
 class TestOutput:
     def test_csv_rows(self, capsys):
         code, out = run_cli(capsys, "dims", "--d", "2", "--csv")
@@ -187,6 +200,19 @@ class TestOutput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify-all", never)
+        path = tmp_path / "no" / "report.json" if where == "missing-dir" else tmp_path
+        code = main(["verify-all", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_text_mentions_result(self, capsys):
         code, out = run_cli(capsys, "unamb", "--d", "2")

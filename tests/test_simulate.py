@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -290,6 +291,58 @@ class AbortFrom:
         return block
 
 
+@dataclass(frozen=True)
+class ExitInWorker:
+    """A trial spec whose blocks end the process, unless it is the caller's."""
+
+    spec: LoccTrialSpec
+    caller: int
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    def run_block(self, rngs, first_index=0):
+        if os.getpid() != self.caller:
+            os._exit(3)
+        return self.spec.run_block(rngs, first_index)
+
+
+def first_draws(rngs) -> list:
+    return [rng.random(3).tolist() + rng.standard_normal(2).tolist() for rng in rngs]
+
+
+class TestBulkSeeding:
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, start=2**32 - 3)      # a window that straddles 2^32
+    @example(seed=2**32, start=0)
+    @example(seed=2**64, start=2**32)
+    @example(seed=2**128 - 1, start=2**40 - 6)
+    @given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 2**40 - 6))
+    def test_chunk_generators_match_default_rng(self, seed, start):
+        # seeds of more than 3 words make SeedSequence entropy longer than its pool
+        got, trials = [], []
+        for lo, rngs in simulate._block_rngs(seed, start, start + 6, 4):
+            trials += range(lo, lo + len(rngs))
+            got += first_draws(rngs)
+        assert trials == list(range(start, start + 6))
+        assert got == first_draws(np.random.default_rng((seed, i)) for i in trials)
+
+    def test_window_ends_at_multiples_of_2_32(self):
+        blocks = [(lo, len(rngs)) for lo, rngs in
+                  simulate._block_rngs(7, 2**32 - 3, 2**32 + 2, 4)]
+        assert blocks == [(2**32 - 3, 3), (2**32, 2)]
+
+    def test_canary_catches_a_wrong_hash(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 1)
+        with pytest.raises(RuntimeError, match="differ"):
+            next(simulate._block_rngs(7, 0, 4, 4))
+
+    def test_negative_seed_keeps_numpy_error(self):
+        with pytest.raises(ValueError):
+            next(simulate._block_rngs(-1, 0, 4, 4))
+
+
 class TestRunBatch:
     @settings(max_examples=10, deadline=None)
     @example(n=1, seed=0)
@@ -306,16 +359,16 @@ class TestRunBatch:
     @pytest.mark.parametrize("n,workers,forked", [(1, 4, None), (3, 5, 2), (50, 2, 1)])
     def test_forks_one_process_per_nonempty_chunk_but_the_first(
             self, monkeypatch, n, workers, forked):
-        sizes = []
+        starts = []
+        start = multiprocessing.context.ForkProcess.start
 
-        class Pool(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        def record(proc):
+            starts.append(proc)
+            start(proc)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
         run_batch(block_spec("minerr-0.5-2-2"), n, 3, workers=workers)
-        assert sizes == ([] if forked is None else [forked])
+        assert len(starts) == (0 if forked is None else forked)
         assert not multiprocessing.active_children()
 
     def test_abort_in_a_worker_chunk_propagates(self):
@@ -324,6 +377,29 @@ class TestRunBatch:
         assert run_batch(spec, 150, 0, workers=1).n_trials == 150
         with pytest.raises(TrialAbort, match=r"^trial 200: forced abort"):
             run_batch(spec, 300, 0, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_negative_seed(self, workers):
+        with pytest.raises(ValueError):
+            run_batch(block_spec("minerr-0.5-2-2"), 10, -1, workers=workers)
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_exits_without_a_result_raises(self):
+        caller = os.getpid()
+        spec = ExitInWorker(block_spec("minerr-0.5-2-2"), caller)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_batch waited for a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=r"chunk 1 \(trials 5 to 10\) exited with code 3"):
+                run_batch(spec, 10, 0, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not multiprocessing.active_children()
 
     def test_import_loads_numpy_random(self):
         # forked batch workers inherit numpy.random instead of importing it
