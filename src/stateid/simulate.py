@@ -7,15 +7,19 @@ probabilities: either in one shot for a global POVM, or by walking an LOCC
 tree with the square-root (Lueders) state update between steps.
 
 Trials run in blocks.  Each trial of a block draws its own variates; the block
-then does the rest on stacked arrays.  The product states are formed by one
-broadcast product over the block, and for an LOCC tree regrouped by one axis
-transpose into party-major (d_a^3, d_b^3) matrices psi.  The tree is walked
-once per block, carrying at each node the trials that reached it: Alice's
-local Kraus operator K acts on the group as K @ psi and Bob's as psi @ K.T,
-and the outcomes are sampled by a vectorized inverse CDF.  Only the branches
-the trials chose are kept.  A block's stacked states take at most
-BLOCK_STATE_BYTES, so blocks on larger spaces hold fewer trials.  A single
-trial (TrialSpec.run) is a block of one, walked by the same code.
+then does the rest on stacked arrays.  For a global POVM the product states
+are formed by one broadcast product over the block.  An LOCC tree is walked
+once per block on real arithmetic (see _Walker): each trial's party-major
+(d_a^3, d_b^3) state matrix psi is held as the real (d_a^3, 2, d_b^3) array
+of its real and imaginary planes, assembled straight from the references.
+At each step, the trials that reached it go through all the step's outcomes
+in one real product with the operators the step stacked at construction
+(MeasurementStep.plane_action: Alice's K acting as K @ psi, Bob's as
+psi @ K.T), and the outcomes are sampled by a vectorized inverse CDF.  Only
+the branches the trials chose are kept.  The walker's arrays are allocated
+once per chunk of a batch and serve all its blocks.  A block's stacked states
+take at most BLOCK_STATE_BYTES, so blocks on larger spaces hold fewer trials.
+A single trial (TrialSpec.run) is a block of one, walked by the same code.
 
 Determinism contract: trial i of a batch uses the generator seeded with
 (base_seed, i), so batch results are identical for any worker count and any
@@ -33,11 +37,11 @@ A chunk of a batch builds those generators without hashing each seed on its
 own.  For a window of up to 4096 trials (whose states take at most
 BLOCK_STATE_BYTES) it computes SeedSequence((seed, i)).generate_state(4,
 np.uint64) for every i at once, re-implementing numpy's SeedSequence hash on
-uint32 arrays, for any number of seed and index words.  A window ends at each
-multiple of 2^32, so all its indices have the same number of words.  Each row
-is handed to PCG64 through a numpy.random.bit_generator.ISeedSequence, so
-numpy's own PCG64 set-seed turns it into the generator default_rng((seed, i))
-would give.  Once per window the first row is compared with numpy's own
+a (4, window) uint32 array, a row per pool word, for any number of seed and
+index words.  A window ends at each multiple of 2^32, so all its indices have
+the same number of words.  Each row is handed to PCG64 through a
+numpy.random.bit_generator.ISeedSequence, so numpy's own PCG64 set-seed turns
+it into the generator default_rng((seed, i)) would give.  Once per window the first row is compared with numpy's own
 SeedSequence, which raises RuntimeError if the hash ever differs and keeps
 numpy's ValueError for a negative seed.
 
@@ -65,14 +69,13 @@ from numpy.random.bit_generator import ISeedSequence
 from .minerr import Priors
 from .povm import Povm
 from .protocol import ALICE, Leaf, LoccProtocol
-from .symmetry import bipartite_toolkit
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
-# Bytes of one block's stacked complex states: 128 trials at d = 4, 11 at
-# (3,3).  Larger blocks gain little at (2,2) and raise the peak memory of
-# every batch worker; smaller ones slow (3,3), where a tree node's share of a
-# block is a few trials.
+# Bytes of one block's stacked states, complex or as real and imaginary
+# planes: 128 trials at d = 4, 11 at (3,3).  Larger blocks gain little at
+# (2,2) and raise the peak memory of every batch worker; smaller ones slow
+# (3,3), where a tree node's share of a block is a few trials.
 BLOCK_STATE_BYTES = 128 * 1024
 
 
@@ -184,17 +187,21 @@ def _product_states(labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return (first[:, :, None] * phi1[:, None, :])[..., None] * phi2[:, None, None, :]
 
 
-def _sample(probs: np.ndarray, u: np.ndarray, trials: np.ndarray, where: str) -> np.ndarray:
+def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int,
+            party: str = "") -> np.ndarray:
     """Inverse-CDF element index per trial; probs is (elements, trials).
 
-    Raises TrialAbort, naming the first such trial, when a trial's outcome
-    probabilities do not sum to one.
+    rows are the trials' ascending positions in their block, which starts at
+    trial first_index.  Raises TrialAbort, naming the first such trial, when a
+    trial's outcome probabilities do not sum to one.
     """
-    cum = np.cumsum(probs, axis=0)
-    off = np.abs(cum[-1] - 1.0) > PROB_SUM_ATOL
-    if off.any():
-        j = np.flatnonzero(off)[0]
-        raise TrialAbort(f"trial {trials[j]}{where}: outcome probabilities sum to {cum[-1, j]!r}")
+    cum = probs.cumsum(axis=0)
+    off = np.abs(cum[-1] - 1.0)
+    if off.max() > PROB_SUM_ATOL:
+        j = np.flatnonzero(off > PROB_SUM_ATOL)[0]
+        where = f" at {party}" if party else ""
+        raise TrialAbort(f"trial {first_index + rows[j]}{where}: outcome probabilities sum to "
+                         f"{cum[-1, j]!r}")
     # as searchsorted(cum, u, side="right") per trial, clipped to the last element
     return np.minimum((cum <= u).sum(axis=0), len(probs) - 1)
 
@@ -202,13 +209,19 @@ def _sample(probs: np.ndarray, u: np.ndarray, trials: np.ndarray, where: str) ->
 def _overlaps(states: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Re <state|image> over the last axis, read on the float views without a
     conjugate copy."""
-    return np.einsum("...k,...k->...", states.view(np.float64), images.view(np.float64))
+    return np.vecdot(states.view(np.float64), images.view(np.float64))
 
 
 def _depth(node) -> int:
     if isinstance(node, Leaf):
         return 0
     return 1 + max(_depth(child) for child in node.children.values())
+
+
+def _widest(node) -> int:
+    if isinstance(node, Leaf):
+        return 0
+    return max(len(node.kraus), *map(_widest, node.children.values()))
 
 
 @dataclass(frozen=True)
@@ -236,8 +249,7 @@ class GlobalTrialSpec:
             refs = refs @ self.rotation.T
         states = _product_states(labels, refs).reshape(len(labels), -1)
         probs = np.array([_overlaps(states, states @ op.T) for _, op in self.povm.elements])
-        trials = first_index + np.arange(len(labels))
-        idx = _sample(probs, step_u[:, 0], trials, "")
+        idx = _sample(probs, step_u[:, 0], np.arange(len(labels)), first_index)
         declared = np.array([int(label) for label in self.povm.labels])[idx]
         return Block(labels, declared, idx[:, None])
 
@@ -256,9 +268,9 @@ class GlobalTrialSpec:
 class LoccTrialSpec:
     """Sequential execution of an LOCC protocol tree.
 
-    The product states are assembled system-major, regrouped into party-major
-    state matrices, and updated with the outcome's local Kraus operator at
-    every step.
+    The product states are assembled as real planes in the walker's layout
+    and updated with the outcome's local Kraus operator at every step (see
+    _Walker).
     """
 
     protocol: LoccProtocol
@@ -273,49 +285,14 @@ class LoccTrialSpec:
         """Steps on the longest path of the tree."""
         return _depth(self.protocol.root)
 
+    @cached_property
+    def widest(self) -> int:
+        """Most outcomes of a step of the tree."""
+        return _widest(self.protocol.root)
+
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
-        proto = self.protocol
-        labels, refs, step_u = _draw(rngs, self.priors, proto.d_a * proto.d_b, self.depth)
-        n = len(labels)
-        psi = bipartite_toolkit(proto.d_a, proto.d_b).state_matrix(
-            _product_states(labels, refs).reshape(n, -1))
-        declared = np.empty(n, dtype=int)
-        path = np.full((n, self.depth), -1)
-        todo = [(proto.root, psi, np.arange(n), 0)]
-        while todo:
-            node, psi, rows, level = todo.pop()
-            if isinstance(node, Leaf):
-                declared[rows] = node.label
-                continue
-            kraus = np.asarray(node.kraus)[:, None]
-            # every outcome's branch of every trial: (elements, trials, d_a^3, d_b^3)
-            if node.party == ALICE:
-                branches = kraus @ psi
-            else:
-                branches = psi @ kraus.transpose(0, 1, 3, 2)
-            del psi  # only the chosen branches are kept below
-            flat = branches.reshape(len(kraus), len(rows), -1)
-            probs = _overlaps(flat, flat)
-            trials = first_index + rows
-            idx = _sample(probs, step_u[rows, level], trials, f" at {node.party}")
-            chosen = probs[idx, np.arange(len(rows))]
-            if (chosen < BRANCH_PROB_FLOOR).any():
-                j = np.flatnonzero(chosen < BRANCH_PROB_FLOOR)[0]
-                raise TrialAbort(
-                    f"trial {trials[j]}: sampled branch with probability {chosen[j]!r}")
-            path[rows, level] = idx
-            # the chosen branches, normalized and grouped by outcome
-            order = np.argsort(idx, kind="stable")
-            kept = branches[idx[order], order]
-            kept /= np.sqrt(chosen[order])[:, None, None]
-            rows = rows[order]
-            del branches, flat
-            ends = np.cumsum(np.bincount(idx, minlength=len(kraus))).tolist()
-            for (outcome, _), lo, hi in zip(node.measurement.elements, [0] + ends, ends):
-                if hi > lo:
-                    todo.append((node.children[outcome], kept[lo:hi], rows[lo:hi], level + 1))
-        return Block(labels, declared, path)
+        return _Walker(self, len(rngs))(rngs, first_index)
 
     def run(self, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
         block = self.run_block([rng], trial_index)
@@ -333,6 +310,100 @@ class LoccTrialSpec:
             transcript=tuple(transcript),
             trial_index=trial_index,
         )
+
+
+class _Walker:
+    """Walks blocks of at most `size` trials through an LOCC tree.
+
+    A block's joint states are real planes: trial t's is the (d_a^3, 2,
+    d_b^3) array of the real and imaginary parts of its party-major matrix
+    psi.  A step applies all its outcomes to the trials at the step with one
+    real product, of its plane_action from the left for Alice and from the
+    right for Bob, into an element-major (elements, trials, d_a^3, 2, d_b^3)
+    array whose rows give the outcome probabilities.  The chosen branches
+    are gathered grouped by outcome, in the same layout, and are not
+    normalized: each trial carries its squared norm, which divides the next
+    step's squared branch norms.
+
+    Two arrays are allocated once, when the walker is made, and reused by
+    every block: one for the product of a step, and one for the block's
+    states.  A step's trials hold consecutive states, which it reads only to
+    form its product, so it overwrites them with the chosen branches; each
+    child step then holds a slice of those.
+    """
+
+    def __init__(self, spec: LoccTrialSpec, size: int):
+        self.spec = spec
+        self.states = np.empty(size * 2 * spec.dim)
+        self.product = np.empty(max(spec.widest, 1) * self.states.size)
+
+    def _states(self, labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """kron(input, phi1, phi2) per trial, as (trials, d_a^3, 2, d_b^3) planes."""
+        proto = self.spec.protocol
+        a, b = proto.d_a, proto.d_b
+        n = len(labels)
+        refs = refs.reshape(n, 2, a, b)
+        phi1, phi2 = refs[:, 0], refs[:, 1]
+        first = np.where((labels == 1)[:, None, None], phi1, phi2)
+        pair = first[:, :, None, :, None] * phi1[:, None, :, None, :]
+        # (trials, a, a, a, b, b, b), formed in the product buffer
+        joint = np.multiply(pair[:, :, :, None, :, :, None], phi2[:, None, None, :, None, None, :],
+                            out=self.product[:2 * n * self.spec.dim].view(complex).reshape(
+                                (n,) + (a,) * 3 + (b,) * 3))
+        joint = joint.reshape(n, a**3, b**3).view(np.float64).reshape(n, a**3, b**3, 2)
+        x = self.states[:joint.size].reshape(n, a**3, 2, b**3)
+        np.copyto(x, joint.transpose(0, 1, 3, 2))
+        return x
+
+    def __call__(self, rngs: Sequence[np.random.Generator], first_index: int) -> Block:
+        spec = self.spec
+        proto = spec.protocol
+        labels, refs, step_u = _draw(rngs, spec.priors, proto.d_a * proto.d_b, spec.depth)
+        n = len(labels)
+        declared = np.empty(n, dtype=int)
+        path = np.full((n, spec.depth), -1)
+        if isinstance(proto.root, Leaf):
+            declared[:] = proto.root.label
+            return Block(labels, declared, path)
+        todo = [(proto.root, self._states(labels, refs), np.arange(n), 1.0, 0)]
+        while todo:
+            node, x, rows, norm2, level = todo.pop()
+            op = node.plane_action
+            m, r = op.shape[:2]
+            t = len(rows)
+            # every outcome's branch of every trial: (elements, trials, d_a^3 * 2 * d_b^3)
+            out = self.product[:m * x.size]
+            if node.party == ALICE:
+                flat = np.matmul(op[:, None], x.reshape(t, r, -1), out=out.reshape(m, t, r, -1))
+            else:
+                flat = np.matmul(x.reshape(-1, r), op, out=out.reshape(m, -1, r))
+            flat = flat.reshape(m, t, -1)
+            branch_norm2 = np.vecdot(flat, flat)
+            probs = branch_norm2 / norm2
+            idx = _sample(probs, step_u[rows, level], rows, first_index, node.party)
+            path[rows, level] = idx
+            # the trials grouped by outcome, ascending within a group
+            order = idx.argsort(kind="stable")
+            picks = idx[order] * t + order   # the chosen branches' rows of flat
+            chosen = probs.take(picks)
+            rows = rows[order]
+            if chosen.min() < BRANCH_PROB_FLOOR:
+                j = np.argmin(np.where(chosen < BRANCH_PROB_FLOOR, rows, n))   # the first such trial
+                raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
+                                 f"{chosen[j]!r}")
+            if not all(isinstance(child, Leaf) for child in node.successors):
+                # picks are in range: "clip" only skips the buffering of the default mode
+                kept = flat.reshape((m * t,) + x.shape[1:]).take(picks, axis=0, mode="clip", out=x)
+                norm2 = branch_norm2.take(picks)
+            ends = np.bincount(idx, minlength=m).cumsum().tolist()
+            for child, lo, hi in zip(node.successors, [0] + ends, ends):
+                if hi == lo:
+                    continue
+                if isinstance(child, Leaf):
+                    declared[rows[lo:hi]] = child.label
+                else:
+                    todo.append((child, kept[lo:hi], rows[lo:hi], norm2[lo:hi], level + 1))
+        return Block(labels, declared, path)
 
 
 TrialSpec = Union[GlobalTrialSpec, LoccTrialSpec]
@@ -360,54 +431,64 @@ def _words(x: int) -> list[int]:
     return words
 
 
+def _constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of count successive hash steps, as (count, 1) columns.
+
+    Step k xors with c_k and multiplies by c_(k+1), where c_0 = init and
+    c_(k+1) = c_k * mult.
+    """
+    const = [init]
+    for _ in range(count):
+        const.append(const[-1] * mult & _MASK32)
+    table = np.array(const, np.uint32)[:, None]
+    return table[:-1], table[1:]
+
+
 def _seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
     """SeedSequence((seed, i)).generate_state(4, np.uint64) for i in [lo, hi), as (hi - lo, 4).
 
     The indices must share their words above the lowest, so that every row
     hashes the same number of entropy words: [lo, hi) lies within one
-    multiple of 2^32.  The first row is checked against numpy's own
-    SeedSequence, which also rejects a negative seed with its ValueError.
+    multiple of 2^32.  The pool is hashed as one (4, hi - lo) array, a row per
+    pool word.  The first row is checked against numpy's own SeedSequence,
+    which also rejects a negative seed with its ValueError.
     """
     expected = SeedSequence((seed, lo)).generate_state(4, np.uint64)
     n = hi - lo
-    entropy = [np.full(n, w, np.uint32) for w in _words(seed)]
-    entropy.append(np.arange(n, dtype=np.uint32) + np.uint32(lo & _MASK32))
-    if lo >> 32:
-        entropy += [np.full(n, w, np.uint32) for w in _words(lo >> 32)]
-    # a short entropy array fills the pool with hashmix(0)
-    entropy += [np.zeros(n, np.uint32)] * (_POOL_SIZE - len(entropy))
+    seed_words = _words(seed)
+    words = seed_words + [lo & _MASK32] + (_words(lo >> 32) if lo >> 32 else [])
+    # a row per entropy word, the trials' indices in the row of their lowest
+    # word; a short entropy array fills the pool with hashmix(0)
+    entropy = np.zeros((max(len(words), _POOL_SIZE), n), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(seed_words)] += np.arange(n, dtype=np.uint32)
+    # hashmix steps: one per pool word, 3 per cross-mixing source, 4 per further word
+    xor, mult = _constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
 
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value *= np.uint32(const)
+    def hashmix(value: np.ndarray, k: int, count: int) -> np.ndarray:
+        """Steps k, ..., k + count - 1, one per row of the result."""
+        value = (value ^ xor[k:k + count]) * mult[k:k + count]
         return value ^ (value >> _XSHIFT)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
         return result ^ (result >> _XSHIFT)
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = hashmix(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
+    k = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    out = np.empty((n, 8), np.uint32)
-    const = _INIT_B
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value *= np.uint32(const)
-        out[:, k] = value ^ (value >> _XSHIFT)
+        pool = mix(pool, hashmix(word, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    # 8 output words, drawn from the pool words in turn
+    xor, mult = _constants(_INIT_B, _MULT_B, 8)
+    out = (np.tile(pool, (2, 1)) ^ xor) * mult
+    out ^= out >> _XSHIFT
     # word pairs read little-endian, as generate_state(..., np.uint64) does
-    states = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    states = np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64, copy=False)
     if not np.array_equal(states[0], expected):
         raise RuntimeError(f"bulk seed states differ from numpy's SeedSequence at ({seed}, {lo})")
     return states
@@ -450,9 +531,11 @@ def _block_rngs(seed: int, start: int, stop: int,
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
     size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
+    # an LOCC walker's arrays serve every block of the chunk and go with it
+    run_block = _Walker(spec, size) if isinstance(spec, LoccTrialSpec) else spec.run_block
     successes = errors = inconclusive = 0
     for lo, rngs in _block_rngs(seed, start, stop, size):
-        block = spec.run_block(rngs, lo)
+        block = run_block(rngs, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
         successes += hits
@@ -487,6 +570,8 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int).tolist()
     procs, pipes = [], []
     try:

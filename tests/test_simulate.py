@@ -18,7 +18,7 @@ from stateid import simulate, unambiguous
 from stateid.linalg import kron, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
-from stateid.protocol import ALICE, Leaf, LoccProtocol, MeasurementStep
+from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
     PROB_SUM_ATOL,
@@ -195,6 +195,36 @@ def make_locc_spec(task: str, da: int, db: int, eta1: float) -> LoccTrialSpec:
 LOCC_CASES = [("minerr", 0.5), ("minerr", 0.7), ("unamb", 0.5)]
 
 
+def phased(node, phases: dict):
+    """The tree with every local element, and support, conjugated as D E D^dag by
+    the party's fixed diagonal phase D = diag(phases[party])."""
+    if isinstance(node, Leaf):
+        return node
+
+    def conjugate(op):
+        return phases[node.party][:, None] * op * phases[node.party].conj()
+
+    measurement = povm_from_dict({label: conjugate(op) for label, op in node.measurement.elements},
+                                 conjugate(node.measurement.support))
+    return MeasurementStep(node.party, measurement,
+                           {label: phased(child, phases) for label, child in node.children.items()})
+
+
+def phased_spec(task: str, da: int, db: int, eta1: float) -> LoccTrialSpec:
+    """A production tree turned complex: its Kraus stacks are complex at every step."""
+    spec = make_locc_spec(task, da, db, eta1)
+    phases = {party: np.exp(1j * np.arange(1, n + 1)) for party, n in ((ALICE, da**3), (BOB, db**3))}
+    proto = LoccProtocol(da, db, phased(spec.protocol.root, phases))
+    return LoccTrialSpec(proto, spec.priors)
+
+
+def steps_of(node):
+    """Every measurement step of a tree, once per path that reaches it."""
+    if isinstance(node, Leaf):
+        return []
+    return [node] + [step for child in node.successors for step in steps_of(child)]
+
+
 class TestFactoredEngine:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("task,eta1", LOCC_CASES)
@@ -214,6 +244,28 @@ class TestFactoredEngine:
             assert spec.run(np.random.default_rng((5, i)), i) == copy.run(
                 np.random.default_rng((5, i)), i)
 
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("task,eta1", LOCC_CASES)
+    def test_complex_stacks_match_dense_reference(self, task, eta1, da, db):
+        # the same walker applies the block form of complex Kraus stacks
+        spec = phased_spec(task, da, db, eta1)
+        assert all(np.iscomplexobj(node.kraus) for node in steps_of(spec.protocol.root))
+        for i in range(20):
+            factored = spec.run(np.random.default_rng((11, i)), i)
+            dense = dense_walk(spec, np.random.default_rng((11, i)), i)
+            assert factored == dense
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
+    def test_production_stacks_are_real(self, da, db):
+        # the benchmarked trees run on the real products, not the block form
+        trees = [locc_protocol(da, db, Priors.from_eta1(eta1)) for eta1 in (0.3, 0.5, 0.7)]
+        trees += [unambiguous.locc_protocol(da, db, first) for first in (ALICE, BOB)]
+        for tree in trees:
+            for node in steps_of(tree.root):
+                assert node.kraus.dtype == np.float64
+                assert node.plane_action.dtype == np.float64
+                assert not node.kraus.flags.writeable
+
     @pytest.mark.parametrize("task,eta1,counts", [
         ("minerr", 0.7, (174, 26, 0)),
         ("unamb", 0.5, (60, 0, 140)),
@@ -226,6 +278,9 @@ class TestFactoredEngine:
 @lru_cache(maxsize=None)
 def block_spec(case: str):
     """Trial specs for the block-engine properties, built once per session."""
+    if case.startswith("phased-"):
+        task, eta1, da, db = case.split("-")[1:]
+        return phased_spec(task, int(da), int(db), float(eta1))
     if case == "global":
         return GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
     if case == "global-rotated":
@@ -237,6 +292,8 @@ def block_spec(case: str):
 
 BLOCK_CASES = ["global", "global-rotated"] + [
     f"{task}-{eta1}-{da}-{db}" for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3), (3, 3)]]
+BLOCK_CASES += [f"phased-{task}-{eta1}-{da}-{db}"
+                for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3)]]
 
 
 def counts_of(records) -> tuple[int, int, int]:
@@ -421,6 +478,14 @@ class TestRunBatch:
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
         with pytest.raises(ValueError):
             run_batch(spec, 0, 0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, monkeypatch, workers):
+        starts = []
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", starts.append)
+        with pytest.raises(ValueError, match=rf"worker.*got {workers}$"):
+            run_batch(block_spec("minerr-0.5-2-2"), 10, 7, workers=workers)
+        assert starts == []
 
     def test_worker_count_invariance(self):
         spec = LoccTrialSpec(locc_protocol(2, 2, EQUAL_PRIORS), EQUAL_PRIORS)
