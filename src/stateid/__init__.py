@@ -2,7 +2,7 @@
 with one of two unknown reference states (single copy each).
 
 Import from the submodules: linalg, symmetry, povm, protocol, minerr,
-unambiguous, simulate, cli.
+unambiguous, simulate, checks, cli.
 """
 
 __version__ = "0.1.0"

@@ -28,25 +28,12 @@ import sys
 
 import numpy as np
 
-from . import minerr, unambiguous
-from .linalg import positive_part_projector
+from . import checks, minerr, unambiguous
 from .minerr import Priors
 from .simulate import GlobalTrialSpec, LoccTrialSpec, run_batch
-from .symmetry import build_toolkit, check_dim_relation, dimension_table
+from .symmetry import dimension_table
 
 MC_SIGMA_GATE = 4.0
-GAP_THRESHOLD = 1e-3
-
-
-def _check(name: str, analytic: float, oracle: float, tol: float) -> dict:
-    diff = abs(analytic - oracle)
-    return {"name": name, "analytic": analytic, "oracle": oracle,
-            "diff": diff, "pass": bool(diff <= tol)}
-
-
-def _flag_check(name: str, analytic: float, oracle: float, passed: bool) -> dict:
-    return {"name": name, "analytic": analytic, "oracle": oracle,
-            "diff": abs(analytic - oracle), "pass": bool(passed)}
 
 
 def _fmt(value):
@@ -107,6 +94,7 @@ def _usage_error(message: str) -> int:
 
 
 def _emit(report: dict, args) -> int:
+    report["passed"] = all(row["pass"] for row in report["checks"])
     text = _render(report, args)
     if args.out:
         try:
@@ -120,42 +108,21 @@ def _emit(report: dict, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _finish(report: dict) -> None:
-    report["passed"] = all(row["pass"] for row in report["checks"])
-
-
-def _dims_values(d: int) -> dict:
-    t = dimension_table(d)
-    return {"d": t.d, "sym2": t.sym2, "sym3": t.sym3,
-            "antisym3": t.antisym3, "mixed3": t.mixed3, "total": t.total}
-
-
 def cmd_dims(args) -> int:
     report = {"command": "dims", "config": _config_echo(args), "values": {}, "checks": []}
-    dims = [args.d] if args.d else [args.da, args.db, args.da * args.db]
+    dims = [args.d] if args.d else dict.fromkeys([args.da, args.db, args.da * args.db])
     for d in dims:
-        for key, value in _dims_values(d).items():
-            report["values"][f"d{d}_{key}"] = value
         t = dimension_table(d)
-        report["checks"].append(_check(
-            f"subspace_dims_sum_d{d}", t.total, t.sym3 + t.antisym3 + t.mixed3, 0))
+        for key in ("d", "sym2", "sym3", "antisym3", "mixed3", "total"):
+            report["values"][f"d{d}_{key}"] = getattr(t, key)
+        report["checks"].append(checks.row(
+            f"subspace_dims_sum_d{d}", t.total, t.sym3 + t.antisym3 + t.mixed3, tol=0))
     if args.da:
-        rel = check_dim_relation(args.da, args.db)
-        report["values"]["split_identity_lhs"] = rel.lhs
-        report["values"]["split_identity_rhs"] = rel.rhs
-        report["checks"].append(_check("split_dimension_identity", rel.lhs, rel.rhs, 0))
-    _finish(report)
+        split = checks.instance_row(checks.split_identity, args.da, args.db)
+        report["values"]["split_identity_lhs"] = split["analytic"]
+        report["values"]["split_identity_rhs"] = split["oracle"]
+        report["checks"].append(split)
     return _emit(report, args)
-
-
-def _locc_overlaps(d_a: int, d_b: int, priors: Priors) -> tuple[float, float]:
-    """tr[E1*G] of the global positive-part projector and of the separable
-    element, for priors with eta1 <= eta2."""
-    gain = minerr.gain_operator(d_a * d_b, priors)
-    overlap_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
-    overlap_locc = float(np.einsum(
-        "ij,ji->", minerr.locc_povm_element(d_a, d_b, priors).element(1), gain).real)
-    return overlap_global, overlap_locc
 
 
 def cmd_minerr(args) -> int:
@@ -164,8 +131,9 @@ def cmd_minerr(args) -> int:
     report = {"command": "minerr", "config": _config_echo(args),
               "values": {}, "checks": [], "monte_carlo": None}
 
+    dual_route = checks.instance_row(checks.minerr_dual_route, d, args.eta1)
+    closed = dual_route["analytic"]
     lam_plus, lam_minus = minerr.gain_eigenvalues_mixed(priors)
-    closed = minerr.max_success_global(d, priors)
     report["values"].update({
         "d": d, "eta1": priors.eta1, "eta2": priors.eta2,
         "lambda_plus": lam_plus, "lambda_minus": lam_minus, "p_max": closed,
@@ -173,21 +141,16 @@ def cmd_minerr(args) -> int:
     if args.baseline:
         report["values"]["baseline_no_measurement"] = max(priors.eta1, priors.eta2)
 
-    report["checks"].append(_check(
-        "pmax_closed_vs_eigensum", closed,
-        minerr.max_success_eigenvalue_route(d, priors), 1e-9))
+    report["checks"].append(dual_route)
     global_povm = minerr.optimal_global_povm(d, priors)
-    report["checks"].append(_check(
+    report["checks"].append(checks.row(
         "pmax_closed_vs_povm_trace", closed,
-        minerr.mean_success(global_povm, d, priors), 1e-9))
+        minerr.mean_success(global_povm, d, priors), tol=1e-9))
 
     if args.locc:
-        # separable construction follows the eta1 <= eta2 convention
-        ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-        overlap_global, overlap_locc = _locc_overlaps(args.da, args.db, ordered)
-        report["values"]["locc_overlap"] = overlap_locc
-        report["checks"].append(_check(
-            "locc_overlap_vs_global_overlap", overlap_global, overlap_locc, 1e-9))
+        locc = checks.instance_row(checks.minerr_locc, args.da, args.db, args.eta1)
+        report["values"]["locc_overlap"] = locc["oracle"]
+        report["checks"].append(locc)
 
     if args.simulate:
         if args.locc:
@@ -197,7 +160,6 @@ def cmd_minerr(args) -> int:
         stats = run_batch(spec, args.n, args.seed, args.workers, target=closed)
         report["monte_carlo"] = _mc_block(stats)
         report["checks"].append(_within_sigma_check(stats))
-    _finish(report)
     return _emit(report, args)
 
 
@@ -206,52 +168,43 @@ def cmd_unamb(args) -> int:
     report = {"command": "unamb", "config": _config_echo(args),
               "values": {}, "checks": [], "monte_carlo": None}
 
-    p_global = unambiguous.max_success_global(d)
-    report["values"].update({"d": d, "p_max_global": p_global})
+    global_row = checks.instance_row(checks.unamb_global, d)
+    report["values"].update({"d": d, "p_max_global": global_row["analytic"]})
     if args.baseline:
         report["values"]["baseline_no_measurement"] = 0.0
-    global_povm = unambiguous.global_unamb_povm(d)
-    report["checks"].append(_check(
-        "global_success_vs_closed", p_global,
-        unambiguous.success_probability(global_povm, d), 1e-10))
+    report["checks"].append(global_row)
 
     if args.da:
-        p_locc = unambiguous.max_success_separable(args.da, args.db)
-        gap = p_global - p_locc
-        report["values"].update({"p_max_locc": p_locc, "gap": gap})
-        separable = unambiguous.separable_unamb_povm(
-            args.da, args.db, unambiguous.SeparableCoeffs.optimal())
-        report["checks"].append(_check(
-            "separable_success_vs_closed", p_locc,
-            unambiguous.success_probability(separable, d), 1e-10))
-        report["checks"].append(_check(
+        separable = checks.instance_row(checks.unamb_separable, args.da, args.db)
+        gap = checks.instance_row(checks.gap, args.da, args.db)
+        report["values"].update({"p_max_locc": separable["analytic"], "gap": gap["oracle"]})
+        report["checks"].append(separable)
+        report["checks"].append(checks.row(
             "feasibility_boundary_gamma", 1.0,
             float(np.linalg.eigvalsh(
                 unambiguous.mixed_block_operator(args.da, args.db, 0.5, 0.5)).max()),
-            1e-9))
-        report["checks"].append(_flag_check(
-            "gap_exceeds_threshold", GAP_THRESHOLD, gap, gap > GAP_THRESHOLD))
+            tol=1e-9))
+        report["checks"].append(gap)
 
     if args.simulate:
         priors = minerr.EQUAL_PRIORS
         if args.da:
             spec = LoccTrialSpec(unambiguous.locc_protocol(args.da, args.db), priors)
-            target = unambiguous.max_success_separable(args.da, args.db)
+            target = separable["analytic"]
         else:
-            spec = GlobalTrialSpec(global_povm.as_povm(), d, priors)
-            target = p_global
+            spec = GlobalTrialSpec(unambiguous.global_unamb_povm(d).as_povm(), d, priors)
+            target = global_row["analytic"]
         stats = run_batch(spec, args.n, args.seed, args.workers, target=target)
         report["monte_carlo"] = _mc_block(stats)
-        report["checks"].append(_flag_check(
+        report["checks"].append(checks.row(
             "monte_carlo_zero_errors", 0, stats.errors, stats.errors == 0))
         report["checks"].append(_within_sigma_check(stats))
-    _finish(report)
     return _emit(report, args)
 
 
 def _within_sigma_check(stats) -> dict:
     # the stderr is taken at the target, so an exact p_hat of 0 or 1 cannot fail
-    return _flag_check(
+    return checks.row(
         "monte_carlo_within_4_sigma", stats.target, stats.p_hat,
         abs(stats.p_hat - stats.target) <= MC_SIGMA_GATE * stats.target_stderr)
 
@@ -268,118 +221,11 @@ def _mc_block(stats) -> dict:
     }
 
 
-def _toolkit_defect(d: int) -> float:
-    tk = build_toolkit(d)
-    eye = np.eye(d**3)
-    vm = tk.dims.mixed3
-    pieces = [
-        tk.swap_diff @ tk.swap_diff - 0.75 * tk.mixed3,
-        tk.swap_diff @ tk.swap_sum + tk.swap_sum @ tk.swap_diff,
-        tk.swap_sum @ tk.swap_sum - (eye - tk.swap_diff @ tk.swap_diff),
-        tk.sym3 + tk.antisym3 + tk.mixed3 - eye,
-        tk.sym3 @ tk.sym3 - tk.sym3,
-        tk.antisym3 @ tk.antisym3 - tk.antisym3,
-        tk.mixed3 @ tk.mixed3 - tk.mixed3,
-        tk.mixed3 @ tk.swap01 - tk.swap01 @ tk.mixed3,
-        tk.mixed3 @ tk.swap02 - tk.swap02 @ tk.mixed3,
-        tk.mixed3 @ tk.swap12 - tk.swap12 @ tk.mixed3,
-    ]
-    defect = max(float(np.abs(p).max()) for p in pieces)
-    traces = [
-        np.trace(tk.sym3) - tk.dims.sym3,
-        np.trace(tk.antisym3) - tk.dims.antisym3,
-        np.trace(tk.mixed3) - vm,
-        np.trace(tk.mixed3 @ tk.antisym02 @ tk.sym01) - 3 * vm / 8,
-        np.trace(tk.mixed3 @ tk.sym02 @ tk.antisym01) - 3 * vm / 8,
-        np.trace(tk.mixed3 @ tk.sym02 @ tk.sym01) - vm / 8,
-        np.trace(tk.mixed3 @ tk.antisym02 @ tk.antisym01) - vm / 8,
-        np.trace(tk.mixed3 @ tk.swap01),
-        np.trace(tk.mixed3 @ tk.swap02),
-    ]
-    return max(defect, max(abs(float(t)) for t in traces))
-
-
-def _no_error_defect(seed: int, n_pairs: int = 1000) -> float:
-    """Largest wrong-label acceptance over n_pairs Haar reference pairs per scheme.
-
-    One generator serves the schemes in turn (global d=2, global d=3,
-    separable (2,2)); each scheme draws its pairs as one standard_normal
-    block of shape (n_pairs, 2, 2, d), indexed [pair, reference, re/im].
-    Generator normals carry no state between calls, so this is the same
-    stream, in the same order, as two haar_state calls per pair (phi1 real,
-    phi1 imag, phi2 real, phi2 imag).  The label-2 state phi2 phi1 phi2 is
-    scored against e1 and the label-1 state phi1 phi1 phi2 against e2, each
-    built by one outer product in kron's association.
-    """
-    rng = np.random.default_rng(seed)
-    probes = []
-    for d in (2, 3):
-        povm = unambiguous.global_unamb_povm(d)
-        probes.append((d, povm.e1, povm.e2))
-    sep = unambiguous.separable_unamb_povm(2, 2, unambiguous.SeparableCoeffs.optimal())
-    probes.append((4, sep.e1, sep.e2))
-    worst = 0.0
-    for d, e1, e2 in probes:
-        z = rng.standard_normal((n_pairs, 2, 2, d))
-        refs = z[:, :, 0] + 1j * z[:, :, 1]
-        refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        phi1, phi2 = refs[:, 0], refs[:, 1]
-        for first, e in ((phi2, e1), (phi1, e2)):   # true label 2, then 1
-            s = ((first[:, :, None] * phi1[:, None, :])[:, :, :, None]
-                 * phi2[:, None, None, :]).reshape(n_pairs, d**3)
-            accept = np.einsum("ni,ni->n", s.conj(), s @ e.T).real
-            worst = max(worst, float(accept.max()))
-    return worst
-
-
 def cmd_verify_all(args) -> int:
+    rows = {check: checks.grid_row(check, args.seed) for check in checks.CHECKS}
     report = {"command": "verify-all", "config": _config_echo(args),
-              "values": {}, "checks": []}
-
-    defect = max(_toolkit_defect(d) for d in range(2, 7))
-    report["checks"].append(_check("toolkit_identities_d2_to_d6", 0.0, defect, 1e-9))
-
-    residual = max(abs(check_dim_relation(da, db).residual)
-                   for da in range(2, 6) for db in range(2, 6))
-    report["checks"].append(_check("split_dimension_identity_grid", 0, residual, 0))
-
-    dual = max(
-        abs(minerr.max_success_global(d, Priors.from_eta1(round(0.1 * k, 1)))
-            - minerr.max_success_eigenvalue_route(d, Priors.from_eta1(round(0.1 * k, 1))))
-        for d in range(2, 7) for k in range(1, 10))
-    report["checks"].append(_check("minerr_dual_route_grid", 0.0, dual, 1e-9))
-
-    locc_gap = 0.0
-    for da, db in ((2, 2), (2, 3), (3, 3)):
-        for eta1 in (0.1, 0.3, 0.5):
-            t_global, t_locc = _locc_overlaps(da, db, Priors.from_eta1(eta1))
-            locc_gap = max(locc_gap, abs(t_global - t_locc))
-    report["checks"].append(_check("minerr_locc_equality_grid", 0.0, locc_gap, 1e-9))
-
-    unamb_dev = max(
-        abs(unambiguous.success_probability(unambiguous.global_unamb_povm(d), d)
-            - unambiguous.max_success_global(d))
-        for d in range(2, 7))
-    report["checks"].append(_check("unamb_global_grid", 0.0, unamb_dev, 1e-10))
-
-    sep_dev = max(
-        abs(unambiguous.success_probability(
-            unambiguous.separable_unamb_povm(da, db, unambiguous.SeparableCoeffs.optimal()),
-            da * db) - unambiguous.max_success_separable(da, db))
-        for da, db in ((2, 2), (2, 3), (3, 3)))
-    report["checks"].append(_check("unamb_separable_grid", 0.0, sep_dev, 1e-10))
-
-    report["checks"].append(_check(
-        "no_error_acceptance", 0.0, _no_error_defect(args.seed), 1e-10))
-
-    min_gap = min(
-        unambiguous.max_success_global(da * db) - unambiguous.max_success_separable(da, db)
-        for da in range(2, 6) for db in range(2, 6))
-    report["values"]["min_global_local_gap"] = min_gap
-    report["checks"].append(_flag_check(
-        "gap_strict_grid", GAP_THRESHOLD, min_gap, min_gap > GAP_THRESHOLD))
-
-    _finish(report)
+              "values": {"min_global_local_gap": rows[checks.gap]["oracle"]},
+              "checks": list(rows.values())}
     return _emit(report, args)
 
 

@@ -34,9 +34,9 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.abs(h - dagger(h)).max() / scale)
 
 
-def assert_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
+def assert_hermitian(h: np.ndarray) -> None:
     defect = hermiticity_defect(h)
-    if defect > rtol:
+    if defect > HERMITIAN_RTOL:
         raise ValueError(f"matrix is not hermitian (relative defect {defect:.3e})")
 
 

@@ -47,7 +47,7 @@ class Povm:
                 return op
         raise KeyError(f"no element labeled {label!r}")
 
-    def validate(self, atol: float = COMPLETENESS_ATOL) -> None:
+    def validate(self) -> None:
         """Check hermiticity and positivity of each element and completeness."""
         total = np.zeros_like(self.support, dtype=complex)
         for label, op in self.elements:
@@ -59,7 +59,7 @@ class Povm:
                 raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
             total = total + op
         defect = np.abs(total - self.support).max()
-        if defect > atol:
+        if defect > COMPLETENESS_ATOL:
             raise ValueError(f"elements do not sum to the support (max defect {defect:.3e})")
 
 

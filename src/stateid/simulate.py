@@ -226,17 +226,11 @@ def _widest(node) -> int:
 
 @dataclass(frozen=True)
 class GlobalTrialSpec:
-    """One-shot measurement of a global POVM on the triple space.
-
-    rotation, when given, applies a fixed unitary to both references (and
-    hence the input) before measuring — the handle the unitary-invariance
-    test uses.
-    """
+    """One-shot measurement of a global POVM on the triple space."""
 
     povm: Povm
     d: int
     priors: Priors
-    rotation: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -245,8 +239,6 @@ class GlobalTrialSpec:
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
         labels, refs, step_u = _draw(rngs, self.priors, self.d, 1)
-        if self.rotation is not None:
-            refs = refs @ self.rotation.T
         states = _product_states(labels, refs).reshape(len(labels), -1)
         probs = np.array([_overlaps(states, states @ op.T) for _, op in self.povm.elements])
         idx = _sample(probs, step_u[:, 0], np.arange(len(labels)), first_index)

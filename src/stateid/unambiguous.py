@@ -91,13 +91,16 @@ def max_success_global(d: int) -> float:
     return (d - 1) / (3 * d)
 
 
+@lru_cache(maxsize=1)
 def global_unamb_povm(d: int) -> UnambPovm:
-    """The optimal global three-outcome POVM."""
+    """The optimal global three-outcome POVM, cached for its last d (read-only)."""
     tk = build_toolkit(d)
     n = d**3
     e1 = ALPHA_MAX * tk.mixed3 @ tk.antisym02
     e2 = ALPHA_MAX * tk.mixed3 @ tk.antisym01
     e0 = tk.mixed3 @ (np.eye(n) + 2.0 * tk.swap_sum) / 3.0 + tk.sym3 + tk.antisym3
+    for op in (e1, e2, e0):
+        op.flags.writeable = False
     return UnambPovm(e1=e1, e2=e2, e0=e0)
 
 

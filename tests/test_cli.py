@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stateid import cli
+from stateid import checks, cli
 from stateid.cli import main
 
 
@@ -37,6 +37,14 @@ class TestDims:
         assert "split_dimension_identity" in names
         row = report["checks"][names.index("split_dimension_identity")]
         assert row["diff"] == 0 and row["pass"]
+
+    def test_check_names_unique(self, capsys):
+        # d_a = d_b: the local dimension's row is reported once
+        code, report = run_json(capsys, "dims", "--da", "3", "--db", "3")
+        assert code == 0
+        names = [row["name"] for row in report["checks"]]
+        assert names == ["subspace_dims_sum_d3", "subspace_dims_sum_d9",
+                         "split_dimension_identity"]
 
     def test_rejects_d1(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -166,6 +174,37 @@ class TestVerifyAll:
         _, report = run_json(capsys, "verify-all")
         for row in report["checks"]:
             assert set(row) == {"name", "analytic", "oracle", "diff", "pass"}
+
+
+class TestRegistry:
+    def test_names_unique(self):
+        names = [c.name for c in checks.CHECKS if c.name] + [c.grid_name for c in checks.CHECKS]
+        assert len(names) == len(set(names))
+
+    def test_verify_all_rows_are_grid_rows(self, capsys):
+        _, report = run_json(capsys, "verify-all", "--seed", "7")
+        rows = [checks.grid_row(check, 7) for check in checks.CHECKS]
+        assert report["checks"] == cli._format_report({"checks": rows})["checks"]
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("command, eta1", [
+        ("dims", None), ("minerr", 0.5), ("minerr", 0.7), ("unamb", None)])
+    def test_instance_rows_are_registry_rows(self, capsys, command, eta1, d_a, d_b):
+        points = {
+            "dims": {checks.split_identity: (d_a, d_b)},
+            "minerr": {checks.minerr_dual_route: (d_a * d_b, eta1),
+                       checks.minerr_locc: (d_a, d_b, eta1)},
+            "unamb": {checks.unamb_global: (d_a * d_b,), checks.unamb_separable: (d_a, d_b),
+                      checks.gap: (d_a, d_b)},
+        }[command]
+        argv = [command, "--da", str(d_a), "--db", str(d_b)]
+        if eta1 is not None:
+            argv += ["--eta1", str(eta1), "--locc"]
+        _, report = run_json(capsys, *argv)
+        names = {check.name for check in checks.CHECKS}
+        rows = [checks.instance_row(check, *point) for check, point in points.items()]
+        assert ([row for row in report["checks"] if row["name"] in names]
+                == cli._format_report({"checks": rows})["checks"])
 
 
 @pytest.mark.parametrize("argv", [

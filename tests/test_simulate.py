@@ -37,6 +37,14 @@ from stateid.unambiguous import global_unamb_povm
 PMAX_D2_HALF = 0.6443375672974064
 
 
+def conjugated(povm, u):
+    """The POVM {U3^dag E U3} with U3 = U x U x U: measuring it on a trial gives
+    the Born probabilities of measuring povm on the trial with both references
+    rotated by U."""
+    u3 = kron(u, u, u)
+    return povm_from_dict((label, u3.conj().T @ op @ u3) for label, op in povm.elements)
+
+
 class TestHaarState:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -120,7 +128,7 @@ class TestGlobalTrials:
         u = haar_unitary(2, np.random.default_rng(99))
         n = 100_000
         plain = run_batch(GlobalTrialSpec(povm, 2, EQUAL_PRIORS), n, 5)
-        rotated = run_batch(GlobalTrialSpec(povm, 2, EQUAL_PRIORS, rotation=u), n, 6)
+        rotated = run_batch(GlobalTrialSpec(conjugated(povm, u), 2, EQUAL_PRIORS), n, 6)
         z = abs(plain.p_hat - rotated.p_hat) / math.hypot(plain.stderr, rotated.stderr)
         assert z < 3.0
 
@@ -285,7 +293,7 @@ def block_spec(case: str):
         return GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
     if case == "global-rotated":
         u = haar_unitary(3, np.random.default_rng(99))
-        return GlobalTrialSpec(global_unamb_povm(3).as_povm(), 3, EQUAL_PRIORS, rotation=u)
+        return GlobalTrialSpec(conjugated(global_unamb_povm(3).as_povm(), u), 3, EQUAL_PRIORS)
     task, eta1, da, db = case.split("-")
     return make_locc_spec(task, int(da), int(db), float(eta1))
 

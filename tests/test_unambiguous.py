@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stateid import cli, unambiguous
+from stateid import checks, unambiguous
 from stateid.linalg import kron
 from stateid.protocol import ALICE, BOB, effective_povm
 from stateid.simulate import haar_state, haar_unitary
@@ -77,7 +77,7 @@ class TestGlobalPovm:
 
 
 def per_pair_no_error_defect(seed, n_pairs):
-    """The per-pair haar_state/kron loop that cli._no_error_defect does in bulk."""
+    """The per-pair haar_state/kron loop that checks.no_error does in bulk."""
     rng = np.random.default_rng(seed)
     probes = [(d, unambiguous.global_unamb_povm(d)) for d in (2, 3)]
     probes.append((4, unambiguous.separable_unamb_povm(2, 2, SeparableCoeffs.optimal())))
@@ -100,7 +100,7 @@ class TestNoErrorProbe:
     @example(seed=23, n_pairs=1000)
     @given(seed=st.integers(0, 2**63), n_pairs=st.integers(1, 200))
     def test_bulk_probe_matches_per_pair_loop(self, seed, n_pairs):
-        bulk = cli._no_error_defect(seed, n_pairs)
+        bulk = checks.no_error.evaluate(seed, n_pairs)[1]
         assert abs(bulk - per_pair_no_error_defect(seed, n_pairs)) <= 1e-15
         assert bulk <= 1e-10
 
@@ -113,7 +113,7 @@ class TestNoErrorProbe:
         monkeypatch.setattr(unambiguous, "separable_unamb_povm",
                             lambda *args: swapped(sep(*args)))
         for seed in (0, 7, 23):
-            bulk = cli._no_error_defect(seed, 1000)
+            bulk = checks.no_error.evaluate(seed, 1000)[1]
             loop = per_pair_no_error_defect(seed, 1000)
             assert loop > 0.1
             assert abs(bulk - loop) <= 1e-12 * loop
