@@ -255,7 +255,8 @@ def _add_sim_flags(sub) -> None:
     sub.add_argument("--simulate", action="store_true", help="run a Monte Carlo batch")
     sub.add_argument("--n", type=int, default=10000, help="number of trials")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="parallel worker count, at most the usable CPU count")
     sub.add_argument("--baseline", action="store_true",
                      help="include the no-reference-copy baseline value")
 

@@ -1,81 +1,72 @@
 """Haar-random state sampling and Monte Carlo execution of measurement schemes.
 
-A trial draws the true label from the priors, draws both reference states from
-the unitary-invariant (Haar) distribution, assembles the product state on the
-triple space, and samples measurement outcomes with the exact Born
-probabilities: either in one shot for a global POVM, or by walking an LOCC
-tree with the square-root (Lueders) state update between steps.
+A trial draws the true label from the priors and both reference states from
+the unitary-invariant (Haar) distribution, and samples outcomes with the exact
+Born probabilities of its product state: in one shot for a global POVM, or a
+level at a time down an LOCC tree.  Trials run in blocks: each trial draws its
+own variates, and the block does the rest on stacked arrays.
 
-Trials run in blocks.  Each trial of a block draws its own variates; the block
-then does the rest on stacked arrays.  For a global POVM the product states
-are formed by one broadcast product over the block.  An LOCC tree is walked
-once per block on real arithmetic (see _Walker): each trial's party-major
-(d_a^3, d_b^3) state matrix psi is held as the real (d_a^3, 2, d_b^3) array
-of its real and imaginary planes, assembled straight from the references.
-At each step, the trials that reached it go through all the step's outcomes
-in one real product with the operators the step stacked at construction
-(MeasurementStep.plane_action: Alice's K acting as K @ psi, Bob's as
-psi @ K.T), and the outcomes are sampled by a vectorized inverse CDF.  Only
-the branches the trials chose are kept.  The walker's arrays are allocated
-once per chunk of a batch and serve all its blocks.  A block's stacked states
-take at most BLOCK_STATE_BYTES, so blocks on larger spaces hold fewer trials.
-A single trial (TrialSpec.run) is a block of one, walked by the same code.
+An LOCC block evolves no state.  A trial follows the path to a node (a prefix
+of the tree) with probability <psi| A^dag A (x) B^dag B |psi>, for Alice's and
+Bob's Kraus products A and B on the path.  Both lie in the real span of their
+party's six permutation operators P_pi (symmetry.s3_coordinates), so the
+probability is sum c_pi e_sigma f(pi, sigma) over the 36 invariants f(pi,
+sigma) = <psi| P_pi^A (x) P_sigma^B |psi>.  For a product of systems s with
+(d_a, d_b) coefficient matrices M_s, f is the product over the cycles (p,
+tau(p), ...) of tau = pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))}
+...), with X_{s,q} = conj(M_s) M_q^T (local-unitary invariants as in E. Rains,
+arXiv:quant-ph/9704042).  LoccTrialSpec keeps every prefix's (c, e) from when
+it is made; a block computes its invariants, every prefix probability in one
+matrix product, and samples each step from the ratios P(child)/P(step).
 
 Determinism contract: trial i of a batch uses the generator seeded with
 (base_seed, i), so batch results are identical for any worker count and any
 block size.  A trial draws, in this order, the label uniform; the 4*d
 standard normals of both references (real then imaginary parts of the first,
 then of the second); and one uniform per step of the deepest path of the tree
-(1 for a global POVM).  Step k of the walk reads the k-th of those uniforms,
-and those left over after the leaf are never read.  These are the numbers
-that drawing the label, each reference as two calls of d normals, and one
-uniform as each step comes would give: a Generator keeps no state between
-calls for normals or uniforms, so one call of size n returns what n calls of
-size 1 would.  Outcome sampling is inverse-CDF over the ordered element list.
+(1 for a global POVM).  A step at level k of the tree reads the k-th of those
+uniforms.  These are the numbers that drawing each value as it is needed
+would give: a Generator keeps no state between calls for normals or
+uniforms.  Outcome sampling is inverse-CDF over the ordered element list.
+A chunk of a batch hashes the seeds (seed, i) of a window of trials at once
+(_seed_states) and hands each row to numpy's own PCG64 set-seed.
 
-A chunk of a batch builds those generators without hashing each seed on its
-own.  For a window of up to 4096 trials (whose states take at most
-BLOCK_STATE_BYTES) it computes SeedSequence((seed, i)).generate_state(4,
-np.uint64) for every i at once, re-implementing numpy's SeedSequence hash on
-a (4, window) uint32 array, a row per pool word, for any number of seed and
-index words.  A window ends at each multiple of 2^32, so all its indices have
-the same number of words.  Each row is handed to PCG64 through a
-numpy.random.bit_generator.ISeedSequence, so numpy's own PCG64 set-seed turns
-it into the generator default_rng((seed, i)) would give.  Once per window the first row is compared with numpy's own
-SeedSequence, which raises RuntimeError if the hash ever differs and keeps
-numpy's ValueError for a negative seed.
-
-A batch on several workers is split into consecutive chunks of trials.  The
-caller runs the first chunk itself while workers - 1 processes run the rest,
-one chunk each (fewer when there are fewer trials than workers), and send
-their counts back through a pipe.  The processes are started with the fork
-method whatever the platform's default, so they inherit the trial spec
-instead of unpickling it, and numpy.random, which is imported with this
-module, instead of importing it again.
+A batch on several workers is split into consecutive chunks, at most one per
+usable CPU.  The caller runs the first chunk while one forked process per
+further chunk runs the rest and sends its counts back through a pipe.  The
+fork method is named whatever the platform's default, so the workers inherit
+the trial spec and numpy.random instead of unpickling and importing them.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence, Union
+import os
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
+from .linalg import dagger
 from .minerr import Priors
 from .povm import Povm
-from .protocol import ALICE, Leaf, LoccProtocol
+from .protocol import ALICE, BOB, Leaf, LoccProtocol, path_prefixes
+from .symmetry import S3_PERMUTATIONS, s3_coordinates
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
-# Bytes of one block's stacked states, complex or as real and imaginary
-# planes: 128 trials at d = 4, 11 at (3,3).  Larger blocks gain little at
-# (2,2) and raise the peak memory of every batch worker; smaller ones slow
-# (3,3), where a tree node's share of a block is a few trials.
+# Largest entry of a prefix product's distance from the span of its party's
+# permutation operators that an LOCC tree may have.
+SPAN_ATOL = 1e-12
+# Bytes of a global block's stacked complex states (128 trials at d = 4), of
+# an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
+# and of a window's seed states (4096 trials).  An LOCC block's other arrays
+# take a few times its probabilities; whole windows as LOCC blocks raised the
+# peak memory of each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
 
 
@@ -197,8 +188,8 @@ def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int
     """
     cum = probs.cumsum(axis=0)
     off = np.abs(cum[-1] - 1.0)
-    if off.max() > PROB_SUM_ATOL:
-        j = np.flatnonzero(off > PROB_SUM_ATOL)[0]
+    if not off.max() <= PROB_SUM_ATOL:   # NaN fails it too
+        j = np.flatnonzero(~(off <= PROB_SUM_ATOL))[0]
         where = f" at {party}" if party else ""
         raise TrialAbort(f"trial {first_index + rows[j]}{where}: outcome probabilities sum to "
                          f"{cum[-1, j]!r}")
@@ -210,18 +201,6 @@ def _overlaps(states: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Re <state|image> over the last axis, read on the float views without a
     conjugate copy."""
     return np.vecdot(states.view(np.float64), images.view(np.float64))
-
-
-def _depth(node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_depth(child) for child in node.children.values())
-
-
-def _widest(node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return max(len(node.kraus), *map(_widest, node.children.values()))
 
 
 @dataclass(frozen=True)
@@ -256,35 +235,144 @@ class GlobalTrialSpec:
         )
 
 
+# System s of a label-1 trial holds reference _HOLDER[s] of its pair (the
+# input's reference, the other).
+_HOLDER = (0, 0, 1)
+
+
+def _invariant_words() -> tuple[tuple, tuple, np.ndarray]:
+    """The trace words, each a cycle's pairs (r, q) of references whose X_{r,q}
+    are multiplied, in its least rotation; the invariants grouped by cycle
+    count, as (rows, their words); and the rows of a label-2 trial, whose state
+    is P_g (input, input, other) for the swap g of systems 1 and 2."""
+    words: dict[tuple, int] = {}
+    groups: dict[int, tuple[list, list]] = {}
+    for i, pi in enumerate(S3_PERMUTATIONS):
+        for j, sigma in enumerate(S3_PERMUTATIONS):
+            tau = [pi.index(sigma[p]) for p in range(3)]
+            # the cycle of each orbit of tau: (p, tau(p), tau^2(p)) cut to the orbit's size
+            orbits = ((p, tau[p], tau[tau[p]]) for p in range(3))
+            term = []
+            for cycle in {min(orbit): orbit[:len(set(orbit))] for orbit in orbits}.values():
+                word = tuple((_HOLDER[p], _HOLDER[sigma[p]]) for p in cycle)
+                word = min(word[k:] + word[:k] for k in range(len(word)))
+                term.append(words.setdefault(word, len(words)))
+            rows, factors = groups.setdefault(len(term), ([], []))
+            rows.append(6 * i + j)
+            factors.append(term)
+    g = (0, 2, 1)
+    conj = [S3_PERMUTATIONS.index(tuple(g[pi[g[x]]] for x in range(3))) for pi in S3_PERMUTATIONS]
+    return (tuple(words), tuple((np.array(rows), np.array(factors))
+                                for rows, factors in groups.values()),
+            np.array([6 * i + j for i in conj for j in conj]))
+
+
+_WORDS, _TERMS, _RELABEL = _invariant_words()
+
+
+def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Re f(S3_PERMUTATIONS[i], S3_PERMUTATIONS[j]) in row 6 i + j, trials on
+    the last axis of every intermediate; refs are (trials, 2, d)."""
+    n = len(labels)
+    first = labels == 1
+    refs = refs.reshape(n, 2, d_a, d_b)
+    # the pair (the input's reference, the other) as (d_b, 2, d_a, trials)
+    pair = np.ascontiguousarray(
+        np.where(first[:, None, None, None], refs, refs[:, ::-1]).transpose(3, 1, 2, 0))
+    # x[r, q] = conj(M_r) M_q^T as (2, 2, d_a, d_a, trials), a column of M at a time
+    x = np.zeros((2, 2, d_a, d_a, n), complex)
+    for column in pair:
+        x += column.conj()[:, None, :, None] * column[None, :, None, :]
+    traces = np.empty((len(_WORDS), n), complex)
+    for w, word in enumerate(_WORDS):
+        prod = x[word[0]]
+        for rq in word[1:-1]:
+            prod = (prod[:, :, None] * x[rq][None]).sum(axis=1)
+        # the trace of prod times the last factor, without forming the product
+        traces[w] = np.trace(prod) if len(word) == 1 else (
+            prod * x[word[-1]].transpose(1, 0, 2)).sum(axis=(0, 1))
+    f = np.empty((len(_RELABEL), n))
+    for rows, factors in _TERMS:
+        prod = traces[factors[:, 0]]
+        for column in factors.T[1:]:
+            prod *= traces[column]
+        f[rows] = prod.real
+    f[:, ~first] = f[_RELABEL][:, ~first]
+    return f
+
+
+def _prefixes(protocol: LoccProtocol) -> tuple[np.ndarray, tuple, int]:
+    """The weights, nodes and depth of LoccTrialSpec."""
+    weights, nodes, index = [], [], {}
+    for k, (node, a, b, path) in enumerate(path_prefixes(protocol)):
+        coords = []
+        for party, op in ((ALICE, a), (BOB, b)):
+            c, residual = s3_coordinates(dagger(op) @ op)
+            # NaN fails it too; only the party of the path's last step can fail
+            if not residual <= SPAN_ATOL:
+                where = " > ".join(f"{p} {outcome!r}" for p, outcome in path[:-1]) or "the root"
+                raise ValueError(f"{party}'s step at {where}: outcome {path[-1][1]!r} leaves "
+                                 f"{party}'s path product {residual:.3e} off the span of the "
+                                 f"permutation operators (tolerance {SPAN_ATOL:g})")
+            coords.append(c)
+        weights.append(np.outer(*coords).ravel())
+        nodes.append(node.label if isinstance(node, Leaf) else (node.party, []))
+        index[path] = k
+        if path:
+            nodes[index[path[:-1]]][1].append(k)
+    return np.array(weights), tuple(nodes), max(map(len, index))
+
+
 @dataclass(frozen=True)
 class LoccTrialSpec:
-    """Sequential execution of an LOCC protocol tree.
-
-    The product states are assembled as real planes in the walker's layout
-    and updated with the outcome's local Kraus operator at every step (see
-    _Walker).
+    """Sequential execution of an LOCC protocol tree, from a row per path prefix
+    (protocol.path_prefixes order): weights[k] = c (x) e, for the coordinates
+    of its A^dag A and B^dag B on the permutation operators, and nodes[k], a
+    step's (party, children's rows) or a leaf's label.  depth counts the steps
+    of the longest path.  A product off the span by over SPAN_ATOL: ValueError.
     """
 
     protocol: LoccProtocol
     priors: Priors
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: tuple = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.protocol.dim
-
-    @cached_property
-    def depth(self) -> int:
-        """Steps on the longest path of the tree."""
-        return _depth(self.protocol.root)
-
-    @cached_property
-    def widest(self) -> int:
-        """Most outcomes of a step of the tree."""
-        return _widest(self.protocol.root)
+    def __post_init__(self) -> None:
+        for name, value in zip(("weights", "nodes", "depth"), _prefixes(self.protocol)):
+            object.__setattr__(self, name, value)
 
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
-        return _Walker(self, len(rngs))(rngs, first_index)
+        proto = self.protocol
+        labels, refs, step_u = _draw(rngs, self.priors, proto.d_a * proto.d_b, self.depth)
+        n = len(labels)
+        probs = self.weights @ _invariants(labels, refs, proto.d_a, proto.d_b)
+        declared = np.empty(n, dtype=int)
+        path = np.full((n, self.depth), -1)
+        # (prefix, its trials in ascending order, level), a level at a time
+        todo = [(0, np.arange(n), 0)]
+        for k, rows, level in todo:
+            if not isinstance(self.nodes[k], tuple):
+                declared[rows] = self.nodes[k]
+                continue
+            party, children = self.nodes[k]
+            # probs carry an absolute rounding error of about 1e-15, so the
+            # ratios sum to 1 only within about 1e-15/P(step): a trial that
+            # reaches a prefix of probability below about 1e-7 fails the
+            # PROB_SUM_ATOL guard and aborts the batch
+            ratios = probs[children][:, rows] / probs[k, rows]
+            idx = _sample(ratios, step_u[rows, level], rows, first_index, party)
+            path[rows, level] = idx
+            chosen = ratios[idx, np.arange(len(rows))]
+            if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
+                j = np.flatnonzero(~(chosen >= BRANCH_PROB_FLOOR))[0]
+                raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
+                                 f"{chosen[j]!r}")
+            for i, child in enumerate(children):
+                if (picked := rows[idx == i]).size:
+                    todo.append((child, picked, level + 1))
+        return Block(labels, declared, path)
 
     def run(self, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
         block = self.run_block([rng], trial_index)
@@ -302,100 +390,6 @@ class LoccTrialSpec:
             transcript=tuple(transcript),
             trial_index=trial_index,
         )
-
-
-class _Walker:
-    """Walks blocks of at most `size` trials through an LOCC tree.
-
-    A block's joint states are real planes: trial t's is the (d_a^3, 2,
-    d_b^3) array of the real and imaginary parts of its party-major matrix
-    psi.  A step applies all its outcomes to the trials at the step with one
-    real product, of its plane_action from the left for Alice and from the
-    right for Bob, into an element-major (elements, trials, d_a^3, 2, d_b^3)
-    array whose rows give the outcome probabilities.  The chosen branches
-    are gathered grouped by outcome, in the same layout, and are not
-    normalized: each trial carries its squared norm, which divides the next
-    step's squared branch norms.
-
-    Two arrays are allocated once, when the walker is made, and reused by
-    every block: one for the product of a step, and one for the block's
-    states.  A step's trials hold consecutive states, which it reads only to
-    form its product, so it overwrites them with the chosen branches; each
-    child step then holds a slice of those.
-    """
-
-    def __init__(self, spec: LoccTrialSpec, size: int):
-        self.spec = spec
-        self.states = np.empty(size * 2 * spec.dim)
-        self.product = np.empty(max(spec.widest, 1) * self.states.size)
-
-    def _states(self, labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """kron(input, phi1, phi2) per trial, as (trials, d_a^3, 2, d_b^3) planes."""
-        proto = self.spec.protocol
-        a, b = proto.d_a, proto.d_b
-        n = len(labels)
-        refs = refs.reshape(n, 2, a, b)
-        phi1, phi2 = refs[:, 0], refs[:, 1]
-        first = np.where((labels == 1)[:, None, None], phi1, phi2)
-        pair = first[:, :, None, :, None] * phi1[:, None, :, None, :]
-        # (trials, a, a, a, b, b, b), formed in the product buffer
-        joint = np.multiply(pair[:, :, :, None, :, :, None], phi2[:, None, None, :, None, None, :],
-                            out=self.product[:2 * n * self.spec.dim].view(complex).reshape(
-                                (n,) + (a,) * 3 + (b,) * 3))
-        joint = joint.reshape(n, a**3, b**3).view(np.float64).reshape(n, a**3, b**3, 2)
-        x = self.states[:joint.size].reshape(n, a**3, 2, b**3)
-        np.copyto(x, joint.transpose(0, 1, 3, 2))
-        return x
-
-    def __call__(self, rngs: Sequence[np.random.Generator], first_index: int) -> Block:
-        spec = self.spec
-        proto = spec.protocol
-        labels, refs, step_u = _draw(rngs, spec.priors, proto.d_a * proto.d_b, spec.depth)
-        n = len(labels)
-        declared = np.empty(n, dtype=int)
-        path = np.full((n, spec.depth), -1)
-        if isinstance(proto.root, Leaf):
-            declared[:] = proto.root.label
-            return Block(labels, declared, path)
-        todo = [(proto.root, self._states(labels, refs), np.arange(n), 1.0, 0)]
-        while todo:
-            node, x, rows, norm2, level = todo.pop()
-            op = node.plane_action
-            m, r = op.shape[:2]
-            t = len(rows)
-            # every outcome's branch of every trial: (elements, trials, d_a^3 * 2 * d_b^3)
-            out = self.product[:m * x.size]
-            if node.party == ALICE:
-                flat = np.matmul(op[:, None], x.reshape(t, r, -1), out=out.reshape(m, t, r, -1))
-            else:
-                flat = np.matmul(x.reshape(-1, r), op, out=out.reshape(m, -1, r))
-            flat = flat.reshape(m, t, -1)
-            branch_norm2 = np.vecdot(flat, flat)
-            probs = branch_norm2 / norm2
-            idx = _sample(probs, step_u[rows, level], rows, first_index, node.party)
-            path[rows, level] = idx
-            # the trials grouped by outcome, ascending within a group
-            order = idx.argsort(kind="stable")
-            picks = idx[order] * t + order   # the chosen branches' rows of flat
-            chosen = probs.take(picks)
-            rows = rows[order]
-            if chosen.min() < BRANCH_PROB_FLOOR:
-                j = np.argmin(np.where(chosen < BRANCH_PROB_FLOOR, rows, n))   # the first such trial
-                raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
-                                 f"{chosen[j]!r}")
-            if not all(isinstance(child, Leaf) for child in node.successors):
-                # picks are in range: "clip" only skips the buffering of the default mode
-                kept = flat.reshape((m * t,) + x.shape[1:]).take(picks, axis=0, mode="clip", out=x)
-                norm2 = branch_norm2.take(picks)
-            ends = np.bincount(idx, minlength=m).cumsum().tolist()
-            for child, lo, hi in zip(node.successors, [0] + ends, ends):
-                if hi == lo:
-                    continue
-                if isinstance(child, Leaf):
-                    declared[rows[lo:hi]] = child.label
-                else:
-                    todo.append((child, kept[lo:hi], rows[lo:hi], norm2[lo:hi], level + 1))
-        return Block(labels, declared, path)
 
 
 TrialSpec = Union[GlobalTrialSpec, LoccTrialSpec]
@@ -504,30 +498,44 @@ class _State(ISeedSequence):
         return self.row
 
 
+class _Generators(Sequence):
+    """Generators of consecutive trials, each built as it is read from its seed state."""
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, j: int) -> np.random.Generator:
+        return Generator(PCG64(_State(self.states[j])))
+
+
 def _block_rngs(seed: int, start: int, stop: int,
-                size: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
+                size: int) -> Iterator[tuple[int, Sequence[np.random.Generator]]]:
     """(lo, generators of trials lo, lo + 1, ...) for blocks of at most size trials.
 
     Trial i gets the generator default_rng((seed, i)) would give.  The seed
     states are hashed a window at a time; a window ends at each multiple of
-    2^32, and its generators are built one block at a time.
+    2^32, and a generator is built when its block reads it.
     """
     lo = start
     while lo < stop:
         hi = min(stop, lo + _SEED_WINDOW, ((lo >> 32) + 1) << 32)
         states = _seed_states(seed, lo, hi)
         for a in range(0, hi - lo, size):
-            yield lo + a, [Generator(PCG64(_State(row))) for row in states[a:a + size]]
+            yield lo + a, _Generators(states[a:a + size])
         lo = hi
 
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
-    size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
-    # an LOCC walker's arrays serve every block of the chunk and go with it
-    run_block = _Walker(spec, size) if isinstance(spec, LoccTrialSpec) else spec.run_block
+    if isinstance(spec, LoccTrialSpec):
+        size = max(1, BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(spec.nodes)))
+    else:
+        size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
     successes = errors = inconclusive = 0
     for lo, rngs in _block_rngs(seed, start, stop, size):
-        block = run_block(rngs, lo)
+        block = spec.run_block(rngs, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
         successes += hits
@@ -550,21 +558,29 @@ def _chunk_worker(conn, spec: TrialSpec, seed: int, start: int, stop: int) -> No
         conn.close()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
               target: float | None = None) -> BatchStats:
     """Run n independent trials; results do not depend on the worker count.
 
-    The trials are split into min(workers, n) consecutive chunks.  The caller
-    runs the first chunk itself while one forked process per remaining chunk
-    runs the rest and sends its counts back through a pipe.  The results are
-    read in chunk order, a worker's exception is raised in the caller, and
+    The trials are split into min(workers, n, usable CPUs) consecutive
+    chunks, so a batch never starts more processes than the CPUs it may run
+    on.  The caller runs the first chunk itself while one forked process per
+    remaining chunk runs the rest and sends its counts back through a pipe.
+    The results are read in chunk order, a worker's exception is raised in the caller, and
     every pipe is closed and every process reaped before run_batch returns.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int).tolist()
+    bounds = np.linspace(0, n, min(workers, n, _usable_cpus()) + 1, dtype=int).tolist()
     procs, pipes = [], []
     try:
         if len(bounds) > 2:

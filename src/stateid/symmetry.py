@@ -32,6 +32,8 @@ _S3_GROUP = (
     ((1, 2, 0), +1),
     ((2, 0, 1), +1),
 )
+# the permutations alone, in the same order: the index of P_pi in coordinates
+S3_PERMUTATIONS = tuple(perm for perm, _ in _S3_GROUP)
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,25 @@ def _toolkit(d: int) -> SymmetryToolkit:
     _freeze(tk.swap01, tk.swap02, tk.swap12, tk.sym01, tk.sym02, tk.antisym01,
             tk.antisym02, tk.sym3, tk.antisym3, tk.mixed3, tk.swap_diff, tk.swap_sum)
     return tk
+
+
+@lru_cache(maxsize=None)
+def _permutation_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The P_pi on (C^d)^x3 flattened into rows, and the pseudo-inverse of their transpose."""
+    basis = np.array([permutation_operator((d,) * 3, perm).ravel() for perm in S3_PERMUTATIONS])
+    fit = np.linalg.pinv(basis.T)
+    _freeze(basis, fit)
+    return basis, fit
+
+
+def s3_coordinates(op: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k =
+    permutation_operator((d, d, d), S3_PERMUTATIONS[k]), and the largest entry
+    of op - sum_k c[k] P_k.  At d = 2 the P_k are linearly dependent (there is
+    no antisymmetric subspace), and c is the least-norm exact solution."""
+    basis, fit = _permutation_basis(round(op.shape[0] ** (1 / 3)))
+    coords = fit @ op.real.ravel()
+    return coords, float(np.abs(coords @ basis - op.ravel()).max())
 
 
 def swap_references(op: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stateid import simulate, unambiguous
-from stateid.linalg import kron, regroup_operator
+from stateid.linalg import dagger, kron, permutation_operator, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
 from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
     PROB_SUM_ATOL,
+    SPAN_ATOL,
     BatchStats,
     GlobalTrialSpec,
     LoccTrialSpec,
@@ -32,6 +33,7 @@ from stateid.simulate import (
     haar_unitary,
     run_batch,
 )
+from stateid.symmetry import S3_PERMUTATIONS, bipartite_toolkit, s3_coordinates
 from stateid.unambiguous import global_unamb_povm
 
 PMAX_D2_HALF = 0.6443375672974064
@@ -218,12 +220,11 @@ def phased(node, phases: dict):
                            {label: phased(child, phases) for label, child in node.children.items()})
 
 
-def phased_spec(task: str, da: int, db: int, eta1: float) -> LoccTrialSpec:
+def phased_protocol(task: str, da: int, db: int, eta1: float) -> LoccProtocol:
     """A production tree turned complex: its Kraus stacks are complex at every step."""
     spec = make_locc_spec(task, da, db, eta1)
     phases = {party: np.exp(1j * np.arange(1, n + 1)) for party, n in ((ALICE, da**3), (BOB, db**3))}
-    proto = LoccProtocol(da, db, phased(spec.protocol.root, phases))
-    return LoccTrialSpec(proto, spec.priors)
+    return LoccProtocol(da, db, phased(spec.protocol.root, phases))
 
 
 def steps_of(node):
@@ -254,24 +255,23 @@ class TestFactoredEngine:
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     @pytest.mark.parametrize("task,eta1", LOCC_CASES)
-    def test_complex_stacks_match_dense_reference(self, task, eta1, da, db):
-        # the same walker applies the block form of complex Kraus stacks
-        spec = phased_spec(task, da, db, eta1)
-        assert all(np.iscomplexobj(node.kraus) for node in steps_of(spec.protocol.root))
-        for i in range(20):
-            factored = spec.run(np.random.default_rng((11, i)), i)
-            dense = dense_walk(spec, np.random.default_rng((11, i)), i)
-            assert factored == dense
+    def test_phased_tree_is_rejected(self, task, eta1, da, db):
+        # D E D^dag with a diagonal phase D is off the span of the permutation
+        # operators, so no coefficient table exists for it
+        proto = phased_protocol(task, da, db, eta1)
+        assert all(np.iscomplexobj(node.kraus) for node in steps_of(proto.root))
+        root = proto.root.party
+        with pytest.raises(ValueError, match=rf"^{root}'s step at the root: outcome .+ leaves "
+                           rf"{root}'s path product .+ off the span .+\(tolerance 1e-12\)$"):
+            LoccTrialSpec(proto, Priors.from_eta1(eta1))
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_production_stacks_are_real(self, da, db):
-        # the benchmarked trees run on the real products, not the block form
         trees = [locc_protocol(da, db, Priors.from_eta1(eta1)) for eta1 in (0.3, 0.5, 0.7)]
         trees += [unambiguous.locc_protocol(da, db, first) for first in (ALICE, BOB)]
         for tree in trees:
             for node in steps_of(tree.root):
                 assert node.kraus.dtype == np.float64
-                assert node.plane_action.dtype == np.float64
                 assert not node.kraus.flags.writeable
 
     @pytest.mark.parametrize("task,eta1,counts", [
@@ -283,12 +283,65 @@ class TestFactoredEngine:
         assert (stats.successes, stats.errors, stats.inconclusive) == counts
 
 
+def prefix_products(node, a: np.ndarray, b: np.ndarray) -> list:
+    """(A^dag A, B^dag B) of every path prefix of a tree, the root first and
+    then depth first, children in element order."""
+    products = [(dagger(a) @ a, dagger(b) @ b)]
+    if not isinstance(node, Leaf):
+        for k, child in zip(node.kraus, node.successors):
+            if node.party == ALICE:
+                products += prefix_products(child, k @ a, b)
+            else:
+                products += prefix_products(child, a, k @ b)
+    return products
+
+
+class TestInvariantRoute:
+    @settings(max_examples=16, deadline=None)
+    @example(split=(2, 2), eta1=0.5, seed=0)
+    @example(split=(3, 3), eta1=0.7, seed=1)
+    @given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+           eta1=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_prefix_probabilities_match_dense(self, split, eta1, seed):
+        # every prefix of the min-error tree and of both unambiguous trees:
+        # the invariant route against <psi| kron(A^dag A, B^dag B) |psi>, and
+        # the coordinates against the operator they stand for
+        da, db = split
+        priors = Priors.from_eta1(eta1)
+        trees = [locc_protocol(da, db, priors)]
+        trees += [unambiguous.locc_protocol(da, db, first) for first in (ALICE, BOB)]
+        rng = np.random.default_rng(seed)
+        labels = np.array([1, 2, 2, 1])
+        refs = np.array([[haar_state(da * db, rng) for _ in range(2)] for _ in labels])
+        bt = bipartite_toolkit(da, db)
+        states = [bt.state_matrix(kron(pair[label - 1], pair[0], pair[1])).ravel()
+                  for label, pair in zip(labels, refs)]
+        basis = {d: [permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS]
+                 for d in (da, db)}
+        for tree in trees:
+            probs = LoccTrialSpec(tree, priors).weights @ simulate._invariants(labels, refs, da, db)
+            products = prefix_products(tree.root, np.eye(da**3), np.eye(db**3))
+            assert len(products) == len(probs)
+            for row, (aa, bb) in zip(probs, products):
+                joint = kron(aa, bb)
+                dense = [np.vdot(psi, joint @ psi).real for psi in states]
+                assert np.abs(row - dense).max() <= 1e-13
+                for op, d in ((aa, da), (bb, db)):
+                    coords, _ = s3_coordinates(op)
+                    rebuilt = sum(c * perm for c, perm in zip(coords, basis[d]))
+                    assert np.abs(rebuilt - op).max() <= SPAN_ATOL
+
+
+def test_sample_aborts_on_a_nan_probability():
+    # a NaN outcome probability must not fall through to the last element
+    probs = np.array([[0.5, np.nan], [0.5, 0.5]])
+    with pytest.raises(TrialAbort, match=r"^trial 11 at bob: outcome probabilities sum to .*nan"):
+        simulate._sample(probs, np.array([0.3, 0.3]), np.array([0, 1]), 10, "bob")
+
+
 @lru_cache(maxsize=None)
 def block_spec(case: str):
     """Trial specs for the block-engine properties, built once per session."""
-    if case.startswith("phased-"):
-        task, eta1, da, db = case.split("-")[1:]
-        return phased_spec(task, int(da), int(db), float(eta1))
     if case == "global":
         return GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
     if case == "global-rotated":
@@ -300,8 +353,6 @@ def block_spec(case: str):
 
 BLOCK_CASES = ["global", "global-rotated"] + [
     f"{task}-{eta1}-{da}-{db}" for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3), (3, 3)]]
-BLOCK_CASES += [f"phased-{task}-{eta1}-{da}-{db}"
-                for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3)]]
 
 
 def counts_of(records) -> tuple[int, int, int]:
@@ -347,7 +398,7 @@ class AbortFrom:
 
     @property
     def dim(self) -> int:
-        return self.spec.dim
+        return self.spec.protocol.dim
 
     def run_block(self, rngs, first_index=0):
         block = self.spec.run_block(rngs, first_index)
@@ -365,7 +416,7 @@ class ExitInWorker:
 
     @property
     def dim(self) -> int:
-        return self.spec.dim
+        return self.spec.protocol.dim
 
     def run_block(self, rngs, first_index=0):
         if os.getpid() != self.caller:
@@ -424,6 +475,7 @@ class TestRunBatch:
     @pytest.mark.parametrize("n,workers,forked", [(1, 4, None), (3, 5, 2), (50, 2, 1)])
     def test_forks_one_process_per_nonempty_chunk_but_the_first(
             self, monkeypatch, n, workers, forked):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
         starts = []
         start = multiprocessing.context.ForkProcess.start
 
@@ -436,8 +488,25 @@ class TestRunBatch:
         assert len(starts) == (0 if forked is None else forked)
         assert not multiprocessing.active_children()
 
-    def test_abort_in_a_worker_chunk_propagates(self):
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        starts = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def record(proc):
+            starts.append(proc)
+            assert len(starts) == 1, "run_batch started a second process"
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
+        spec = block_spec("minerr-0.5-2-2")
+        assert run_batch(spec, 50, 3, workers=100_000) == run_batch(spec, 50, 3, workers=1)
+        assert len(starts) == 1
+        assert not multiprocessing.active_children()
+
+    def test_abort_in_a_worker_chunk_propagates(self, monkeypatch):
         # chunks are [0, 150) in the caller and [150, 300) in the worker
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         spec = AbortFrom(block_spec("minerr-0.5-2-2"), 200)
         assert run_batch(spec, 150, 0, workers=1).n_trials == 150
         with pytest.raises(TrialAbort, match=r"^trial 200: forced abort"):
@@ -449,7 +518,8 @@ class TestRunBatch:
             run_batch(block_spec("minerr-0.5-2-2"), 10, -1, workers=workers)
         assert not multiprocessing.active_children()
 
-    def test_worker_that_exits_without_a_result_raises(self):
+    def test_worker_that_exits_without_a_result_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         caller = os.getpid()
         spec = ExitInWorker(block_spec("minerr-0.5-2-2"), caller)
 
