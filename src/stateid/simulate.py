@@ -31,11 +31,15 @@ uniforms.  Outcome sampling is inverse-CDF over the ordered element list.
 A chunk of a batch hashes the seeds (seed, i) of a window of trials at once
 (_seed_states) and hands each row to numpy's own PCG64 set-seed.
 
-A batch on several workers is split into consecutive chunks, at most one per
-usable CPU.  The caller runs the first chunk while one forked process per
-further chunk runs the rest and sends its counts back through a pipe.  The
-fork method is named whatever the platform's default, so the workers inherit
-the trial spec and numpy.random instead of unpickling and importing them.
+A batch on several workers is split into consecutive chunks (chunk_bounds),
+at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
+each: a forked worker costs 5-8 ms of CPU and 3-4 ms of wall time, which a
+chunk of fewer trials does not win back.  A batch of one chunk runs in the
+caller and starts no process.  Otherwise the caller runs the first chunk
+while one forked process per further chunk runs the rest and sends its
+counts back through a pipe.  The fork method is named whatever the
+platform's default, so the workers inherit the trial spec and numpy.random
+instead of unpickling and importing them.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ SPAN_ATOL = 1e-12
 # take a few times its probabilities; whole windows as LOCC blocks raised the
 # peak memory of each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
+# Fewest trials per chunk for which run_batch forks.  At the wall-time
+# break-even: two chunks of 500 trials tie with one process (workers 2 against
+# 1 at (2,2) and (3,3): x0.93-1.04 at 1000 trials, x1.03-1.16 at 1500, 2 CPUs,
+# 1 BLAS thread).
+MIN_FORK_CHUNK = 512
 
 
 class TrialAbort(RuntimeError):
@@ -565,22 +574,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def chunk_bounds(n: int, workers: int) -> list[int]:
+    """[0, ..., n]: the bounds of the consecutive chunks of an n-trial batch.
+
+    There are max(1, min(workers, usable CPUs, n // MIN_FORK_CHUNK)) chunks,
+    of sizes that differ by at most one, so each chunk of a batch of several
+    holds at least MIN_FORK_CHUNK trials.
+    """
+    chunks = max(1, min(workers, _usable_cpus(), n // MIN_FORK_CHUNK))
+    return [n * k // chunks for k in range(chunks + 1)]
+
+
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
               target: float | None = None) -> BatchStats:
     """Run n independent trials; results do not depend on the worker count.
 
-    The trials are split into min(workers, n, usable CPUs) consecutive
-    chunks, so a batch never starts more processes than the CPUs it may run
-    on.  The caller runs the first chunk itself while one forked process per
-    remaining chunk runs the rest and sends its counts back through a pipe.
-    The results are read in chunk order, a worker's exception is raised in the caller, and
-    every pipe is closed and every process reaped before run_batch returns.
+    The trials are split into the consecutive chunks of chunk_bounds: never
+    more than the CPUs the batch may run on, and only as many as hold
+    MIN_FORK_CHUNK trials each, because a fork costs 5-8 ms of CPU that
+    smaller chunks do not win back in wall time.  A batch of one chunk runs
+    in the caller and starts no process.  Otherwise the caller runs the
+    first chunk itself while one forked process per remaining chunk runs the
+    rest and sends its counts back through a pipe.  The results are read in
+    chunk order, a worker's exception is raised in the caller, and every
+    pipe is closed and every process reaped before run_batch returns.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    bounds = np.linspace(0, n, min(workers, n, _usable_cpus()) + 1, dtype=int).tolist()
+    bounds = chunk_bounds(n, workers)
     procs, pipes = [], []
     try:
         if len(bounds) > 2:

@@ -21,6 +21,7 @@ from stateid.povm import povm_from_dict
 from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
+    MIN_FORK_CHUNK,
     PROB_SUM_ATOL,
     SPAN_ATOL,
     BatchStats,
@@ -29,6 +30,7 @@ from stateid.simulate import (
     TrialAbort,
     TrialRecord,
     _run_chunk,
+    chunk_bounds,
     haar_state,
     haar_unitary,
     run_batch,
@@ -377,12 +379,13 @@ class TestBlockEngine:
                             for i in range(start, stop))
         assert _run_chunk(spec, seed, start, stop) == singles
 
-    def test_incomplete_locc_step_aborts_the_batch(self):
+    def test_incomplete_locc_step_aborts_the_batch(self, monkeypatch):
         half = MeasurementStep(ALICE, povm_from_dict({0: np.eye(8) / 2}, np.eye(8) / 2),
                                {0: Leaf(0)})
         spec = LoccTrialSpec(LoccProtocol(d_a=2, d_b=2, root=half), EQUAL_PRIORS)
         with pytest.raises(TrialAbort, match=r"^trial 0 at alice: .*sum"):
             run_batch(spec, 300, 0)
+        monkeypatch.setattr(simulate, "MIN_FORK_CHUNK", 1)   # 150-trial chunks fork
         with pytest.raises(TrialAbort, match=r"^trial 0 at alice"):
             run_batch(spec, 300, 0, workers=2)   # raised in the caller's chunk
         with pytest.raises(TrialAbort, match=r"^trial 37 at alice: .*sum"):
@@ -466,16 +469,20 @@ class TestRunBatch:
     @example(n=4, seed=7)
     @given(n=st.integers(1, 60), seed=st.integers(0, 2**63))
     def test_counts_do_not_depend_on_workers(self, n, seed):
-        # below the worker count every chunk is one trial and fewer processes fork
+        # with a fork floor of one trial the batch forks min(workers, usable
+        # CPUs, n) - 1 processes: a chunk per trial when n is the smallest
         spec = block_spec("minerr-0.5-2-2")
         serial = run_batch(spec, n, seed, workers=1)
-        for workers in (2, 3, 5):
-            assert run_batch(spec, n, seed, workers=workers) == serial
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "MIN_FORK_CHUNK", 1)
+            for workers in (2, 3, 5):
+                assert run_batch(spec, n, seed, workers=workers) == serial
 
     @pytest.mark.parametrize("n,workers,forked", [(1, 4, None), (3, 5, 2), (50, 2, 1)])
     def test_forks_one_process_per_nonempty_chunk_but_the_first(
             self, monkeypatch, n, workers, forked):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(simulate, "MIN_FORK_CHUNK", 1)
         starts = []
         start = multiprocessing.context.ForkProcess.start
 
@@ -490,6 +497,7 @@ class TestRunBatch:
 
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "MIN_FORK_CHUNK", 1)
         starts = []
         start = multiprocessing.context.ForkProcess.start
 
@@ -507,10 +515,56 @@ class TestRunBatch:
     def test_abort_in_a_worker_chunk_propagates(self, monkeypatch):
         # chunks are [0, 150) in the caller and [150, 300) in the worker
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "MIN_FORK_CHUNK", 1)
         spec = AbortFrom(block_spec("minerr-0.5-2-2"), 200)
         assert run_batch(spec, 150, 0, workers=1).n_trials == 150
         with pytest.raises(TrialAbort, match=r"^trial 200: forced abort"):
             run_batch(spec, 300, 0, workers=2)
+
+    @pytest.mark.parametrize("workers", [2, 3, 100_000])
+    def test_chunks_below_the_floor_start_no_process(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+
+        def refuse(proc):
+            raise AssertionError("run_batch started a process")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
+        spec = block_spec("minerr-0.5-2-2")
+        n = 2 * MIN_FORK_CHUNK - 1
+        assert run_batch(spec, n, 3, workers=workers) == run_batch(spec, n, 3, workers=1)
+
+    @pytest.mark.parametrize("n,forked", [(2 * MIN_FORK_CHUNK - 1, 0), (2 * MIN_FORK_CHUNK, 1)])
+    def test_forks_at_the_floor(self, monkeypatch, n, forked):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        starts = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def record(proc):
+            starts.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
+        spec = block_spec("minerr-0.5-2-2")
+        parallel = run_batch(spec, n, 5, workers=2)
+        assert len(starts) == forked
+        assert parallel == run_batch(spec, n, 5, workers=1)
+        assert not multiprocessing.active_children()
+
+    @settings(max_examples=200, deadline=None)
+    @example(n=1, workers=1, cpus=1)
+    @example(n=2 * MIN_FORK_CHUNK - 1, workers=2, cpus=2)
+    @example(n=2 * MIN_FORK_CHUNK, workers=2, cpus=2)
+    @example(n=10**12 + 7, workers=100_000, cpus=64)
+    @given(n=st.integers(1, 10**12), workers=st.integers(1, 100_000), cpus=st.integers(1, 64))
+    def test_chunk_bounds_cover_the_batch(self, n, workers, cpus):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            bounds = chunk_bounds(n, workers)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert len(sizes) == max(1, min(workers, cpus, n // MIN_FORK_CHUNK))
+        assert sizes.max() - sizes.min() <= 1
+        assert len(sizes) == 1 or sizes.min() >= MIN_FORK_CHUNK
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejects_negative_seed(self, workers):
@@ -520,6 +574,7 @@ class TestRunBatch:
 
     def test_worker_that_exits_without_a_result_raises(self, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "MIN_FORK_CHUNK", 1)
         caller = os.getpid()
         spec = ExitInWorker(block_spec("minerr-0.5-2-2"), caller)
 

@@ -13,8 +13,10 @@ range over the pairs, and how many pairs the head side won.
 
 It then times `simulate.run_batch` of the head side at workers 1 and 2,
 BATCH_REPS times each, in wall time and CPU time (the caller's and its
-reaped workers'), at n = 2000, 10^4 and 10^5 trials of the seeded (2,2) and
-(3,3) min-error LOCC batches, with 1 BLAS thread, at the first seed.  The
+reaped workers'), at n = 200, 1000, 2000, 10^4 and 10^5 trials of the seeded
+(2,2) and (3,3) min-error LOCC batches, with 1 BLAS thread, at the first
+seed.  Batches below 2 * simulate.MIN_FORK_CHUNK trials run in the caller at
+either worker count, so the sizes fall on both sides of the fork floor.  The
 JSON file also records the CPU count, the BLAS threads and the workers of
 every run.
 """
@@ -37,7 +39,7 @@ PAIRS = 10
 SECONDS = 30.0
 SEEDS = (7, 23)
 BATCH_REPS = 5
-BATCH_SIZES = (2000, 10_000, 100_000)
+BATCH_SIZES = (200, 1000, 2000, 10_000, 100_000)
 # (name, (d_a, d_b), eta1) of the timed run_batch calls: the benchmark's
 # min-error LOCC batches
 BATCHES = (("minerr-locc-2x2", (2, 2), 0.5), ("minerr-locc-3x3", (3, 3), 0.7))
