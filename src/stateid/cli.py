@@ -258,8 +258,8 @@ def _add_sim_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel worker count, at most the usable CPU count; a batch "
                           f"forks only when each chunk holds at least {MIN_FORK_CHUNK} trials "
-                          "(a fork costs 5-8 ms of CPU that fewer trials do not win back) "
-                          "and otherwise runs in one process")
+                          "(a forked worker costs 13-36 ms of CPU that fewer trials do not "
+                          "win back) and otherwise runs in one process")
     sub.add_argument("--baseline", action="store_true",
                      help="include the no-reference-copy baseline value")
 

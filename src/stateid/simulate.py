@@ -6,15 +6,23 @@ Born probabilities of its product state: in one shot for a global POVM, or a
 level at a time down an LOCC tree.  Trials run in blocks: each trial draws its
 own variates, and the block does the rest on stacked arrays.
 
-An LOCC block evolves no state.  A trial follows the path to a node (a prefix
-of the tree) with probability <psi| A^dag A (x) B^dag B |psi>, for Alice's and
-Bob's Kraus products A and B on the path.  Both lie in the real span of their
-party's six permutation operators P_pi (symmetry.s3_coordinates), so the
-probability is sum c_pi e_sigma f(pi, sigma) over the 36 invariants f(pi,
-sigma) = <psi| P_pi^A (x) P_sigma^B |psi>.  For a product of systems s with
-(d_a, d_b) coefficient matrices M_s, f is the product over the cycles (p,
-tau(p), ...) of tau = pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))}
-...), with X_{s,q} = conj(M_s) M_q^T (local-unitary invariants as in E. Rains,
+Neither kind of block forms a product state.  A label-L trial's state psi =
+phi_L (x) phi_1 (x) phi_2 has <psi| P_pi |psi> = 1 for the identity and for
+the swap of the two systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for
+the other four of the six permutation operators P_pi.  The optimal global
+elements lie in the real span of the P_pi (symmetry.s3_coordinates), so
+GlobalTrialSpec keeps, from when it is made, each element's probability on
+each label as a + b s, and a block needs one overlap per trial.
+
+An LOCC block evolves no state either.  A trial follows the path to a node
+(a prefix of the tree) with probability <psi| A^dag A (x) B^dag B |psi>, for
+Alice's and Bob's Kraus products A and B on the path.  Both lie in the real
+span of their party's six P_pi, so the probability is sum c_pi e_sigma
+f(pi, sigma) over the 36 invariants f(pi, sigma) = <psi| P_pi^A (x)
+P_sigma^B |psi>.  For a product of systems s with (d_a, d_b) coefficient
+matrices M_s, f is the product over the cycles (p, tau(p), ...) of tau =
+pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))} ...), with X_{s,q} =
+conj(M_s) M_q^T (local-unitary invariants as in E. Rains,
 arXiv:quant-ph/9704042).  LoccTrialSpec keeps every prefix's (c, e) from when
 it is made; a block computes its invariants, every prefix probability in one
 matrix product, and samples each step from the ratios P(child)/P(step).
@@ -33,11 +41,13 @@ A chunk of a batch hashes the seeds (seed, i) of a window of trials at once
 
 A batch on several workers is split into consecutive chunks (chunk_bounds),
 at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
-each: a forked worker costs 5-8 ms of CPU and 3-4 ms of wall time, which a
-chunk of fewer trials does not win back.  A batch of one chunk runs in the
-caller and starts no process.  Otherwise the caller runs the first chunk
-while one forked process per further chunk runs the rest and sends its
-counts back through a pipe.  The fork method is named whatever the
+each: in a fresh interpreter, which is what the CLI runs, each forked worker
+costs 13-36 ms of CPU, the first one with the import of multiprocessing
+(about 6 ms), which a chunk of fewer trials does not win back in wall time.
+A batch of one chunk runs in the caller, starts no process and does not
+import multiprocessing.  Otherwise the caller runs the first chunk while one
+forked process per further chunk runs the rest and sends its counts back
+through a pipe.  The fork method is named whatever the
 platform's default, so the workers inherit the trial spec and numpy.random
 instead of unpickling and importing them.
 """
@@ -45,7 +55,6 @@ instead of unpickling and importing them.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -63,20 +72,23 @@ from .symmetry import S3_PERMUTATIONS, s3_coordinates
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
-# Largest entry of a prefix product's distance from the span of its party's
-# permutation operators that an LOCC tree may have.
+# Largest entry of a global element's, or of a prefix product's, distance from
+# the span of the permutation operators that a trial spec may have.
 SPAN_ATOL = 1e-12
-# Bytes of a global block's stacked complex states (128 trials at d = 4), of
+# Bytes of a global block's complex references (1024 trials at d = 4), of
 # an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
 # and of a window's seed states (4096 trials).  An LOCC block's other arrays
 # take a few times its probabilities; whole windows as LOCC blocks raised the
 # peak memory of each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
-# Fewest trials per chunk for which run_batch forks.  At the wall-time
-# break-even: two chunks of 500 trials tie with one process (workers 2 against
-# 1 at (2,2) and (3,3): x0.93-1.04 at 1000 trials, x1.03-1.16 at 1500, 2 CPUs,
-# 1 BLAS thread).
-MIN_FORK_CHUNK = 512
+# Fewest trials per chunk for which run_batch forks: the smallest chunk at
+# which two workers beat one in median wall time by more than the spread of
+# the runs, at both (2,2) and (3,3), one batch per fresh interpreter (2 CPUs,
+# 1 BLAS thread).  Two chunks of 3000 trials won x0.84-1.21 at (2,2), within
+# that spread; two of 4000 won x1.09-1.31 at both.  The first fork of a
+# process also loads multiprocessing, and each forked worker cost 13-36 ms of
+# CPU, so one floor for every spec has to repay that on the cheapest trials.
+MIN_FORK_CHUNK = 4000
 
 
 class TrialAbort(RuntimeError):
@@ -180,25 +192,19 @@ def _draw(rngs: Sequence[np.random.Generator], priors: Priors, d: int,
     return np.where(label_u < priors.eta1, 1, 2), refs, step_u
 
 
-def _product_states(labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """kron(input, phi1, phi2) per trial as (n, d, d, d); the label picks the input."""
-    phi1, phi2 = refs[:, 0], refs[:, 1]
-    first = np.where((labels == 1)[:, None], phi1, phi2)
-    return (first[:, :, None] * phi1[:, None, :])[..., None] * phi2[:, None, None, :]
-
-
 def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int,
-            party: str = "") -> np.ndarray:
+            party: str = "", tol: float | np.ndarray = PROB_SUM_ATOL) -> np.ndarray:
     """Inverse-CDF element index per trial; probs is (elements, trials).
 
     rows are the trials' ascending positions in their block, which starts at
     trial first_index.  Raises TrialAbort, naming the first such trial, when a
-    trial's outcome probabilities do not sum to one.
+    trial's outcome probabilities miss one by more than tol (one value for
+    every trial, or one per trial).
     """
     cum = probs.cumsum(axis=0)
-    off = np.abs(cum[-1] - 1.0)
-    if not off.max() <= PROB_SUM_ATOL:   # NaN fails it too
-        j = np.flatnonzero(~(off <= PROB_SUM_ATOL))[0]
+    bad = ~(np.abs(cum[-1] - 1.0) <= tol)   # NaN fails it too
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
         where = f" at {party}" if party else ""
         raise TrialAbort(f"trial {first_index + rows[j]}{where}: outcome probabilities sum to "
                          f"{cum[-1, j]!r}")
@@ -206,29 +212,48 @@ def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int
     return np.minimum((cum <= u).sum(axis=0), len(probs) - 1)
 
 
-def _overlaps(states: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Re <state|image> over the last axis, read on the float views without a
-    conjugate copy."""
-    return np.vecdot(states.view(np.float64), images.view(np.float64))
+def _global_table(povm: Povm) -> np.ndarray:
+    """The table of GlobalTrialSpec."""
+    table = np.empty((2, len(povm.elements), 2))
+    for e, (label, op) in enumerate(povm.elements):
+        c, residual = s3_coordinates(op)
+        if not residual <= SPAN_ATOL:   # NaN fails it too
+            raise ValueError(f"element {label!r} lies {residual:.3e} off the span of the "
+                             f"permutation operators (tolerance {SPAN_ATOL:g})")
+        # systems 0 and L of a label-L trial hold phi_L, and S3_PERMUTATIONS[L]
+        # is their swap: it and the identity read 1, the other four read s
+        a = c[0] + c[1:3]
+        table[:, e] = a, c.sum() - a
+    return table
 
 
 @dataclass(frozen=True)
 class GlobalTrialSpec:
-    """One-shot measurement of a global POVM on the triple space."""
+    """One-shot measurement of a global POVM on the triple space, from a table:
+    element e of the POVM has probability table[0, e, L - 1] + table[1, e, L -
+    1] s on a label-L trial, for s = |<phi_1|phi_2>|^2.  An element off the
+    span of the permutation operators by over SPAN_ATOL: ValueError.
+    """
 
     povm: Povm
     d: int
     priors: Priors
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", _global_table(self.povm))
 
     @property
-    def dim(self) -> int:
-        return self.d**3
+    def block_trials(self) -> int:
+        """Trials per block: their references take BLOCK_STATE_BYTES."""
+        return max(1, BLOCK_STATE_BYTES // (2 * self.d * np.dtype(complex).itemsize))
 
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
         labels, refs, step_u = _draw(rngs, self.priors, self.d, 1)
-        states = _product_states(labels, refs).reshape(len(labels), -1)
-        probs = np.array([_overlaps(states, states @ op.T) for _, op in self.povm.elements])
+        overlap = np.vecdot(refs[:, 0], refs[:, 1])
+        a, b = self.table[:, :, labels - 1]
+        probs = a + b * (overlap.real**2 + overlap.imag**2)
         idx = _sample(probs, step_u[:, 0], np.arange(len(labels)), first_index)
         declared = np.array([int(label) for label in self.povm.labels])[idx]
         return Block(labels, declared, idx[:, None])
@@ -351,12 +376,21 @@ class LoccTrialSpec:
         for name, value in zip(("weights", "nodes", "depth"), _prefixes(self.protocol)):
             object.__setattr__(self, name, value)
 
+    @property
+    def block_trials(self) -> int:
+        """Trials per block: their prefix probabilities take BLOCK_STATE_BYTES."""
+        return max(1, BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(self.nodes)))
+
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
         proto = self.protocol
         labels, refs, step_u = _draw(rngs, self.priors, proto.d_a * proto.d_b, self.depth)
         n = len(labels)
-        probs = self.weights @ _invariants(labels, refs, proto.d_a, proto.d_b)
+        f = _invariants(labels, refs, proto.d_a, proto.d_b)
+        probs = self.weights @ f
+        # each prefix probability sums terms of total size |weights[k]| @ |f|,
+        # and carries a rounding error of about 1e-16 times that size
+        sizes = np.abs(self.weights) @ np.abs(f)
         declared = np.empty(n, dtype=int)
         path = np.full((n, self.depth), -1)
         # (prefix, its trials in ascending order, level), a level at a time
@@ -366,12 +400,11 @@ class LoccTrialSpec:
                 declared[rows] = self.nodes[k]
                 continue
             party, children = self.nodes[k]
-            # probs carry an absolute rounding error of about 1e-15, so the
-            # ratios sum to 1 only within about 1e-15/P(step): a trial that
-            # reaches a prefix of probability below about 1e-7 fails the
-            # PROB_SUM_ATOL guard and aborts the batch
             ratios = probs[children][:, rows] / probs[k, rows]
-            idx = _sample(ratios, step_u[rows, level], rows, first_index, party)
+            # the children must sum to P(step) within PROB_SUM_ATOL times the
+            # size of its terms: in units of P(step), for the ratios
+            tol = PROB_SUM_ATOL * sizes[k, rows] / probs[k, rows]
+            idx = _sample(ratios, step_u[rows, level], rows, first_index, party, tol)
             path[rows, level] = idx
             chosen = ratios[idx, np.arange(len(rows))]
             if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
@@ -538,12 +571,8 @@ def _block_rngs(seed: int, start: int, stop: int,
 
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
-    if isinstance(spec, LoccTrialSpec):
-        size = max(1, BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(spec.nodes)))
-    else:
-        size = max(1, BLOCK_STATE_BYTES // (np.dtype(complex).itemsize * spec.dim))
     successes = errors = inconclusive = 0
-    for lo, rngs in _block_rngs(seed, start, stop, size):
+    for lo, rngs in _block_rngs(seed, start, stop, spec.block_trials):
         block = spec.run_block(rngs, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
@@ -591,13 +620,15 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
 
     The trials are split into the consecutive chunks of chunk_bounds: never
     more than the CPUs the batch may run on, and only as many as hold
-    MIN_FORK_CHUNK trials each, because a fork costs 5-8 ms of CPU that
-    smaller chunks do not win back in wall time.  A batch of one chunk runs
-    in the caller and starts no process.  Otherwise the caller runs the
-    first chunk itself while one forked process per remaining chunk runs the
-    rest and sends its counts back through a pipe.  The results are read in
-    chunk order, a worker's exception is raised in the caller, and every
-    pipe is closed and every process reaped before run_batch returns.
+    MIN_FORK_CHUNK trials each, because in a fresh interpreter a forked
+    worker costs 13-36 ms of CPU, the first one with the import of
+    multiprocessing, that smaller chunks do not win back in wall time.  A
+    batch of one chunk runs in the caller, starts no process and imports no
+    multiprocessing.  Otherwise the caller runs the first chunk itself while
+    one forked process per remaining chunk runs the rest and sends its
+    counts back through a pipe.  The results are read in chunk order, a
+    worker's exception is raised in the caller, and every pipe is closed and
+    every process reaped before run_batch returns.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
@@ -607,7 +638,9 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
     procs, pipes = [], []
     try:
         if len(bounds) > 2:
-            # fork explicitly: the workers inherit the spec and numpy.random
+            # loaded only to fork; fork explicitly: the workers inherit the
+            # spec and numpy.random
+            import multiprocessing
             fork = multiprocessing.get_context("fork")
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 recv, send = fork.Pipe(duplex=False)

@@ -162,22 +162,43 @@ def _toolkit(d: int) -> SymmetryToolkit:
 
 
 @lru_cache(maxsize=None)
-def _permutation_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The P_pi on (C^d)^x3 flattened into rows, and the pseudo-inverse of their transpose."""
-    basis = np.array([permutation_operator((d,) * 3, perm).ravel() for perm in S3_PERMUTATIONS])
-    fit = np.linalg.pinv(basis.T)
-    _freeze(basis, fit)
-    return basis, fit
+def permutation_columns(d: int) -> np.ndarray:
+    """(6, d^3) index map of the P_k = permutation_operator((d, d, d),
+    S3_PERMUTATIONS[k]): row i of P_k holds its one 1 in column
+    permutation_columns(d)[k, i].  For a swap P_k, op @ P_k = op[:, that row]."""
+    n = d**3
+    columns = np.array([np.transpose(np.arange(n).reshape(d, d, d), perm).ravel()
+                        for perm in S3_PERMUTATIONS])
+    _freeze(columns)
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _gram_pinv(d: int) -> np.ndarray:
+    """Pseudo-inverse of the Gram matrix tr(P_i^T P_j) of the P_k: the rows
+    where their 1s share a column, d^c for the c cycles of i^-1 j."""
+    columns = permutation_columns(d)
+    fit = np.linalg.pinv((columns[:, None] == columns[None]).sum(axis=2).astype(float))
+    _freeze(fit)
+    return fit
 
 
 def s3_coordinates(op: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k =
     permutation_operator((d, d, d), S3_PERMUTATIONS[k]), and the largest entry
     of op - sum_k c[k] P_k.  At d = 2 the P_k are linearly dependent (there is
-    no antisymmetric subspace), and c is the least-norm exact solution."""
-    basis, fit = _permutation_basis(round(op.shape[0] ** (1 / 3)))
-    coords = fit @ op.real.ravel()
-    return coords, float(np.abs(coords @ basis - op.ravel()).max())
+    no antisymmetric subspace), and c is the least-norm exact solution.
+
+    c = pinv(G) b for the Gram matrix G and b[k] = Re tr(P_k^T op), each read
+    from op's entries by the index map of the P_k; no P_k is formed."""
+    d = round(op.shape[0] ** (1 / 3))
+    columns = permutation_columns(d)
+    rows = np.arange(d**3)
+    coords = _gram_pinv(d) @ op.real[rows, columns].sum(axis=1)
+    residual = np.array(op)
+    for c, cols in zip(coords, columns):
+        residual[rows, cols] -= c
+    return coords, float(np.abs(residual).max())
 
 
 def swap_references(op: np.ndarray) -> np.ndarray:

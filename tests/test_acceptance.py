@@ -139,7 +139,7 @@ def test_criterion_11_protocol_povm_equivalence():
            f"max per-element flatten defect {worst:.3e} at (2,2) and (2,3)")
 
 
-def test_criterion_12_determinism_across_workers(capsys):
+def test_criterion_12_determinism_across_workers(capsys, forked):
     argv = ["minerr", "--da", "2", "--db", "2", "--eta1", "0.5", "--locc",
             "--simulate", "--n", "3000", "--seed", str(MC_SEED), "--json"]
     assert cli_main(argv + ["--workers", "1"]) == 0
@@ -156,3 +156,4 @@ def test_criterion_12_determinism_across_workers(capsys):
     with capsys.disabled():
         report(12, same_cli and same_lib,
                "identical reports and batch statistics for worker counts 1 and 4")
+    assert forked, "the workers=4 batches started no process"

@@ -257,7 +257,7 @@ class TestOutput:
         code, out = run_cli(capsys, "unamb", "--d", "2")
         assert "all checks passed" in out
 
-    def test_json_deterministic_across_workers(self, capsys):
+    def test_json_deterministic_across_workers(self, capsys, forked):
         argv = ["minerr", "--da", "2", "--db", "2", "--eta1", "0.5", "--locc",
                 "--simulate", "--n", "1000", "--seed", "13", "--json"]
         code1 = main(argv + ["--workers", "1"])
@@ -268,6 +268,7 @@ class TestOutput:
         r1, r4 = json.loads(out1), json.loads(out4)
         r1["config"].pop("workers"), r4["config"].pop("workers")
         assert r1 == r4
+        assert forked, "the --workers 4 batch started no process"
 
     def test_same_seed_byte_identical(self, capsys):
         argv = ["unamb", "--da", "2", "--db", "2", "--simulate", "--n", "500",

@@ -125,6 +125,34 @@ class TestGlobalTrials:
         assert stats.errors == 0
         assert abs(stats.p_hat - 1 / 6) <= 3 * stats.stderr
 
+    @settings(max_examples=12, deadline=None)
+    @example(d=2, eta1=0.5, seed=0)
+    @example(d=4, eta1=0.7, seed=1)
+    @given(d=st.integers(2, 4), eta1=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_table_matches_dense_probabilities(self, d, eta1, seed):
+        # a + b s of every element on both labels against <psi|E|psi> for
+        # psi = phi_L (x) phi_1 (x) phi_2, on the min-error and unambiguous POVMs
+        rng = np.random.default_rng(seed)
+        for povm in (optimal_global_povm(d, Priors.from_eta1(eta1)), global_unamb_povm(d).as_povm()):
+            table = GlobalTrialSpec(povm, d, EQUAL_PRIORS).table
+            for _ in range(3):
+                phi = [haar_state(d, rng) for _ in range(2)]
+                s = abs(np.vdot(phi[0], phi[1])) ** 2
+                for label in (1, 2):
+                    psi = kron(phi[label - 1], phi[0], phi[1])
+                    dense = [np.vdot(psi, op @ psi).real for _, op in povm.elements]
+                    table_probs = table[0, :, label - 1] + table[1, :, label - 1] * s
+                    assert np.abs(table_probs - dense).max() <= 1e-13
+
+    def test_off_span_element_is_rejected(self):
+        # |000><000| is no combination of the permutation operators
+        corner = np.zeros((8, 8))
+        corner[0, 0] = 1.0
+        povm = povm_from_dict({1: corner, 2: np.eye(8) - corner})
+        with pytest.raises(ValueError, match=r"^element 1 lies .+ off the span of the permutation "
+                           r"operators \(tolerance 1e-12\)$"):
+            GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
+
     def test_unitary_invariance(self):
         # rotating references and input by a fixed Haar unitary leaves the
         # success statistics unchanged (the POVM commutes with U x U x U)
@@ -334,6 +362,52 @@ class TestInvariantRoute:
                     assert np.abs(rebuilt - op).max() <= SPAN_ATOL
 
 
+class Scripted:
+    """A stand-in generator that hands out given uniforms and normal vectors in turn."""
+
+    def __init__(self, uniforms, normals):
+        self.uniforms, self.normals = list(uniforms), list(normals)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, size):
+        return self.normals.pop(0)
+
+
+def test_tiny_prefix_samples_like_the_dense_walk(monkeypatch):
+    # nearly equal references (s = 1 - 1e-9) make alice "sym", bob "mixed" a
+    # prefix of probability about 3e-10, whose children sum to it only within
+    # about 1e-7 of it; a step uniform that falls in that branch must still
+    # sample bob's next step, and declare what the dense walk declares
+    spec = make_locc_spec("unamb", 2, 2, 0.5)
+    rng = np.random.default_rng(3)
+    phi1, chi = haar_state(4, rng), haar_state(4, rng)
+    chi -= np.vdot(phi1, chi) * phi1
+    phi2 = phi1 + 3.2e-5 * chi / np.linalg.norm(chi)
+    phi2 /= np.linalg.norm(phi2)
+    assert 1e-10 < 1 - abs(np.vdot(phi1, phi2)) ** 2 < 1e-8
+    refs = np.array([[phi1, phi2]])
+    probs = spec.weights @ simulate._invariants(np.array([1]), refs, 2, 2)[:, 0]
+    _, (sym, _, _) = spec.nodes[0]
+    _, bob = spec.nodes[sym]
+    tiny = bob[2]
+    assert spec.nodes[tiny][0] == BOB and 0 < probs[tiny] < 1e-7
+    _, last = spec.nodes[tiny]
+    # alice's "sym", then the middle of bob's "mixed", then the middle of the
+    # widest interval of bob's last step
+    widest = np.argmax(probs[last])
+    u = [probs[sym] / 2, 1 - probs[tiny] / probs[sym] / 2,
+         (probs[last][:widest].sum() + probs[last][widest] / 2) / probs[tiny]]
+    u += [0.5] * (spec.depth - len(u))
+    monkeypatch.setattr(simulate, "_draw",
+                        lambda rngs, priors, d, depth: (np.array([1]), refs, np.array([u])))
+    record = spec.run(None, 0)
+    assert record.transcript[:2] == ((ALICE, "sym"), (BOB, "mixed"))
+    assert record == dense_walk(spec, Scripted([0.0] + u, [phi1.real, phi1.imag,
+                                                          phi2.real, phi2.imag]), 0)
+
+
 def test_sample_aborts_on_a_nan_probability():
     # a NaN outcome probability must not fall through to the last element
     probs = np.array([[0.5, np.nan], [0.5, 0.5]])
@@ -400,8 +474,8 @@ class AbortFrom:
     first: int
 
     @property
-    def dim(self) -> int:
-        return self.spec.protocol.dim
+    def block_trials(self) -> int:
+        return self.spec.block_trials
 
     def run_block(self, rngs, first_index=0):
         block = self.spec.run_block(rngs, first_index)
@@ -418,8 +492,8 @@ class ExitInWorker:
     caller: int
 
     @property
-    def dim(self) -> int:
-        return self.spec.protocol.dim
+    def block_trials(self) -> int:
+        return self.spec.block_trials
 
     def run_block(self, rngs, first_index=0):
         if os.getpid() != self.caller:
@@ -460,6 +534,16 @@ class TestBulkSeeding:
     def test_negative_seed_keeps_numpy_error(self):
         with pytest.raises(ValueError):
             next(simulate._block_rngs(-1, 0, 4, 4))
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports stateid from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRunBatch:
@@ -533,7 +617,8 @@ class TestRunBatch:
         n = 2 * MIN_FORK_CHUNK - 1
         assert run_batch(spec, n, 3, workers=workers) == run_batch(spec, n, 3, workers=1)
 
-    @pytest.mark.parametrize("n,forked", [(2 * MIN_FORK_CHUNK - 1, 0), (2 * MIN_FORK_CHUNK, 1)])
+    @pytest.mark.parametrize("n,forked", [(2 * MIN_FORK_CHUNK - 1, 0), (2 * MIN_FORK_CHUNK, 1)],
+                             ids=["below", "at"])
     def test_forks_at_the_floor(self, monkeypatch, n, forked):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         starts = []
@@ -593,13 +678,15 @@ class TestRunBatch:
 
     def test_import_loads_numpy_random(self):
         # forked batch workers inherit numpy.random instead of importing it
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        code = "import sys, stateid.simulate; assert 'numpy.random' in sys.modules"
-        proc = subprocess.run([sys.executable, "-c", code], cwd=root,
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        run_python("import sys, stateid.simulate; assert 'numpy.random' in sys.modules")
+
+    def test_batch_below_the_floor_does_not_load_multiprocessing(self):
+        run_python("import sys, stateid.cli\n"
+                   "from stateid import minerr, simulate\n"
+                   "priors = minerr.EQUAL_PRIORS\n"
+                   "spec = simulate.LoccTrialSpec(minerr.locc_protocol(2, 2, priors), priors)\n"
+                   "simulate.run_batch(spec, 2 * simulate.MIN_FORK_CHUNK - 1, 7, workers=2)\n"
+                   "assert 'multiprocessing' not in sys.modules, 'multiprocessing is loaded'")
 
     def test_single_trial(self):
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
@@ -620,11 +707,12 @@ class TestRunBatch:
             run_batch(block_spec("minerr-0.5-2-2"), 10, 7, workers=workers)
         assert starts == []
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, forked):
         spec = LoccTrialSpec(locc_protocol(2, 2, EQUAL_PRIORS), EQUAL_PRIORS)
         serial = run_batch(spec, 2_000, 17, workers=1)
         parallel = run_batch(spec, 2_000, 17, workers=4)
         assert serial == parallel
+        assert forked, "the workers=4 batch started no process"
 
     def test_counts_are_consistent(self):
         spec = GlobalTrialSpec(optimal_global_povm(3, EQUAL_PRIORS), 3, EQUAL_PRIORS)

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from stateid.linalg import hermitian_eig, kron, permutation_operator, regroup_operator
 from stateid.symmetry import (
+    S3_PERMUTATIONS,
     bipartite_toolkit,
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    s3_coordinates,
     swap_references,
 )
 
@@ -146,6 +148,25 @@ def test_swap_references_matches_dense_conjugation(d, seed):
     op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     t12 = permutation_operator((d,) * 3, (0, 2, 1))
     assert np.array_equal(swap_references(op), t12 @ op @ t12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**63))
+def test_s3_coordinates_match_dense_least_squares(d, seed):
+    # the index-map fit against pinv of the dense basis, on a point of the
+    # span and on one pushed off it by a random operator of size 1e-6
+    rng = np.random.default_rng(seed)
+    basis = np.array([permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS])
+    fit = np.linalg.pinv(basis.reshape(6, -1).T)
+    on_span = np.tensordot(rng.standard_normal(6), basis, 1)
+    off_span = on_span + 1e-6 * rng.standard_normal(on_span.shape)
+    for op in (on_span, off_span):
+        coords, residual = s3_coordinates(op)
+        dense = fit @ op.ravel()
+        assert np.abs(coords - dense).max() <= 1e-13
+        assert residual == pytest.approx(np.abs(np.tensordot(dense, basis, 1) - op).max(),
+                                         rel=1e-6, abs=1e-14)
+    assert s3_coordinates(on_span)[1] <= 1e-13 < s3_coordinates(off_span)[1]
 
 
 class TestBipartite:

@@ -138,6 +138,17 @@ class TestSuccessProbability:
         with pytest.raises(ValueError, match="exchange symmetry"):
             tweaked.validate()
 
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_validate_flags_a_small_leak(self, d):
+        # moving 1e-9 sym3 from E0 into both conclusive elements keeps them
+        # PSD, complete and exchange-symmetric; only E1 sym02 = 1e-9 sym3 and
+        # E2 sym01 = 1e-9 sym3 break, by 1e-9 at the sym3 entry <000|.|000>
+        good, sym3 = global_unamb_povm(d), build_toolkit(d).sym3
+        leaky = UnambPovm(e1=good.e1 + 1e-9 * sym3, e2=good.e2 + 1e-9 * sym3,
+                          e0=good.e0 - 2e-9 * sym3)
+        with pytest.raises(ValueError, match=r"^e1 violates the no-error condition \(leak 1\.000e-09\)"):
+            leaky.validate()
+
 
 class TestFeasibility:
     def test_boundary(self):

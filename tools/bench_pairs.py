@@ -13,12 +13,12 @@ range over the pairs, and how many pairs the head side won.
 
 It then times `simulate.run_batch` of the head side at workers 1 and 2,
 BATCH_REPS times each, in wall time and CPU time (the caller's and its
-reaped workers'), at n = 200, 1000, 2000, 10^4 and 10^5 trials of the seeded
-(2,2) and (3,3) min-error LOCC batches, with 1 BLAS thread, at the first
-seed.  Batches below 2 * simulate.MIN_FORK_CHUNK trials run in the caller at
-either worker count, so the sizes fall on both sides of the fork floor.  The
-JSON file also records the CPU count, the BLAS threads and the workers of
-every run.
+reaped workers'), at each of BATCH_SIZES trials of the seeded (2,2) and
+(3,3) min-error LOCC batches and of the d = 4 min-error global batch, with 1
+BLAS thread, at the first seed, one batch per fresh interpreter.  Batches
+below 2 * simulate.MIN_FORK_CHUNK trials run in the caller at either worker
+count, so the sizes fall on both sides of the fork floor.  The JSON file also
+records the CPU count, the BLAS threads and the workers of every run.
 """
 
 from __future__ import annotations
@@ -39,19 +39,26 @@ PAIRS = 10
 SECONDS = 30.0
 SEEDS = (7, 23)
 BATCH_REPS = 5
-BATCH_SIZES = (200, 1000, 2000, 10_000, 100_000)
-# (name, (d_a, d_b), eta1) of the timed run_batch calls: the benchmark's
-# min-error LOCC batches
-BATCHES = (("minerr-locc-2x2", (2, 2), 0.5), ("minerr-locc-3x3", (3, 3), 0.7))
+# 4000 is a benchmark batch; 7000 and 9000 lie on both sides of
+# 2 * MIN_FORK_CHUNK = 8000
+BATCH_SIZES = (200, 1000, 2000, 4000, 7000, 9000, 10_000, 100_000)
+# (name, (d_a, d_b) of an LOCC batch or (d,) of a global one, eta1) of the
+# timed run_batch calls: the benchmark's min-error batches
+BATCHES = (("minerr-locc-2x2", (2, 2), 0.5), ("minerr-locc-3x3", (3, 3), 0.7),
+           ("minerr-global-d4", (4,), 0.5))
 
-# Times run_batch in a fresh interpreter: argv is the batch's d_a, d_b, eta1,
-# n, workers, seed; prints {"wall_s", "cpu_s", "counts"}.
+# Times run_batch in a fresh interpreter: argv is the batch's eta1, n,
+# workers, seed and dimensions; prints {"wall_s", "cpu_s", "counts"}.
 TIME_BATCH = """
 import json, resource, sys, time
 from stateid import minerr, simulate
-d_a, d_b, eta1, n, workers, seed = sys.argv[1:]
+eta1, n, workers, seed, *dims = sys.argv[1:]
 priors = minerr.Priors.from_eta1(float(eta1))
-spec = simulate.LoccTrialSpec(minerr.locc_protocol(int(d_a), int(d_b), priors), priors)
+if len(dims) == 1:
+    d = int(dims[0])
+    spec = simulate.GlobalTrialSpec(minerr.optimal_global_povm(d, priors), d, priors)
+else:
+    spec = simulate.LoccTrialSpec(minerr.locc_protocol(*map(int, dims), priors), priors)
 def cpu():
     usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     return sum(u.ru_utime + u.ru_stime for u in usage)
@@ -119,12 +126,12 @@ def time_batches(checkout: Path, seed: int, reps: int) -> dict:
     env = {**os.environ, **dict.fromkeys(BLAS_VARS, "1"),
            "PYTHONPATH": str(checkout / "src")}
     out = {}
-    for name, (d_a, d_b), eta1 in BATCHES:
+    for name, dims, eta1 in BATCHES:
         for n in BATCH_SIZES:
             runs: dict[int, list] = {1: [], 2: []}
             for _ in range(reps):
                 for workers in runs:
-                    argv = [str(d_a), str(d_b), str(eta1), str(n), str(workers), str(seed)]
+                    argv = [str(eta1), str(n), str(workers), str(seed), *map(str, dims)]
                     proc = subprocess.run([sys.executable, "-c", TIME_BATCH, *argv], env=env,
                                           capture_output=True, text=True, check=True)
                     runs[workers].append(json.loads(proc.stdout))
