@@ -26,9 +26,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checks, minerr, unambiguous
+from .linalg import hermitian_eigenvalues
 from .minerr import Priors
 from .simulate import MIN_FORK_CHUNK, GlobalTrialSpec, LoccTrialSpec, run_batch
 from .symmetry import dimension_table
@@ -181,8 +180,8 @@ def cmd_unamb(args) -> int:
         report["checks"].append(separable)
         report["checks"].append(checks.row(
             "feasibility_boundary_gamma", 1.0,
-            float(np.linalg.eigvalsh(
-                unambiguous.mixed_block_operator(args.da, args.db, 0.5, 0.5)).max()),
+            float(hermitian_eigenvalues(
+                unambiguous.mixed_block_operator(args.da, args.db, 0.5, 0.5))[0]),
             tol=1e-9))
         report["checks"].append(gap)
 

@@ -3,6 +3,19 @@ eigendecomposition, spectral projectors, PSD square roots, and tensor-factor
 permutations (as index maps, and as dense 0/1 operators for the symmetry
 toolkit and for tests).
 
+Every eigensolve runs on the exact invariant blocks of its matrix: the
+connected components of the matrix's symmetrized nonzero pattern, grouped by
+size, one batched LAPACK call per group.  A matrix whose entries outside the
+blocks are exactly zero is the direct sum of its blocks, so its spectrum is
+the union of theirs, and every spectral function (the positive-part
+projector, the square root) acts block by block; nothing is approximated.
+The operators of this package are sums of products of tensor-factor
+permutations, which keep exact zeros, so their blocks are small: at most 6
+indices for the gain operator on (C^d)^x3 and at most 36 for an element of
+a bipartite split (one S3 orbit of each party's indices; Schur-Weyl duality,
+A. Harrow, arXiv:quant-ph/0512255).  Below BLOCK_MIN_DIM the whole matrix is
+the one block.
+
 The global basis convention used everywhere in this package: the index of a
 basis vector of a tensor-product space is the mixed-radix number over the
 factors in declared order, most significant first.
@@ -19,6 +32,13 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 CLASSIFY_TOL = 1e-9
+# Below this dimension a matrix is solved as one block, without the component
+# search.  On 2 vCPUs with 1 BLAS thread the search costs 55-100 us at
+# n = 8..64, about as much as a dense eigvalsh at n = 64 (130-170 us) and
+# several times one at n = 8 (10 us) or 27 (35 us).  At n = 64 the blocked
+# positive-part projector already wins (325 against 397 us) and blocked
+# eigenvalues tie (217 against 188 us); at n = 125 both win by 2.4-3.6x.
+BLOCK_MIN_DIM = 64
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -26,18 +46,34 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def hermiticity_defect(h: np.ndarray) -> float:
-    """Max entrywise |H - H^dag| relative to the largest entry magnitude."""
-    scale = np.abs(h).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(h - dagger(h)).max() / scale)
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def _check_hermitian(stacks: Sequence[np.ndarray]) -> None:
+    """Raise unless each matrix is finite and hermitian.
+
+    stacks hold the blocks of each matrix on their last three axes, after the
+    matrices' own leading axes.  A matrix passes when its max entrywise
+    |H - H^dag| is at most HERMITIAN_RTOL times its largest entry magnitude.
+    """
+    if not all(np.isfinite(s).all() for s in stacks):
+        raise ValueError("matrix has non-finite entries")
+    defect = max(np.abs(s - _adjoint(s)).max() for s in stacks)
+    if defect == 0.0:   # exactly hermitian, whatever the scale
+        return
+    if stacks[0].ndim > 3:   # each matrix of a stack against its own scale
+        for matrix in np.ndindex(stacks[0].shape[:-3]):
+            _check_hermitian([s[matrix] for s in stacks])
+        return
+    scale = max(np.abs(s).max() for s in stacks)
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise ValueError(f"matrix is not hermitian (relative defect {defect / scale:.3e})")
 
 
 def assert_hermitian(h: np.ndarray) -> None:
-    defect = hermiticity_defect(h)
-    if defect > HERMITIAN_RTOL:
-        raise ValueError(f"matrix is not hermitian (relative defect {defect:.3e})")
+    _check_hermitian([h[..., None, :, :]])
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -45,6 +81,76 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     out = np.asarray(ops[0])
     for op in ops[1:]:
         out = np.kron(out, op)
+    return out
+
+
+def invariant_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """The connected components of h's symmetrized nonzero pattern, by size.
+
+    One (components, size) index array per component size; indices ascend
+    within a component, and components by their least index.  h is zero
+    outside these blocks, so it is the direct sum of its submatrices on them.
+    A stack (..., n, n) has the union of its matrices' patterns.  Below
+    BLOCK_MIN_DIM the whole index range is the one block.
+    """
+    n = h.shape[-1]
+    if n < BLOCK_MIN_DIM:
+        return [np.arange(n)[None]]
+    pattern = (h != 0).reshape(-1, n, n).any(axis=0)
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    # every index takes the least label of its neighbours, then that label's
+    # own label; labels only fall, and stop at each component's least index
+    label = np.arange(n)
+    while True:
+        lower = np.minimum.reduceat(label[cols], starts)
+        lower = lower[lower]
+        if (lower == label).all():
+            break
+        label = lower
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=n)[label[order]]
+    return [order[size == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
+
+
+def _block_spectra(h: np.ndarray, vectors: bool) -> list[tuple]:
+    """(index, eigenvalues, eigenvectors or None) per group of invariant blocks.
+
+    h is a matrix or a stack (..., n, n) of them.  Each group of equal-size
+    blocks is one batched eigh or eigvalsh call, whose results carry h's
+    leading axes, with eigenvalues ascending within each block.  Raises for a
+    non-finite or non-hermitian matrix: the blocks hold every nonzero entry
+    of h and of h^dag, so their defect is the whole matrix's.
+    """
+    groups = invariant_blocks(h)
+    if groups[0].shape == (1, h.shape[-1]):   # one block: the whole of h, in order
+        stacks = [h[..., None, :, :]]
+    else:
+        stacks = [h[..., index[:, :, None], index[:, None, :]] for index in groups]
+    _check_hermitian(stacks)
+    if vectors:
+        return [(index, *np.linalg.eigh(s)) for index, s in zip(groups, stacks)]
+    return [(index, np.linalg.eigvalsh(s), None) for index, s in zip(groups, stacks)]
+
+
+def _eigenvalues(spectra: list[tuple]) -> np.ndarray:
+    """All eigenvalues of the spectra, block after block, on the last axis."""
+    return np.concatenate([w.reshape(*w.shape[:-2], -1) for _, w, _ in spectra], axis=-1)
+
+
+def _assemble(h: np.ndarray, spectra: list[tuple], f) -> np.ndarray:
+    """The hermitian matrix V f(w) V^dag of h's spectra, formed block by block."""
+    blocks = []
+    for _, w, v in spectra:
+        block = (v * f(w)[:, None, :]) @ _adjoint(v)
+        blocks.append((block + _adjoint(block)) / 2)
+    if len(blocks) == 1 and len(blocks[0]) == 1:   # one block: the whole of h
+        return blocks[0][0]
+    out = np.zeros(h.shape, dtype=blocks[0].dtype)
+    for (index, _, _), block in zip(spectra, blocks):
+        out[index[:, :, None], index[:, None, :]] = block
     return out
 
 
@@ -60,11 +166,24 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of each of a stack (..., n, n),
+    descending; no eigenvectors are formed."""
+    return np.sort(_eigenvalues(_block_spectra(h, vectors=False)), axis=-1)[..., ::-1]
+
+
 def hermitian_eig(h: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    assert_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    spectra = _block_spectra(h, vectors=True)
+    w = _eigenvalues(spectra)
+    v = np.zeros(h.shape, dtype=spectra[0][2].dtype)
+    start = 0
+    for index, w_block, v_block in spectra:
+        columns = start + np.arange(w_block.size).reshape(w_block.shape)
+        v[index[:, :, None], columns[:, None, :]] = v_block
+        start += w_block.size
+    order = np.argsort(-w, kind="stable")
+    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def positive_part_projector(h: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
@@ -73,19 +192,17 @@ def positive_part_projector(h: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndar
     Raises if any eigenvalue falls in the ambiguous band [tol/10, tol]: the
     caller must then pick a tolerance that cleanly separates the spectrum.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    spec = hermitian_eig(h)
-    w = spec.eigenvalues
+    spectra = _block_spectra(h, vectors=True)
+    w = _eigenvalues(spectra)
     in_band = (w >= tol / 10) & (w <= tol)
     if in_band.any():
         raise ValueError(
             f"eigenvalues {w[in_band]} fall in the classification band "
             f"[{tol / 10:.1e}, {tol:.1e}]; adjust tol"
         )
-    cols = spec.eigenvectors[:, w > tol]
-    p = cols @ dagger(cols)
-    return (p + dagger(p)) / 2
+    return _assemble(h, spectra, lambda w: (w > tol).astype(float))
 
 
 def psd_sqrt(e: np.ndarray) -> np.ndarray:
@@ -93,13 +210,11 @@ def psd_sqrt(e: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below raises.
     """
-    spec = hermitian_eig(e)
-    w = spec.eigenvalues
-    if w.min(initial=0.0) < PSD_EIG_FLOOR:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
-    v = spec.eigenvectors
-    k = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    return (k + dagger(k)) / 2
+    spectra = _block_spectra(e, vectors=True)
+    low = _eigenvalues(spectra).min()
+    if not low >= PSD_EIG_FLOOR:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {low:.3e})")
+    return _assemble(e, spectra, lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, kron, positive_part_projector
+from .linalg import hermitian_eigenvalues, kron, positive_part_projector
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
 from .symmetry import (SymmetryToolkit, bipartite_toolkit, build_toolkit, dimension_table,
@@ -95,7 +95,7 @@ def max_success_global(d: int, priors: Priors) -> float:
 
 def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
     """Oracle route: eta2 + (sum of positive gain eigenvalues) / (d1*d2)."""
-    w = hermitian_eig(gain_operator(d, priors)).eigenvalues
+    w = hermitian_eigenvalues(gain_operator(d, priors))
     table = dimension_table(d)
     return priors.eta2 + float(w[w > 0].sum()) / (d * table.sym2)
 

@@ -7,7 +7,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .linalg import PSD_EIG_FLOOR, assert_hermitian
+from .linalg import PSD_EIG_FLOOR, hermitian_eigenvalues
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -48,18 +48,22 @@ class Povm:
         raise KeyError(f"no element labeled {label!r}")
 
     def validate(self) -> None:
-        """Check hermiticity and positivity of each element and completeness."""
-        total = np.zeros_like(self.support, dtype=complex)
+        """Check hermiticity and positivity of each element and completeness.
+
+        The elements' eigenvalues come from one call on their stack, and their
+        sum is formed in their own dtype.  Every guard is written so that a NaN
+        fails it too.
+        """
         for label, op in self.elements:
             if op.shape != self.support.shape:
                 raise ValueError(f"element {label!r} has shape {op.shape}")
-            assert_hermitian(op)
-            low = np.linalg.eigvalsh(op).min()
-            if low < PSD_EIG_FLOOR:
+        ops = np.stack([op for _, op in self.elements])
+        for (label, _), low in zip(self.elements, hermitian_eigenvalues(ops)[:, -1]):
+            if not low >= PSD_EIG_FLOOR:
                 raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
-            total = total + op
+        total = ops.sum(axis=0)
         defect = np.abs(total - self.support).max()
-        if defect > COMPLETENESS_ATOL:
+        if not defect <= COMPLETENESS_ATOL:
             raise ValueError(f"elements do not sum to the support (max defect {defect:.3e})")
 
 

@@ -197,8 +197,9 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
     """Assemble the separable family member for the given coefficients.
 
     Elements come back in the system-major basis; the inconclusive element's
-    positivity is verified by full eigendecomposition (the feasibility bound
-    is the analytic statement of the same fact, so this catches assembly bugs).
+    positivity is verified by its eigenvalues, solved exactly on its invariant
+    blocks of at most 36 indices (the feasibility bound is the analytic
+    statement of the same fact, so this catches assembly bugs).
 
     The result is cached per (d_a, d_b, coeffs), up to SEPARABLE_CACHE_SIZE
     entries, and validated once, when it is built: equal arguments return the

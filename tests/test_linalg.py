@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stateid import linalg, minerr, unambiguous
 from stateid.linalg import (
+    assert_hermitian,
     hermitian_eig,
+    hermitian_eigenvalues,
+    invariant_blocks,
     kron,
     permutation_operator,
     positive_part_projector,
     psd_sqrt,
     regroup_operator,
 )
+from stateid.povm import povm_from_dict
 
 RNG = np.random.default_rng(20260810)
 
@@ -197,3 +204,220 @@ class TestRegrouping:
         regrouped = r.T @ kron(xa, xb) @ r
         # conjugating back must reproduce kron exactly
         assert np.abs(r @ regrouped @ r.T - kron(xa, xb)).max() < 1e-12
+
+
+BAD_VALUES = (math.nan, math.inf, -math.inf)
+
+
+def bad_matrix(n, value, where):
+    """A real symmetric n x n matrix with one non-finite entry (or a mirrored pair)."""
+    h = rand_hermitian(n).real
+    i, j = (0, 0) if where == "diagonal" else (0, n - 1)
+    h[i, j] = value
+    if where == "mirrored":
+        h[j, i] = value
+    return h
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("n", [8, 72])
+    @pytest.mark.parametrize("where", ["diagonal", "one-sided", "mirrored"])
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("fn", [assert_hermitian, hermitian_eig, hermitian_eigenvalues,
+                                    positive_part_projector, psd_sqrt])
+    def test_rejected(self, fn, value, where, n):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(bad_matrix(n, value, where))
+
+    @pytest.mark.parametrize("value", BAD_VALUES + (complex(0.0, math.inf),))
+    def test_complex_entry_rejected(self, value):
+        h = rand_hermitian(4)
+        h[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(h)
+
+    @pytest.mark.parametrize("n", [8, 72])
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_povm_validate_rejects(self, value, n):
+        h = np.diag(np.linspace(0.0, 1.0, n))
+        h[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            povm_from_dict({1: h, 2: np.eye(n) - h}).validate()
+
+    def test_povm_validate_rejects_nan_support(self):
+        p = np.diag([1.0, 0.0])
+        support = np.diag([1.0, math.nan])
+        with pytest.raises(ValueError, match="do not sum"):
+            povm_from_dict({1: p, 2: np.zeros((2, 2))}, support).validate()
+
+
+# --- block eigensolves against the dense reference ---------------------------
+
+SIZES = st.lists(st.integers(1, 9), min_size=1, max_size=14)
+# the component search runs at every size with floor 1, and only from
+# BLOCK_MIN_DIM with the module's own floor
+FLOORS = st.sampled_from([1, linalg.BLOCK_MIN_DIM])
+
+
+def scrambled_blocks(seed, sizes, is_complex, spectrum=None):
+    """A hermitian direct sum of random blocks of the given sizes, with its
+    indices permuted at random.  spectrum, if given, maps a block size and a
+    generator to that block's eigenvalues (else they are random)."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    h = np.zeros((n, n), complex if is_complex else float)
+    start = 0
+    for s in sizes:
+        z = rng.standard_normal((s, s))
+        if is_complex:
+            z = z + 1j * rng.standard_normal((s, s))
+        if spectrum is None:
+            block = (z + z.conj().T) / 2
+        else:
+            q, _ = np.linalg.qr(z)
+            block = (q * spectrum(s, rng)) @ q.conj().T
+            block = (block + block.conj().T) / 2
+        h[start:start + s, start:start + s] = block
+        start += s
+    perm = rng.permutation(n)
+    return h[np.ix_(perm, perm)], perm
+
+
+def degenerate(s, rng):
+    return rng.choice([-1.0, 0.0, 2.0], size=s)
+
+
+def psd(s, rng):
+    return rng.choice([0.0, 0.25, 1.0, 4.0], size=s)
+
+
+def dense_function(h, f):
+    w, v = np.linalg.eigh(h)
+    return (v * f(w)) @ v.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63), sizes=SIZES, is_complex=st.booleans(),
+       spread=st.sampled_from(["random", "degenerate"]), floor=FLOORS)
+def test_eigenvalues_match_dense(seed, sizes, is_complex, spread, floor):
+    h, _ = scrambled_blocks(seed, sizes, is_complex, degenerate if spread == "degenerate" else None)
+    ref = np.linalg.eigvalsh(h)[::-1]
+    scale = max(1.0, np.abs(ref).max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
+        w = hermitian_eigenvalues(h)
+        spec = hermitian_eig(h)
+    assert np.abs(w - ref).max() <= 1e-12 * scale
+    assert np.abs(spec.eigenvalues - ref).max() <= 1e-12 * scale
+    v = spec.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(len(h))).max() < 1e-12
+    assert np.abs((v * spec.eigenvalues) @ v.conj().T - h).max() < 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63), sizes=SIZES, is_complex=st.booleans(),
+       spread=st.sampled_from(["random", "degenerate"]), floor=FLOORS)
+def test_positive_part_projector_matches_dense(seed, sizes, is_complex, spread, floor):
+    h, _ = scrambled_blocks(seed, sizes, is_complex, degenerate if spread == "degenerate" else None)
+    ref = dense_function(h, lambda w: (w > linalg.CLASSIFY_TOL).astype(float))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
+        p = positive_part_projector(h)
+    assert np.abs(p - ref).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63), sizes=SIZES, is_complex=st.booleans(), floor=FLOORS)
+def test_psd_sqrt_matches_dense(seed, sizes, is_complex, floor):
+    e, _ = scrambled_blocks(seed, sizes, is_complex, psd)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
+        k = psd_sqrt(e)
+    assert np.abs(k @ k - e).max() < 1e-12 * max(1.0, np.abs(e).max())
+    assert np.abs(k - k.conj().T).max() == 0.0
+    # kernel eigenvalues of order 1e-16 become square roots of order 1e-8
+    assert np.abs(k - dense_function(e, lambda w: np.sqrt(np.clip(w, 0.0, None)))).max() < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), sizes=SIZES, is_complex=st.booleans(), floor=FLOORS,
+       pick=st.integers(0, 2**32))
+def test_band_raised_from_one_block(seed, sizes, is_complex, floor, pick):
+    # one block carries an eigenvalue in the classification band, the others are clear of it
+    chosen = pick % len(sizes)
+    calls = iter(range(len(sizes)))
+
+    def spectrum(s, rng):
+        w = rng.choice([-1.0, 1.0], size=s)
+        if next(calls) == chosen:
+            w[rng.integers(s)] = 5e-10
+        return w
+
+    h, _ = scrambled_blocks(seed, sizes, is_complex, spectrum)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
+        with pytest.raises(ValueError, match="classification band"):
+            positive_part_projector(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), sizes=st.lists(st.integers(1, 9), min_size=2, max_size=14),
+       is_complex=st.booleans(), floor=FLOORS, pick=st.integers(0, 2**32))
+def test_one_sided_off_block_entry_fails(seed, sizes, is_complex, floor, pick):
+    h, perm = scrambled_blocks(seed, sizes, is_complex)
+    # perm[i] is the direct-sum index that scrambled index i carries
+    block_of = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    i = pick % len(h)
+    j = int(np.flatnonzero(block_of != block_of[i])[pick % np.sum(block_of != block_of[i])])
+    h[i, j] = 1e-3 * np.abs(h).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
+        for fn in (hermitian_eigenvalues, hermitian_eig, positive_part_projector):
+            with pytest.raises(ValueError, match="not hermitian"):
+                fn(h)
+
+
+@pytest.mark.parametrize("n", [5, 80])
+def test_zero_matrix(n):
+    z = np.zeros((n, n))
+    assert np.array_equal(hermitian_eigenvalues(z), np.zeros(n))
+    assert np.array_equal(positive_part_projector(z), z)
+    assert np.array_equal(psd_sqrt(z), z)
+    assert [g.shape for g in invariant_blocks(z)] == ([(1, n)] if n < linalg.BLOCK_MIN_DIM
+                                                      else [(n, 1)])
+
+
+def test_stack_eigenvalues_per_matrix():
+    a, b = np.diag([3.0, -1.0, 2.0]), rand_hermitian(3)
+    w = hermitian_eigenvalues(np.stack([a, b]))
+    assert np.array_equal(w[0], [3.0, 2.0, -1.0])
+    assert np.abs(w[1] - np.linalg.eigvalsh(b)[::-1]).max() < 1e-12
+
+
+def test_stack_hermiticity_is_per_matrix():
+    # a defect tolerable next to the large matrix's scale still fails the small one
+    big, small = np.eye(2), np.array([[1e-6, 1e-16], [0.0, 1e-6]])
+    hermitian_eigenvalues(np.stack([big, big]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        hermitian_eigenvalues(np.stack([big, small]))
+
+
+# --- the package's own large operators against the dense reference ----------
+
+class TestDenseReferencePins:
+    def test_gain_operator_d9(self):
+        g = minerr.gain_operator(9, minerr.Priors.from_eta1(0.3))
+        assert max(index.shape[1] for index in invariant_blocks(g)) <= 6
+        w, v = np.linalg.eigh(g)
+        assert np.abs(hermitian_eigenvalues(g) - w[::-1]).max() < 1e-12
+        dense = (v * (w > linalg.CLASSIFY_TOL)) @ v.T
+        assert np.abs(positive_part_projector(g) - dense).max() < 1e-12
+
+    def test_separable_element_3x3(self):
+        povm = unambiguous.separable_unamb_povm(3, 3, unambiguous.SeparableCoeffs.optimal())
+        for op in (povm.e1, povm.e0):
+            assert max(index.shape[1] for index in invariant_blocks(op)) <= 36
+            w, v = np.linalg.eigh(op)
+            assert np.abs(hermitian_eigenvalues(op) - w[::-1]).max() < 1e-12
+            dense = (v * (w > linalg.CLASSIFY_TOL)) @ v.T
+            assert np.abs(positive_part_projector(op) - dense).max() < 1e-10
