@@ -113,11 +113,9 @@ def minerr_locc(d_a: int, d_b: int, eta1: float) -> tuple[float, float]:
     priors = Priors.from_eta1(eta1)
     # the separable construction follows the eta1 <= eta2 convention
     ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-    gain = minerr.gain_operator(d_a * d_b, ordered)
-    overlap_global = float(np.einsum("ij,ji->", positive_part_projector(gain), gain).real)
-    overlap_locc = float(np.einsum(
-        "ij,ji->", minerr.locc_povm_element(d_a, d_b, ordered).element(1), gain).real)
-    return overlap_global, overlap_locc
+    projector = positive_part_projector(minerr.gain_operator(d_a * d_b, ordered))
+    return (minerr.gain_overlap(projector, ordered),
+            minerr.gain_overlap(minerr.locc_povm_element(d_a, d_b, ordered).element(1), ordered))
 
 
 @_register("global_success_vs_closed", "unamb_global_grid", DIMS, 1e-10)

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, kron, positive_part_projector
+from .linalg import hermitian_eigenvalues, identity_minus, positive_part_projector
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import (SymmetryToolkit, bipartite_toolkit, build_toolkit, dimension_table,
-                       swap_references)
+from .symmetry import (S3_PERMUTATIONS, SymmetryToolkit, bipartite_toolkit, dimension_table,
+                       permutation_columns, swap_references, symmetrizer_traces)
 
 PRIOR_ATOL = 1e-12
 
@@ -67,9 +67,30 @@ EQUAL_PRIORS = Priors(0.5, 0.5)
 
 
 def gain_operator(d: int, priors: Priors) -> np.ndarray:
-    """The operator whose positive part the optimal measurement projects onto."""
-    tk = build_toolkit(d)
-    return priors.eta1 * tk.sym01 - priors.eta2 * tk.sym02
+    """The operator whose positive part the optimal measurement projects onto.
+
+    G = eta1*sym01 - eta2*sym02, with sym0k = (1 + T0k)/2, written from the
+    index maps of the identity and the two swaps: row i is nonzero only at
+    i, T01(i) and T02(i), and each such entry is eta1*s01 - eta2*s02 with the
+    symmetrizers' entries s0k in {0, 1/2, 1}, the same floats as the dense
+    expression.
+    """
+    columns = permutation_columns(d)
+    rows = np.arange(d**3)
+    t01 = columns[S3_PERMUTATIONS.index((1, 0, 2))]
+    t02 = columns[S3_PERMUTATIONS.index((2, 1, 0))]
+    picked = np.stack([rows, t01, t02])
+    s01 = ((picked == rows).astype(float) + (picked == t01)) / 2
+    s02 = ((picked == rows).astype(float) + (picked == t02)) / 2
+    gain = np.zeros((d**3, d**3))
+    gain[rows, picked] = priors.eta1 * s01 - priors.eta2 * s02
+    return gain
+
+
+def gain_overlap(op: np.ndarray, priors: Priors) -> float:
+    """Re tr[op*G], read from op's entries through the swaps' index maps."""
+    s01, s02 = symmetrizer_traces(op)
+    return priors.eta1 * s01 - priors.eta2 * s02
 
 
 def gain_eigenvalues_mixed(priors: Priors) -> tuple[float, float]:
@@ -105,8 +126,7 @@ def mean_success(povm: Povm, d: int, priors: Priors) -> float:
     if set(povm.labels) != {1, 2}:
         raise ValueError(f"min-error POVM must carry labels {{1, 2}}, got {povm.labels}")
     table = dimension_table(d)
-    overlap = np.einsum("ij,ji->", povm.element(1), gain_operator(d, priors))
-    return priors.eta2 + float(overlap.real) / (d * table.sym2)
+    return priors.eta2 + gain_overlap(povm.element(1), priors) / (d * table.sym2)
 
 
 def optimal_global_povm(d: int, priors: Priors) -> Povm:
@@ -123,7 +143,7 @@ def optimal_global_povm(d: int, priors: Priors) -> Povm:
         e1 = np.eye(n)
     else:
         e1 = positive_part_projector(gain_operator(d, priors))
-    return povm_from_dict({1: e1, 2: np.eye(n) - e1})
+    return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 
 def _is_degenerate(priors: Priors) -> bool:
@@ -148,7 +168,7 @@ def _local_projectors(tk: SymmetryToolkit, priors: Priors,
     exchanges the two reference systems in all four (see swap_references).
     """
     theta = _rotation_angle(priors)
-    gain = priors.eta1 * tk.sym01 - priors.eta2 * tk.sym02
+    gain = gain_operator(tk.d, priors)
     x1 = (2.0 / math.sqrt(3.0)) * tk.swap_diff
     x2 = 2.0 * tk.swap_sum
     y2 = -math.sin(theta) * x1 + math.cos(theta) * x2
@@ -181,16 +201,9 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
     tka, tkb = bt.alice, bt.bob
     pp_a, pm_a, qp_a, qm_a = _local_projectors(tka, priors)
     pp_b, pm_b, qp_b, qm_b = _local_projectors(tkb, priors)
-    e1_party = (
-        kron(tka.sym3, pp_b)
-        + kron(tka.antisym3, pm_b)
-        + kron(pp_a, tkb.sym3)
-        + kron(pm_a, tkb.antisym3)
-        + kron(qp_a, qm_b)
-        + kron(qm_a, qp_b)
-    )
-    e1 = bt.to_system_major(e1_party)
-    return povm_from_dict({1: e1, 2: np.eye(e1.shape[0]) - e1})
+    e1 = bt.kron_sum([tka.sym3, tka.antisym3, pp_a, pm_a, qp_a, qm_a],
+                     [pp_b, pm_b, tkb.sym3, tkb.antisym3, qm_b, qp_b])
+    return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 
 def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:

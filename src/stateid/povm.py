@@ -3,21 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable, Iterable
 
 import numpy as np
 
-from .linalg import PSD_EIG_FLOOR, hermitian_eigenvalues
+from .linalg import PSD_EIG_FLOOR, hermitian_eigenvalues, max_abs
 
 COMPLETENESS_ATOL = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The default support: one read-only identity per dimension, shared."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
 class Povm:
     """A labeled set of PSD operators summing to a declared support projector.
 
-    The support defaults to the identity; sub-measurements inside protocol
-    trees declare the projector their elements resolve.
+    The support defaults to the identity (a shared read-only array);
+    sub-measurements inside protocol trees declare the projector their
+    elements resolve.
     """
 
     elements: tuple[tuple[Hashable, np.ndarray], ...]
@@ -31,7 +41,7 @@ class Povm:
             raise ValueError(f"duplicate outcome labels: {labels}")
         if self.support is None:
             dim = self.elements[0][1].shape[0]
-            object.__setattr__(self, "support", np.eye(dim))
+            object.__setattr__(self, "support", _identity(dim))
 
     @property
     def labels(self) -> tuple[Hashable, ...]:
@@ -50,19 +60,22 @@ class Povm:
     def validate(self) -> None:
         """Check hermiticity and positivity of each element and completeness.
 
-        The elements' eigenvalues come from one call on their stack, and their
-        sum is formed in their own dtype.  Every guard is written so that a NaN
-        fails it too.
+        The elements' eigenvalues come from one call on them all, and their
+        sum is taken from the support in one buffer of their own dtype; no
+        stack of the elements is formed.  Every guard is written so that a
+        NaN fails it too.
         """
+        ops = [op for _, op in self.elements]
         for label, op in self.elements:
             if op.shape != self.support.shape:
                 raise ValueError(f"element {label!r} has shape {op.shape}")
-        ops = np.stack([op for _, op in self.elements])
         for (label, _), low in zip(self.elements, hermitian_eigenvalues(ops)[:, -1]):
             if not low >= PSD_EIG_FLOOR:
                 raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
-        total = ops.sum(axis=0)
-        defect = np.abs(total - self.support).max()
+        missing = np.array(self.support, dtype=np.result_type(self.support, *ops))
+        for op in ops:
+            missing -= op
+        defect = max_abs(missing)
         if not defect <= COMPLETENESS_ATOL:
             raise ValueError(f"elements do not sum to the support (max defect {defect:.3e})")
 

@@ -10,8 +10,10 @@ once, at construction, into one read-only (elements, d_p^3, d_p^3) array.
 path_prefixes carries the pair (A, B) of each party's chronological Kraus
 product along every path.  Flattening sums kron(A^dag A, B^dag B) over the
 leaves of each label into the effective global POVM the protocol implements,
-the object the closed-form separable constructions are checked against;
-simulations keep each prefix's A^dag A and B^dag B in permutation coordinates.
+the object the closed-form separable constructions are checked against; it
+assembles each element with BipartiteToolkit.kron_sum, the one assembly path
+of bipartite operators, straight into the system-major basis.  Simulations
+keep each prefix's A^dag A and B^dag B in permutation coordinates.
 
 Kraus convention: each outcome applies the PSD square root of its element
 (for projective elements that is the projector itself, kept exact).
@@ -24,7 +26,7 @@ from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .linalg import dagger, psd_sqrt
+from .linalg import dagger, max_abs, psd_sqrt
 from .povm import COMPLETENESS_ATOL, Povm, povm_from_dict
 from .symmetry import bipartite_toolkit
 
@@ -120,10 +122,10 @@ def effective_povm(protocol: LoccProtocol) -> Povm:
 
     Element for label L = sum over leaves labeled L of
     kron(A^dag A, B^dag B), with A and B the chronological products of
-    Alice's and Bob's local Kraus operators along the path.  The sum is one
-    matrix product over the stacked leaves, regrouped into the kron layout.
-    Returned in the system-major basis (directly comparable with the
-    closed-form separable constructions); completeness is asserted.
+    Alice's and Bob's local Kraus operators along the path, assembled by
+    BipartiteToolkit.kron_sum over the stacked leaves: one matrix product and
+    one transpose, in the system-major basis (directly comparable with the
+    closed-form separable constructions).  Completeness is asserted.
     """
     leaves: dict[int, tuple[list, list]] = {}
     for node, a, b, _ in path_prefixes(protocol):
@@ -131,18 +133,12 @@ def effective_povm(protocol: LoccProtocol) -> Povm:
             alice, bob = leaves.setdefault(node.label, ([], []))
             alice.append(dagger(a) @ a)
             bob.append(dagger(b) @ b)
-    na, nb = protocol.d_a**3, protocol.d_b**3
-    elements = {}
-    for label, (alice, bob) in leaves.items():
-        # entry [(i, j), (k, l)]: sum over leaves of (A^dag A)[i, j] (B^dag B)[k, l]
-        elements[label] = (
-            np.reshape(alice, (len(alice), -1)).T @ np.reshape(bob, (len(bob), -1))
-        ).reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(protocol.dim, protocol.dim)
-    total = sum(elements.values())
-    defect = np.abs(total - np.eye(protocol.dim)).max()
+    bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
+    elements = {label: bt.kron_sum(alice, bob) for label, (alice, bob) in sorted(leaves.items())}
+    missing = np.eye(protocol.dim, dtype=np.result_type(*elements.values()))
+    for op in elements.values():
+        missing -= op
+    defect = max_abs(missing)
     if defect > COMPLETENESS_ATOL:
         raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
-    bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-    for label, op in elements.items():
-        elements[label] = bt.to_system_major(op)
-    return povm_from_dict(sorted(elements.items()))
+    return povm_from_dict(elements)

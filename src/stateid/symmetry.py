@@ -11,6 +11,15 @@ algebra drives every measurement construction downstream:
     swap_diff^2 = (3/4) * mixed3
     swap_diff * swap_sum + swap_sum * swap_diff = 0
     swap_sum^2 = 1 - swap_diff^2
+
+Dense toolkits serve each party's own triple space and the identity checks.
+On the joint space of a split d = d_a*d_b nothing needs the joint toolkit:
+overlaps Re tr(P_pi^T op) with the six permutation operators are read from
+op's entries through their index maps (permutation_traces), the 1<->2 reference
+swap is a transposition of tensor-factor axes (swap_references), and every
+bipartite operator sum_k kron(A_k, B_k) is assembled by
+BipartiteToolkit.kron_sum, one matrix product over the stacked party factors
+and one transpose into the system-major basis.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import PARTY_MAJOR_PERM, SYSTEM_MAJOR_PERM, permutation_operator, permute_factors
+from .linalg import PARTY_MAJOR_PERM, permutation_operator
 
 # the six permutations of three positions, with their signs
 _S3_GROUP = (
@@ -183,22 +192,45 @@ def _gram_pinv(d: int) -> np.ndarray:
     return fit
 
 
+def permutation_traces(op: np.ndarray) -> np.ndarray:
+    """Re tr(P_k^T op) for the six P_k = permutation_operator((d, d, d),
+    S3_PERMUTATIONS[k]), each the sum of the d^3 entries of op that P_k's
+    index map picks out; no P_k is formed.  For the identity and the swaps
+    P_k^T = P_k, so these are Re tr(op P_k)."""
+    d = round(op.shape[0] ** (1 / 3))
+    return op.real[np.arange(d**3), permutation_columns(d)].sum(axis=1)
+
+
+def symmetrizer_traces(op: np.ndarray) -> tuple[float, float]:
+    """Re tr(op sym01) and Re tr(op sym02), from the identity's and the two
+    swaps' index maps."""
+    traces = permutation_traces(op)
+    return float(traces[0] + traces[1]) / 2, float(traces[0] + traces[2]) / 2
+
+
 def s3_coordinates(op: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k =
     permutation_operator((d, d, d), S3_PERMUTATIONS[k]), and the largest entry
     of op - sum_k c[k] P_k.  At d = 2 the P_k are linearly dependent (there is
     no antisymmetric subspace), and c is the least-norm exact solution.
 
-    c = pinv(G) b for the Gram matrix G and b[k] = Re tr(P_k^T op), each read
-    from op's entries by the index map of the P_k; no P_k is formed."""
+    c = pinv(G) b for the Gram matrix G and b = permutation_traces(op); no
+    P_k is formed."""
     d = round(op.shape[0] ** (1 / 3))
     columns = permutation_columns(d)
     rows = np.arange(d**3)
-    coords = _gram_pinv(d) @ op.real[rows, columns].sum(axis=1)
+    coords = _gram_pinv(d) @ permutation_traces(op)
     residual = np.array(op)
     for c, cols in zip(coords, columns):
         residual[rows, cols] -= c
     return coords, float(np.abs(residual).max())
+
+
+def reference_swap_view(op: np.ndarray) -> np.ndarray:
+    """swap12 @ op @ swap12 on (C^d)^x3 as a strided view with the six
+    tensor-factor axes (d,)*6 of op's rows and columns: nothing is copied."""
+    d = round(op.shape[0] ** (1 / 3))
+    return op.reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4)
 
 
 def swap_references(op: np.ndarray) -> np.ndarray:
@@ -207,8 +239,7 @@ def swap_references(op: np.ndarray) -> np.ndarray:
     Exchanges the two reference systems: the relabeling 1 <-> 2 of both the
     min-error and the unambiguous schemes.
     """
-    d = round(op.shape[0] ** (1 / 3))
-    return permute_factors(op, (d, d, d), (0, 2, 1))
+    return reference_swap_view(op).reshape(op.shape)
 
 
 def build_toolkit(d: int) -> SymmetryToolkit:
@@ -216,6 +247,14 @@ def build_toolkit(d: int) -> SymmetryToolkit:
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     return _toolkit(d)
+
+
+# The product alice^T bob of two stacks of party factors has, as tensor-factor
+# axes, Alice's row factors 0-2 and column factors 3-5, then Bob's 6-8 and
+# 9-11.  Its rows, party-major, go to system-major order by the inverse of
+# PARTY_MAJOR_PERM (its argsort), and its columns likewise, three axes on.
+_ROW_AXES = tuple((0, 1, 2, 6, 7, 8)[p] for p in sorted(range(6), key=PARTY_MAJOR_PERM.__getitem__))
+_KRON_AXES = _ROW_AXES + tuple(a + 3 for a in _ROW_AXES)
 
 
 @dataclass(frozen=True)
@@ -237,13 +276,19 @@ class BipartiteToolkit:
     def d(self) -> int:
         return self.d_a * self.d_b
 
-    def to_party_major(self, op: np.ndarray) -> np.ndarray:
-        """Conjugate a system-major operator into the party-major basis."""
-        return permute_factors(op, (self.d_a, self.d_b) * 3, PARTY_MAJOR_PERM)
+    def kron_sum(self, alice, bob) -> np.ndarray:
+        """sum_k kron(alice[k], bob[k]) in the system-major basis.
 
-    def to_system_major(self, op: np.ndarray) -> np.ndarray:
-        """Conjugate a party-major operator into the system-major basis."""
-        return permute_factors(op, (self.d_a,) * 3 + (self.d_b,) * 3, SYSTEM_MAJOR_PERM)
+        alice and bob stack K party factors, (K, d_a^3, d_a^3) and
+        (K, d_b^3, d_b^3).  One matrix product over the stacks gives every
+        product alice[k][i, j] * bob[k][l, m] summed over k, at [(i, j), (l, m)];
+        one transpose of its 12 tensor-factor axes puts them in system-major
+        order.  The only way this package assembles a bipartite operator.
+        """
+        alice, bob = np.asarray(alice), np.asarray(bob)
+        n = self.d**3
+        product = alice.reshape(len(alice), -1).T @ bob.reshape(len(bob), -1)
+        return product.reshape((self.d_a,) * 6 + (self.d_b,) * 6).transpose(_KRON_AXES).reshape(n, n)
 
     def state_matrix(self, state: np.ndarray) -> np.ndarray:
         """System-major joint vectors (..., d^3) as party-major (..., d_a^3, d_b^3)

@@ -26,11 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import identity_minus, max_abs
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (S3_PERMUTATIONS, bipartite_toolkit, build_toolkit, dimension_table,
-                       permutation_columns, swap_references)
+from .symmetry import (bipartite_toolkit, build_toolkit, dimension_table, reference_swap_view,
+                       swap_references, symmetrizer_traces)
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
@@ -42,13 +42,14 @@ SEPARABLE_CACHE_SIZE = 8
 def _no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
     """Largest entries of E1 sym02 and of E2 sym01.
 
-    op @ (1 + T)/2 for a swap T is (op + op[:, columns of T])/2, with T's
-    index map: no dense product, and the same floats as the product.
+    op @ (1 + T)/2 for a swap T is (op + op with T applied to its column
+    factors)/2, and that is a transposed view of op's columns: no dense
+    product, no gathered copy, and the same floats as the product.
     """
     d = round(e1.shape[0] ** (1 / 3))
-    columns = permutation_columns(d)
-    return tuple(float(np.abs(op + op[:, columns[S3_PERMUTATIONS.index(swap)]]).max() / 2)
-                 for op, swap in ((e1, (2, 1, 0)), (e2, (1, 0, 2))))
+    return tuple(max_abs(cube + cube.transpose(axes)) / 2
+                 for cube, axes in ((e1.reshape(-1, d, d, d), (0, 3, 2, 1)),    # T02
+                                    (e2.reshape(-1, d, d, d), (0, 2, 1, 3))))   # T01
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,9 @@ class UnambPovm:
         for name, leak in zip(("e1", "e2"), _no_error_leaks(self.e1, self.e2)):
             if leak > NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
-        for name, lhs, rhs in (("e2", self.e2, swap_references(self.e1)),
-                               ("e0", self.e0, swap_references(self.e0))):
-            defect = np.abs(lhs - rhs).max()
+        for name, lhs, rhs in (("e2", self.e2, self.e1), ("e0", self.e0, self.e0)):
+            swapped = reference_swap_view(rhs)
+            defect = max_abs(lhs.reshape(swapped.shape) - swapped)
             if defect > NO_ERROR_ATOL:
                 raise ValueError(f"{name} breaks 1<->2 exchange symmetry (defect {defect:.3e})")
 
@@ -85,13 +86,12 @@ def success_probability(povm: UnambPovm, d: int) -> float:
     (tr[E1*sym01] + tr[E2*sym02]) / (2*d1*d2); refuses POVMs whose no-error
     leak exceeds 1e-8, since the value is meaningless for them.
     """
-    tk = build_toolkit(d)
     leak = max(_no_error_leaks(povm.e1, povm.e2))
     if leak > 1e-8:
         raise ValueError(f"POVM violates the no-error condition (leak {leak:.3e})")
     table = dimension_table(d)
-    overlap = np.einsum("ij,ji->", povm.e1, tk.sym01) + np.einsum("ij,ji->", povm.e2, tk.sym02)
-    return float(overlap.real) / (2 * d * table.sym2)
+    overlap = symmetrizer_traces(povm.e1)[0] + symmetrizer_traces(povm.e2)[1]
+    return overlap / (2 * d * table.sym2)
 
 
 def max_success_global(d: int) -> float:
@@ -130,18 +130,17 @@ def beta_feasibility(beta1: float, beta2: float) -> tuple[float, bool]:
 
 
 def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
-    """Explicit mixed-mixed block of E1+E2 on the party-major joint space.
+    """Explicit mixed-mixed block of E1+E2 on the joint space, system-major.
 
     Oracle for gamma_plus: its largest eigenvalue is the closed form.
     """
-    tka, tkb = bipartite_toolkit(d_a, d_b).alice, bipartite_toolkit(d_a, d_b).bob
-    return beta1 * (
-        kron(tka.mixed3 @ tka.sym02, tkb.mixed3 @ tkb.antisym02)
-        + kron(tka.mixed3 @ tka.sym01, tkb.mixed3 @ tkb.antisym01)
-    ) + beta2 * (
-        kron(tka.mixed3 @ tka.antisym02, tkb.mixed3 @ tkb.sym02)
-        + kron(tka.mixed3 @ tka.antisym01, tkb.mixed3 @ tkb.sym01)
-    )
+    bt = bipartite_toolkit(d_a, d_b)
+    tka, tkb = bt.alice, bt.bob
+    return bt.kron_sum(
+        [beta1 * tka.mixed3 @ tka.sym02, beta1 * tka.mixed3 @ tka.sym01,
+         beta2 * tka.mixed3 @ tka.antisym02, beta2 * tka.mixed3 @ tka.antisym01],
+        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.antisym01,
+         tkb.mixed3 @ tkb.sym02, tkb.mixed3 @ tkb.sym01])
 
 
 @dataclass(frozen=True)
@@ -207,17 +206,15 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
     """
     bt = bipartite_toolkit(d_a, d_b)
     tka, tkb = bt.alice, bt.bob
-    e1_party = (
-        coeffs.alpha1 * kron(tka.sym3, tkb.mixed3 @ tkb.antisym02)
-        + coeffs.alpha2 * kron(tka.antisym3, tkb.mixed3 @ tkb.sym02)
-        + coeffs.alpha3 * kron(tka.mixed3 @ tka.sym02, tkb.antisym3)
-        + coeffs.alpha4 * kron(tka.mixed3 @ tka.antisym02, tkb.sym3)
-        + coeffs.beta1 * kron(tka.mixed3 @ tka.sym02, tkb.mixed3 @ tkb.antisym02)
-        + coeffs.beta2 * kron(tka.mixed3 @ tka.antisym02, tkb.mixed3 @ tkb.sym02)
-    )
-    e1 = bt.to_system_major(e1_party)
+    e1 = bt.kron_sum(
+        [coeffs.alpha1 * tka.sym3, coeffs.alpha2 * tka.antisym3,
+         coeffs.alpha3 * tka.mixed3 @ tka.sym02, coeffs.alpha4 * tka.mixed3 @ tka.antisym02,
+         coeffs.beta1 * tka.mixed3 @ tka.sym02, coeffs.beta2 * tka.mixed3 @ tka.antisym02],
+        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02, tkb.antisym3, tkb.sym3,
+         tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02])
     e2 = swap_references(e1)
-    e0 = np.eye(e1.shape[0]) - e1 - e2
+    # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
+    e0 = identity_minus(e1 + e2)
     povm = UnambPovm(e1=e1, e2=e2, e0=e0)
     povm.validate()
     for op in (e1, e2, e0):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from stateid.linalg import (
     hermitian_eig,
     hermitian_eigenvalues,
     invariant_blocks,
-    kron,
     permutation_operator,
     positive_part_projector,
     psd_sqrt,
@@ -23,6 +23,11 @@ RNG = np.random.default_rng(20260810)
 
 SQRT3_4 = 0.4330127018922193  # sqrt(3)/4
 SQRT3_2 = 0.8660254037844386  # sqrt(3)/2
+
+
+def kron(*ops):
+    """Kronecker product of one or more operators, leftmost most significant."""
+    return functools.reduce(np.kron, ops)
 
 
 def rand_complex(n, rng=RNG):
@@ -392,6 +397,29 @@ def test_stack_eigenvalues_per_matrix():
     w = hermitian_eigenvalues(np.stack([a, b]))
     assert np.array_equal(w[0], [3.0, 2.0, -1.0])
     assert np.abs(w[1] - np.linalg.eigvalsh(b)[::-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 80])
+def test_sequence_eigenvalues_equal_stack(n):
+    # a list is solved as the stack it would make, without forming it
+    a, b = np.diag(np.arange(n, dtype=float)), rand_hermitian(n)
+    b[:, : n // 2] = b[: n // 2, :] = 0.0
+    assert np.array_equal(hermitian_eigenvalues([a, b]), hermitian_eigenvalues(np.stack([a, b])))
+    assert [g.tolist() for g in invariant_blocks([a, b])] == [
+        g.tolist() for g in invariant_blocks(np.stack([a, b]))]
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_identity_minus_and_max_abs(is_complex):
+    op = rand_complex(6) if is_complex else rand_complex(6).real
+    op[0, 1] = 0.0
+    op[1, 0] = -0.0
+    out = linalg.identity_minus(op)
+    ref = np.eye(6) - op
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()   # signed zeros too
+    assert linalg.max_abs(op) == np.abs(op).max()
+    op[2, 3] = np.nan
+    assert np.isnan(linalg.max_abs(op))
 
 
 def test_stack_hermiticity_is_per_matrix():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateid.linalg import positive_part_projector
 from stateid.minerr import (
@@ -63,6 +65,14 @@ class TestGainOperator:
         eye = np.eye(d**3)
         alt = 0.5 * (p.diff * eye + tk.swap_diff + p.diff * tk.swap_sum)
         assert np.abs(gain_operator(d, p) - alt).max() < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 9), eta1=st.sampled_from((0.0, 1e-12, 1.0)) | st.floats(0.0, 1.0))
+    def test_index_maps_equal_dense_symmetrizers(self, d, eta1):
+        # the same floats as eta1*sym01 - eta2*sym02 of the dense toolkit
+        p = Priors.from_eta1(eta1)
+        tk = build_toolkit(d)
+        assert np.array_equal(gain_operator(d, p), p.eta1 * tk.sym01 - p.eta2 * tk.sym02)
 
     def test_certain_prior_reduces_to_symmetrizer(self):
         tk = build_toolkit(3)

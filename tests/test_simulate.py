@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stateid import simulate, unambiguous
-from stateid.linalg import dagger, kron, permutation_operator, regroup_operator
+from stateid.linalg import dagger, permutation_operator, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
 from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep
@@ -39,6 +40,11 @@ from stateid.symmetry import S3_PERMUTATIONS, bipartite_toolkit, s3_coordinates
 from stateid.unambiguous import global_unamb_povm
 
 PMAX_D2_HALF = 0.6443375672974064
+
+
+def kron(*ops):
+    """Kronecker product of one or more operators, leftmost most significant."""
+    return functools.reduce(np.kron, ops)
 
 
 def conjugated(povm, u):

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid.linalg import hermitian_eig, kron, permutation_operator, regroup_operator
+from stateid.linalg import hermitian_eig, permutation_operator, regroup_operator
+from stateid import checks, minerr, symmetry, unambiguous
 from stateid.symmetry import (
     S3_PERMUTATIONS,
     bipartite_toolkit,
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    permutation_traces,
     s3_coordinates,
     swap_references,
+    symmetrizer_traces,
 )
 
 SQRT3_2 = 0.8660254037844386
@@ -174,16 +177,16 @@ class TestBipartite:
     def test_swap_diff_factorization(self, da, db):
         bt = bipartite_toolkit(da, db)
         joint = build_toolkit(da * db)
-        lhs = bt.to_party_major(joint.swap_diff)
-        rhs = kron(bt.alice.swap_diff, bt.bob.swap_sum) + kron(bt.alice.swap_sum, bt.bob.swap_diff)
+        lhs = joint.swap_diff
+        rhs = bt.kron_sum([bt.alice.swap_diff, bt.alice.swap_sum], [bt.bob.swap_sum, bt.bob.swap_diff])
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_sum_factorization(self, da, db):
         bt = bipartite_toolkit(da, db)
         joint = build_toolkit(da * db)
-        lhs = bt.to_party_major(joint.swap_sum)
-        rhs = kron(bt.alice.swap_diff, bt.bob.swap_diff) + kron(bt.alice.swap_sum, bt.bob.swap_sum)
+        lhs = joint.swap_sum
+        rhs = bt.kron_sum([bt.alice.swap_diff, bt.alice.swap_sum], [bt.bob.swap_diff, bt.bob.swap_sum])
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -192,25 +195,84 @@ class TestBipartite:
         r = regroup_operator(da, db)
         n = (da * db) ** 3
         rng = np.random.default_rng(da * 10 + db)
-        op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a, b = rng.standard_normal((da**3,) * 2), rng.standard_normal((db**3,) * 2)
         vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        assert np.array_equal(bt.to_party_major(op), r @ op @ r.T)
-        assert np.array_equal(bt.to_system_major(op), r.T @ op @ r)
+        assert np.array_equal(bt.kron_sum([a], [b]), r.T @ np.kron(a, b) @ r)
         assert np.array_equal(bt.state_matrix(vecs[0]), (r @ vecs[0]).reshape(da**3, db**3))
         assert np.array_equal(bt.state_matrix(vecs), (vecs @ r.T).reshape(3, da**3, db**3))
-
-    def test_round_trip_conjugation(self):
-        bt = bipartite_toolkit(2, 2)
-        op = build_toolkit(4).sym01
-        assert np.abs(bt.to_system_major(bt.to_party_major(op)) - op).max() < 1e-12
 
     def test_trivial_party_allowed(self):
         bt = bipartite_toolkit(1, 2)
         assert bt.alice.dims.sym3 == 1
         assert bt.alice.dims.mixed3 == 0
         # with a one-dimensional Alice factor the regrouping is the identity
-        assert np.array_equal(bt.to_party_major(np.eye(8)), np.eye(8))
+        op = np.random.default_rng(12).standard_normal((8, 8))
+        assert np.array_equal(bt.kron_sum([np.eye(1)], [op]), op)
 
     def test_rejects_both_trivial(self):
         with pytest.raises(ValueError):
             bipartite_toolkit(1, 1)
+
+
+# --- one assembly path and index-map overlaps, against dense references -----
+
+@settings(max_examples=30, deadline=None)
+@given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), k=st.integers(1, 6),
+       is_complex=st.booleans(), seed=st.integers(0, 2**63))
+def test_kron_sum_matches_dense_regroup(split, k, is_complex, seed):
+    # sum_k kron(A_k, B_k) regrouped into the system-major basis by the dense R
+    da, db = split
+    rng = np.random.default_rng(seed)
+
+    def stack(n):
+        z = rng.standard_normal((k, n, n))
+        return z + 1j * rng.standard_normal((k, n, n)) if is_complex else z
+
+    alice, bob = stack(da**3), stack(db**3)
+    r = regroup_operator(da, db)
+    dense = r.T @ sum(np.kron(a, b) for a, b in zip(alice, bob)) @ r
+    out = bipartite_toolkit(da, db).kron_sum(alice, bob)
+    assert out.shape == dense.shape and out.dtype == dense.dtype
+    assert np.abs(out - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 6), is_complex=st.booleans(), seed=st.integers(0, 2**63))
+def test_permutation_traces_match_dense(d, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    n = d**3
+    op = rng.standard_normal((n, n))
+    if is_complex:
+        op = op + 1j * rng.standard_normal((n, n))
+    tk = build_toolkit(d)
+    basis = [permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS]
+    traces = permutation_traces(op)
+    dense = [np.einsum("ij,ji->", op, p.T).real for p in basis]
+    assert np.abs(traces - dense).max() <= 1e-12 * n
+    for swap, index in ((tk.swap01, 1), (tk.swap02, 2), (tk.swap12, 3)):
+        assert abs(traces[index] - np.einsum("ij,ji->", op, swap).real) <= 1e-12 * n
+    s01, s02 = symmetrizer_traces(op)
+    assert abs(s01 - np.einsum("ij,ji->", op, tk.sym01).real) <= 1e-12 * n
+    assert abs(s02 - np.einsum("ij,ji->", op, tk.sym02).real) <= 1e-12 * n
+
+
+def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
+    # the separable and overlap paths at (3,3) form their dense operators from
+    # index maps and the two local toolkits only
+    local = symmetry._toolkit
+
+    def small_only(d):
+        if d >= 4:
+            raise AssertionError(f"joint toolkit built at d = {d}")
+        return local(d)
+
+    monkeypatch.setattr(symmetry, "_toolkit", small_only)
+    unambiguous.separable_unamb_povm.cache_clear()
+    priors = minerr.Priors.from_eta1(0.3)
+    for eta1 in (0.1, 0.3, 0.5):
+        assert checks.instance_row(checks.minerr_locc, 3, 3, eta1)["pass"]
+    assert checks.instance_row(checks.unamb_separable, 3, 3)["pass"]
+    povm = minerr.optimal_global_povm(9, priors)
+    assert abs(minerr.mean_success(povm, 9, priors) - minerr.max_success_global(9, priors)) < 1e-9
+    with pytest.raises(AssertionError, match="joint toolkit"):
+        build_toolkit(9)

@@ -1,13 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stateid import checks, unambiguous
-from stateid.linalg import kron
 from stateid.protocol import ALICE, BOB, effective_povm
 from stateid.simulate import haar_state, haar_unitary
-from stateid.symmetry import bipartite_toolkit, build_toolkit
+from stateid.symmetry import bipartite_toolkit, build_toolkit, swap_references
 from stateid.unambiguous import (
     SEPARABLE_CACHE_SIZE,
     SeparableCoeffs,
@@ -29,6 +30,11 @@ P_SEP_33 = 0.2765432098765432     # 112/405
 GAP_22 = 0.0125                   # 1/80
 
 RNG = np.random.default_rng(101)
+
+
+def kron(*ops):
+    """Kronecker product of one or more operators, leftmost most significant."""
+    return functools.reduce(np.kron, ops)
 
 
 class TestGlobalPovm:
@@ -227,13 +233,27 @@ class TestSeparablePovm:
         assert np.array_equal(povm.e2, t12 @ povm.e1 @ t12)
         assert np.array_equal(povm.e0, t12 @ povm.e0 @ t12)
 
+    @settings(max_examples=15, deadline=None)
+    @given(split=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+           alphas=st.lists(st.floats(0.0, 2 / 3), min_size=4, max_size=4),
+           betas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+               lambda b: gamma_plus(*b) <= 1.0))
+    def test_exchange_symmetry_is_exact(self, split, alphas, betas):
+        # e0 = 1 - (e1 + e2) is invariant under the 1<->2 swap to the last bit
+        da, db = split
+        povm = separable_unamb_povm.__wrapped__(da, db, SeparableCoeffs(*alphas, *betas))
+        t12 = build_toolkit(da * db).swap12 if da * db < 9 else None
+        for lhs, op in ((povm.e2, povm.e1), (povm.e0, povm.e0)):
+            swapped = t12 @ op @ t12 if t12 is not None else swap_references(op)
+            assert np.array_equal(lhs, swapped)
+
     def test_unitary_scalar_separable(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
         bt = bipartite_toolkit(2, 2)
         for _ in range(20):
             u = haar_unitary(2, RNG)
             v = haar_unitary(2, RNG)
-            w = bt.to_system_major(kron(u, u, u, v, v, v))
+            w = bt.kron_sum([kron(u, u, u)], [kron(v, v, v)])
             for op in (povm.e1, povm.e2, povm.e0):
                 assert np.abs(op @ w - w @ op).max() < 1e-9
 
