@@ -11,7 +11,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import minerr, unambiguous
-from .linalg import positive_part_projector
 from .minerr import Priors
 from .symmetry import build_toolkit, check_dim_relation
 
@@ -109,12 +108,12 @@ def minerr_dual_route(d: int, eta1: float) -> tuple[float, float]:
 @_register("locc_overlap_vs_global_overlap", "minerr_locc_equality_grid",
            tuple(s + (eta1,) for s in SPLITS for eta1 in (0.1, 0.3, 0.5)), 1e-9)
 def minerr_locc(d_a: int, d_b: int, eta1: float) -> tuple[float, float]:
-    """tr[E1*G] of the global positive-part projector and of the separable element."""
+    """tr[P+ G] of the global positive-part projector P+, the sum of G's positive
+    eigenvalues, and tr[E1*G] of the separable element."""
     priors = Priors.from_eta1(eta1)
     # the separable construction follows the eta1 <= eta2 convention
     ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-    projector = positive_part_projector(minerr.gain_operator(d_a * d_b, ordered))
-    return (minerr.gain_overlap(projector, ordered),
+    return (minerr.positive_gain(d_a * d_b, ordered),
             minerr.gain_overlap(minerr.locc_povm_element(d_a, d_b, ordered).element(1), ordered))
 
 

@@ -12,8 +12,10 @@ Subcommands
 
 Reports carry one row per check with the analytic value, the oracle value,
 their absolute difference and a pass flag; exit code 0 means every check
-passed, 1 means some check failed, 2 means a usage error.  Reports are
-deterministic for a fixed seed and config (independent of --workers).
+passed, 1 means some check failed, 2 means a usage error (a bad flag, an
+unwritable --out, or dimensions whose dense operators do not fit in
+memory).  Reports are deterministic for a fixed seed and config
+(independent of --workers).
 """
 
 from __future__ import annotations
@@ -356,7 +358,10 @@ def main(argv=None) -> int:
     problem = _validate(parser, args)
     if problem:
         return _usage_error(problem)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except MemoryError:   # the dense oracles' size grows as d^6: a dimension too large
+        return _usage_error("not enough memory for the dense operators at these dimensions")
 
 
 if __name__ == "__main__":

@@ -1,19 +1,20 @@
-"""Dense complex linear algebra primitives: Hermitian eigendecomposition,
-spectral projectors, PSD square roots, and tensor-factor permutations as
-dense 0/1 operators (for the symmetry toolkit and for tests).
+"""Dense complex linear algebra primitives: Hermitian eigenvalues, for the
+numerical oracles and the POVM positivity checks, and tensor-factor
+permutations as dense 0/1 operators (for the symmetry toolkit and for tests).
+No spectral function is formed here: every local operator of the package is
+a closed form in the permutation coordinates of symmetry.S3.
 
 Every eigensolve runs on the exact invariant blocks of its matrix: the
 connected components of the matrix's symmetrized nonzero pattern, grouped by
-size, one batched LAPACK call per group.  A matrix whose entries outside the
-blocks are exactly zero is the direct sum of its blocks, so its spectrum is
-the union of theirs, and every spectral function (the positive-part
-projector, the square root) acts block by block; nothing is approximated.
-The operators of this package are sums of products of tensor-factor
-permutations, which keep exact zeros, so their blocks are small: at most 6
-indices for the gain operator on (C^d)^x3 and at most 36 for an element of
-a bipartite split (one S3 orbit of each party's indices; Schur-Weyl duality,
-A. Harrow, arXiv:quant-ph/0512255).  Below BLOCK_MIN_DIM the whole matrix is
-the one block.
+size, one batched LAPACK eigvalsh call per group.  A matrix whose entries
+outside the blocks are exactly zero is the direct sum of its blocks, so its
+spectrum is the union of theirs; nothing is approximated.  The operators of
+this package are sums of products of tensor-factor permutations, which keep
+exact zeros, so their blocks are small: at most 6 indices for the gain
+operator on (C^d)^x3 and at most 36 for an element of a bipartite split (one
+S3 orbit of each party's indices; Schur-Weyl duality, A. Harrow,
+arXiv:quant-ph/0512255).  Below BLOCK_MIN_DIM the whole matrix is the one
+block.
 
 The global basis convention used everywhere in this package: the index of a
 basis vector of a tensor-product space is the mixed-radix number over the
@@ -23,14 +24,12 @@ factors in declared order, most significant first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
-CLASSIFY_TOL = 1e-9
 # Below this dimension a matrix is solved as one block, without the component
 # search.  On 2 vCPUs with 1 BLAS thread the search costs 55-100 us at
 # n = 8..64, about as much as a dense eigvalsh at n = 64 (130-170 us) and
@@ -38,11 +37,6 @@ CLASSIFY_TOL = 1e-9
 # positive-part projector already wins (325 against 397 us) and blocked
 # eigenvalues tie (217 against 188 us); at n = 125 both win by 2.4-3.6x.
 BLOCK_MIN_DIM = 64
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
 
 
 def _adjoint(blocks: np.ndarray) -> np.ndarray:
@@ -135,16 +129,14 @@ def invariant_blocks(h: np.ndarray) -> list[np.ndarray]:
     return [order[size == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 
-def _block_spectra(h: np.ndarray, vectors: bool) -> list[tuple]:
-    """(index, eigenvalues, eigenvectors or None) per group of invariant blocks.
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of each of a stack (..., n, n) or
+    of a sequence of n x n matrices, descending; no eigenvectors are formed.
 
-    h is a matrix, a stack (..., n, n) of them, or a sequence of n x n
-    matrices, solved as their stack without forming it.  Each group of
-    equal-size blocks is one batched eigh or eigvalsh call, whose results
-    carry the stack's leading axes, with eigenvalues ascending within each
-    block.  Raises for a
-    non-finite or non-hermitian matrix: the blocks hold every nonzero entry
-    of h and of h^dag, so their defect is the whole matrix's.
+    Each group of equal-size invariant blocks is one batched eigvalsh call,
+    whose results carry the stack's leading axes.  Raises for a non-finite or
+    non-hermitian matrix: the blocks hold every nonzero entry of h and of
+    h^dag, so their defect is the whole matrix's.
     """
     groups = invariant_blocks(h)
     if groups[0].shape == (1, _dim(h)):   # one block: the whole of h, in order
@@ -152,115 +144,8 @@ def _block_spectra(h: np.ndarray, vectors: bool) -> list[tuple]:
     else:
         stacks = [_submatrices(h, index[:, :, None], index[:, None, :]) for index in groups]
     _check_hermitian(stacks)
-    if vectors:
-        return [(index, *np.linalg.eigh(s)) for index, s in zip(groups, stacks)]
-    return [(index, np.linalg.eigvalsh(s), None) for index, s in zip(groups, stacks)]
-
-
-def _eigenvalues(spectra: list[tuple]) -> np.ndarray:
-    """All eigenvalues of the spectra, block after block, on the last axis."""
-    return np.concatenate([w.reshape(*w.shape[:-2], -1) for _, w, _ in spectra], axis=-1)
-
-
-def _hermitian_outer(v: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """weighted @ v^dag, made exactly hermitian; stacks matrix by matrix."""
-    out = weighted @ _adjoint(v)
-    return (out + _adjoint(out)) / 2
-
-
-def _assemble(h: np.ndarray, spectra: list[tuple], f) -> np.ndarray:
-    """The hermitian matrix V f(w) V^dag of h's spectra, formed block by block."""
-    blocks = [_hermitian_outer(v, v * f(w)[:, None, :]) for _, w, v in spectra]
-    if len(blocks) == 1 and len(blocks[0]) == 1:   # one block: the whole of h
-        return blocks[0][0]
-    out = np.zeros(h.shape, dtype=blocks[0].dtype)
-    for (index, _, _), block in zip(spectra, blocks):
-        out[index[:, :, None], index[:, None, :]] = block
-    return out
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    eigenvalues are real and sorted descending; eigenvectors[:, k] is the
-    orthonormal eigenvector paired with eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of each of a stack (..., n, n) or
-    of a sequence of n x n matrices, descending; no eigenvectors are formed."""
-    return np.sort(_eigenvalues(_block_spectra(h, vectors=False)), axis=-1)[..., ::-1]
-
-
-def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    spectra = _block_spectra(h, vectors=True)
-    w = _eigenvalues(spectra)
-    v = np.zeros(h.shape, dtype=spectra[0][2].dtype)
-    start = 0
-    for index, w_block, v_block in spectra:
-        columns = start + np.arange(w_block.size).reshape(w_block.shape)
-        v[index[:, :, None], columns[:, None, :]] = v_block
-        start += w_block.size
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
-def _one_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a matrix below BLOCK_MIN_DIM, the one block of its own routine,
-    after the same finiteness and hermiticity checks."""
-    _check_hermitian([h[None]])
-    return np.linalg.eigh(h)
-
-
-def positive_part_projector(h: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue > tol.
-
-    Raises if any eigenvalue falls in the ambiguous band [tol/10, tol]: the
-    caller must then pick a tolerance that cleanly separates the spectrum.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    small = h.shape[-1] < BLOCK_MIN_DIM
-    if small:
-        w, v = _one_block(h)
-    else:
-        spectra = _block_spectra(h, vectors=True)
-        w = _eigenvalues(spectra)
-    in_band = (w >= tol / 10) & (w <= tol)
-    if in_band.any():
-        raise ValueError(
-            f"eigenvalues {w[in_band]} fall in the classification band "
-            f"[{tol / 10:.1e}, {tol:.1e}]; adjust tol"
-        )
-    if small:   # from the selected eigenvectors alone
-        above = v[:, w > tol]
-        return _hermitian_outer(above, above)
-    return _assemble(h, spectra, lambda w: (w > tol).astype(float))
-
-
-def psd_sqrt(e: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below raises.
-    """
-    small = e.shape[-1] < BLOCK_MIN_DIM
-    if small:
-        w, v = _one_block(e)
-        low = w[0]
-    else:
-        spectra = _block_spectra(e, vectors=True)
-        low = _eigenvalues(spectra).min()
-    if not low >= PSD_EIG_FLOOR:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {low:.3e})")
-    if small:
-        return _hermitian_outer(v, v * np.sqrt(np.clip(w, 0.0, None)))
-    return _assemble(e, spectra, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    w = np.concatenate([np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1) for s in stacks], axis=-1)
+    return np.sort(w, axis=-1)[..., ::-1]
 
 
 def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

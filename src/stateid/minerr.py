@@ -18,6 +18,12 @@ operations and classical communication; this module also builds the separable
 POVM element that attains it and the executable protocol tree.  The separable
 construction follows the convention eta1 <= eta2 (labels are swapped and
 swapped back otherwise, which locc_protocol does automatically).
+
+No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
+Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
+eigenvalues lambda+- on the mixed subspace, so every projector is a closed
+form in the coordinates of symmetry.S3 (_local_projectors).  Only the oracle
+route (positive_gain) solves for G's eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, identity_minus, positive_part_projector
+from .linalg import hermitian_eigenvalues, identity_minus
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import (S3_PERMUTATIONS, SymmetryToolkit, bipartite_toolkit, dimension_table,
-                       permutation_columns, swap_references, symmetrizer_traces)
+from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, bipartite_toolkit, dimension_table,
+                       permutation_columns, permutation_sum, s3_product, symmetrizer_traces)
 
 PRIOR_ATOL = 1e-12
 
@@ -114,11 +120,16 @@ def max_success_global(d: int, priors: Priors) -> float:
     )
 
 
+def positive_gain(d: int, priors: Priors) -> float:
+    """tr[P+ G] for the projector P+ onto G's positive part: the sum of the
+    gain operator's positive eigenvalues, solved on its invariant blocks."""
+    w = hermitian_eigenvalues(gain_operator(d, priors))
+    return float(w[w > 0].sum())
+
+
 def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
     """Oracle route: eta2 + (sum of positive gain eigenvalues) / (d1*d2)."""
-    w = hermitian_eigenvalues(gain_operator(d, priors))
-    table = dimension_table(d)
-    return priors.eta2 + float(w[w > 0].sum()) / (d * table.sym2)
+    return priors.eta2 + positive_gain(d, priors) / (d * dimension_table(d).sym2)
 
 
 def mean_success(povm: Povm, d: int, priors: Priors) -> float:
@@ -132,8 +143,10 @@ def mean_success(povm: Povm, d: int, priors: Priors) -> float:
 def optimal_global_povm(d: int, priors: Priors) -> Povm:
     """The optimal global POVM {E1, E2}.
 
-    For interior priors E1 is the positive-part projector of the gain
-    operator; degenerate priors (eta1 in {0, 1}) reduce to always guessing the
+    For interior priors E1 is the projector onto the gain operator's positive
+    part, in closed form: G is diff on sym3, 0 on antisym3 and lambda+- on the
+    mixed subspace, so E1 is pp of _local_projectors, plus sym3 when eta1 >
+    eta2.  Degenerate priors (eta1 in {0, 1}) reduce to always guessing the
     more likely label.
     """
     n = d**3
@@ -142,7 +155,8 @@ def optimal_global_povm(d: int, priors: Priors) -> Povm:
     elif priors.eta2 == 0.0:
         e1 = np.eye(n)
     else:
-        e1 = positive_part_projector(gain_operator(d, priors))
+        pp = _local_projectors(priors)[0]
+        e1 = permutation_sum(d, pp + S3.sym3 if priors.eta1 > priors.eta2 else pp)
     return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 
@@ -156,27 +170,29 @@ def _rotation_angle(priors: Priors) -> float:
     return math.atan2(math.sqrt(3.0) / scale, priors.diff / scale) / 2.0
 
 
-def _local_projectors(tk: SymmetryToolkit, priors: Priors,
-                      swap: bool = False) -> tuple[np.ndarray, ...]:
-    """One party's signed projectors (pp, pm, qp, qm) on its mixed-symmetry subspace.
+def _local_projectors(priors: Priors, swap: bool = False) -> tuple[np.ndarray, ...]:
+    """Coordinates of the signed projectors (pp, pm, qp, qm) on the mixed-symmetry
+    subspace, the same for every local dimension.
 
-    pp/pm project onto the positive/negative eigenspaces of the local gain
-    operator there.  qp/qm are the +1/-1 eigenprojectors of the rotated swap
-    involution: x1 = (2/sqrt(3)) swap_diff and x2 = 2 swap_sum anticommute
-    and square to one on the mixed subspace, and the rotation angle is chosen
-    so that the gain operator becomes diagonal in the rotated pair.  swap
-    exchanges the two reference systems in all four (see swap_references).
+    pp/pm project onto the eigenspaces of the gain operator G there, whose
+    only eigenvalues are lambda+ >= 0 >= lambda-: pp = mixed3 (G -
+    lambda-)/(lambda+ - lambda-) and pm = -mixed3 (G - lambda+)/(lambda+ -
+    lambda-).  qp/qm = mixed3 (1 +- y2)/2 are the eigenprojectors of the
+    rotated swap involution y2: x1 = (2/sqrt(3)) swap_diff and x2 = 2
+    swap_sum anticommute and square to one on the mixed subspace, and the
+    rotation angle is chosen so that the gain operator becomes diagonal in
+    the rotated pair.  swap exchanges the two reference systems in all four
+    (the coordinate permutation RELABEL).
     """
+    lam_plus, lam_minus = gain_eigenvalues_mixed(priors)
+    gain = priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02
     theta = _rotation_angle(priors)
-    gain = gain_operator(tk.d, priors)
-    x1 = (2.0 / math.sqrt(3.0)) * tk.swap_diff
-    x2 = 2.0 * tk.swap_sum
-    y2 = -math.sin(theta) * x1 + math.cos(theta) * x2
-    ops = []
-    for h in (gain, y2):
-        restricted = tk.mixed3 @ h @ tk.mixed3
-        ops += [positive_part_projector(restricted), positive_part_projector(-restricted)]
-    return tuple(swap_references(op) for op in ops) if swap else tuple(ops)
+    y2 = 2.0 * (-math.sin(theta) / math.sqrt(3.0) * S3.swap_diff + math.cos(theta) * S3.swap_sum)
+    ops = [(gain - lam_minus * S3.identity) / (lam_plus - lam_minus),
+           (lam_plus * S3.identity - gain) / (lam_plus - lam_minus),
+           (S3.identity + y2) / 2, (S3.identity - y2) / 2]
+    return tuple(s3_product(S3.mixed3, op)[RELABEL] if swap else s3_product(S3.mixed3, op)
+                 for op in ops)
 
 
 def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
@@ -197,12 +213,10 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
             "separable construction assumes eta1 <= eta2; swap labels first "
             "(locc_protocol does this automatically)"
         )
-    bt = bipartite_toolkit(d_a, d_b)
-    tka, tkb = bt.alice, bt.bob
-    pp_a, pm_a, qp_a, qm_a = _local_projectors(tka, priors)
-    pp_b, pm_b, qp_b, qm_b = _local_projectors(tkb, priors)
-    e1 = bt.kron_sum([tka.sym3, tka.antisym3, pp_a, pm_a, qp_a, qm_a],
-                     [pp_b, pm_b, tkb.sym3, tkb.antisym3, qm_b, qp_b])
+    pp, pm, qp, qm = _local_projectors(priors)
+    e1 = bipartite_toolkit(d_a, d_b).kron_sum(
+        permutation_sum(d_a, np.array([S3.sym3, S3.antisym3, pp, pm, qp, qm])),
+        permutation_sum(d_b, np.array([pp, pm, S3.sym3, S3.antisym3, qm, qp])))
     return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 
@@ -230,44 +244,39 @@ def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
     p = priors.swapped() if swap else priors
     one, two = (Leaf(2), Leaf(1)) if swap else (Leaf(1), Leaf(2))
 
-    bt = bipartite_toolkit(d_a, d_b)
-    tka, tkb = bt.alice, bt.bob
-    pp_a, pm_a, qp_a, qm_a = _local_projectors(tka, p, swap)
-    pp_b, pm_b, qp_b, qm_b = _local_projectors(tkb, p, swap)
+    dims = {ALICE: d_a, BOB: d_b}
+    pp, pm, qp, qm = _local_projectors(p, swap)
 
-    def signed_step(party, pos, neg, support, answer_on):
+    def signed_step(party, answer_on):
         # answer_on: which sign concludes "reference 1"
         children = {"+": one if answer_on == "+" else two,
                     "-": one if answer_on == "-" else two}
-        return step(party, {"+": pos, "-": neg}, children, support)
+        return step(party, dims[party], {"+": pp, "-": pm}, children, S3.mixed3)
 
     bob_q = {
-        a_sign: step(BOB, {"+": qp_b, "-": qm_b},
+        a_sign: step(BOB, d_b, {"+": qp, "-": qm},
                      {"+": one if a_sign == "-" else two,
                       "-": one if a_sign == "+" else two},
-                     tkb.mixed3)
+                     S3.mixed3)
         for a_sign in ("+", "-")
     }
-    alice_q = step(ALICE, {"+": qp_a, "-": qm_a}, bob_q, tka.mixed3)
+    alice_q = step(ALICE, d_a, {"+": qp, "-": qm}, bob_q, S3.mixed3)
+    types = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
 
     def bob_layer(alice_outcome: str) -> MeasurementStep:
         children: dict[str, MeasurementStep | Leaf] = {}
         for b_outcome in ("sym", "antisym", "mixed"):
             if alice_outcome in ("sym", "antisym") and b_outcome == "mixed":
                 children[b_outcome] = signed_step(
-                    BOB, pp_b, pm_b, tkb.mixed3,
-                    answer_on="+" if alice_outcome == "sym" else "-")
+                    BOB, answer_on="+" if alice_outcome == "sym" else "-")
             elif alice_outcome == "mixed" and b_outcome in ("sym", "antisym"):
                 children[b_outcome] = signed_step(
-                    ALICE, pp_a, pm_a, tka.mixed3,
-                    answer_on="+" if b_outcome == "sym" else "-")
+                    ALICE, answer_on="+" if b_outcome == "sym" else "-")
             elif alice_outcome == "mixed" and b_outcome == "mixed":
                 children[b_outcome] = alice_q
             else:
                 children[b_outcome] = two
-        return step(BOB, {"sym": tkb.sym3, "antisym": tkb.antisym3, "mixed": tkb.mixed3},
-                    children)
+        return step(BOB, d_b, types, children)
 
-    root = step(ALICE, {"sym": tka.sym3, "antisym": tka.antisym3, "mixed": tka.mixed3},
-                {outcome: bob_layer(outcome) for outcome in ("sym", "antisym", "mixed")})
+    root = step(ALICE, d_a, types, {outcome: bob_layer(outcome) for outcome in types})
     return LoccProtocol(d_a=d_a, d_b=d_b, root=root)

@@ -1,22 +1,18 @@
 """Finite trees of local measurements with classical communication.
 
-A protocol node holds one party's local POVM (operators on that party's own
-triple space, dimension d_p^3), the local Kraus operators of its outcomes, and
-a child per outcome; leaves carry the final label (1 or 2 for the two
-identification answers, 0 for inconclusive).
+A protocol node holds one party's local measurement and a child per outcome;
+leaves carry the final label (1 or 2 for the two identification answers, 0
+for inconclusive).
 
-Operators never leave their party's space.  A step stacks its Kraus operators
-once, at construction, into one read-only (elements, d_p^3, d_p^3) array.
-path_prefixes carries the pair (A, B) of each party's chronological Kraus
-product along every path.  Flattening sums kron(A^dag A, B^dag B) over the
-leaves of each label into the effective global POVM the protocol implements,
-the object the closed-form separable constructions are checked against; it
-assembles each element with BipartiteToolkit.kron_sum, the one assembly path
-of bipartite operators, straight into the system-major basis.  Simulations
-keep each prefix's A^dag A and B^dag B in permutation coordinates.
-
-Kraus convention: each outcome applies the PSD square root of its element
-(for projective elements that is the projector itself, kept exact).
+Operators never leave their party's space, and each is given by its six
+real coordinates on the party's permutation operators P_pi (symmetry.S3): a
+step holds its outcomes' Kraus operators K as a read-only (elements, 6)
+stack, and its dense POVM {K^dag K} on the party's triple space, validated
+once, at construction.  path_prefixes multiplies each party's chronological
+Kraus product along every path in the group algebra.  Flattening sums
+kron(A^dag A, B^dag B) over the leaves of each label into the effective
+global POVM the protocol implements, one 6-term BipartiteToolkit.kron_sum
+per label, in the system-major basis.
 """
 
 from __future__ import annotations
@@ -26,21 +22,17 @@ from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .linalg import dagger, max_abs, psd_sqrt
+from .linalg import max_abs
 from .povm import COMPLETENESS_ATOL, Povm, povm_from_dict
-from .symmetry import bipartite_toolkit
+from .symmetry import S3, bipartite_toolkit, permutation_sum, s3_adjoint, s3_product, s3_reduce
 
 ALICE = "alice"
 BOB = "bob"
 
-_PROJECTOR_ATOL = 1e-10
 
-
-def _kraus_of(element: np.ndarray) -> np.ndarray:
-    # projective elements keep their exact matrix as the update operator
-    if np.abs(element @ element - element).max() <= _PROJECTOR_ATOL:
-        return element
-    return psd_sqrt(element)
+def gram(c: np.ndarray) -> np.ndarray:
+    """Coordinates of K^dag K for the coordinates c of K."""
+    return s3_product(s3_adjoint(c), c)
 
 
 @dataclass(frozen=True)
@@ -56,17 +48,17 @@ class Leaf:
 class MeasurementStep:
     """One party's local measurement, with a child node per outcome.
 
-    Built at construction: successors[i] is the child of
-    measurement.elements[i], and kraus[i], of a read-only stack, its local
-    Kraus operator.
+    kraus[i], of a read-only (elements, 6) stack, holds the coordinates of
+    the Kraus operator of measurement.elements[i], and successors[i] is its
+    child.
     """
 
     party: str
     measurement: Povm
     children: Mapping[Hashable, Union["MeasurementStep", Leaf]]
+    kraus: np.ndarray = field(repr=False, compare=False)
     successors: tuple[Union["MeasurementStep", Leaf], ...] = field(
         init=False, repr=False, compare=False)
-    kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.party not in (ALICE, BOB):
@@ -75,17 +67,20 @@ class MeasurementStep:
             raise ValueError("children keys must match measurement outcome labels")
         object.__setattr__(self, "successors",
                            tuple(self.children[label] for label in self.measurement.labels))
-        kraus = np.stack([_kraus_of(op) for _, op in self.measurement.elements])
-        kraus.flags.writeable = False
-        object.__setattr__(self, "kraus", kraus)
 
 
-def step(party: str, elements: dict, children: dict,
+def step(party: str, d: int, kraus: dict, children: dict,
          support: np.ndarray | None = None) -> MeasurementStep:
-    """Build a validated MeasurementStep from outcome->operator dicts."""
-    measurement = povm_from_dict(elements, support)
+    """A validated MeasurementStep from outcome->Kraus coordinates on a party of
+    local dimension d; support, if given, holds the coordinates of the
+    projector its elements K^dag K resolve (else the identity)."""
+    stack = np.array(list(kraus.values()), float)
+    stack.flags.writeable = False
+    measurement = povm_from_dict(
+        zip(kraus, permutation_sum(d, np.array([gram(k) for k in stack]))),
+        None if support is None else permutation_sum(d, support))
     measurement.validate()
-    return MeasurementStep(party=party, measurement=measurement, children=children)
+    return MeasurementStep(party, measurement, children, stack)
 
 
 @dataclass(frozen=True)
@@ -102,19 +97,23 @@ class LoccProtocol:
 
 
 def path_prefixes(protocol: LoccProtocol) -> Iterator[tuple]:
-    """(node, A, B, path) for every path from the root, depth first with children
-    in element order: the node it reaches, Alice's and Bob's chronological
-    Kraus products along it, and the path as (party, outcome) pairs."""
+    """(node, W, path) for every path from the root, depth first with children
+    in element order: the node it reaches, the 6 x 6 table W = c (x) e of the
+    coordinates c and e of A^dag A and B^dag B, for Alice's and Bob's
+    chronological Kraus products A and B along it (each reduced by
+    symmetry.s3_reduce at its party's dimension), and the path as (party,
+    outcome) pairs."""
     def walk(node, a: np.ndarray, b: np.ndarray, path: tuple) -> Iterator[tuple]:
-        yield node, a, b, path
+        yield node, np.outer(s3_reduce(protocol.d_a, gram(a)),
+                             s3_reduce(protocol.d_b, gram(b))), path
         if not isinstance(node, Leaf):
             for (outcome, _), k, child in zip(node.measurement.elements, node.kraus,
                                               node.successors):
                 after = path + ((node.party, outcome),)
-                yield from (walk(child, k @ a, b, after) if node.party == ALICE
-                            else walk(child, a, k @ b, after))
+                yield from (walk(child, s3_product(k, a), b, after) if node.party == ALICE
+                            else walk(child, a, s3_product(k, b), after))
 
-    return walk(protocol.root, np.eye(protocol.d_a**3), np.eye(protocol.d_b**3), ())
+    return walk(protocol.root, S3.identity, S3.identity, ())
 
 
 def effective_povm(protocol: LoccProtocol) -> Povm:
@@ -122,19 +121,21 @@ def effective_povm(protocol: LoccProtocol) -> Povm:
 
     Element for label L = sum over leaves labeled L of
     kron(A^dag A, B^dag B), with A and B the chronological products of
-    Alice's and Bob's local Kraus operators along the path, assembled by
-    BipartiteToolkit.kron_sum over the stacked leaves: one matrix product and
-    one transpose, in the system-major basis (directly comparable with the
+    Alice's and Bob's local Kraus operators along the path.  In coordinates
+    that is sum_{pi, sigma} W[pi, sigma] P_pi (x) P_sigma, for W the sum of
+    the leaves' tables (path_prefixes), assembled by
+    BipartiteToolkit.kron_sum as the six terms P_pi (x) (sum_sigma W[pi,
+    sigma] P_sigma), in the system-major basis (directly comparable with the
     closed-form separable constructions).  Completeness is asserted.
     """
-    leaves: dict[int, tuple[list, list]] = {}
-    for node, a, b, _ in path_prefixes(protocol):
+    tables: dict[int, np.ndarray] = {}
+    for node, table, _ in path_prefixes(protocol):
         if isinstance(node, Leaf):
-            alice, bob = leaves.setdefault(node.label, ([], []))
-            alice.append(dagger(a) @ a)
-            bob.append(dagger(b) @ b)
+            tables[node.label] = tables.get(node.label, 0.0) + table
     bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-    elements = {label: bt.kron_sum(alice, bob) for label, (alice, bob) in sorted(leaves.items())}
+    basis = permutation_sum(protocol.d_a, np.eye(6))   # Alice's six P_pi
+    elements = {label: bt.kron_sum(basis, permutation_sum(protocol.d_b, table))
+                for label, table in sorted(tables.items())}
     missing = np.eye(protocol.dim, dtype=np.result_type(*elements.values()))
     for op in elements.values():
         missing -= op

@@ -24,8 +24,10 @@ matrices M_s, f is the product over the cycles (p, tau(p), ...) of tau =
 pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))} ...), with X_{s,q} =
 conj(M_s) M_q^T (local-unitary invariants as in E. Rains,
 arXiv:quant-ph/9704042).  LoccTrialSpec keeps every prefix's (c, e) from when
-it is made; a block computes its invariants, every prefix probability in one
-matrix product, and samples each step from the ratios P(child)/P(step).
+it is made, as the tree's own Kraus coordinates multiply out along the path
+(protocol.path_prefixes); a block computes its invariants, every prefix
+probability in one matrix product, and samples each step from the ratios
+P(child)/P(step).
 
 Determinism contract: trial i of a batch uses the generator seeded with
 (base_seed, i), so batch results are identical for any worker count and any
@@ -64,16 +66,15 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
-from .linalg import dagger
 from .minerr import Priors
 from .povm import Povm
-from .protocol import ALICE, BOB, Leaf, LoccProtocol, path_prefixes
-from .symmetry import S3_PERMUTATIONS, s3_coordinates
+from .protocol import Leaf, LoccProtocol, path_prefixes
+from .symmetry import RELABEL, S3_PERMUTATIONS, s3_coordinates
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
-# Largest entry of a global element's, or of a prefix product's, distance from
-# the span of the permutation operators that a trial spec may have.
+# Largest entry of a global element's distance from the span of the
+# permutation operators that GlobalTrialSpec may have.
 SPAN_ATOL = 1e-12
 # Bytes of a global block's complex references (1024 trials at d = 4), of
 # an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
@@ -294,11 +295,9 @@ def _invariant_words() -> tuple[tuple, tuple, np.ndarray]:
             rows, factors = groups.setdefault(len(term), ([], []))
             rows.append(6 * i + j)
             factors.append(term)
-    g = (0, 2, 1)
-    conj = [S3_PERMUTATIONS.index(tuple(g[pi[g[x]]] for x in range(3))) for pi in S3_PERMUTATIONS]
     return (tuple(words), tuple((np.array(rows), np.array(factors))
                                 for rows, factors in groups.values()),
-            np.array([6 * i + j for i in conj for j in conj]))
+            (6 * RELABEL[:, None] + RELABEL).ravel())
 
 
 _WORDS, _TERMS, _RELABEL = _invariant_words()
@@ -338,18 +337,8 @@ def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.
 def _prefixes(protocol: LoccProtocol) -> tuple[np.ndarray, tuple, int]:
     """The weights, nodes and depth of LoccTrialSpec."""
     weights, nodes, index = [], [], {}
-    for k, (node, a, b, path) in enumerate(path_prefixes(protocol)):
-        coords = []
-        for party, op in ((ALICE, a), (BOB, b)):
-            c, residual = s3_coordinates(dagger(op) @ op)
-            # NaN fails it too; only the party of the path's last step can fail
-            if not residual <= SPAN_ATOL:
-                where = " > ".join(f"{p} {outcome!r}" for p, outcome in path[:-1]) or "the root"
-                raise ValueError(f"{party}'s step at {where}: outcome {path[-1][1]!r} leaves "
-                                 f"{party}'s path product {residual:.3e} off the span of the "
-                                 f"permutation operators (tolerance {SPAN_ATOL:g})")
-            coords.append(c)
-        weights.append(np.outer(*coords).ravel())
+    for k, (node, table, path) in enumerate(path_prefixes(protocol)):
+        weights.append(table.ravel())
         nodes.append(node.label if isinstance(node, Leaf) else (node.party, []))
         index[path] = k
         if path:
@@ -360,10 +349,10 @@ def _prefixes(protocol: LoccProtocol) -> tuple[np.ndarray, tuple, int]:
 @dataclass(frozen=True)
 class LoccTrialSpec:
     """Sequential execution of an LOCC protocol tree, from a row per path prefix
-    (protocol.path_prefixes order): weights[k] = c (x) e, for the coordinates
-    of its A^dag A and B^dag B on the permutation operators, and nodes[k], a
-    step's (party, children's rows) or a leaf's label.  depth counts the steps
-    of the longest path.  A product off the span by over SPAN_ATOL: ValueError.
+    (protocol.path_prefixes order): weights[k] = c (x) e, the coordinates of
+    its A^dag A and B^dag B on the permutation operators, as the tree's own
+    coordinates multiply out, and nodes[k], a step's (party, children's rows)
+    or a leaf's label.  depth counts the steps of the longest path.
     """
 
     protocol: LoccProtocol

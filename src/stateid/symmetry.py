@@ -12,14 +12,21 @@ algebra drives every measurement construction downstream:
     swap_diff * swap_sum + swap_sum * swap_diff = 0
     swap_sum^2 = 1 - swap_diff^2
 
-Dense toolkits serve each party's own triple space and the identity checks.
-On the joint space of a split d = d_a*d_b nothing needs the joint toolkit:
-overlaps Re tr(P_pi^T op) with the six permutation operators are read from
-op's entries through their index maps (permutation_traces), the 1<->2 reference
-swap is a transposition of tensor-factor axes (swap_references), and every
-bipartite operator sum_k kron(A_k, B_k) is assembled by
-BipartiteToolkit.kron_sum, one matrix product over the stacked party factors
-and one transpose into the system-major basis.
+Every local operator of the schemes is given by its six real coordinates on
+the P_k = permutation_operator((d, d, d), S3_PERMUTATIONS[k]), the same at
+every d (S3), and multiplied in the group algebra R[S3] (s3_product,
+s3_adjoint, RELABEL); permutation_sum writes it dense.  At d = 2, where
+sum_k sgn(k) P_k = 0, s3_reduce picks one representative.
+
+Dense toolkits serve the global unambiguous POVM, the separable family and
+the identity checks.  On the joint space of a split d = d_a*d_b nothing
+needs the joint toolkit: overlaps Re tr(P_pi^T op) with the six permutation
+operators are read from op's entries through their index maps
+(permutation_traces), the 1<->2 reference swap is a transposition of
+tensor-factor axes (swap_references), and every bipartite operator sum_k
+kron(A_k, B_k) is assembled by BipartiteToolkit.kron_sum, one matrix
+product over the stacked party factors and one transpose into the
+system-major basis.
 """
 
 from __future__ import annotations
@@ -43,6 +50,15 @@ _S3_GROUP = (
 )
 # the permutations alone, in the same order: the index of P_pi in coordinates
 S3_PERMUTATIONS = tuple(perm for perm, _ in _S3_GROUP)
+_SIGNS = np.array([sign for _, sign in _S3_GROUP], float)
+# P_i P_j = P_k for k = _PRODUCT[i, j], and P_k^dag = P_k^T = P_{_INVERSE[k]}
+# (linalg.permutation_operator composes as P(s) P(t) = P(t[s[p]] for each p))
+_PRODUCT = np.array([[S3_PERMUTATIONS.index(tuple(t[s[p]] for p in range(3)))
+                      for t in S3_PERMUTATIONS] for s in S3_PERMUTATIONS])
+_INVERSE = np.array([S3_PERMUTATIONS.index(tuple(s.index(p) for p in range(3)))
+                     for s in S3_PERMUTATIONS])
+# the 1<->2 relabel P_3 P_k P_3 = P_{RELABEL[k]}: coordinates c go to c[RELABEL]
+RELABEL = _PRODUCT[3, _PRODUCT[:, 3]]
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,56 @@ def permutation_columns(d: int) -> np.ndarray:
                         for perm in S3_PERMUTATIONS])
     _freeze(columns)
     return columns
+
+
+_UNIT = np.eye(6)
+
+
+class S3:
+    """Coordinates on the P_k of the operators every scheme is built from, the
+    same at every d; the names are those of the SymmetryToolkit fields."""
+
+    identity = _UNIT[0]
+    sym01, antisym01 = (_UNIT[0] + _UNIT[1]) / 2, (_UNIT[0] - _UNIT[1]) / 2
+    sym02, antisym02 = (_UNIT[0] + _UNIT[2]) / 2, (_UNIT[0] - _UNIT[2]) / 2
+    swap_diff, swap_sum = (_UNIT[1] - _UNIT[2]) / 2, (_UNIT[1] + _UNIT[2]) / 2
+    sym3, antisym3 = np.full(6, 1 / 6), _SIGNS / 6
+    mixed3 = _UNIT[0] - sym3 - antisym3
+
+
+_freeze(*(c for c in vars(S3).values() if isinstance(c, np.ndarray)))
+
+
+def s3_product(a, b) -> np.ndarray:
+    """Coordinates of (sum_i a[i] P_i)(sum_j b[j] P_j), from the multiplication table."""
+    return np.bincount(_PRODUCT.ravel(), np.outer(a, b).ravel(), minlength=6)
+
+
+def s3_adjoint(c) -> np.ndarray:
+    """Coordinates of the adjoint of sum_k c[k] P_k, for real c."""
+    return np.asarray(c)[_INVERSE]
+
+
+def s3_reduce(d: int, c) -> np.ndarray:
+    """The coordinates c (..., 6), or at d = 2, where sum_k sgn(k) P_k = 6
+    antisym3 = 0, c less its component along the signs: the least-norm
+    coordinates of the same operator, as s3_coordinates fits them."""
+    c = np.asarray(c, float)
+    return c - (c @ _SIGNS / 6)[..., None] * _SIGNS if d == 2 else c
+
+
+def permutation_sum(d: int, c) -> np.ndarray:
+    """The dense sum_k c[k] P_k on (C^d)^x3, written through the P_k's index
+    maps from the coordinates c reduced by s3_reduce; a stack (..., 6) of
+    coordinates gives a stack of matrices.  The one way a local operator of
+    this package becomes dense."""
+    c = s3_reduce(d, c)
+    n = d**3
+    out = np.zeros(c.shape[:-1] + (n, n))
+    rows = np.arange(n)
+    for k, columns in enumerate(permutation_columns(d)):
+        out[..., rows, columns] += c[..., k, None]
+    return out
 
 
 @lru_cache(maxsize=None)

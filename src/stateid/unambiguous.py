@@ -29,8 +29,8 @@ import numpy as np
 from .linalg import identity_minus, max_abs
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (bipartite_toolkit, build_toolkit, dimension_table, reference_swap_view,
-                       swap_references, symmetrizer_traces)
+from .symmetry import (S3, bipartite_toolkit, build_toolkit, dimension_table, reference_swap_view,
+                       s3_product, swap_references, symmetrizer_traces)
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
@@ -240,7 +240,9 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
     conclusive elements are scaled pair-(anti)symmetrizers.  When both are
     mixed, the party given by mixed_mixed_first applies a four-outcome POVM
     (a1, a2), the other measures one of two projective pairs selected by a1,
-    and the answer is a1 when a2 agrees with it, else inconclusive.
+    and the answer is a1 when a2 agrees with it, else inconclusive.  Every
+    Kraus operator is sqrt(w) times a projector in the group algebra, for w =
+    1, 2/3 or 1/2.
 
     The combinations (sym, antisym) and (antisym, sym) never occur on valid
     inputs; the tree still carries them (as inconclusive leaves) so the
@@ -248,50 +250,45 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
     """
     if mixed_mixed_first not in (ALICE, BOB):
         raise ValueError(f"mixed_mixed_first must be {ALICE!r} or {BOB!r}")
-    bt = bipartite_toolkit(d_a, d_b)
-    toolkits = {ALICE: bt.alice, BOB: bt.bob}
+    dims = {ALICE: d_a, BOB: d_b}
+
+    def mixed(weight: float, op) -> np.ndarray:
+        """The Kraus operator sqrt(weight) mixed3 op, of the element weight mixed3 op,
+        for a projector op that commutes with mixed3."""
+        return math.sqrt(weight) * s3_product(S3.mixed3, op)
 
     def conclusive_step(party: str, other_symmetric: bool):
         """Local POVM for the mixed party when the other side is (anti)symmetric."""
-        tk = toolkits[party]
-        eye = np.eye(tk.d**3)
-        if other_symmetric:
-            elements = {
-                1: ALPHA_MAX * tk.mixed3 @ tk.antisym02,
-                2: ALPHA_MAX * tk.mixed3 @ tk.antisym01,
-                0: tk.mixed3 @ (eye + 2.0 * tk.swap_sum) / 3.0,
-            }
-        else:
-            elements = {
-                1: ALPHA_MAX * tk.mixed3 @ tk.sym02,
-                2: ALPHA_MAX * tk.mixed3 @ tk.sym01,
-                0: tk.mixed3 @ (eye - 2.0 * tk.swap_sum) / 3.0,
-            }
-        return step(party, elements,
-                    {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, tk.mixed3)
+        sign = 1.0 if other_symmetric else -1.0
+        kraus = {
+            1: mixed(ALPHA_MAX, S3.antisym02 if other_symmetric else S3.sym02),
+            2: mixed(ALPHA_MAX, S3.antisym01 if other_symmetric else S3.sym01),
+            0: mixed(ALPHA_MAX, (S3.identity + sign * 2.0 * S3.swap_sum) / 2),
+        }
+        return step(party, dims[party], kraus, {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, S3.mixed3)
 
     def mixed_mixed_step(first: str):
         second = BOB if first == ALICE else ALICE
-        tk1, tk2 = toolkits[first], toolkits[second]
         four = {
-            (1, 1): 0.5 * tk1.mixed3 @ tk1.antisym02,
-            (1, 2): 0.5 * tk1.mixed3 @ tk1.sym02,
-            (2, 1): 0.5 * tk1.mixed3 @ tk1.antisym01,
-            (2, 2): 0.5 * tk1.mixed3 @ tk1.sym01,
+            (1, 1): mixed(0.5, S3.antisym02),
+            (1, 2): mixed(0.5, S3.sym02),
+            (2, 1): mixed(0.5, S3.antisym01),
+            (2, 2): mixed(0.5, S3.sym01),
         }
         children = {}
         for (a1, a2) in four:
-            pair = (tk2.sym02, tk2.antisym02) if a1 == 1 else (tk2.sym01, tk2.antisym01)
-            confirm = step(second,
-                           {1: tk2.mixed3 @ pair[0], 2: tk2.mixed3 @ pair[1]},
-                           {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
-                           tk2.mixed3)
-            children[(a1, a2)] = confirm
-        return step(first, four, children, tk1.mixed3)
+            pair = (S3.sym02, S3.antisym02) if a1 == 1 else (S3.sym01, S3.antisym01)
+            children[(a1, a2)] = step(second, dims[second],
+                                      {1: mixed(1.0, pair[0]), 2: mixed(1.0, pair[1])},
+                                      {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
+                                      S3.mixed3)
+        return step(first, dims[first], four, children, S3.mixed3)
+
+    types = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
 
     def bob_layer(alice_outcome: str):
         children = {}
-        for b_outcome in ("sym", "antisym", "mixed"):
+        for b_outcome in types:
             pair = {alice_outcome, b_outcome}
             if pair in ({"sym"}, {"antisym"}, {"sym", "antisym"}):
                 children[b_outcome] = Leaf(0)
@@ -303,11 +300,7 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
                 children[b_outcome] = conclusive_step(mixed_party, other_symmetric=False)
             else:
                 children[b_outcome] = mixed_mixed_step(mixed_mixed_first)
-        tkb = toolkits[BOB]
-        return step(BOB, {"sym": tkb.sym3, "antisym": tkb.antisym3, "mixed": tkb.mixed3},
-                    children)
+        return step(BOB, d_b, types, children)
 
-    tka = toolkits[ALICE]
-    root = step(ALICE, {"sym": tka.sym3, "antisym": tka.antisym3, "mixed": tka.mixed3},
-                {outcome: bob_layer(outcome) for outcome in ("sym", "antisym", "mixed")})
+    root = step(ALICE, d_a, types, {outcome: bob_layer(outcome) for outcome in types})
     return LoccProtocol(d_a=d_a, d_b=d_b, root=root)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateid import checks, cli
 from stateid.cli import main
+from stateid.minerr import Priors, max_success_global
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +132,83 @@ class TestMinerr:
         assert all(row["pass"] for row in report["checks"])
         if report["monte_carlo"]:
             assert report["monte_carlo"]["successes"] == 2000
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", "2", "--eta1", "1e-9"),
+        ("--d", "2", "--eta1", "1e-9", "--simulate"),
+        ("--da", "2", "--db", "2", "--eta1", "1e-9", "--locc"),
+        ("--da", "2", "--db", "2", "--eta1", "1e-9", "--locc", "--simulate"),
+        ("--da", "2", "--db", "2", "--eta1", "1e-7", "--locc", "--simulate", "--n", "2000"),
+        ("--da", "3", "--db", "3", "--eta1", "1e-8", "--locc", "--simulate", "--n", "200"),
+        ("--da", "2", "--db", "3", "--eta1", "0.99999999", "--locc", "--simulate", "--n", "500"),
+        ("--da", "2", "--db", "2", "--eta1", "1e-12", "--locc", "--simulate", "--n", "2000"),
+    ])
+    def test_near_degenerate_priors(self, capsys, argv):
+        # priors a hair from certainty: lambda+ below any classification band,
+        # and the swapped tree at the mirror edge; every check must pass
+        code, report = run_json(capsys, "minerr", *argv)
+        assert code == 0
+        assert all(row["pass"] for row in report["checks"])
+
+    def test_locc_overlap_at_a_tiny_prior(self, capsys):
+        # both sides of tr[E1 G] equal (p_max - eta2) D D(D+1)/2 = 1.5e-11 at D = 4
+        code, report = run_json(capsys, "minerr", "--da", "2", "--db", "2", "--eta1", "1e-12",
+                                "--locc")
+        assert code == 0
+        priors = Priors.from_eta1(1e-12)
+        expected = (max_success_global(4, priors) - priors.eta2) * 4 * 10
+        row = next(r for r in report["checks"] if r["name"] == "locc_overlap_vs_global_overlap")
+        for side in (row["analytic"], row["oracle"]):
+            assert abs(side - expected) <= 0.01 * expected
+
+
+def test_memory_error_is_a_usage_error(capsys, monkeypatch):
+    # a dimension whose dense operators do not fit: one stderr line, exit 2
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "unamb", out_of_memory)
+    assert main(["unamb", "--da", "5", "--db", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stateid: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+EDGE_ETA1 = (st.floats(0.0, 1e-15) | st.floats(1.0 - 1e-15, 1.0) | st.just(5e-324))
+
+
+@st.composite
+def cli_calls(draw):
+    """minerr or unamb argv over the CLI's own domain: small dimensions, priors at
+    both edges and subnormal, with or without --locc and a small simulation."""
+    command = draw(st.sampled_from(["minerr", "unamb"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--d", str(draw(st.integers(2, 4)))]
+    else:
+        argv += ["--da", str(draw(st.sampled_from([2, 3]))),
+                 "--db", str(draw(st.sampled_from([2, 3])))]
+    if command == "minerr":
+        argv += ["--eta1", repr(draw(EDGE_ETA1))]
+        if draw(st.booleans()):
+            argv.append("--locc")
+    if draw(st.booleans()):
+        argv += ["--simulate", "--n", str(draw(st.integers(1, 300))), "--seed", "7"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=cli_calls())
+def test_cli_domain_gives_an_answer_or_a_usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestUnamb:

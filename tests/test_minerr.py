@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid.linalg import positive_part_projector
+from dense_reference import positive_part_projector
 from stateid.minerr import (
     EQUAL_PRIORS,
     Priors,
     _local_projectors,
+    _rotation_angle,
     gain_eigenvalues_mixed,
     gain_operator,
     locc_povm_element,
@@ -19,9 +20,10 @@ from stateid.minerr import (
     mean_success,
     optimal_global_povm,
 )
+from stateid import unambiguous
 from stateid.povm import povm_from_dict
 from stateid.protocol import Leaf, effective_povm
-from stateid.symmetry import bipartite_toolkit, build_toolkit, dimension_table
+from stateid.symmetry import build_toolkit, dimension_table, permutation_sum, swap_references
 
 # frozen via the eigenvalue-sum oracle (assemble gain operator, eigensolve,
 # sum positive part):
@@ -221,10 +223,12 @@ class TestLoccPovmElement:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_swapped_local_projectors_match_dense_swap(self, da, db):
         p = Priors.from_eta1(0.3)
-        for tk in (bipartite_toolkit(da, db).alice, bipartite_toolkit(da, db).bob):
-            swapped = _local_projectors(tk, p, swap=True)
-            dense = [tk.swap12 @ op @ tk.swap12 for op in _local_projectors(tk, p)]
-            assert all(np.array_equal(a, b) for a, b in zip(swapped, dense, strict=True))
+        for d in (da, db):
+            swapped = [permutation_sum(d, c) for c in _local_projectors(p, swap=True)]
+            t12 = build_toolkit(d).swap12
+            dense = [t12 @ permutation_sum(d, c) @ t12 for c in _local_projectors(p)]
+            # the same up to rounding: at d = 2 each side is reduced on its own
+            assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(swapped, dense, strict=True))
 
     @pytest.mark.parametrize("eta1,e1", [(0.0, 0.0), (1.0, 1.0)])
     def test_degenerate_priors_give_trivial_element(self, eta1, e1):
@@ -284,5 +288,52 @@ class TestLoccProtocol:
     def test_angle_at_equal_priors(self):
         # cos(2 theta) = 0 at eta1 = eta2, so the rotated projectors split the
         # mixed block evenly
-        from stateid.minerr import _rotation_angle
         assert abs(_rotation_angle(EQUAL_PRIORS) - math.pi / 4) < 1e-12
+
+
+def dense_local_projectors(d: int, priors: Priors, swap: bool) -> list:
+    """(pp, pm, qp, qm) by the dense recipe: the positive and negative parts of
+    the gain operator and of the rotated involution y2 on the mixed subspace,
+    each from an eigensolve of the restricted dense operator."""
+    tk = build_toolkit(d)
+    theta = _rotation_angle(priors)
+    y2 = 2.0 * (-math.sin(theta) / math.sqrt(3.0) * tk.swap_diff + math.cos(theta) * tk.swap_sum)
+    ops = []
+    for h in (gain_operator(d, priors), y2):
+        restricted = tk.mixed3 @ h @ tk.mixed3
+        ops += [positive_part_projector(restricted), positive_part_projector(-restricted)]
+    return [swap_references(op) for op in ops] if swap else ops
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), eta1=st.floats(1e-3, 1 - 1e-3), swap=st.booleans())
+def test_closed_form_projectors_match_dense_recipe(d, eta1, swap):
+    # an eigensolve resolves the eigenvectors of eigenvalue lambda+ only to
+    # about 1e-16 / gap from the kernel of the restricted operator, its
+    # eigenvalue 0 (2.7e-13 at d = 4, eta1 = 1e-3); the closed forms lie in
+    # the mixed subspace to the last bit
+    priors = Priors.from_eta1(eta1)
+    gap = min(abs(lam) for lam in gain_eigenvalues_mixed(priors))
+    closed = [permutation_sum(d, c) for c in _local_projectors(priors, swap)]
+    outside = build_toolkit(d).sym3 + build_toolkit(d).antisym3
+    for got, ref in zip(closed, dense_local_projectors(d, priors, swap), strict=True):
+        assert np.abs(got - ref).max() <= 1e-13 + 1e-15 / gap
+        assert np.abs(got @ outside).max() <= 1e-15
+
+
+def test_eigh_is_never_called(monkeypatch):
+    # the trees, the closed-form elements and the global POVMs need no eigensolve
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        for eta1 in (0.3, 0.7):
+            locc_protocol(da, db, Priors.from_eta1(eta1))
+        unambiguous.locc_protocol(da, db)
+        locc_povm_element(da, db, Priors.from_eta1(0.3)).validate()
+        unambiguous.separable_unamb_povm.__wrapped__(da, db, unambiguous.SeparableCoeffs.optimal())
+    optimal_global_povm(9, Priors.from_eta1(0.3)).validate()
+    unambiguous.global_unamb_povm.__wrapped__(3).validate()
+    with pytest.raises(AssertionError, match="eigh called"):
+        np.linalg.eigh(np.eye(2))

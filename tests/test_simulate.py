@@ -16,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stateid import simulate, unambiguous
-from stateid.linalg import dagger, permutation_operator, regroup_operator
+from stateid.linalg import permutation_operator, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
-from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep
+from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, step
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
     MIN_FORK_CHUNK,
@@ -36,7 +36,7 @@ from stateid.simulate import (
     haar_unitary,
     run_batch,
 )
-from stateid.symmetry import S3_PERMUTATIONS, bipartite_toolkit, s3_coordinates
+from stateid.symmetry import S3, S3_PERMUTATIONS, bipartite_toolkit, permutation_sum, s3_coordinates
 from stateid.unambiguous import global_unamb_povm
 
 PMAX_D2_HALF = 0.6443375672974064
@@ -203,13 +203,16 @@ class TestLoccTrials:
 
 
 def dense_walk(spec: LoccTrialSpec, rng: np.random.Generator, trial_index: int) -> TrialRecord:
-    """Reference walker on the joint space: lifted kron(K, 1) / kron(1, K) matvecs.
+    """Reference walker on the joint space: lifted kron(K, 1) / kron(1, K) matvecs,
+    for the dense Kraus operators K that permutation_sum writes from each
+    step's coordinates.
 
     Draws in the order of the per-trial contract (label, both references, one
     uniform per step) and regroups with the dense 0/1 operator.
     """
     proto = spec.protocol
     na, nb = proto.d_a**3, proto.d_b**3
+    dims = {ALICE: proto.d_a, BOB: proto.d_b}
     label = 1 if rng.random() < spec.priors.eta1 else 2
     phi1 = haar_state(proto.d_a * proto.d_b, rng)
     phi2 = haar_state(proto.d_a * proto.d_b, rng)
@@ -217,8 +220,9 @@ def dense_walk(spec: LoccTrialSpec, rng: np.random.Generator, trial_index: int) 
     transcript = []
     node = proto.root
     while not isinstance(node, Leaf):
+        dense = permutation_sum(dims[node.party], node.kraus)
         lifted = [kron(k, np.eye(nb)) if node.party == ALICE else kron(np.eye(na), k)
-                  for k in node.kraus]
+                  for k in dense]
         branches = [op @ state for op in lifted]
         probs = np.array([np.vdot(v, v).real for v in branches])
         assert abs(probs.sum() - 1.0) <= PROB_SUM_ATOL
@@ -239,28 +243,6 @@ def make_locc_spec(task: str, da: int, db: int, eta1: float) -> LoccTrialSpec:
 
 
 LOCC_CASES = [("minerr", 0.5), ("minerr", 0.7), ("unamb", 0.5)]
-
-
-def phased(node, phases: dict):
-    """The tree with every local element, and support, conjugated as D E D^dag by
-    the party's fixed diagonal phase D = diag(phases[party])."""
-    if isinstance(node, Leaf):
-        return node
-
-    def conjugate(op):
-        return phases[node.party][:, None] * op * phases[node.party].conj()
-
-    measurement = povm_from_dict({label: conjugate(op) for label, op in node.measurement.elements},
-                                 conjugate(node.measurement.support))
-    return MeasurementStep(node.party, measurement,
-                           {label: phased(child, phases) for label, child in node.children.items()})
-
-
-def phased_protocol(task: str, da: int, db: int, eta1: float) -> LoccProtocol:
-    """A production tree turned complex: its Kraus stacks are complex at every step."""
-    spec = make_locc_spec(task, da, db, eta1)
-    phases = {party: np.exp(1j * np.arange(1, n + 1)) for party, n in ((ALICE, da**3), (BOB, db**3))}
-    return LoccProtocol(da, db, phased(spec.protocol.root, phases))
 
 
 def steps_of(node):
@@ -289,18 +271,6 @@ class TestFactoredEngine:
             assert spec.run(np.random.default_rng((5, i)), i) == copy.run(
                 np.random.default_rng((5, i)), i)
 
-    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
-    @pytest.mark.parametrize("task,eta1", LOCC_CASES)
-    def test_phased_tree_is_rejected(self, task, eta1, da, db):
-        # D E D^dag with a diagonal phase D is off the span of the permutation
-        # operators, so no coefficient table exists for it
-        proto = phased_protocol(task, da, db, eta1)
-        assert all(np.iscomplexobj(node.kraus) for node in steps_of(proto.root))
-        root = proto.root.party
-        with pytest.raises(ValueError, match=rf"^{root}'s step at the root: outcome .+ leaves "
-                           rf"{root}'s path product .+ off the span .+\(tolerance 1e-12\)$"):
-            LoccTrialSpec(proto, Priors.from_eta1(eta1))
-
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_production_stacks_are_real(self, da, db):
         trees = [locc_protocol(da, db, Priors.from_eta1(eta1)) for eta1 in (0.3, 0.5, 0.7)]
@@ -321,10 +291,11 @@ class TestFactoredEngine:
 
 def prefix_products(node, a: np.ndarray, b: np.ndarray) -> list:
     """(A^dag A, B^dag B) of every path prefix of a tree, the root first and
-    then depth first, children in element order."""
-    products = [(dagger(a) @ a, dagger(b) @ b)]
+    then depth first, children in element order, from dense Kraus operators."""
+    products = [(a.conj().T @ a, b.conj().T @ b)]
     if not isinstance(node, Leaf):
-        for k, child in zip(node.kraus, node.successors):
+        d = round(len(a if node.party == ALICE else b) ** (1 / 3))
+        for k, child in zip(permutation_sum(d, node.kraus), node.successors):
             if node.party == ALICE:
                 products += prefix_products(child, k @ a, b)
             else:
@@ -460,8 +431,8 @@ class TestBlockEngine:
         assert _run_chunk(spec, seed, start, stop) == singles
 
     def test_incomplete_locc_step_aborts_the_batch(self, monkeypatch):
-        half = MeasurementStep(ALICE, povm_from_dict({0: np.eye(8) / 2}, np.eye(8) / 2),
-                               {0: Leaf(0)})
+        # one outcome, K = 1/sqrt(2), that resolves only half the identity
+        half = step(ALICE, 2, {0: S3.identity / math.sqrt(2)}, {0: Leaf(0)}, S3.identity / 2)
         spec = LoccTrialSpec(LoccProtocol(d_a=2, d_b=2, root=half), EQUAL_PRIORS)
         with pytest.raises(TrialAbort, match=r"^trial 0 at alice: .*sum"):
             run_batch(spec, 300, 0)

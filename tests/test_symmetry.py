@@ -3,16 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid.linalg import hermitian_eig, permutation_operator, regroup_operator
+from stateid.linalg import hermitian_eigenvalues, permutation_operator, regroup_operator
 from stateid import checks, minerr, symmetry, unambiguous
 from stateid.symmetry import (
+    RELABEL,
+    S3,
     S3_PERMUTATIONS,
     bipartite_toolkit,
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    permutation_sum,
     permutation_traces,
+    s3_adjoint,
     s3_coordinates,
+    s3_product,
+    s3_reduce,
     swap_references,
     symmetrizer_traces,
 )
@@ -118,7 +124,7 @@ class TestToolkitInvariants:
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_swap_diff_spectrum(d):
     tk = build_toolkit(d)
-    w = hermitian_eig(tk.swap_diff).eigenvalues
+    w = hermitian_eigenvalues(tk.swap_diff)
     vm = tk.dims.mixed3
     assert np.sum(np.abs(w - SQRT3_2) < 1e-9) == vm // 2
     assert np.sum(np.abs(w + SQRT3_2) < 1e-9) == vm // 2
@@ -276,3 +282,46 @@ def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
     assert abs(minerr.mean_success(povm, 9, priors) - minerr.max_success_global(9, priors)) < 1e-9
     with pytest.raises(AssertionError, match="joint toolkit"):
         build_toolkit(9)
+
+
+# --- the group algebra of the P_k, against dense permutation operators ------
+
+def dense_basis(d):
+    return np.array([permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS])
+
+
+COORDS = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), a=COORDS, b=COORDS)
+def test_algebra_matches_dense_products(d, a, b):
+    # at d = 2 the map from coordinates is not injective: sum_k sgn(k) P_k = 0
+    basis = dense_basis(d)
+    dense_a, dense_b = np.tensordot(a, basis, 1), np.tensordot(b, basis, 1)
+    t12 = basis[S3_PERMUTATIONS.index((0, 2, 1))]
+    assert np.abs(np.tensordot(s3_product(a, b), basis, 1) - dense_a @ dense_b).max() <= 1e-13
+    assert np.abs(np.tensordot(s3_adjoint(a), basis, 1) - dense_a.T).max() <= 1e-14
+    assert np.abs(np.tensordot(a[RELABEL], basis, 1) - t12 @ dense_a @ t12).max() <= 1e-14
+    assert np.abs(permutation_sum(d, a) - dense_a).max() <= 1e-14
+    assert np.abs(permutation_sum(d, np.array([a, b])) - [dense_a, dense_b]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_d2_reduction_is_the_least_norm_fit(d):
+    # s3_reduce picks, at d = 2, the coordinates that s3_coordinates fits
+    rng = np.random.default_rng(d)
+    for c in (rng.standard_normal(6), S3.antisym3, S3.mixed3):
+        fitted, residual = s3_coordinates(np.tensordot(c, dense_basis(d), 1))
+        assert np.abs(s3_reduce(d, c) - fitted).max() <= 1e-14 and residual <= 1e-14
+    assert np.array_equal(s3_reduce(2, S3.antisym3), np.zeros(6))
+    assert np.array_equal(permutation_sum(2, S3.antisym3), np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_named_coordinates_match_the_toolkit(d):
+    tk = build_toolkit(d)
+    for name in ("sym01", "sym02", "antisym01", "antisym02", "sym3", "antisym3", "mixed3",
+                 "swap_diff", "swap_sum"):
+        assert np.abs(permutation_sum(d, getattr(S3, name)) - getattr(tk, name)).max() <= 1e-15
+    assert np.array_equal(permutation_sum(d, S3.identity), np.eye(d**3))
