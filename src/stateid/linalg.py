@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives: Hermitian eigenvalues, for the
-numerical oracles and the POVM positivity checks, and tensor-factor
-permutations as dense 0/1 operators (for the symmetry toolkit and for tests).
-No spectral function is formed here: every local operator of the package is
-a closed form in the permutation coordinates of symmetry.S3.
+numerical oracles and the POVM positivity checks.  No spectral function is
+formed here, and no permutation operator: every local operator of the
+package is a closed form in the permutation coordinates of symmetry.S3, and
+every tensor-factor permutation an index map.
 
 Every eigensolve runs on the exact invariant blocks of its matrix: the
 connected components of the matrix's symmetrized nonzero pattern, grouped by
@@ -23,7 +23,6 @@ factors in declared order, most significant first.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -148,33 +147,8 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.sort(w, axis=-1)[..., ::-1]
 
 
-def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Unitary 0/1 matrix reordering tensor factors.
-
-    Maps |i_0,...,i_{k-1}> to |j_0,...,j_{k-1}> with j_p = i_{perm[p]}:
-    output factor p carries what input factor perm[p] held.  The output
-    factor dims are the permuted ones; the total dimension is unchanged.
-    """
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"perm {perm} is not a bijection on {len(dims)} factors")
-    n = math.prod(dims)
-    source = np.transpose(np.arange(n).reshape(dims), perm).reshape(n)
-    op = np.zeros((n, n))
-    op[np.arange(n), source] = 1.0
-    return op
-
-
-# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b); its
-# inverse, argsort(PARTY_MAJOR_PERM), maps back
+# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b): factor p
+# of the result is factor PARTY_MAJOR_PERM[p] of the source; its inverse,
+# argsort(PARTY_MAJOR_PERM), maps back
 PARTY_MAJOR_PERM = (0, 2, 4, 1, 3, 5)
 
-
-def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
-    """Dense unitary mapping the system-major split basis to the party-major one.
-
-    The reference form of the regrouping; the package itself regroups by
-    transposing tensor-factor axes (see symmetry.BipartiteToolkit).
-    """
-    return permutation_operator((d_a, d_b) * 3, PARTY_MAJOR_PERM)

@@ -7,12 +7,12 @@ for inconclusive).
 Operators never leave their party's space, and each is given by its six
 real coordinates on the party's permutation operators P_pi (symmetry.S3): a
 step holds its outcomes' Kraus operators K as a read-only (elements, 6)
-stack, and its dense POVM {K^dag K} on the party's triple space, validated
-once, at construction.  path_prefixes multiplies each party's chronological
-Kraus product along every path in the group algebra.  Flattening sums
-kron(A^dag A, B^dag B) over the leaves of each label into the effective
-global POVM the protocol implements, one 6-term BipartiteToolkit.kron_sum
-per label, in the system-major basis.
+stack, checked complete in coordinates at construction; no step is ever
+dense.  path_prefixes multiplies each party's chronological Kraus product
+along every path in the group algebra.  Flattening sums kron(A^dag A, B^dag
+B) over the leaves of each label into the effective global POVM the protocol
+implements, one 6-term BipartiteToolkit.kron_sum per label, in the
+system-major basis: the oracle boundary, where the operators become dense.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class MeasurementStep:
     """One party's local measurement, with a child node per outcome.
 
     kraus[i], of a read-only (elements, 6) stack, holds the coordinates of
-    the Kraus operator of measurement.elements[i], and successors[i] is its
-    child.
+    the Kraus operator of outcome labels[i], and successors[i] is its child.
     """
 
     party: str
-    measurement: Povm
+    labels: tuple[Hashable, ...]
     children: Mapping[Hashable, Union["MeasurementStep", Leaf]]
     kraus: np.ndarray = field(repr=False, compare=False)
     successors: tuple[Union["MeasurementStep", Leaf], ...] = field(
@@ -63,24 +62,26 @@ class MeasurementStep:
     def __post_init__(self) -> None:
         if self.party not in (ALICE, BOB):
             raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {self.party!r}")
-        if set(self.children) != set(self.measurement.labels):
+        if set(self.children) != set(self.labels):
             raise ValueError("children keys must match measurement outcome labels")
-        object.__setattr__(self, "successors",
-                           tuple(self.children[label] for label in self.measurement.labels))
+        object.__setattr__(self, "successors", tuple(self.children[label] for label in self.labels))
 
 
 def step(party: str, d: int, kraus: dict, children: dict,
-         support: np.ndarray | None = None) -> MeasurementStep:
-    """A validated MeasurementStep from outcome->Kraus coordinates on a party of
-    local dimension d; support, if given, holds the coordinates of the
-    projector its elements K^dag K resolve (else the identity)."""
+         support: np.ndarray = S3.identity) -> MeasurementStep:
+    """A MeasurementStep from outcome->Kraus coordinates on a party of local
+    dimension d, whose elements K^dag K must resolve the projector with
+    coordinates support: their sum matches it within COMPLETENESS_ATOL in
+    each coordinate, reduced by symmetry.s3_reduce.  A dense entry of the
+    defect adds up to six coordinates (|aaa><aaa| adds all six), so the dense
+    defect may reach 6 COMPLETENESS_ATOL.  Each element is c^dag c in the
+    group algebra, hermitian and positive as it stands."""
     stack = np.array(list(kraus.values()), float)
     stack.flags.writeable = False
-    measurement = povm_from_dict(
-        zip(kraus, permutation_sum(d, np.array([gram(k) for k in stack]))),
-        None if support is None else permutation_sum(d, support))
-    measurement.validate()
-    return MeasurementStep(party, measurement, children, stack)
+    defect = max_abs(s3_reduce(d, support - sum(gram(k) for k in stack)))
+    if not defect <= COMPLETENESS_ATOL:   # NaN fails it too
+        raise ValueError(f"elements do not sum to the support (max defect {defect:.3e})")
+    return MeasurementStep(party, tuple(kraus), children, stack)
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def path_prefixes(protocol: LoccProtocol) -> Iterator[tuple]:
         yield node, np.outer(s3_reduce(protocol.d_a, gram(a)),
                              s3_reduce(protocol.d_b, gram(b))), path
         if not isinstance(node, Leaf):
-            for (outcome, _), k, child in zip(node.measurement.elements, node.kraus,
-                                              node.successors):
+            for outcome, k, child in zip(node.labels, node.kraus, node.successors):
                 after = path + ((node.party, outcome),)
                 yield from (walk(child, s3_product(k, a), b, after) if node.party == ALICE
                             else walk(child, a, s3_product(k, b), after))

@@ -109,14 +109,6 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases.conj()
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     true_label: int
@@ -412,7 +404,7 @@ class LoccTrialSpec:
         for i in block.path[0]:
             if isinstance(node, Leaf):
                 break
-            outcome = node.measurement.elements[i][0]
+            outcome = node.labels[i]
             transcript.append((node.party, outcome))
             node = node.children[outcome]
         return TrialRecord(

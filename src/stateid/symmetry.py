@@ -13,31 +13,33 @@ algebra drives every measurement construction downstream:
     swap_sum^2 = 1 - swap_diff^2
 
 Every local operator of the schemes is given by its six real coordinates on
-the P_k = permutation_operator((d, d, d), S3_PERMUTATIONS[k]), the same at
-every d (S3), and multiplied in the group algebra R[S3] (s3_product,
-s3_adjoint, RELABEL); permutation_sum writes it dense.  At d = 2, where
-sum_k sgn(k) P_k = 0, s3_reduce picks one representative.
+the P_k, the permutations S3_PERMUTATIONS[k] of the three tensor factors, the
+same at every d (S3), and multiplied in the group algebra R[S3] (s3_product,
+s3_adjoint, RELABEL).  permutation_sum writes coordinates as the dense sum_k
+c[k] P_k from the P_k's index maps; it is the one way a local operator becomes
+dense, and only the oracles, the closed-form POVMs and the flattened trees
+call it.  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks one
+representative of the coordinates.
 
-Dense toolkits serve the global unambiguous POVM, the separable family and
-the identity checks.  On the joint space of a split d = d_a*d_b nothing
-needs the joint toolkit: overlaps Re tr(P_pi^T op) with the six permutation
-operators are read from op's entries through their index maps
-(permutation_traces), the 1<->2 reference swap is a transposition of
-tensor-factor axes (swap_references), and every bipartite operator sum_k
-kron(A_k, B_k) is assembled by BipartiteToolkit.kron_sum, one matrix
-product over the stacked party factors and one transpose into the
-system-major basis.
+The toolkit writes each operator of S3 dense, for the identity checks and the
+tests.  On the joint space of a split d = d_a*d_b nothing needs the joint
+toolkit: overlaps Re tr(P_pi^T op) with the six permutation operators are read
+from op's entries through their index maps (permutation_traces), the 1<->2
+reference swap is a transposition of tensor-factor axes (swap_references),
+and every bipartite operator sum_k kron(A_k, B_k) is assembled by
+BipartiteToolkit.kron_sum, one matrix product over the stacked party factors
+and one transpose into the system-major basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .linalg import PARTY_MAJOR_PERM, permutation_operator
+from .linalg import PARTY_MAJOR_PERM
 
 # the six permutations of three positions, with their signs
 _S3_GROUP = (
@@ -48,11 +50,13 @@ _S3_GROUP = (
     ((1, 2, 0), +1),
     ((2, 0, 1), +1),
 )
-# the permutations alone, in the same order: the index of P_pi in coordinates
+# the permutations alone, in the same order: the index of P_pi in coordinates.
+# P_pi maps |i_0 i_1 i_2> to |i_pi[0] i_pi[1] i_pi[2]>: output factor p
+# carries what input factor pi[p] held.
 S3_PERMUTATIONS = tuple(perm for perm, _ in _S3_GROUP)
 _SIGNS = np.array([sign for _, sign in _S3_GROUP], float)
 # P_i P_j = P_k for k = _PRODUCT[i, j], and P_k^dag = P_k^T = P_{_INVERSE[k]}
-# (linalg.permutation_operator composes as P(s) P(t) = P(t[s[p]] for each p))
+# (the P_pi compose as P(s) P(t) = P(t[s[p]] for each p))
 _PRODUCT = np.array([[S3_PERMUTATIONS.index(tuple(t[s[p]] for p in range(3)))
                       for t in S3_PERMUTATIONS] for s in S3_PERMUTATIONS])
 _INVERSE = np.array([S3_PERMUTATIONS.index(tuple(s.index(p) for p in range(3)))
@@ -129,7 +133,8 @@ def check_dim_relation(d_a: int, d_b: int) -> DimRelationReport:
 
 @dataclass(frozen=True)
 class SymmetryToolkit:
-    """All permutation-algebra operators on (C^d)^x3, as real dense matrices.
+    """The operators of S3 on (C^d)^x3 under their names, as real dense
+    matrices written by permutation_sum.
 
     Arrays are read-only; toolkits are cached per d and shared.
     """
@@ -156,41 +161,10 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def _toolkit(d: int) -> SymmetryToolkit:
-    dims = (d, d, d)
-    n = d**3
-    swaps = {perm: permutation_operator(dims, perm) for perm, _ in _S3_GROUP}
-    sym3 = sum(swaps[perm] for perm, _ in _S3_GROUP) / 6
-    antisym3 = sum(sign * swaps[perm] for perm, sign in _S3_GROUP) / 6
-    mixed3 = np.eye(n) - sym3 - antisym3
-    t01, t02, t12 = swaps[(1, 0, 2)], swaps[(2, 1, 0)], swaps[(0, 2, 1)]
-    eye = np.eye(n)
-    tk = SymmetryToolkit(
-        d=d,
-        dims=dimension_table(d),
-        swap01=t01,
-        swap02=t02,
-        swap12=t12,
-        sym01=(eye + t01) / 2,
-        sym02=(eye + t02) / 2,
-        antisym01=(eye - t01) / 2,
-        antisym02=(eye - t02) / 2,
-        sym3=sym3,
-        antisym3=antisym3,
-        mixed3=mixed3,
-        swap_diff=(t01 - t02) / 2,
-        swap_sum=(t01 + t02) / 2,
-    )
-    _freeze(tk.swap01, tk.swap02, tk.swap12, tk.sym01, tk.sym02, tk.antisym01,
-            tk.antisym02, tk.sym3, tk.antisym3, tk.mixed3, tk.swap_diff, tk.swap_sum)
-    return tk
-
-
-@lru_cache(maxsize=None)
 def permutation_columns(d: int) -> np.ndarray:
-    """(6, d^3) index map of the P_k = permutation_operator((d, d, d),
-    S3_PERMUTATIONS[k]): row i of P_k holds its one 1 in column
-    permutation_columns(d)[k, i].  For a swap P_k, op @ P_k = op[:, that row]."""
+    """(6, d^3) index map of the P_k on (C^d)^x3: row i of P_k holds its one 1
+    in column permutation_columns(d)[k, i].  For a swap P_k, op @ P_k =
+    op[:, that row]."""
     n = d**3
     columns = np.array([np.transpose(np.arange(n).reshape(d, d, d), perm).ravel()
                         for perm in S3_PERMUTATIONS])
@@ -203,9 +177,10 @@ _UNIT = np.eye(6)
 
 class S3:
     """Coordinates on the P_k of the operators every scheme is built from, the
-    same at every d; the names are those of the SymmetryToolkit fields."""
+    same at every d; the toolkit writes each of them dense under its name."""
 
     identity = _UNIT[0]
+    swap01, swap02, swap12 = _UNIT[1], _UNIT[2], _UNIT[3]
     sym01, antisym01 = (_UNIT[0] + _UNIT[1]) / 2, (_UNIT[0] - _UNIT[1]) / 2
     sym02, antisym02 = (_UNIT[0] + _UNIT[2]) / 2, (_UNIT[0] - _UNIT[2]) / 2
     swap_diff, swap_sum = (_UNIT[1] - _UNIT[2]) / 2, (_UNIT[1] + _UNIT[2]) / 2
@@ -236,10 +211,9 @@ def s3_reduce(d: int, c) -> np.ndarray:
 
 def permutation_sum(d: int, c) -> np.ndarray:
     """The dense sum_k c[k] P_k on (C^d)^x3, written through the P_k's index
-    maps from the coordinates c reduced by s3_reduce; a stack (..., 6) of
-    coordinates gives a stack of matrices.  The one way a local operator of
-    this package becomes dense."""
-    c = s3_reduce(d, c)
+    maps; a stack (..., 6) of coordinates gives a stack of matrices.  The one
+    way a local operator of this package becomes dense."""
+    c = np.asarray(c, float)
     n = d**3
     out = np.zeros(c.shape[:-1] + (n, n))
     rows = np.arange(n)
@@ -259,10 +233,9 @@ def _gram_pinv(d: int) -> np.ndarray:
 
 
 def permutation_traces(op: np.ndarray) -> np.ndarray:
-    """Re tr(P_k^T op) for the six P_k = permutation_operator((d, d, d),
-    S3_PERMUTATIONS[k]), each the sum of the d^3 entries of op that P_k's
-    index map picks out; no P_k is formed.  For the identity and the swaps
-    P_k^T = P_k, so these are Re tr(op P_k)."""
+    """Re tr(P_k^T op) for the six P_k on (C^d)^x3, each the sum of the d^3
+    entries of op that P_k's index map picks out; no P_k is formed.  For the
+    identity and the swaps P_k^T = P_k, so these are Re tr(op P_k)."""
     d = round(op.shape[0] ** (1 / 3))
     return op.real[np.arange(d**3), permutation_columns(d)].sum(axis=1)
 
@@ -275,8 +248,8 @@ def symmetrizer_traces(op: np.ndarray) -> tuple[float, float]:
 
 
 def s3_coordinates(op: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k =
-    permutation_operator((d, d, d), S3_PERMUTATIONS[k]), and the largest entry
+    """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k,
+    and the largest entry
     of op - sum_k c[k] P_k.  At d = 2 the P_k are linearly dependent (there is
     no antisymmetric subspace), and c is the least-norm exact solution.
 
@@ -308,6 +281,14 @@ def swap_references(op: np.ndarray) -> np.ndarray:
     return reference_swap_view(op).reshape(op.shape)
 
 
+@lru_cache(maxsize=None)
+def _toolkit(d: int) -> SymmetryToolkit:
+    names = [f.name for f in fields(SymmetryToolkit)[2:]]
+    ops = permutation_sum(d, np.array([getattr(S3, name) for name in names]))
+    _freeze(ops)
+    return SymmetryToolkit(d, dimension_table(d), *ops)
+
+
 def build_toolkit(d: int) -> SymmetryToolkit:
     """Cached symmetry toolkit on (C^d)^x3; rejects d < 2."""
     if d < 2:
@@ -325,7 +306,7 @@ _KRON_AXES = _ROW_AXES + tuple(a + 3 for a in _ROW_AXES)
 
 @dataclass(frozen=True)
 class BipartiteToolkit:
-    """Local toolkits for a d = d_a*d_b split plus the regrouping index maps.
+    """The regrouping index maps of a d = d_a*d_b split.
 
     Regrouping maps the system-major basis |0a 0b 1a 1b 2a 2b> to the
     party-major one |0a 1a 2a>|0b 1b 2b>; conjugating any joint permutation
@@ -335,8 +316,6 @@ class BipartiteToolkit:
 
     d_a: int
     d_b: int
-    alice: SymmetryToolkit
-    bob: SymmetryToolkit
 
     @property
     def d(self) -> int:
@@ -356,23 +335,14 @@ class BipartiteToolkit:
         product = alice.reshape(len(alice), -1).T @ bob.reshape(len(bob), -1)
         return product.reshape((self.d_a,) * 6 + (self.d_b,) * 6).transpose(_KRON_AXES).reshape(n, n)
 
-    def state_matrix(self, state: np.ndarray) -> np.ndarray:
-        """System-major joint vectors (..., d^3) as party-major (..., d_a^3, d_b^3)
-        matrices psi."""
-        lead = state.shape[:-1]
-        k = len(lead)
-        psi = np.transpose(state.reshape(lead + (self.d_a, self.d_b) * 3),
-                           tuple(range(k)) + tuple(k + p for p in PARTY_MAJOR_PERM))
-        return psi.reshape(lead + (self.d_a**3, self.d_b**3))
-
 
 @lru_cache(maxsize=None)
 def bipartite_toolkit(d_a: int, d_b: int) -> BipartiteToolkit:
-    """Toolkits on both local triple spaces of a d_a*d_b split.
+    """The regrouping of a d_a*d_b split.
 
     A trivial party with local dimension 1 is allowed as long as the other
     side is at least 2.
     """
     if d_a < 1 or d_b < 1 or d_a * d_b < 2:
         raise ValueError(f"invalid split ({d_a}, {d_b}); need d_a*d_b >= 2")
-    return BipartiteToolkit(d_a=d_a, d_b=d_b, alice=_toolkit(d_a), bob=_toolkit(d_b))
+    return BipartiteToolkit(d_a=d_a, d_b=d_b)

@@ -16,6 +16,12 @@ coefficients obey a feasibility bound; the best separable scheme reaches
 
 strictly below the global optimum, and is implementable by the LOCC tree
 built here.
+
+Every operator here is written from the coordinates of symmetry.S3: the
+POVMs and the mixed block become dense through symmetry.permutation_sum (and
+BipartiteToolkit.kron_sum on a split), and the LOCC steps never do.  E2 is
+written first and E1 taken as its 1<->2 reference swap, which leaves both
+no-error products exactly zero.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .linalg import identity_minus, max_abs
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (S3, bipartite_toolkit, build_toolkit, dimension_table, reference_swap_view,
+from .symmetry import (S3, bipartite_toolkit, dimension_table, permutation_sum, reference_swap_view,
                        s3_product, swap_references, symmetrizer_traces)
 
 NO_ERROR_ATOL = 1e-10
@@ -37,6 +43,14 @@ COEFF_ATOL = 1e-12
 ALPHA_MAX = 2.0 / 3.0
 # separable POVMs kept per process; a (3,3) entry holds three 729x729 elements
 SEPARABLE_CACHE_SIZE = 8
+
+
+# mixed3 times each pair (anti)symmetrizer: with sym3 and antisym3, the
+# projectors every POVM and step of this module is built from
+MIXED_SYM01, MIXED_ANTISYM01, MIXED_SYM02, MIXED_ANTISYM02 = (
+    s3_product(S3.mixed3, op) for op in (S3.sym01, S3.antisym01, S3.sym02, S3.antisym02))
+for _op in (MIXED_SYM01, MIXED_ANTISYM01, MIXED_SYM02, MIXED_ANTISYM02):
+    _op.flags.writeable = False
 
 
 def _no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
@@ -104,11 +118,10 @@ def max_success_global(d: int) -> float:
 @lru_cache(maxsize=1)
 def global_unamb_povm(d: int) -> UnambPovm:
     """The optimal global three-outcome POVM, cached for its last d (read-only)."""
-    tk = build_toolkit(d)
-    n = d**3
-    e1 = ALPHA_MAX * tk.mixed3 @ tk.antisym02
-    e2 = ALPHA_MAX * tk.mixed3 @ tk.antisym01
-    e0 = tk.mixed3 @ (np.eye(n) + 2.0 * tk.swap_sum) / 3.0 + tk.sym3 + tk.antisym3
+    e2 = permutation_sum(d, ALPHA_MAX * MIXED_ANTISYM01)
+    e1 = swap_references(e2)
+    e0 = permutation_sum(d, s3_product(S3.mixed3, S3.identity + 2.0 * S3.swap_sum) / 3.0
+                         + S3.sym3 + S3.antisym3)
     for op in (e1, e2, e0):
         op.flags.writeable = False
     return UnambPovm(e1=e1, e2=e2, e0=e0)
@@ -134,13 +147,11 @@ def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.n
 
     Oracle for gamma_plus: its largest eigenvalue is the closed form.
     """
-    bt = bipartite_toolkit(d_a, d_b)
-    tka, tkb = bt.alice, bt.bob
-    return bt.kron_sum(
-        [beta1 * tka.mixed3 @ tka.sym02, beta1 * tka.mixed3 @ tka.sym01,
-         beta2 * tka.mixed3 @ tka.antisym02, beta2 * tka.mixed3 @ tka.antisym01],
-        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.antisym01,
-         tkb.mixed3 @ tkb.sym02, tkb.mixed3 @ tkb.sym01])
+    alice = [beta1 * MIXED_SYM02, beta1 * MIXED_SYM01,
+             beta2 * MIXED_ANTISYM02, beta2 * MIXED_ANTISYM01]
+    bob = [MIXED_ANTISYM02, MIXED_ANTISYM01, MIXED_SYM02, MIXED_SYM01]
+    return bipartite_toolkit(d_a, d_b).kron_sum(permutation_sum(d_a, np.array(alice)),
+                                                permutation_sum(d_b, np.array(bob)))
 
 
 @dataclass(frozen=True)
@@ -204,15 +215,14 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
     entries, and validated once, when it is built: equal arguments return the
     same object, whose elements are read-only arrays.
     """
-    bt = bipartite_toolkit(d_a, d_b)
-    tka, tkb = bt.alice, bt.bob
-    e1 = bt.kron_sum(
-        [coeffs.alpha1 * tka.sym3, coeffs.alpha2 * tka.antisym3,
-         coeffs.alpha3 * tka.mixed3 @ tka.sym02, coeffs.alpha4 * tka.mixed3 @ tka.antisym02,
-         coeffs.beta1 * tka.mixed3 @ tka.sym02, coeffs.beta2 * tka.mixed3 @ tka.antisym02],
-        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02, tkb.antisym3, tkb.sym3,
-         tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02])
-    e2 = swap_references(e1)
+    # e2, with every pair symmetrizer of e1 on systems 0,2 moved to 0,1
+    alice = [coeffs.alpha1 * S3.sym3, coeffs.alpha2 * S3.antisym3,
+             coeffs.alpha3 * MIXED_SYM01, coeffs.alpha4 * MIXED_ANTISYM01,
+             coeffs.beta1 * MIXED_SYM01, coeffs.beta2 * MIXED_ANTISYM01]
+    bob = [MIXED_ANTISYM01, MIXED_SYM01, S3.antisym3, S3.sym3, MIXED_ANTISYM01, MIXED_SYM01]
+    e2 = bipartite_toolkit(d_a, d_b).kron_sum(permutation_sum(d_a, np.array(alice)),
+                                              permutation_sum(d_b, np.array(bob)))
+    e1 = swap_references(e2)
     # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
     e0 = identity_minus(e1 + e2)
     povm = UnambPovm(e1=e1, e2=e2, e0=e0)
@@ -252,34 +262,30 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
         raise ValueError(f"mixed_mixed_first must be {ALICE!r} or {BOB!r}")
     dims = {ALICE: d_a, BOB: d_b}
 
-    def mixed(weight: float, op) -> np.ndarray:
-        """The Kraus operator sqrt(weight) mixed3 op, of the element weight mixed3 op,
-        for a projector op that commutes with mixed3."""
-        return math.sqrt(weight) * s3_product(S3.mixed3, op)
-
     def conclusive_step(party: str, other_symmetric: bool):
         """Local POVM for the mixed party when the other side is (anti)symmetric."""
         sign = 1.0 if other_symmetric else -1.0
+        root = math.sqrt(ALPHA_MAX)
         kraus = {
-            1: mixed(ALPHA_MAX, S3.antisym02 if other_symmetric else S3.sym02),
-            2: mixed(ALPHA_MAX, S3.antisym01 if other_symmetric else S3.sym01),
-            0: mixed(ALPHA_MAX, (S3.identity + sign * 2.0 * S3.swap_sum) / 2),
+            1: root * (MIXED_ANTISYM02 if other_symmetric else MIXED_SYM02),
+            2: root * (MIXED_ANTISYM01 if other_symmetric else MIXED_SYM01),
+            0: root * s3_product(S3.mixed3, (S3.identity + sign * 2.0 * S3.swap_sum) / 2),
         }
         return step(party, dims[party], kraus, {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, S3.mixed3)
 
     def mixed_mixed_step(first: str):
         second = BOB if first == ALICE else ALICE
+        half = math.sqrt(0.5)
         four = {
-            (1, 1): mixed(0.5, S3.antisym02),
-            (1, 2): mixed(0.5, S3.sym02),
-            (2, 1): mixed(0.5, S3.antisym01),
-            (2, 2): mixed(0.5, S3.sym01),
+            (1, 1): half * MIXED_ANTISYM02,
+            (1, 2): half * MIXED_SYM02,
+            (2, 1): half * MIXED_ANTISYM01,
+            (2, 2): half * MIXED_SYM01,
         }
         children = {}
         for (a1, a2) in four:
-            pair = (S3.sym02, S3.antisym02) if a1 == 1 else (S3.sym01, S3.antisym01)
-            children[(a1, a2)] = step(second, dims[second],
-                                      {1: mixed(1.0, pair[0]), 2: mixed(1.0, pair[1])},
+            pair = (MIXED_SYM02, MIXED_ANTISYM02) if a1 == 1 else (MIXED_SYM01, MIXED_ANTISYM01)
+            children[(a1, a2)] = step(second, dims[second], {1: pair[0], 2: pair[1]},
                                       {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
                                       S3.mixed3)
         return step(first, dims[first], four, children, S3.mixed3)

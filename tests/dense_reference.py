@@ -5,14 +5,21 @@ recipe the package used for its local projectors and Kraus operators before
 they became closed forms in the permutation coordinates (symmetry.S3).  The
 tests check those closed forms against these recipes, and the recipes run
 the package's own finiteness and hermiticity checks first.
+
+Tensor-factor permutations as dense 0/1 matrices, the symmetry toolkit and
+the unambiguous POVMs as products of them, and a Haar unitary: the dense
+forms of what the package writes from index maps and coordinates.
 """
 
 import functools
-from typing import NamedTuple
+import math
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from stateid import linalg
+from stateid.symmetry import S3_PERMUTATIONS, bipartite_toolkit
 
 # eigenvalues above CLASSIFY_TOL count as positive; one in [CLASSIFY_TOL/10,
 # CLASSIFY_TOL] cannot be classified
@@ -62,3 +69,87 @@ def psd_sqrt(e: np.ndarray) -> np.ndarray:
     if not w.min() >= linalg.PSD_EIG_FLOOR:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return _hermitian_outer(v, v * np.sqrt(np.clip(w, 0.0, None)))
+
+
+def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Unitary 0/1 matrix reordering tensor factors.
+
+    Maps |i_0,...,i_{k-1}> to |j_0,...,j_{k-1}> with j_p = i_{perm[p]}:
+    output factor p carries what input factor perm[p] held.  The output
+    factor dims are the permuted ones; the total dimension is unchanged.
+    """
+    dims = tuple(int(d) for d in dims)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"perm {perm} is not a bijection on {len(dims)} factors")
+    n = math.prod(dims)
+    source = np.transpose(np.arange(n).reshape(dims), perm).reshape(n)
+    op = np.zeros((n, n))
+    op[np.arange(n), source] = 1.0
+    return op
+
+
+def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
+    """Dense unitary mapping the system-major split basis to the party-major one."""
+    return permutation_operator((d_a, d_b) * 3, linalg.PARTY_MAJOR_PERM)
+
+
+def state_matrix(d_a: int, d_b: int, state: np.ndarray) -> np.ndarray:
+    """A system-major joint vector as its party-major (d_a^3, d_b^3) matrix."""
+    return (regroup_operator(d_a, d_b) @ state).reshape(d_a**3, d_b**3)
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases.conj()
+
+
+@functools.lru_cache(maxsize=None)
+def dense_toolkit(d: int) -> SimpleNamespace:
+    """The symmetry toolkit's operators as sums and products of dense 0/1 swaps."""
+    swaps = [permutation_operator((d, d, d), perm) for perm in S3_PERMUTATIONS]
+    signs = (1, -1, -1, -1, 1, 1)
+    eye = np.eye(d**3)
+    t01, t02, t12 = swaps[1:4]
+    sym3 = sum(swaps) / 6
+    antisym3 = sum(sign * p for sign, p in zip(signs, swaps)) / 6
+    return SimpleNamespace(
+        swap01=t01, swap02=t02, swap12=t12, sym01=(eye + t01) / 2, sym02=(eye + t02) / 2,
+        antisym01=(eye - t01) / 2, antisym02=(eye - t02) / 2, sym3=sym3, antisym3=antisym3,
+        mixed3=eye - sym3 - antisym3, swap_diff=(t01 - t02) / 2, swap_sum=(t01 + t02) / 2)
+
+
+def global_unamb_elements(d: int) -> tuple:
+    """(E1, E2, E0) of the optimal global unambiguous POVM as dense products."""
+    tk = dense_toolkit(d)
+    e1 = 2 / 3 * tk.mixed3 @ tk.antisym02
+    e2 = 2 / 3 * tk.mixed3 @ tk.antisym01
+    e0 = tk.mixed3 @ (np.eye(d**3) + 2.0 * tk.swap_sum) / 3.0 + tk.sym3 + tk.antisym3
+    return e1, e2, e0
+
+
+def separable_unamb_elements(d_a: int, d_b: int, coeffs) -> tuple:
+    """(E1, E2, E0) of a separable family member as dense products."""
+    tka, tkb = dense_toolkit(d_a), dense_toolkit(d_b)
+    e1 = bipartite_toolkit(d_a, d_b).kron_sum(
+        [coeffs.alpha1 * tka.sym3, coeffs.alpha2 * tka.antisym3,
+         coeffs.alpha3 * tka.mixed3 @ tka.sym02, coeffs.alpha4 * tka.mixed3 @ tka.antisym02,
+         coeffs.beta1 * tka.mixed3 @ tka.sym02, coeffs.beta2 * tka.mixed3 @ tka.antisym02],
+        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02, tkb.antisym3, tkb.sym3,
+         tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.sym02])
+    t12 = permutation_operator((d_a * d_b,) * 3, (0, 2, 1))
+    e2 = t12 @ e1 @ t12
+    return e1, e2, np.eye(len(e1)) - e1 - e2
+
+
+def mixed_block_dense(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
+    """The mixed-mixed block of E1+E2 as dense products."""
+    tka, tkb = dense_toolkit(d_a), dense_toolkit(d_b)
+    return bipartite_toolkit(d_a, d_b).kron_sum(
+        [beta1 * tka.mixed3 @ tka.sym02, beta1 * tka.mixed3 @ tka.sym01,
+         beta2 * tka.mixed3 @ tka.antisym02, beta2 * tka.mixed3 @ tka.antisym01],
+        [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.antisym01,
+         tkb.mixed3 @ tkb.sym02, tkb.mixed3 @ tkb.sym01])

@@ -227,7 +227,7 @@ class TestLoccPovmElement:
             swapped = [permutation_sum(d, c) for c in _local_projectors(p, swap=True)]
             t12 = build_toolkit(d).swap12
             dense = [t12 @ permutation_sum(d, c) @ t12 for c in _local_projectors(p)]
-            # the same up to rounding: at d = 2 each side is reduced on its own
+            # the same up to rounding: each entry adds the same coordinates in another order
             assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(swapped, dense, strict=True))
 
     @pytest.mark.parametrize("eta1,e1", [(0.0, 0.0), (1.0, 1.0)])

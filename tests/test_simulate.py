@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import haar_unitary, permutation_operator, regroup_operator, state_matrix
 from stateid import simulate, unambiguous
-from stateid.linalg import permutation_operator, regroup_operator
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
 from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, step
@@ -33,10 +33,9 @@ from stateid.simulate import (
     _run_chunk,
     chunk_bounds,
     haar_state,
-    haar_unitary,
     run_batch,
 )
-from stateid.symmetry import S3, S3_PERMUTATIONS, bipartite_toolkit, permutation_sum, s3_coordinates
+from stateid.symmetry import S3, S3_PERMUTATIONS, permutation_sum, s3_coordinates
 from stateid.unambiguous import global_unamb_povm
 
 PMAX_D2_HALF = 0.6443375672974064
@@ -108,8 +107,7 @@ class TestGlobalTrials:
             assert rec.transcript == (("global", 1),)
 
     def test_incomplete_povm_aborts(self):
-        povm = povm_from_dict({1: np.eye(8) / 2, 2: np.eye(8) / 4},
-                              support=np.eye(8) * 0.75)
+        povm = povm_from_dict({1: np.eye(8) / 2, 2: np.eye(8) / 4})
         spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
         with pytest.raises(TrialAbort, match="sum"):
             spec.run(np.random.default_rng(0), 0)
@@ -229,7 +227,7 @@ def dense_walk(spec: LoccTrialSpec, rng: np.random.Generator, trial_index: int) 
         idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
                   len(probs) - 1)
         assert probs[idx] >= BRANCH_PROB_FLOOR
-        outcome = node.measurement.elements[idx][0]
+        outcome = node.labels[idx]
         state = branches[idx] / math.sqrt(probs[idx])
         transcript.append((node.party, outcome))
         node = node.children[outcome]
@@ -320,8 +318,7 @@ class TestInvariantRoute:
         rng = np.random.default_rng(seed)
         labels = np.array([1, 2, 2, 1])
         refs = np.array([[haar_state(da * db, rng) for _ in range(2)] for _ in labels])
-        bt = bipartite_toolkit(da, db)
-        states = [bt.state_matrix(kron(pair[label - 1], pair[0], pair[1])).ravel()
+        states = [state_matrix(da, db, kron(pair[label - 1], pair[0], pair[1])).ravel()
                   for label, pair in zip(labels, refs)]
         basis = {d: [permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS]
                  for d in (da, db)}

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid.linalg import hermitian_eigenvalues, permutation_operator, regroup_operator
+from dense_reference import dense_toolkit, permutation_operator, regroup_operator, state_matrix
+from stateid.linalg import hermitian_eigenvalues
 from stateid import checks, minerr, symmetry, unambiguous
 from stateid.symmetry import (
     RELABEL,
@@ -181,18 +182,18 @@ def test_s3_coordinates_match_dense_least_squares(d, seed):
 class TestBipartite:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_diff_factorization(self, da, db):
-        bt = bipartite_toolkit(da, db)
-        joint = build_toolkit(da * db)
-        lhs = joint.swap_diff
-        rhs = bt.kron_sum([bt.alice.swap_diff, bt.alice.swap_sum], [bt.bob.swap_sum, bt.bob.swap_diff])
+        alice, bob = build_toolkit(da), build_toolkit(db)
+        lhs = build_toolkit(da * db).swap_diff
+        rhs = bipartite_toolkit(da, db).kron_sum([alice.swap_diff, alice.swap_sum],
+                                                 [bob.swap_sum, bob.swap_diff])
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_sum_factorization(self, da, db):
-        bt = bipartite_toolkit(da, db)
-        joint = build_toolkit(da * db)
-        lhs = joint.swap_sum
-        rhs = bt.kron_sum([bt.alice.swap_diff, bt.alice.swap_sum], [bt.bob.swap_diff, bt.bob.swap_sum])
+        alice, bob = build_toolkit(da), build_toolkit(db)
+        lhs = build_toolkit(da * db).swap_sum
+        rhs = bipartite_toolkit(da, db).kron_sum([alice.swap_diff, alice.swap_sum],
+                                                 [bob.swap_diff, bob.swap_sum])
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -204,13 +205,16 @@ class TestBipartite:
         a, b = rng.standard_normal((da**3,) * 2), rng.standard_normal((db**3,) * 2)
         vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         assert np.array_equal(bt.kron_sum([a], [b]), r.T @ np.kron(a, b) @ r)
-        assert np.array_equal(bt.state_matrix(vecs[0]), (r @ vecs[0]).reshape(da**3, db**3))
-        assert np.array_equal(bt.state_matrix(vecs), (vecs @ r.T).reshape(3, da**3, db**3))
+        # the regrouped state is the kron_sum basis: <psi| kron_sum(a, b) |psi> is its a, b form
+        psi = state_matrix(da, db, vecs[0])
+        assert np.isclose(vecs[0].conj() @ bt.kron_sum([a], [b]) @ vecs[0],
+                          np.einsum("ij,ik,jl,kl->", psi.conj(), a, b, psi), rtol=1e-12)
 
     def test_trivial_party_allowed(self):
         bt = bipartite_toolkit(1, 2)
-        assert bt.alice.dims.sym3 == 1
-        assert bt.alice.dims.mixed3 == 0
+        assert bt.d == 2
+        assert dimension_table(bt.d_a).sym3 == 1
+        assert dimension_table(bt.d_a).mixed3 == 0
         # with a one-dimensional Alice factor the regrouping is the identity
         op = np.random.default_rng(12).standard_normal((8, 8))
         assert np.array_equal(bt.kron_sum([np.eye(1)], [op]), op)
@@ -320,8 +324,12 @@ def test_d2_reduction_is_the_least_norm_fit(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_named_coordinates_match_the_toolkit(d):
-    tk = build_toolkit(d)
-    for name in ("sym01", "sym02", "antisym01", "antisym02", "sym3", "antisym3", "mixed3",
-                 "swap_diff", "swap_sum"):
-        assert np.abs(permutation_sum(d, getattr(S3, name)) - getattr(tk, name)).max() <= 1e-15
+    # each toolkit field is its S3 coordinates written dense, and matches the
+    # sums and products of dense 0/1 swaps that defined it before
+    tk, dense = build_toolkit(d), dense_toolkit(d)
+    for name in vars(dense):
+        assert np.array_equal(getattr(tk, name), permutation_sum(d, getattr(S3, name)))
+        assert np.abs(getattr(tk, name) - getattr(dense, name)).max() <= 1e-15
     assert np.array_equal(permutation_sum(d, S3.identity), np.eye(d**3))
+    for name in ("swap01", "swap02", "swap12", "sym01", "antisym02", "swap_diff", "swap_sum"):
+        assert np.array_equal(getattr(tk, name), getattr(dense, name))

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import (
+    global_unamb_elements,
+    haar_unitary,
+    mixed_block_dense,
+    separable_unamb_elements,
+    state_matrix,
+)
 from stateid import checks, unambiguous
 from stateid.protocol import ALICE, BOB, effective_povm
-from stateid.simulate import haar_state, haar_unitary
+from stateid.simulate import haar_state
 from stateid.symmetry import bipartite_toolkit, build_toolkit, swap_references
 from stateid.unambiguous import (
     SEPARABLE_CACHE_SIZE,
@@ -298,6 +305,37 @@ class TestSeparableOptimum:
             assert abs(overlap - expected) < 1e-8
 
 
+SPLITS = ((2, 2), (2, 3), (3, 2), (3, 3))
+INTERIOR = SeparableCoeffs(0.3, 0.5, 0.1, 0.6, 0.4, 0.2)
+
+
+class TestCoordinatesMatchDenseProducts:
+    """The elements written from S3 coordinates against the dense toolkit
+    products they replace, and the exact no-error products those gave."""
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    def test_global(self, d):
+        povm = global_unamb_povm.__wrapped__(d)
+        assert unambiguous._no_error_leaks(povm.e1, povm.e2) == (0.0, 0.0)
+        for got, ref in zip((povm.e1, povm.e2, povm.e0), global_unamb_elements(d), strict=True):
+            assert np.abs(got - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("coeffs", [SeparableCoeffs.optimal(), INTERIOR], ids=["optimal", "interior"])
+    @pytest.mark.parametrize("da,db", SPLITS)
+    def test_separable(self, da, db, coeffs):
+        povm = separable_unamb_povm.__wrapped__(da, db, coeffs)
+        assert unambiguous._no_error_leaks(povm.e1, povm.e2) == (0.0, 0.0)
+        for got, ref in zip((povm.e1, povm.e2, povm.e0), separable_unamb_elements(da, db, coeffs),
+                            strict=True):
+            assert np.abs(got - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("da,db", SPLITS)
+    def test_mixed_block(self, da, db):
+        for b1, b2 in ((0.5, 0.5), (0.4, 0.2)):
+            ref = mixed_block_dense(da, db, b1, b2)
+            assert np.abs(mixed_block_operator(da, db, b1, b2) - ref).max() <= 1e-15
+
+
 class TestLoccProtocol:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_flattens_to_separable_optimum(self, da, db):
@@ -327,14 +365,14 @@ class TestLoccProtocol:
         # totally symmetric on one side + totally antisymmetric on the other
         # would make the whole state totally antisymmetric: zero weight on any
         # valid input
-        bt = bipartite_toolkit(2, 2)
-        block_sa = kron(bt.alice.sym3, bt.bob.antisym3)
-        block_as = kron(bt.alice.antisym3, bt.bob.sym3)
+        tk = build_toolkit(2)
+        block_sa = kron(tk.sym3, tk.antisym3)
+        block_as = kron(tk.antisym3, tk.sym3)
         rng = np.random.default_rng(5)
         for _ in range(50):
             phi1, phi2 = haar_state(4, rng), haar_state(4, rng)
             for state in (kron(phi1, phi1, phi2), kron(phi2, phi1, phi2)):
-                party = bt.state_matrix(state).ravel()
+                party = state_matrix(2, 2, state).ravel()
                 assert (party.conj() @ block_sa @ party).real < 1e-12
                 assert (party.conj() @ block_as @ party).real < 1e-12
 
