@@ -134,8 +134,8 @@ def unamb_separable(d_a: int, d_b: int) -> tuple[float, float]:
 def no_error(seed: int, n_pairs: int = 1000) -> tuple[float, float]:
     """Largest wrong-label acceptance over n_pairs Haar reference pairs per scheme
     (global d=2 and d=3, separable (2,2)).  One generator draws each scheme's
-    pairs as one standard_normal block indexed [pair, reference, re/im]: the
-    same stream, in the same order, as two haar_state calls per pair."""
+    pairs as one standard_normal block indexed [pair, reference, re/im]; each
+    reference is its normalized complex Gaussian vector, a Haar-random state."""
     rng = np.random.default_rng(seed)
     probes = []
     for d in (2, 3):

@@ -18,7 +18,9 @@ block.
 
 The global basis convention used everywhere in this package: the index of a
 basis vector of a tensor-product space is the mixed-radix number over the
-factors in declared order, most significant first.
+factors in declared order, most significant first.  A split's joint space is
+system-major, (0a, 0b, 1a, 1b, 2a, 2b), and only symmetry.permutation_columns
+reads that layout.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def _check_hermitian(stacks: Sequence[np.ndarray]) -> None:
     scale = max(np.abs(s).max() for s in stacks)
     if not defect <= HERMITIAN_RTOL * scale:
         raise ValueError(f"matrix is not hermitian (relative defect {defect / scale:.3e})")
-
-
-def assert_hermitian(h: np.ndarray) -> None:
-    _check_hermitian([h[..., None, :, :]])
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -145,10 +143,4 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     _check_hermitian(stacks)
     w = np.concatenate([np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1) for s in stacks], axis=-1)
     return np.sort(w, axis=-1)[..., ::-1]
-
-
-# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b): factor p
-# of the result is factor PARTY_MAJOR_PERM[p] of the source; its inverse,
-# argsort(PARTY_MAJOR_PERM), maps back
-PARTY_MAJOR_PERM = (0, 2, 4, 1, 3, 5)
 

@@ -15,9 +15,9 @@ has the closed form
 
 For a bipartite split d = d_a*d_b the same optimum is reachable by local
 operations and classical communication; this module also builds the separable
-POVM element that attains it and the executable protocol tree.  The separable
-construction follows the convention eta1 <= eta2 (labels are swapped and
-swapped back otherwise, which locc_protocol does automatically).
+POVM element that attains it, a 6 x 6 table (locc_table), and the executable
+protocol tree.  The separable construction follows the convention eta1 <=
+eta2 (labels are swapped and swapped back otherwise, as locc_protocol does).
 
 No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
 Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
@@ -36,8 +36,8 @@ import numpy as np
 from .linalg import hermitian_eigenvalues, identity_minus
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, bipartite_toolkit, dimension_table,
-                       permutation_columns, permutation_sum, s3_product, symmetrizer_traces)
+from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, dimension_table, permutation_columns,
+                       permutation_sum, s3_product, split_sum, symmetrizer_traces)
 
 PRIOR_ATOL = 1e-12
 
@@ -147,16 +147,16 @@ def optimal_global_povm(d: int, priors: Priors) -> Povm:
     part, in closed form: G is diff on sym3, 0 on antisym3 and lambda+- on the
     mixed subspace, so E1 is pp of _local_projectors, plus sym3 when eta1 >
     eta2.  Degenerate priors (eta1 in {0, 1}) reduce to always guessing the
-    more likely label.
+    more likely label: E1 is 0 or the identity.
     """
-    n = d**3
     if priors.eta1 == 0.0:
-        e1 = np.zeros((n, n))
+        c = np.zeros(6)
     elif priors.eta2 == 0.0:
-        e1 = np.eye(n)
+        c = S3.identity
     else:
         pp = _local_projectors(priors)[0]
-        e1 = permutation_sum(d, pp + S3.sym3 if priors.eta1 > priors.eta2 else pp)
+        c = pp + S3.sym3 if priors.eta1 > priors.eta2 else pp
+    e1 = permutation_sum(d, c)
     return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 
@@ -195,28 +195,35 @@ def _local_projectors(priors: Priors, swap: bool = False) -> tuple[np.ndarray, .
                  for op in ops)
 
 
-def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
-    """The separable POVM {E1, E2} attaining the global min-error optimum.
-
-    E1 combines, block by block of the local symmetry types, the local
-    projectors that pick up every positive eigenvalue of the joint gain
-    operator; its overlap tr[E1*G] matches the global projector's exactly.
-    Requires eta1 <= eta2 (raises otherwise), except for degenerate priors,
-    where the optimum is the trivial {E1 = 0 or 1, E2 = 1 - E1} of the global
-    scheme, separable as it stands.  Elements are returned in the system-major
-    basis.
-    """
-    if _is_degenerate(priors):
-        return optimal_global_povm(d_a * d_b, priors)
+def locc_table(priors: Priors) -> np.ndarray:
+    """The table W of the separable E1 = sum W[k, l] P_k^A (x) P_l^B that
+    attains the global optimum: for eta1 <= eta2, the local projectors that
+    pick up every positive eigenvalue of the joint gain operator, [sym3,
+    antisym3, pp, pm, qp, qm]^T [pp, pm, sym3, antisym3, qm, qp]; otherwise
+    the 1<->2 relabel of 1 - E1 at the swapped priors, as locc_protocol
+    builds it.  Degenerate priors give E1 = 0 or the identity."""
+    unit = np.outer(S3.identity, S3.identity)
+    if priors.eta1 == 0.0:
+        return np.zeros((6, 6))
+    if priors.eta2 == 0.0:
+        return unit
     if priors.eta1 > priors.eta2:
+        return (unit - locc_table(priors.swapped()))[np.ix_(RELABEL, RELABEL)]
+    pp, pm, qp, qm = _local_projectors(priors)
+    return (np.array([S3.sym3, S3.antisym3, pp, pm, qp, qm]).T
+            @ np.array([pp, pm, S3.sym3, S3.antisym3, qm, qp]))
+
+
+def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
+    """The separable POVM {E1, E2} of locc_table, whose tr[E1*G] matches the
+    global projector's exactly.  Raises for eta1 > eta2 unless one prior is
+    0, where E1 = 0 or 1 is the global optimum, separable as it stands."""
+    if priors.eta1 > priors.eta2 and not _is_degenerate(priors):
         raise ValueError(
             "separable construction assumes eta1 <= eta2; swap labels first "
             "(locc_protocol does this automatically)"
         )
-    pp, pm, qp, qm = _local_projectors(priors)
-    e1 = bipartite_toolkit(d_a, d_b).kron_sum(
-        permutation_sum(d_a, np.array([S3.sym3, S3.antisym3, pp, pm, qp, qm])),
-        permutation_sum(d_b, np.array([pp, pm, S3.sym3, S3.antisym3, qm, qp])))
+    e1 = split_sum(d_a, d_b, locc_table(priors))
     return povm_from_dict({1: e1, 2: identity_minus(e1)})
 
 

@@ -11,8 +11,8 @@ stack, checked complete in coordinates at construction; no step is ever
 dense.  path_prefixes multiplies each party's chronological Kraus product
 along every path in the group algebra.  Flattening sums kron(A^dag A, B^dag
 B) over the leaves of each label into the effective global POVM the protocol
-implements, one 6-term BipartiteToolkit.kron_sum per label, in the
-system-major basis: the oracle boundary, where the operators become dense.
+implements, one split_sum of each label's 6 x 6 table: the oracle boundary,
+where the operators become dense.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import max_abs
 from .povm import COMPLETENESS_ATOL, Povm, povm_from_dict
-from .symmetry import S3, bipartite_toolkit, permutation_sum, s3_adjoint, s3_product, s3_reduce
+from .symmetry import S3, s3_adjoint, s3_product, s3_reduce, split_sum
 
 ALICE = "alice"
 BOB = "bob"
@@ -123,20 +123,17 @@ def effective_povm(protocol: LoccProtocol) -> Povm:
     kron(A^dag A, B^dag B), with A and B the chronological products of
     Alice's and Bob's local Kraus operators along the path.  In coordinates
     that is sum_{pi, sigma} W[pi, sigma] P_pi (x) P_sigma, for W the sum of
-    the leaves' tables (path_prefixes), assembled by
-    BipartiteToolkit.kron_sum as the six terms P_pi (x) (sum_sigma W[pi,
-    sigma] P_sigma), in the system-major basis (directly comparable with the
-    closed-form separable constructions).  Completeness is asserted.
+    the leaves' tables (path_prefixes), written by split_sum in the
+    system-major basis (directly comparable with the closed-form separable
+    constructions).  Completeness is asserted.
     """
     tables: dict[int, np.ndarray] = {}
     for node, table, _ in path_prefixes(protocol):
         if isinstance(node, Leaf):
             tables[node.label] = tables.get(node.label, 0.0) + table
-    bt = bipartite_toolkit(protocol.d_a, protocol.d_b)
-    basis = permutation_sum(protocol.d_a, np.eye(6))   # Alice's six P_pi
-    elements = {label: bt.kron_sum(basis, permutation_sum(protocol.d_b, table))
+    elements = {label: split_sum(protocol.d_a, protocol.d_b, table)
                 for label, table in sorted(tables.items())}
-    missing = np.eye(protocol.dim, dtype=np.result_type(*elements.values()))
+    missing = np.eye(protocol.dim)
     for op in elements.values():
         missing -= op
     defect = max_abs(missing)

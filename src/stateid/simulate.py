@@ -96,19 +96,6 @@ class TrialAbort(RuntimeError):
     """A trial hit a numerical guard (non-unit outcome mass or dead branch)."""
 
 
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector drawn uniformly from the pure-state space of C^d.
-
-    Normalized standard complex Gaussian vector — the standard construction of
-    the hypersphere-uniform, unitarily invariant measure.  Trial blocks build
-    their references the same way from the stacked normals.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     true_label: int
@@ -312,7 +299,7 @@ def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.
     for w, word in enumerate(_WORDS):
         prod = x[word[0]]
         for rq in word[1:-1]:
-            prod = (prod[:, :, None] * x[rq][None]).sum(axis=1)
+            prod = np.einsum("ijn,jkn->ikn", prod, x[rq])
         # the trace of prod times the last factor, without forming the product
         traces[w] = np.trace(prod) if len(word) == 1 else (
             prod * x[word[-1]].transpose(1, 0, 2)).sum(axis=(0, 1))

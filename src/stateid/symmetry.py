@@ -15,31 +15,28 @@ algebra drives every measurement construction downstream:
 Every local operator of the schemes is given by its six real coordinates on
 the P_k, the permutations S3_PERMUTATIONS[k] of the three tensor factors, the
 same at every d (S3), and multiplied in the group algebra R[S3] (s3_product,
-s3_adjoint, RELABEL).  permutation_sum writes coordinates as the dense sum_k
-c[k] P_k from the P_k's index maps; it is the one way a local operator becomes
-dense, and only the oracles, the closed-form POVMs and the flattened trees
-call it.  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks one
-representative of the coordinates.
+s3_adjoint, RELABEL).  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks
+one representative of the coordinates.
 
-The toolkit writes each operator of S3 dense, for the identity checks and the
-tests.  On the joint space of a split d = d_a*d_b nothing needs the joint
-toolkit: overlaps Re tr(P_pi^T op) with the six permutation operators are read
-from op's entries through their index maps (permutation_traces), the 1<->2
-reference swap is a transposition of tensor-factor axes (swap_references),
-and every bipartite operator sum_k kron(A_k, B_k) is assembled by
-BipartiteToolkit.kron_sum, one matrix product over the stacked party factors
-and one transpose into the system-major basis.
+A joint operator of a split d = d_a*d_b is its 6 x 6 table W on the
+P_k^A (x) P_l^B, the same at every split.  Those permute the six tensor
+factors of the joint space, so like the P_k they are index maps
+(permutation_columns), and one writer scatters coordinates or a table
+through them (permutation_sum, split_sum): the one way an operator becomes
+dense, called only by the oracles, the closed-form POVMs and the flattened
+trees.  Overlaps Re tr(P_pi^T op) are read through the same maps
+(permutation_traces), and the 1<->2 reference swap is a transposition of
+tensor-factor axes (swap_references).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
-
-from .linalg import PARTY_MAJOR_PERM
 
 # the six permutations of three positions, with their signs
 _S3_GROUP = (
@@ -161,13 +158,18 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def permutation_columns(d: int) -> np.ndarray:
-    """(6, d^3) index map of the P_k on (C^d)^x3: row i of P_k holds its one 1
-    in column permutation_columns(d)[k, i].  For a swap P_k, op @ P_k =
-    op[:, that row]."""
-    n = d**3
-    columns = np.array([np.transpose(np.arange(n).reshape(d, d, d), perm).ravel()
-                        for perm in S3_PERMUTATIONS])
+def permutation_columns(*dims: int) -> np.ndarray:
+    """Index map (6, d^3) of a party's P_k, or (6, 6, (d_a*d_b)^3) of a split's
+    P_k^A (x) P_l^B: row i holds its one 1 in column [k, i], or [k, l, i].
+    For a swap P_k, op @ P_k = op[:, that row].  The one place that knows the
+    joint layout, system-major (0a, 0b, 1a, 1b, 2a, 2b)."""
+    n = prod(dims) ** 3
+    index = np.arange(n).reshape(dims * 3)   # axis len(dims)*s + p: system s of party p
+    columns = np.array([
+        np.transpose(index, [len(dims) * perm[s] + p for s in range(3)
+                             for p, perm in enumerate(perms)]).ravel()
+        for perms in product(S3_PERMUTATIONS, repeat=len(dims))])
+    columns = columns.reshape((6,) * len(dims) + (n,))
     _freeze(columns)
     return columns
 
@@ -209,17 +211,29 @@ def s3_reduce(d: int, c) -> np.ndarray:
     return c - (c @ _SIGNS / 6)[..., None] * _SIGNS if d == 2 else c
 
 
-def permutation_sum(d: int, c) -> np.ndarray:
-    """The dense sum_k c[k] P_k on (C^d)^x3, written through the P_k's index
-    maps; a stack (..., 6) of coordinates gives a stack of matrices.  The one
-    way a local operator of this package becomes dense."""
+def _scatter(columns: np.ndarray, c) -> np.ndarray:
+    """The dense sum of c[..., k] times the 0/1 matrix of the map columns[k],
+    for k over the leading axes of columns; c's leading axes stack results."""
     c = np.asarray(c, float)
-    n = d**3
-    out = np.zeros(c.shape[:-1] + (n, n))
+    n = columns.shape[-1]
+    out = np.empty(c.shape[:c.ndim - columns.ndim + 1] + (n, n))
+    out.fill(0.0)   # np.zeros would leave each page to fault in as the scatter first reaches it
     rows = np.arange(n)
-    for k, columns in enumerate(permutation_columns(d)):
-        out[..., rows, columns] += c[..., k, None]
+    for k in np.ndindex(columns.shape[:-1]):
+        out[..., rows, columns[k]] += c[(..., *k, None)]
     return out
+
+
+def permutation_sum(d: int, c) -> np.ndarray:
+    """The dense sum_k c[k] P_k on (C^d)^x3; a stack (..., 6) of coordinates
+    gives a stack of matrices."""
+    return _scatter(permutation_columns(d), c)
+
+
+def split_sum(d_a: int, d_b: int, table) -> np.ndarray:
+    """The dense sum_{k,l} W[k, l] P_k^A (x) P_l^B of a 6 x 6 table W, or of
+    each of a stack (..., 6, 6), on the joint space of a d_a*d_b split."""
+    return _scatter(permutation_columns(d_a, d_b), table)
 
 
 @lru_cache(maxsize=None)
@@ -296,23 +310,10 @@ def build_toolkit(d: int) -> SymmetryToolkit:
     return _toolkit(d)
 
 
-# The product alice^T bob of two stacks of party factors has, as tensor-factor
-# axes, Alice's row factors 0-2 and column factors 3-5, then Bob's 6-8 and
-# 9-11.  Its rows, party-major, go to system-major order by the inverse of
-# PARTY_MAJOR_PERM (its argsort), and its columns likewise, three axes on.
-_ROW_AXES = tuple((0, 1, 2, 6, 7, 8)[p] for p in sorted(range(6), key=PARTY_MAJOR_PERM.__getitem__))
-_KRON_AXES = _ROW_AXES + tuple(a + 3 for a in _ROW_AXES)
-
-
 @dataclass(frozen=True)
 class BipartiteToolkit:
-    """The regrouping index maps of a d = d_a*d_b split.
-
-    Regrouping maps the system-major basis |0a 0b 1a 1b 2a 2b> to the
-    party-major one |0a 1a 2a>|0b 1b 2b>; conjugating any joint permutation
-    operator this way factorizes it into kron(alice_op, bob_op).  It is done
-    by transposing tensor-factor axes, never by a dense 0/1 matrix.
-    """
+    """A validated d = d_a*d_b split.  Its joint operators are 6 x 6 tables
+    written by split_sum; no regrouping is formed."""
 
     d_a: int
     d_b: int
@@ -321,24 +322,10 @@ class BipartiteToolkit:
     def d(self) -> int:
         return self.d_a * self.d_b
 
-    def kron_sum(self, alice, bob) -> np.ndarray:
-        """sum_k kron(alice[k], bob[k]) in the system-major basis.
-
-        alice and bob stack K party factors, (K, d_a^3, d_a^3) and
-        (K, d_b^3, d_b^3).  One matrix product over the stacks gives every
-        product alice[k][i, j] * bob[k][l, m] summed over k, at [(i, j), (l, m)];
-        one transpose of its 12 tensor-factor axes puts them in system-major
-        order.  The only way this package assembles a bipartite operator.
-        """
-        alice, bob = np.asarray(alice), np.asarray(bob)
-        n = self.d**3
-        product = alice.reshape(len(alice), -1).T @ bob.reshape(len(bob), -1)
-        return product.reshape((self.d_a,) * 6 + (self.d_b,) * 6).transpose(_KRON_AXES).reshape(n, n)
-
 
 @lru_cache(maxsize=None)
 def bipartite_toolkit(d_a: int, d_b: int) -> BipartiteToolkit:
-    """The regrouping of a d_a*d_b split.
+    """The d_a*d_b split.
 
     A trivial party with local dimension 1 is allowed as long as the other
     side is at least 2.

@@ -17,11 +17,10 @@ coefficients obey a feasibility bound; the best separable scheme reaches
 strictly below the global optimum, and is implementable by the LOCC tree
 built here.
 
-Every operator here is written from the coordinates of symmetry.S3: the
-POVMs and the mixed block become dense through symmetry.permutation_sum (and
-BipartiteToolkit.kron_sum on a split), and the LOCC steps never do.  E2 is
-written first and E1 taken as its 1<->2 reference swap, which leaves both
-no-error products exactly zero.
+Every operator here is written from the coordinates of symmetry.S3, or on
+a split from its 6 x 6 table; the LOCC steps never become dense.  E2 is
+written first and E1 taken as its 1<->2 reference swap, and _conclusive_pair
+leaves both no-error products exactly zero.
 """
 
 from __future__ import annotations
@@ -35,8 +34,9 @@ import numpy as np
 from .linalg import identity_minus, max_abs
 from .povm import Povm, povm_from_dict
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (S3, bipartite_toolkit, dimension_table, permutation_sum, reference_swap_view,
-                       s3_product, swap_references, symmetrizer_traces)
+from .symmetry import (S3, S3_PERMUTATIONS, dimension_table, permutation_columns, permutation_sum,
+                       reference_swap_view, s3_product, split_sum, swap_references,
+                       symmetrizer_traces)
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
@@ -73,10 +73,6 @@ class UnambPovm:
     e1: np.ndarray
     e2: np.ndarray
     e0: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.e1.shape[0]
 
     def as_povm(self) -> Povm:
         return povm_from_dict({1: self.e1, 2: self.e2, 0: self.e0})
@@ -115,11 +111,19 @@ def max_success_global(d: int) -> float:
     return (d - 1) / (3 * d)
 
 
+def _conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E1, E2) on (C^d)^x3 for E2 <- (E2 - E2 T01)/2 through T01's index map,
+    so that E2 sym01 = 0 whatever the writer's rounding, and E1 its 1<->2
+    reference swap, so that E1 sym02 = 0; both exactly."""
+    t01 = permutation_columns(d)[S3_PERMUTATIONS.index((1, 0, 2))]
+    e2 = (e2 - e2[:, t01]) / 2
+    return swap_references(e2), e2
+
+
 @lru_cache(maxsize=1)
 def global_unamb_povm(d: int) -> UnambPovm:
     """The optimal global three-outcome POVM, cached for its last d (read-only)."""
-    e2 = permutation_sum(d, ALPHA_MAX * MIXED_ANTISYM01)
-    e1 = swap_references(e2)
+    e1, e2 = _conclusive_pair(d, permutation_sum(d, ALPHA_MAX * MIXED_ANTISYM01))
     e0 = permutation_sum(d, s3_product(S3.mixed3, S3.identity + 2.0 * S3.swap_sum) / 3.0
                          + S3.sym3 + S3.antisym3)
     for op in (e1, e2, e0):
@@ -134,12 +138,12 @@ def gamma_plus(beta1: float, beta2: float) -> float:
     return 1.25 * beta + math.sqrt(0.5625 * beta**2 + delta**2)
 
 
-def beta_feasibility(beta1: float, beta2: float) -> tuple[float, bool]:
-    """gamma_plus and whether the pair keeps the inconclusive element PSD."""
-    if beta1 < 0 or beta2 < 0:
-        raise ValueError("beta coefficients must be nonnegative")
-    g = gamma_plus(beta1, beta2)
-    return g, g <= 1.0 + COEFF_ATOL
+def mixed_block_table(beta1: float, beta2: float) -> np.ndarray:
+    """The 6 x 6 table of the mixed-mixed block of E1+E2 in the separable family."""
+    alice = [beta1 * MIXED_SYM02, beta1 * MIXED_SYM01,
+             beta2 * MIXED_ANTISYM02, beta2 * MIXED_ANTISYM01]
+    bob = [MIXED_ANTISYM02, MIXED_ANTISYM01, MIXED_SYM02, MIXED_SYM01]
+    return np.array(alice).T @ np.array(bob)
 
 
 def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
@@ -147,11 +151,7 @@ def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.n
 
     Oracle for gamma_plus: its largest eigenvalue is the closed form.
     """
-    alice = [beta1 * MIXED_SYM02, beta1 * MIXED_SYM01,
-             beta2 * MIXED_ANTISYM02, beta2 * MIXED_ANTISYM01]
-    bob = [MIXED_ANTISYM02, MIXED_ANTISYM01, MIXED_SYM02, MIXED_SYM01]
-    return bipartite_toolkit(d_a, d_b).kron_sum(permutation_sum(d_a, np.array(alice)),
-                                                permutation_sum(d_b, np.array(bob)))
+    return split_sum(d_a, d_b, mixed_block_table(beta1, beta2))
 
 
 @dataclass(frozen=True)
@@ -202,27 +202,24 @@ class SeparableCoeffs:
         return cls(ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, 0.5, 0.5)
 
 
-@lru_cache(maxsize=SEPARABLE_CACHE_SIZE)
-def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPovm:
-    """Assemble the separable family member for the given coefficients.
-
-    Elements come back in the system-major basis; the inconclusive element's
-    positivity is verified by its eigenvalues, solved exactly on its invariant
-    blocks of at most 36 indices (the feasibility bound is the analytic
-    statement of the same fact, so this catches assembly bugs).
-
-    The result is cached per (d_a, d_b, coeffs), up to SEPARABLE_CACHE_SIZE
-    entries, and validated once, when it is built: equal arguments return the
-    same object, whose elements are read-only arrays.
-    """
-    # e2, with every pair symmetrizer of e1 on systems 0,2 moved to 0,1
+def separable_table(coeffs: SeparableCoeffs) -> np.ndarray:
+    """The 6 x 6 table of the separable family's E2: E1's six terms with each
+    pair symmetrizer on systems 0,2 moved to 0,1."""
     alice = [coeffs.alpha1 * S3.sym3, coeffs.alpha2 * S3.antisym3,
              coeffs.alpha3 * MIXED_SYM01, coeffs.alpha4 * MIXED_ANTISYM01,
              coeffs.beta1 * MIXED_SYM01, coeffs.beta2 * MIXED_ANTISYM01]
     bob = [MIXED_ANTISYM01, MIXED_SYM01, S3.antisym3, S3.sym3, MIXED_ANTISYM01, MIXED_SYM01]
-    e2 = bipartite_toolkit(d_a, d_b).kron_sum(permutation_sum(d_a, np.array(alice)),
-                                              permutation_sum(d_b, np.array(bob)))
-    e1 = swap_references(e2)
+    return np.array(alice).T @ np.array(bob)
+
+
+@lru_cache(maxsize=SEPARABLE_CACHE_SIZE)
+def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPovm:
+    """The separable family member of separable_table, validated once, when
+    it is built: E0's positivity by its eigenvalues, on invariant blocks of
+    at most 36 indices (the feasibility bound states the same fact, so this
+    catches assembly bugs).  Cached per (d_a, d_b, coeffs), up to
+    SEPARABLE_CACHE_SIZE entries, with read-only elements."""
+    e1, e2 = _conclusive_pair(d_a * d_b, split_sum(d_a, d_b, separable_table(coeffs)))
     # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
     e0 = identity_minus(e1 + e2)
     povm = UnambPovm(e1=e1, e2=e2, e0=e0)

@@ -6,9 +6,13 @@ they became closed forms in the permutation coordinates (symmetry.S3).  The
 tests check those closed forms against these recipes, and the recipes run
 the package's own finiteness and hermiticity checks first.
 
-Tensor-factor permutations as dense 0/1 matrices, the symmetry toolkit and
-the unambiguous POVMs as products of them, and a Haar unitary: the dense
-forms of what the package writes from index maps and coordinates.
+Tensor-factor permutations as dense 0/1 matrices, the regrouping of a split
+between its system-major and party-major bases, sums of Kronecker products
+regrouped into the system-major basis, the symmetry toolkit and the
+unambiguous POVMs as products of them, and a Haar unitary: the dense forms
+of what the package writes from index maps, coordinates and tables.  Also
+the Haar state, the hermiticity assertion and the feasibility flag of the
+separable coefficients, which only the tests use.
 """
 
 import functools
@@ -19,11 +23,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from stateid import linalg
-from stateid.symmetry import S3_PERMUTATIONS, bipartite_toolkit
+from stateid.symmetry import S3_PERMUTATIONS
+from stateid.unambiguous import COEFF_ATOL, gamma_plus
 
 # eigenvalues above CLASSIFY_TOL count as positive; one in [CLASSIFY_TOL/10,
 # CLASSIFY_TOL] cannot be classified
 CLASSIFY_TOL = 1e-9
+# system-major (0a,0b,1a,1b,2a,2b) -> party-major (0a,1a,2a,0b,1b,2b): factor p
+# of the result is factor PARTY_MAJOR_PERM[p] of the source
+PARTY_MAJOR_PERM = (0, 2, 4, 1, 3, 5)
 
 
 def kron(*ops):
@@ -38,8 +46,14 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def assert_hermitian(h: np.ndarray) -> None:
+    """Raise unless h (or each matrix of a stack) is finite and hermitian,
+    by the package's own relative check."""
+    linalg._check_hermitian([h[..., None, :, :]])
+
+
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    linalg.assert_hermitian(h)
+    assert_hermitian(h)
     w, v = np.linalg.eigh(h)
     return Spectrum(w[::-1], v[:, ::-1])
 
@@ -91,12 +105,37 @@ def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
 
 def regroup_operator(d_a: int, d_b: int) -> np.ndarray:
     """Dense unitary mapping the system-major split basis to the party-major one."""
-    return permutation_operator((d_a, d_b) * 3, linalg.PARTY_MAJOR_PERM)
+    return permutation_operator((d_a, d_b) * 3, PARTY_MAJOR_PERM)
+
+
+def kron_sum(d_a: int, d_b: int, alice, bob) -> np.ndarray:
+    """sum_k kron(alice[k], bob[k]) regrouped into the system-major basis,
+    R^T (sum_k kron(A_k, B_k)) R for the dense regrouping R."""
+    r = regroup_operator(d_a, d_b)
+    return r.T @ sum(np.kron(a, b) for a, b in zip(alice, bob)) @ r
+
+
+def split_sum_dense(d_a: int, d_b: int, table) -> np.ndarray:
+    """sum_{k,l} W[k, l] kron(P_k, P_l) regrouped into the system-major basis,
+    for dense 0/1 permutation operators P_k of each party."""
+    alice = [permutation_operator((d_a,) * 3, perm) for perm in S3_PERMUTATIONS]
+    bob = np.array([permutation_operator((d_b,) * 3, perm) for perm in S3_PERMUTATIONS])
+    return kron_sum(d_a, d_b, alice, np.tensordot(table, bob, 1))
 
 
 def state_matrix(d_a: int, d_b: int, state: np.ndarray) -> np.ndarray:
     """A system-major joint vector as its party-major (d_a^3, d_b^3) matrix."""
     return (regroup_operator(d_a, d_b) @ state).reshape(d_a**3, d_b**3)
+
+
+def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector drawn uniformly from the pure-state space of C^d: the
+    normalized standard complex Gaussian vector, real parts drawn first, as
+    the trial blocks build their references from stacked normals."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +173,8 @@ def global_unamb_elements(d: int) -> tuple:
 def separable_unamb_elements(d_a: int, d_b: int, coeffs) -> tuple:
     """(E1, E2, E0) of a separable family member as dense products."""
     tka, tkb = dense_toolkit(d_a), dense_toolkit(d_b)
-    e1 = bipartite_toolkit(d_a, d_b).kron_sum(
+    e1 = kron_sum(
+        d_a, d_b,
         [coeffs.alpha1 * tka.sym3, coeffs.alpha2 * tka.antisym3,
          coeffs.alpha3 * tka.mixed3 @ tka.sym02, coeffs.alpha4 * tka.mixed3 @ tka.antisym02,
          coeffs.beta1 * tka.mixed3 @ tka.sym02, coeffs.beta2 * tka.mixed3 @ tka.antisym02],
@@ -148,8 +188,17 @@ def separable_unamb_elements(d_a: int, d_b: int, coeffs) -> tuple:
 def mixed_block_dense(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
     """The mixed-mixed block of E1+E2 as dense products."""
     tka, tkb = dense_toolkit(d_a), dense_toolkit(d_b)
-    return bipartite_toolkit(d_a, d_b).kron_sum(
+    return kron_sum(
+        d_a, d_b,
         [beta1 * tka.mixed3 @ tka.sym02, beta1 * tka.mixed3 @ tka.sym01,
          beta2 * tka.mixed3 @ tka.antisym02, beta2 * tka.mixed3 @ tka.antisym01],
         [tkb.mixed3 @ tkb.antisym02, tkb.mixed3 @ tkb.antisym01,
          tkb.mixed3 @ tkb.sym02, tkb.mixed3 @ tkb.sym01])
+
+
+def beta_feasibility(beta1: float, beta2: float) -> tuple[float, bool]:
+    """gamma_plus and whether the pair keeps the inconclusive element PSD."""
+    if beta1 < 0 or beta2 < 0:
+        raise ValueError("beta coefficients must be nonnegative")
+    g = gamma_plus(beta1, beta2)
+    return g, g <= 1.0 + COEFF_ATOL

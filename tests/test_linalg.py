@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     CLASSIFY_TOL,
+    assert_hermitian,
     hermitian_eig,
     kron,
     permutation_operator,
@@ -15,7 +16,7 @@ from dense_reference import (
     regroup_operator,
 )
 from stateid import linalg, minerr, unambiguous
-from stateid.linalg import assert_hermitian, hermitian_eigenvalues, invariant_blocks
+from stateid.linalg import hermitian_eigenvalues, invariant_blocks
 from stateid.povm import povm_from_dict
 
 RNG = np.random.default_rng(20260810)

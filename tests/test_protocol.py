@@ -123,12 +123,16 @@ def test_d2_support_modulo_the_signs(t):
 
 def test_no_step_is_dense(monkeypatch):
     # trees and a seeded batch at (30,30), where one dense local operator of
-    # Alice's root step would take 27000^2 doubles, never call permutation_sum
+    # Alice's root step would take 27000^2 doubles, never call the dense
+    # writer, neither a party's permutation_sum nor a split's split_sum
     def refuse(*args, **kwargs):
-        raise AssertionError("permutation_sum called")
+        raise AssertionError("dense writer called")
 
-    for module in (symmetry, protocol, minerr, unambiguous):
+    monkeypatch.setattr(symmetry, "_scatter", refuse)
+    for module in (symmetry, minerr, unambiguous):
         monkeypatch.setattr(module, "permutation_sum", refuse)
+    for module in (symmetry, protocol, minerr, unambiguous):
+        monkeypatch.setattr(module, "split_sum", refuse)
     priors = Priors.from_eta1(0.7)
     for split in ((2, 2), (3, 3), (30, 30)):
         tree = minerr.locc_protocol(*split, priors)
@@ -138,5 +142,5 @@ def test_no_step_is_dense(monkeypatch):
                                target=minerr.max_success_global(900, priors))
     assert stats.n_trials == 200 and stats.inconclusive == 0
     assert abs(stats.p_hat - stats.target) <= 4 * stats.target_stderr
-    with pytest.raises(AssertionError, match="permutation_sum called"):
+    with pytest.raises(AssertionError, match="dense writer called"):
         protocol.effective_povm(minerr.locc_protocol(2, 2, priors))

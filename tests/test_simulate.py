@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import haar_unitary, permutation_operator, regroup_operator, state_matrix
+from dense_reference import (haar_state, haar_unitary, permutation_operator, regroup_operator,
+                             state_matrix)
 from stateid import simulate, unambiguous
 from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
 from stateid.povm import povm_from_dict
@@ -32,7 +33,6 @@ from stateid.simulate import (
     TrialRecord,
     _run_chunk,
     chunk_bounds,
-    haar_state,
     run_batch,
 )
 from stateid.symmetry import S3, S3_PERMUTATIONS, permutation_sum, s3_coordinates
@@ -285,6 +285,13 @@ class TestFactoredEngine:
     def test_seeded_counts_at_3x3(self, task, eta1, counts):
         stats = run_batch(make_locc_spec(task, 3, 3, eta1), 200, 7)
         assert (stats.successes, stats.errors, stats.inconclusive) == counts
+
+    def test_seeded_counts_at_30x30(self):
+        # the trace words contract one d_a x d_a product per trial at a time,
+        # with no (d_a, d_a, d_a, trials) temporary; the counts are those the
+        # broadcast products gave
+        stats = run_batch(make_locc_spec("minerr", 30, 30, 0.3), 200, 7)
+        assert (stats.successes, stats.errors, stats.inconclusive) == (172, 28, 0)
 
 
 def prefix_products(node, a: np.ndarray, b: np.ndarray) -> list:

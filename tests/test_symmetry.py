@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_toolkit, permutation_operator, regroup_operator, state_matrix
+from dense_reference import (dense_toolkit, permutation_operator, regroup_operator,
+                             split_sum_dense, state_matrix)
 from stateid.linalg import hermitian_eigenvalues
 from stateid import checks, minerr, symmetry, unambiguous
 from stateid.symmetry import (
@@ -14,12 +15,14 @@ from stateid.symmetry import (
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    permutation_columns,
     permutation_sum,
     permutation_traces,
     s3_adjoint,
     s3_coordinates,
     s3_product,
     s3_reduce,
+    split_sum,
     swap_references,
     symmetrizer_traces,
 )
@@ -182,32 +185,42 @@ def test_s3_coordinates_match_dense_least_squares(d, seed):
 class TestBipartite:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_diff_factorization(self, da, db):
-        alice, bob = build_toolkit(da), build_toolkit(db)
+        # T01 - T02 = (T01^A - T02^A)(x)(T01^B + T02^B)/2 + (T01^A + T02^A)(x)(T01^B - T02^B)/2
         lhs = build_toolkit(da * db).swap_diff
-        rhs = bipartite_toolkit(da, db).kron_sum([alice.swap_diff, alice.swap_sum],
-                                                 [bob.swap_sum, bob.swap_diff])
+        rhs = split_sum(da, db, np.outer(S3.swap_diff, S3.swap_sum)
+                        + np.outer(S3.swap_sum, S3.swap_diff))
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
     def test_swap_sum_factorization(self, da, db):
-        alice, bob = build_toolkit(da), build_toolkit(db)
         lhs = build_toolkit(da * db).swap_sum
-        rhs = bipartite_toolkit(da, db).kron_sum([alice.swap_diff, alice.swap_sum],
-                                                 [bob.swap_diff, bob.swap_sum])
+        rhs = split_sum(da, db, np.outer(S3.swap_diff, S3.swap_diff)
+                        + np.outer(S3.swap_sum, S3.swap_sum))
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_index_maps_match_dense_regroup(self, da, db):
-        bt = bipartite_toolkit(da, db)
+        # row i of R^T kron(P_k, P_l) R holds its one 1 at permutation_columns(da, db)[k, l, i],
+        # and the joint swaps are the products of the parties' equal swaps
         r = regroup_operator(da, db)
         n = (da * db) ** 3
+        columns = permutation_columns(da, db)
+        assert columns.shape == (6, 6, n) and not columns.flags.writeable
+        for k, pk in enumerate(S3_PERMUTATIONS):
+            dense_k = permutation_operator((da,) * 3, pk)
+            for l, pl in enumerate(S3_PERMUTATIONS):
+                dense = r.T @ np.kron(dense_k, permutation_operator((db,) * 3, pl)) @ r
+                assert np.array_equal(np.flatnonzero(dense), np.arange(n) * n + columns[k, l])
+            assert np.array_equal(columns[k, k], permutation_columns(da * db)[k])
+        # the regrouped state is the split basis: <psi| P_k (x) P_l |psi> in its a, b form
         rng = np.random.default_rng(da * 10 + db)
-        a, b = rng.standard_normal((da**3,) * 2), rng.standard_normal((db**3,) * 2)
-        vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        assert np.array_equal(bt.kron_sum([a], [b]), r.T @ np.kron(a, b) @ r)
-        # the regrouped state is the kron_sum basis: <psi| kron_sum(a, b) |psi> is its a, b form
-        psi = state_matrix(da, db, vecs[0])
-        assert np.isclose(vecs[0].conj() @ bt.kron_sum([a], [b]) @ vecs[0],
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi = state_matrix(da, db, vec)
+        table = np.zeros((6, 6))
+        table[4, 3] = 1.0
+        a = permutation_operator((da,) * 3, S3_PERMUTATIONS[4])
+        b = permutation_operator((db,) * 3, S3_PERMUTATIONS[3])
+        assert np.isclose(vec.conj() @ split_sum(da, db, table) @ vec,
                           np.einsum("ij,ik,jl,kl->", psi.conj(), a, b, psi), rtol=1e-12)
 
     def test_trivial_party_allowed(self):
@@ -215,35 +228,40 @@ class TestBipartite:
         assert bt.d == 2
         assert dimension_table(bt.d_a).sym3 == 1
         assert dimension_table(bt.d_a).mixed3 == 0
-        # with a one-dimensional Alice factor the regrouping is the identity
-        op = np.random.default_rng(12).standard_normal((8, 8))
-        assert np.array_equal(bt.kron_sum([np.eye(1)], [op]), op)
+        # a one-dimensional Alice has every P_k = 1, so her coordinates only sum
+        c = np.random.default_rng(12).standard_normal(6)
+        assert np.array_equal(split_sum(1, 2, np.outer(S3.identity, c)), permutation_sum(2, c))
+        assert np.array_equal(permutation_columns(1, 2),
+                              np.broadcast_to(permutation_columns(2), (6, 6, 8)))
 
     def test_rejects_both_trivial(self):
         with pytest.raises(ValueError):
             bipartite_toolkit(1, 1)
 
 
-# --- one assembly path and index-map overlaps, against dense references -----
+# --- one dense writer and index-map overlaps, against dense references ------
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_party_index_map_unchanged(d):
+    # the party map is the transpose of the index array that each P_k makes,
+    # as it was before a split's map shared its code
+    expected = np.array([np.transpose(np.arange(d**3).reshape(d, d, d), perm).ravel()
+                         for perm in S3_PERMUTATIONS])
+    columns = permutation_columns(d)
+    assert columns.dtype == expected.dtype and np.array_equal(columns, expected)
+
 
 @settings(max_examples=30, deadline=None)
-@given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), k=st.integers(1, 6),
-       is_complex=st.booleans(), seed=st.integers(0, 2**63))
-def test_kron_sum_matches_dense_regroup(split, k, is_complex, seed):
-    # sum_k kron(A_k, B_k) regrouped into the system-major basis by the dense R
+@given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (1, 2)]),
+       stack=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**63))
+def test_split_sum_matches_dense_regroup(split, stack, seed):
+    # sum W[k, l] kron(P_k, P_l) regrouped into the system-major basis by the dense R
     da, db = split
-    rng = np.random.default_rng(seed)
-
-    def stack(n):
-        z = rng.standard_normal((k, n, n))
-        return z + 1j * rng.standard_normal((k, n, n)) if is_complex else z
-
-    alice, bob = stack(da**3), stack(db**3)
-    r = regroup_operator(da, db)
-    dense = r.T @ sum(np.kron(a, b) for a, b in zip(alice, bob)) @ r
-    out = bipartite_toolkit(da, db).kron_sum(alice, bob)
-    assert out.shape == dense.shape and out.dtype == dense.dtype
-    assert np.abs(out - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+    tables = np.random.default_rng(seed).standard_normal(stack + (6, 6))
+    out = split_sum(da, db, tables)
+    dense = np.array([split_sum_dense(da, db, w) for w in tables.reshape(-1, 6, 6)])
+    assert out.shape == stack + ((da * db) ** 3,) * 2 and out.dtype == float
+    assert np.abs(out.reshape(dense.shape) - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,21 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    beta_feasibility,
     global_unamb_elements,
+    haar_state,
     haar_unitary,
+    kron_sum,
     mixed_block_dense,
     separable_unamb_elements,
     state_matrix,
 )
 from stateid import checks, unambiguous
 from stateid.protocol import ALICE, BOB, effective_povm
-from stateid.simulate import haar_state
-from stateid.symmetry import bipartite_toolkit, build_toolkit, swap_references
+from stateid.symmetry import build_toolkit, swap_references
 from stateid.unambiguous import (
     SEPARABLE_CACHE_SIZE,
     SeparableCoeffs,
     UnambPovm,
-    beta_feasibility,
     gamma_plus,
     global_unamb_povm,
     locc_protocol,
@@ -256,11 +257,10 @@ class TestSeparablePovm:
 
     def test_unitary_scalar_separable(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
-        bt = bipartite_toolkit(2, 2)
         for _ in range(20):
             u = haar_unitary(2, RNG)
             v = haar_unitary(2, RNG)
-            w = bt.kron_sum([kron(u, u, u)], [kron(v, v, v)])
+            w = kron_sum(2, 2, [kron(u, u, u)], [kron(v, v, v)])
             for op in (povm.e1, povm.e2, povm.e0):
                 assert np.abs(op @ w - w @ op).max() < 1e-9
 

@@ -18,12 +18,14 @@ reaped workers'), at each of BATCH_SIZES trials of the seeded (2,2) and
 BLAS thread, at the first seed, one batch per fresh interpreter.  Batches
 below 2 * simulate.MIN_FORK_CHUNK trials run in the caller at either worker
 count, so the sizes fall on both sides of the fork floor.  The JSON file also
-records the CPU count, the BLAS threads and the workers of every run.
+records the CPU count, the BLAS threads and the workers of every run, and
+whether its units compiled stateid from source (compiles_from_source).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -80,8 +82,24 @@ def export(rev: str, into: Path) -> Path:
     return target
 
 
+def compiles_from_source(checkout: Path) -> bool:
+    """Whether a unit started now in the checkout compiles stateid from source:
+    some module has no bytecode cached for this interpreter that is newer than
+    it.  With PYTHONDONTWRITEBYTECODE set none is ever written, so every unit
+    recompiles the whole package, about 2000 lines; cli, checks and simulate
+    are first imported in verify's work phase, so a change of line count
+    moves setup_s and verify's ops_per_cpu_s by itself."""
+    for source in (checkout / "src" / "stateid").glob("*.py"):
+        cached = Path(importlib.util.cache_from_source(str(source)))
+        if not (cached.is_file() and cached.stat().st_mtime >= source.stat().st_mtime):
+            return True
+    return False
+
+
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line and the provenance of one bench/run.py run in a checkout."""
+    """The result line and the provenance of one bench/run.py run in a checkout,
+    and whether its units compiled stateid from source."""
+    from_source = compiles_from_source(checkout)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True)
@@ -89,6 +107,7 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise SystemExit(f"bench/run.py in {checkout} printed nothing: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    result["compiled_from_source"] = from_source
     for line in lines:
         if line.startswith("provenance: "):
             result["provenance"] = json.loads(line[len("provenance: "):])
@@ -174,6 +193,7 @@ def main(argv=None) -> int:
             "head": "working tree",
             "pairs": PAIRS,
             "seconds_per_run": SECONDS,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "seeds": {str(seed): {} for seed in SEEDS},
             "run_batch": time_batches(ROOT, SEEDS[0], BATCH_REPS),
         }
@@ -187,6 +207,8 @@ def main(argv=None) -> int:
                 "python": provenance.get("python"),
                 "correct": {side: [r["correct"] for r in results]
                             for side, results in sides.items()},
+                "compiled_from_source": {side: [r["compiled_from_source"] for r in results]
+                                         for side, results in sides.items()},
                 "metrics": compare(sides["base"], sides["head"], declared),
             }
         record["run_batch_env"] = {"nproc": len(os.sched_getaffinity(0)), "blas_threads": 1,
