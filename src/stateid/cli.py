@@ -12,10 +12,10 @@ Subcommands
 
 Reports carry one row per check with the analytic value, the oracle value,
 their absolute difference and a pass flag; exit code 0 means every check
-passed, 1 means some check failed, 2 means a usage error (a bad flag, an
-unwritable --out, or dimensions whose dense operators do not fit in
-memory).  Reports are deterministic for a fixed seed and config
-(independent of --workers).
+passed, 1 means some check failed, 2 means a usage error (a bad flag, a
+report that cannot be written to --out or stdout, or dimensions whose dense
+operators do not fit in memory).  Reports are deterministic for a fixed seed
+and config (independent of --workers).
 """
 
 from __future__ import annotations
@@ -97,15 +97,19 @@ def _usage_error(message: str) -> int:
 def _emit(report: dict, args) -> int:
     report["passed"] = all(row["pass"] for row in report["checks"])
     text = _render(report, args)
-    if args.out:
-        try:
-            handle = open(args.out, "w")
-        except OSError as exc:  # a path the caller gave: a usage error, not a failed check
+    try:
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # where the caller sends it: a usage error, not a failed check
+        if args.out:
             return _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
-        with handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        # drop what stdout still buffers, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage_error(f"cannot write the report to stdout: {exc.strerror}")
     return 0 if report["passed"] else 1
 
 
@@ -193,7 +197,7 @@ def cmd_unamb(args) -> int:
             spec = LoccTrialSpec(unambiguous.locc_protocol(args.da, args.db), priors)
             target = separable["analytic"]
         else:
-            spec = GlobalTrialSpec(unambiguous.global_unamb_povm(d).as_povm(), d, priors)
+            spec = GlobalTrialSpec(unambiguous.optimal_global_povm(d), d, priors)
             target = global_row["analytic"]
         stats = run_batch(spec, args.n, args.seed, args.workers, target=target)
         report["monte_carlo"] = _mc_block(stats)

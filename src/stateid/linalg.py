@@ -73,13 +73,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min()))   # both NaN when a holds a NaN
 
 
-def identity_minus(op: np.ndarray) -> np.ndarray:
-    """np.eye(n) - op, the same floats, formed in one array."""
-    out = np.subtract(0.0, op)
-    np.fill_diagonal(out, out.diagonal() + 1.0)
-    return out
-
-
 def _dim(h) -> int:
     """The order n of a matrix, of a stack (..., n, n) or of a sequence of n x n matrices."""
     return h.shape[-1] if isinstance(h, np.ndarray) else h[0].shape[-1]

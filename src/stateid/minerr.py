@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, identity_minus
-from .povm import Povm, povm_from_dict
+from .linalg import hermitian_eigenvalues
+from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
 from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, dimension_table, permutation_columns,
-                       permutation_sum, s3_product, split_sum, symmetrizer_traces)
+                       s3_product, symmetrizer_traces)
 
 PRIOR_ATOL = 1e-12
 
@@ -141,7 +141,7 @@ def mean_success(povm: Povm, d: int, priors: Priors) -> float:
 
 
 def optimal_global_povm(d: int, priors: Priors) -> Povm:
-    """The optimal global POVM {E1, E2}.
+    """The optimal global POVM {E1, E2 = 1 - E1}, in coordinates.
 
     For interior priors E1 is the projector onto the gain operator's positive
     part, in closed form: G is diff on sym3, 0 on antisym3 and lambda+- on the
@@ -156,8 +156,7 @@ def optimal_global_povm(d: int, priors: Priors) -> Povm:
     else:
         pp = _local_projectors(priors)[0]
         c = pp + S3.sym3 if priors.eta1 > priors.eta2 else pp
-    e1 = permutation_sum(d, c)
-    return povm_from_dict({1: e1, 2: identity_minus(e1)})
+    return Povm((d,), {1: c, 2: S3.identity - c})
 
 
 def _is_degenerate(priors: Priors) -> bool:
@@ -215,16 +214,17 @@ def locc_table(priors: Priors) -> np.ndarray:
 
 
 def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
-    """The separable POVM {E1, E2} of locc_table, whose tr[E1*G] matches the
-    global projector's exactly.  Raises for eta1 > eta2 unless one prior is
-    0, where E1 = 0 or 1 is the global optimum, separable as it stands."""
+    """The separable POVM {E1, E2 = 1 - E1} of locc_table, whose tr[E1*G]
+    matches the global projector's exactly.  Raises for eta1 > eta2 unless
+    one prior is 0, where E1 = 0 or 1 is the global optimum, separable as it
+    stands."""
     if priors.eta1 > priors.eta2 and not _is_degenerate(priors):
         raise ValueError(
             "separable construction assumes eta1 <= eta2; swap labels first "
             "(locc_protocol does this automatically)"
         )
-    e1 = split_sum(d_a, d_b, locc_table(priors))
-    return povm_from_dict({1: e1, 2: identity_minus(e1)})
+    w = locc_table(priors)
+    return Povm((d_a, d_b), {1: w, 2: np.outer(S3.identity, S3.identity) - w})
 
 
 def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:

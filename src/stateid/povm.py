@@ -1,70 +1,88 @@
-"""Labeled positive-operator-valued measures on a joint space, with
-completeness validation: the global POVMs and the flattened LOCC trees.
-Protocol steps are checked in the coordinates of symmetry.S3 instead
-(protocol.step)."""
+"""Labeled positive-operator-valued measures in the coordinates of symmetry.S3:
+the global POVMs and the flattened LOCC trees.
+
+Every measurement of the schemes commutes with U^x3, so each element is a
+combination of the permutation operators: six coordinates on the P_pi of
+(C^d)^x3, or on a d_a*d_b split a 6 x 6 table on the P_pi^A (x) P_sigma^B.
+A Povm holds its elements so, and is checked complete in them when it is
+made, by the rule that also checks each protocol step (check_complete).
+Dense matrices are written only on request (Povm.element), for the oracles,
+whose dense check (validate_dense) also serves unambiguous.UnambPovm.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
 from .linalg import PSD_EIG_FLOOR, hermitian_eigenvalues, max_abs
+from .symmetry import _scatter, permutation_columns, s3_reduce
 
 COMPLETENESS_ATOL = 1e-10
 
 
+def check_complete(dims: tuple[int, ...], missing: np.ndarray, whole: str) -> None:
+    """Raise unless missing, the coordinates (6,) on a party of dimension
+    dims[0] or the table (6, 6) on a split dims = (d_a, d_b), stands for 0
+    within COMPLETENESS_ATOL: its largest entry, once each axis is reduced by
+    symmetry.s3_reduce at its party's dimension, is at most that.  A dense
+    entry adds up to six coordinates (|aaa><aaa| adds all six), or 36
+    entries of a table.  A NaN fails; the message names the whole they miss."""
+    for axis, d in enumerate(dims):
+        missing = np.moveaxis(s3_reduce(d, np.moveaxis(missing, axis, -1)), -1, axis)
+    defect = max_abs(missing)
+    if not defect <= COMPLETENESS_ATOL:
+        raise ValueError(f"elements do not sum to the {whole} (max defect {defect:.3e})")
+
+
+def validate_dense(elements: dict[Hashable, np.ndarray]) -> None:
+    """The dense oracle: each element hermitian and positive by its
+    eigenvalues, and their sum the identity within COMPLETENESS_ATOL.
+
+    The eigenvalues come from one call on all the elements, and their sum is
+    taken from the identity in one buffer of their own dtype; no stack of
+    the elements is formed.  Every guard is written so that a NaN fails it.
+    """
+    ops = list(elements.values())
+    for label, low in zip(elements, hermitian_eigenvalues(ops)[:, -1]):
+        if not low >= PSD_EIG_FLOOR:
+            raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
+    missing = np.eye(len(ops[0]), dtype=np.result_type(float, *ops))
+    for op in ops:
+        missing -= op
+    defect = max_abs(missing)
+    if not defect <= COMPLETENESS_ATOL:
+        raise ValueError(f"elements do not sum to the identity (max defect {defect:.3e})")
+
+
 @dataclass(frozen=True)
 class Povm:
-    """A labeled set of PSD operators summing to the identity."""
+    """Labeled elements on (C^d)^x3, dims = (d,), each a 6-vector of
+    coordinates, or on a split, dims = (d_a, d_b), each a 6 x 6 table; in
+    sampling order.  Complete when made (check_complete), so never empty."""
 
-    elements: tuple[tuple[Hashable, np.ndarray], ...]
+    dims: tuple[int, ...]
+    elements: dict[Hashable, np.ndarray]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("POVM needs at least one element")
-        labels = [label for label, _ in self.elements]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate outcome labels: {labels}")
+        shape = (6,) * len(self.dims)
+        for label, c in self.elements.items():
+            if np.shape(c) != shape:
+                raise ValueError(f"element {label!r} has shape {np.shape(c)}, not {shape}")
+        unit = np.zeros(shape)
+        unit[(0,) * len(shape)] = 1.0
+        check_complete(self.dims, unit - sum(self.elements.values()), "identity")
 
     @property
     def labels(self) -> tuple[Hashable, ...]:
-        return tuple(label for label, _ in self.elements)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0][1].shape[0]
+        return tuple(self.elements)
 
     def element(self, label: Hashable) -> np.ndarray:
-        for lab, op in self.elements:
-            if lab == label:
-                return op
-        raise KeyError(f"no element labeled {label!r}")
+        """The element written dense, on the system-major joint space of a split."""
+        return _scatter(permutation_columns(*self.dims), self.elements[label])
 
     def validate(self) -> None:
-        """Check hermiticity and positivity of each element and completeness.
-
-        The elements' eigenvalues come from one call on them all, and their
-        sum is taken from the identity in one buffer of their own dtype; no
-        stack of the elements is formed.  Every guard is written so that a
-        NaN fails it too.
-        """
-        ops = [op for _, op in self.elements]
-        for label, op in self.elements:
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"element {label!r} has shape {op.shape}")
-        for (label, _), low in zip(self.elements, hermitian_eigenvalues(ops)[:, -1]):
-            if not low >= PSD_EIG_FLOOR:
-                raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
-        missing = np.eye(self.dim, dtype=np.result_type(float, *ops))
-        for op in ops:
-            missing -= op
-        defect = max_abs(missing)
-        if not defect <= COMPLETENESS_ATOL:
-            raise ValueError(f"elements do not sum to the identity (max defect {defect:.3e})")
-
-
-def povm_from_dict(elements: dict | Iterable[tuple[Hashable, np.ndarray]]) -> Povm:
-    items = elements.items() if isinstance(elements, dict) else elements
-    return Povm(tuple((label, op) for label, op in items))
+        """The dense oracle (validate_dense) on every element written dense."""
+        validate_dense({label: self.element(label) for label in self.elements})

@@ -11,8 +11,8 @@ stack, checked complete in coordinates at construction; no step is ever
 dense.  path_prefixes multiplies each party's chronological Kraus product
 along every path in the group algebra.  Flattening sums kron(A^dag A, B^dag
 B) over the leaves of each label into the effective global POVM the protocol
-implements, one split_sum of each label's 6 x 6 table: the oracle boundary,
-where the operators become dense.
+implements, a povm.Povm of each label's 6 x 6 table, checked complete by the
+same coordinate rule as a step; it is written dense only on request.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .linalg import max_abs
-from .povm import COMPLETENESS_ATOL, Povm, povm_from_dict
-from .symmetry import S3, s3_adjoint, s3_product, s3_reduce, split_sum
+from .povm import Povm, check_complete
+from .symmetry import S3, s3_adjoint, s3_product, s3_reduce
 
 ALICE = "alice"
 BOB = "bob"
@@ -71,16 +70,11 @@ def step(party: str, d: int, kraus: dict, children: dict,
          support: np.ndarray = S3.identity) -> MeasurementStep:
     """A MeasurementStep from outcome->Kraus coordinates on a party of local
     dimension d, whose elements K^dag K must resolve the projector with
-    coordinates support: their sum matches it within COMPLETENESS_ATOL in
-    each coordinate, reduced by symmetry.s3_reduce.  A dense entry of the
-    defect adds up to six coordinates (|aaa><aaa| adds all six), so the dense
-    defect may reach 6 COMPLETENESS_ATOL.  Each element is c^dag c in the
-    group algebra, hermitian and positive as it stands."""
+    coordinates support, by povm.check_complete.  Each element is c^dag c in
+    the group algebra, hermitian and positive as it stands."""
     stack = np.array(list(kraus.values()), float)
     stack.flags.writeable = False
-    defect = max_abs(s3_reduce(d, support - sum(gram(k) for k in stack)))
-    if not defect <= COMPLETENESS_ATOL:   # NaN fails it too
-        raise ValueError(f"elements do not sum to the support (max defect {defect:.3e})")
+    check_complete((d,), support - sum(gram(k) for k in stack), "support")
     return MeasurementStep(party, tuple(kraus), children, stack)
 
 
@@ -91,10 +85,6 @@ class LoccProtocol:
     d_a: int
     d_b: int
     root: Union[MeasurementStep, Leaf]
-
-    @property
-    def dim(self) -> int:
-        return (self.d_a * self.d_b) ** 3
 
 
 def path_prefixes(protocol: LoccProtocol) -> Iterator[tuple]:
@@ -117,26 +107,18 @@ def path_prefixes(protocol: LoccProtocol) -> Iterator[tuple]:
 
 
 def effective_povm(protocol: LoccProtocol) -> Povm:
-    """Flatten the tree into the global POVM it implements.
+    """Flatten the tree into the global POVM it implements, labels ascending.
 
-    Element for label L = sum over leaves labeled L of
-    kron(A^dag A, B^dag B), with A and B the chronological products of
-    Alice's and Bob's local Kraus operators along the path.  In coordinates
-    that is sum_{pi, sigma} W[pi, sigma] P_pi (x) P_sigma, for W the sum of
-    the leaves' tables (path_prefixes), written by split_sum in the
-    system-major basis (directly comparable with the closed-form separable
-    constructions).  Completeness is asserted.
+    Element for label L = sum over leaves labeled L of kron(A^dag A, B^dag
+    B), with A and B the chronological products of Alice's and Bob's local
+    Kraus operators along the path: the table sum_{pi, sigma} W[pi, sigma]
+    P_pi (x) P_sigma, for W the sum of the leaves' tables (path_prefixes).
+    The Povm checks completeness in these tables, and writes an element dense
+    in the system-major basis (directly comparable with the closed-form
+    separable constructions) only on request.
     """
     tables: dict[int, np.ndarray] = {}
     for node, table, _ in path_prefixes(protocol):
         if isinstance(node, Leaf):
             tables[node.label] = tables.get(node.label, 0.0) + table
-    elements = {label: split_sum(protocol.d_a, protocol.d_b, table)
-                for label, table in sorted(tables.items())}
-    missing = np.eye(protocol.dim)
-    for op in elements.values():
-        missing -= op
-    defect = max_abs(missing)
-    if defect > COMPLETENESS_ATOL:
-        raise ValueError(f"flattened protocol is not complete (max defect {defect:.3e})")
-    return povm_from_dict(elements)
+    return Povm((protocol.d_a, protocol.d_b), dict(sorted(tables.items())))

@@ -9,10 +9,10 @@ own variates, and the block does the rest on stacked arrays.
 Neither kind of block forms a product state.  A label-L trial's state psi =
 phi_L (x) phi_1 (x) phi_2 has <psi| P_pi |psi> = 1 for the identity and for
 the swap of the two systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for
-the other four of the six permutation operators P_pi.  The optimal global
-elements lie in the real span of the P_pi (symmetry.s3_coordinates), so
-GlobalTrialSpec keeps, from when it is made, each element's probability on
-each label as a + b s, and a block needs one overlap per trial.
+the other four of the six permutation operators P_pi.  A global POVM holds
+each element as its coordinates on the P_pi (povm.Povm), so GlobalTrialSpec
+reads from them, when it is made, each element's probability on each label
+as a + b s, and a block needs one overlap per trial.
 
 An LOCC block evolves no state either.  A trial follows the path to a node
 (a prefix of the tree) with probability <psi| A^dag A (x) B^dag B |psi>, for
@@ -69,13 +69,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .minerr import Priors
 from .povm import Povm
 from .protocol import Leaf, LoccProtocol, path_prefixes
-from .symmetry import RELABEL, S3_PERMUTATIONS, s3_coordinates
+from .symmetry import RELABEL, S3_PERMUTATIONS
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
-# Largest entry of a global element's distance from the span of the
-# permutation operators that GlobalTrialSpec may have.
-SPAN_ATOL = 1e-12
 # Bytes of a global block's complex references (1024 trials at d = 4), of
 # an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
 # and of a window's seed states (4096 trials).  An LOCC block's other arrays
@@ -192,27 +189,24 @@ def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int
     return np.minimum((cum <= u).sum(axis=0), len(probs) - 1)
 
 
-def _global_table(povm: Povm) -> np.ndarray:
+def _global_table(povm: Povm, d: int) -> np.ndarray:
     """The table of GlobalTrialSpec."""
-    table = np.empty((2, len(povm.elements), 2))
-    for e, (label, op) in enumerate(povm.elements):
-        c, residual = s3_coordinates(op)
-        if not residual <= SPAN_ATOL:   # NaN fails it too
-            raise ValueError(f"element {label!r} lies {residual:.3e} off the span of the "
-                             f"permutation operators (tolerance {SPAN_ATOL:g})")
-        # systems 0 and L of a label-L trial hold phi_L, and S3_PERMUTATIONS[L]
-        # is their swap: it and the identity read 1, the other four read s
-        a = c[0] + c[1:3]
-        table[:, e] = a, c.sum() - a
-    return table
+    if povm.dims != (d,):
+        raise ValueError(f"a global trial at d = {d} needs a POVM with dims ({d},), "
+                         f"got {povm.dims}")
+    c = np.array(list(povm.elements.values()), float)
+    # systems 0 and L of a label-L trial hold phi_L, and S3_PERMUTATIONS[L]
+    # is their swap: it and the identity read 1, the other four read s
+    a = c[:, :1] + c[:, 1:3]
+    return np.array([a, c.sum(axis=1)[:, None] - a])
 
 
 @dataclass(frozen=True)
 class GlobalTrialSpec:
     """One-shot measurement of a global POVM on the triple space, from a table:
     element e of the POVM has probability table[0, e, L - 1] + table[1, e, L -
-    1] s on a label-L trial, for s = |<phi_1|phi_2>|^2.  An element off the
-    span of the permutation operators by over SPAN_ATOL: ValueError.
+    1] s on a label-L trial, for s = |<phi_1|phi_2>|^2, read from the
+    element's coordinates.  A POVM on a split (dims not (d,)): ValueError.
     """
 
     povm: Povm
@@ -221,7 +215,7 @@ class GlobalTrialSpec:
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _global_table(self.povm))
+        object.__setattr__(self, "table", _global_table(self.povm, self.d))
 
     @property
     def block_trials(self) -> int:
@@ -240,7 +234,7 @@ class GlobalTrialSpec:
 
     def run(self, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
         block = self.run_block([rng], trial_index)
-        outcome = self.povm.elements[block.path[0, 0]][0]
+        outcome = self.povm.labels[block.path[0, 0]]
         return TrialRecord(
             true_label=int(block.labels[0]),
             declared_label=int(outcome),

@@ -16,15 +16,16 @@ Every local operator of the schemes is given by its six real coordinates on
 the P_k, the permutations S3_PERMUTATIONS[k] of the three tensor factors, the
 same at every d (S3), and multiplied in the group algebra R[S3] (s3_product,
 s3_adjoint, RELABEL).  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks
-one representative of the coordinates.
+one representative of the coordinates.  No operator is ever fitted back to
+coordinates: every scheme is built in them.
 
 A joint operator of a split d = d_a*d_b is its 6 x 6 table W on the
 P_k^A (x) P_l^B, the same at every split.  Those permute the six tensor
 factors of the joint space, so like the P_k they are index maps
 (permutation_columns), and one writer scatters coordinates or a table
-through them (permutation_sum, split_sum): the one way an operator becomes
-dense, called only by the oracles, the closed-form POVMs and the flattened
-trees.  Overlaps Re tr(P_pi^T op) are read through the same maps
+through them (_scatter, as permutation_sum and split_sum): the one way an
+operator becomes dense, called only by the oracles and by a POVM's element
+on request (povm.Povm.element).  Overlaps Re tr(P_pi^T op) are read through the same maps
 (permutation_traces), and the 1<->2 reference swap is a transposition of
 tensor-factor axes (swap_references).
 """
@@ -206,7 +207,7 @@ def s3_adjoint(c) -> np.ndarray:
 def s3_reduce(d: int, c) -> np.ndarray:
     """The coordinates c (..., 6), or at d = 2, where sum_k sgn(k) P_k = 6
     antisym3 = 0, c less its component along the signs: the least-norm
-    coordinates of the same operator, as s3_coordinates fits them."""
+    coordinates of the same operator."""
     c = np.asarray(c, float)
     return c - (c @ _SIGNS / 6)[..., None] * _SIGNS if d == 2 else c
 
@@ -236,16 +237,6 @@ def split_sum(d_a: int, d_b: int, table) -> np.ndarray:
     return _scatter(permutation_columns(d_a, d_b), table)
 
 
-@lru_cache(maxsize=None)
-def _gram_pinv(d: int) -> np.ndarray:
-    """Pseudo-inverse of the Gram matrix tr(P_i^T P_j) of the P_k: the rows
-    where their 1s share a column, d^c for the c cycles of i^-1 j."""
-    columns = permutation_columns(d)
-    fit = np.linalg.pinv((columns[:, None] == columns[None]).sum(axis=2).astype(float))
-    _freeze(fit)
-    return fit
-
-
 def permutation_traces(op: np.ndarray) -> np.ndarray:
     """Re tr(P_k^T op) for the six P_k on (C^d)^x3, each the sum of the d^3
     entries of op that P_k's index map picks out; no P_k is formed.  For the
@@ -259,24 +250,6 @@ def symmetrizer_traces(op: np.ndarray) -> tuple[float, float]:
     swaps' index maps."""
     traces = permutation_traces(op)
     return float(traces[0] + traces[1]) / 2, float(traces[0] + traces[2]) / 2
-
-
-def s3_coordinates(op: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares real coordinates c of an operator on (C^d)^x3 on the P_k,
-    and the largest entry
-    of op - sum_k c[k] P_k.  At d = 2 the P_k are linearly dependent (there is
-    no antisymmetric subspace), and c is the least-norm exact solution.
-
-    c = pinv(G) b for the Gram matrix G and b = permutation_traces(op); no
-    P_k is formed."""
-    d = round(op.shape[0] ** (1 / 3))
-    columns = permutation_columns(d)
-    rows = np.arange(d**3)
-    coords = _gram_pinv(d) @ permutation_traces(op)
-    residual = np.array(op)
-    for c, cols in zip(coords, columns):
-        residual[rows, cols] -= c
-    return coords, float(np.abs(residual).max())
 
 
 def reference_swap_view(op: np.ndarray) -> np.ndarray:

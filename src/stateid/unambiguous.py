@@ -17,9 +17,10 @@ coefficients obey a feasibility bound; the best separable scheme reaches
 strictly below the global optimum, and is implementable by the LOCC tree
 built here.
 
-Every operator here is written from the coordinates of symmetry.S3, or on
-a split from its 6 x 6 table; the LOCC steps never become dense.  E2 is
-written first and E1 taken as its 1<->2 reference swap, and _conclusive_pair
+Every POVM here is built as a povm.Povm in the coordinates of symmetry.S3,
+or on a split in 6 x 6 tables, the same at every dimension; the LOCC steps
+never become dense.  Only the oracles' UnambPovm is dense: E2 is written
+first and E1 taken as its 1<->2 reference swap, so that _conclusive_pair
 leaves both no-error products exactly zero.
 """
 
@@ -31,10 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import identity_minus, max_abs
-from .povm import Povm, povm_from_dict
+from .linalg import max_abs
+from .povm import Povm, validate_dense
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (S3, S3_PERMUTATIONS, dimension_table, permutation_columns, permutation_sum,
+from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, dimension_table, permutation_columns,
                        reference_swap_view, s3_product, split_sum, swap_references,
                        symmetrizer_traces)
 
@@ -68,18 +69,15 @@ def _no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class UnambPovm:
-    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}."""
+    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}, dense."""
 
     e1: np.ndarray
     e2: np.ndarray
     e0: np.ndarray
 
-    def as_povm(self) -> Povm:
-        return povm_from_dict({1: self.e1, 2: self.e2, 0: self.e0})
-
     def validate(self) -> None:
         """PSD elements summing to identity, exact no-error, exchange symmetry."""
-        self.as_povm().validate()
+        validate_dense({1: self.e1, 2: self.e2, 0: self.e0})
         for name, leak in zip(("e1", "e2"), _no_error_leaks(self.e1, self.e2)):
             if leak > NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
@@ -120,15 +118,28 @@ def _conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return swap_references(e2), e2
 
 
+def _read_only(povm: UnambPovm) -> UnambPovm:
+    for op in (povm.e1, povm.e2, povm.e0):
+        op.flags.writeable = False
+    return povm
+
+
+def optimal_global_povm(d: int) -> Povm:
+    """The optimal global POVM in coordinates, the same at every d:
+    E2 = (2/3) mixed3 antisym01, E1 its relabel and E0 the rest, in the
+    order {1: E1, 2: E2, 0: E0} in which a trial samples them."""
+    e2 = ALPHA_MAX * MIXED_ANTISYM01
+    e0 = s3_product(S3.mixed3, S3.identity + 2.0 * S3.swap_sum) / 3.0 + S3.sym3 + S3.antisym3
+    return Povm((d,), {1: e2[RELABEL], 2: e2, 0: e0})
+
+
 @lru_cache(maxsize=1)
 def global_unamb_povm(d: int) -> UnambPovm:
-    """The optimal global three-outcome POVM, cached for its last d (read-only)."""
-    e1, e2 = _conclusive_pair(d, permutation_sum(d, ALPHA_MAX * MIXED_ANTISYM01))
-    e0 = permutation_sum(d, s3_product(S3.mixed3, S3.identity + 2.0 * S3.swap_sum) / 3.0
-                         + S3.sym3 + S3.antisym3)
-    for op in (e1, e2, e0):
-        op.flags.writeable = False
-    return UnambPovm(e1=e1, e2=e2, e0=e0)
+    """optimal_global_povm written dense, E1 and E2 by _conclusive_pair from
+    E2, cached for its last d (read-only)."""
+    povm = optimal_global_povm(d)
+    e1, e2 = _conclusive_pair(d, povm.element(2))
+    return _read_only(UnambPovm(e1=e1, e2=e2, e0=povm.element(0)))
 
 
 def gamma_plus(beta1: float, beta2: float) -> float:
@@ -189,14 +200,6 @@ class SeparableCoeffs:
                 f"beta2={self.beta2}) = {g:.6f} exceeds 1 by {g - 1.0:.3e}"
             )
 
-    @property
-    def beta(self) -> float:
-        return (self.beta1 + self.beta2) / 2
-
-    @property
-    def delta(self) -> float:
-        return (self.beta1 - self.beta2) / 2
-
     @classmethod
     def optimal(cls) -> "SeparableCoeffs":
         return cls(ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, ALPHA_MAX, 0.5, 0.5)
@@ -221,12 +224,9 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
     SEPARABLE_CACHE_SIZE entries, with read-only elements."""
     e1, e2 = _conclusive_pair(d_a * d_b, split_sum(d_a, d_b, separable_table(coeffs)))
     # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
-    e0 = identity_minus(e1 + e2)
-    povm = UnambPovm(e1=e1, e2=e2, e0=e0)
+    povm = UnambPovm(e1=e1, e2=e2, e0=np.eye(len(e1)) - (e1 + e2))
     povm.validate()
-    for op in (e1, e2, e0):
-        op.flags.writeable = False
-    return povm
+    return _read_only(povm)
 
 
 def max_success_separable(d_a: int, d_b: int) -> float:

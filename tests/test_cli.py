@@ -362,11 +362,34 @@ class TestOutput:
         assert out1 == out2
 
 
-def test_module_entry_point():
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """python -m stateid argv in a fresh interpreter, on this checkout's src/."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "stateid", "dims", "--d", "2"],
-                          cwd=root, env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "stateid", *argv], cwd=root,
+                          env={**os.environ, "PYTHONPATH": path}, text=True, timeout=60, **kwargs)
+
+
+def test_module_entry_point():
+    proc = run_module("dims", "--d", "2", capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+class TestFullDevice:
+    """A report that cannot be written, flushed or closed is a usage error:
+    one stderr line and exit 2, not a traceback and exit 1 ("a check failed")."""
+
+    def test_out_on_a_full_device(self):
+        proc = run_module("dims", "--d", "2", "--out", "/dev/full", capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ("stateid: error: cannot write --out /dev/full: "
+                               "No space left on device\n")
+
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = run_module("dims", "--d", "2", "--json", stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr == ("stateid: error: cannot write the report to stdout: "
+                               "No space left on device\n")

@@ -21,9 +21,9 @@ from stateid.minerr import (
     optimal_global_povm,
 )
 from stateid import unambiguous
-from stateid.povm import povm_from_dict
+from stateid.povm import Povm
 from stateid.protocol import Leaf, effective_povm
-from stateid.symmetry import build_toolkit, dimension_table, permutation_sum, swap_references
+from stateid.symmetry import S3, build_toolkit, dimension_table, permutation_sum, swap_references
 
 # frozen via the eigenvalue-sum oracle (assemble gain operator, eigensolve,
 # sum positive part):
@@ -174,18 +174,16 @@ class TestGlobalPovm:
 
 class TestMeanSuccess:
     def test_never_answer_one(self):
-        n = 8
-        povm = povm_from_dict({1: np.zeros((n, n)), 2: np.eye(n)})
+        povm = Povm((2,), {1: np.zeros(6), 2: S3.identity})
         p = Priors.from_eta1(0.3)
         assert mean_success(povm, 2, p) == p.eta2
 
     def test_always_answer_one(self):
-        n = 8
-        povm = povm_from_dict({1: np.eye(n), 2: np.zeros((n, n))})
+        povm = Povm((2,), {1: S3.identity, 2: np.zeros(6)})
         assert abs(mean_success(povm, 2, EQUAL_PRIORS) - 0.5) < 1e-12
 
     def test_rejects_unexpected_labels(self):
-        povm = povm_from_dict({1: np.eye(8) / 2, 0: np.eye(8) / 2})
+        povm = Povm((2,), {1: S3.identity / 2, 0: S3.identity / 2})
         with pytest.raises(ValueError, match="labels"):
             mean_success(povm, 2, EQUAL_PRIORS)
 

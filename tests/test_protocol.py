@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid import minerr, protocol, simulate, symmetry, unambiguous
+from stateid import minerr, povm, protocol, simulate, symmetry, unambiguous
 from stateid.linalg import max_abs
 from stateid.minerr import Priors, _local_projectors
-from stateid.povm import COMPLETENESS_ATOL, povm_from_dict
+from stateid.povm import COMPLETENESS_ATOL, validate_dense
 from stateid.protocol import ALICE, BOB, Leaf, gram, step
 from stateid.symmetry import S3, permutation_sum, s3_product
 
@@ -46,10 +46,10 @@ def random_kraus(rng: np.random.Generator, outcomes: int, mixed_only: bool) -> n
 def dense_accepts(d: int, kraus: np.ndarray, support: np.ndarray) -> bool:
     """Whether the dense POVM {K^dag K} together with 1 - support validates:
     the dense form of the step check."""
-    elements = list(enumerate(permutation_sum(d, np.array([gram(k) for k in kraus]))))
-    rest = np.eye(d**3) - permutation_sum(d, support)
+    elements = dict(enumerate(permutation_sum(d, np.array([gram(k) for k in kraus]))))
+    elements["rest"] = np.eye(d**3) - permutation_sum(d, support)
     try:
-        povm_from_dict(elements + [("rest", rest)]).validate()
+        validate_dense(elements)
     except ValueError:
         return False
     return True
@@ -122,25 +122,30 @@ def test_d2_support_modulo_the_signs(t):
 
 
 def test_no_step_is_dense(monkeypatch):
-    # trees and a seeded batch at (30,30), where one dense local operator of
-    # Alice's root step would take 27000^2 doubles, never call the dense
-    # writer, neither a party's permutation_sum nor a split's split_sum
+    # trees, their flattened POVMs, the closed-form POVMs and a seeded batch
+    # at (30,30), where one dense local operator of Alice's root step would
+    # take 27000^2 doubles, never call the dense writer, neither a party's
+    # permutation_sum nor a split's split_sum; only a POVM's element() does
     def refuse(*args, **kwargs):
         raise AssertionError("dense writer called")
 
-    monkeypatch.setattr(symmetry, "_scatter", refuse)
-    for module in (symmetry, minerr, unambiguous):
-        monkeypatch.setattr(module, "permutation_sum", refuse)
-    for module in (symmetry, protocol, minerr, unambiguous):
+    for module in (symmetry, povm):
+        monkeypatch.setattr(module, "_scatter", refuse)
+    monkeypatch.setattr(symmetry, "permutation_sum", refuse)
+    for module in (symmetry, unambiguous):
         monkeypatch.setattr(module, "split_sum", refuse)
     priors = Priors.from_eta1(0.7)
     for split in ((2, 2), (3, 3), (30, 30)):
         tree = minerr.locc_protocol(*split, priors)
+        protocol.effective_povm(tree)
     for split in ((2, 2), (3, 3), (5, 5)):
-        unambiguous.locc_protocol(*split)
+        protocol.effective_povm(unambiguous.locc_protocol(*split))
+    minerr.locc_povm_element(30, 30, priors.swapped())
+    minerr.optimal_global_povm(900, priors)
+    unambiguous.optimal_global_povm(900)
     stats = simulate.run_batch(simulate.LoccTrialSpec(tree, priors), 200, 7,
                                target=minerr.max_success_global(900, priors))
     assert stats.n_trials == 200 and stats.inconclusive == 0
     assert abs(stats.p_hat - stats.target) <= 4 * stats.target_stderr
     with pytest.raises(AssertionError, match="dense writer called"):
-        protocol.effective_povm(minerr.locc_protocol(2, 2, priors))
+        protocol.effective_povm(minerr.locc_protocol(2, 2, priors)).element(1)

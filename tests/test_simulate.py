@@ -15,17 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import (haar_state, haar_unitary, permutation_operator, regroup_operator,
-                             state_matrix)
+from dense_reference import haar_state, haar_unitary, regroup_operator, state_matrix
 from stateid import simulate, unambiguous
-from stateid.minerr import EQUAL_PRIORS, Priors, locc_protocol, max_success_global, optimal_global_povm
-from stateid.povm import povm_from_dict
-from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, step
+from stateid.minerr import (EQUAL_PRIORS, Priors, locc_povm_element, locc_protocol,
+                            max_success_global, optimal_global_povm)
+from stateid.povm import Povm
+from stateid.protocol import ALICE, BOB, Leaf, LoccProtocol, gram, step
 from stateid.simulate import (
     BRANCH_PROB_FLOOR,
     MIN_FORK_CHUNK,
     PROB_SUM_ATOL,
-    SPAN_ATOL,
     BatchStats,
     GlobalTrialSpec,
     LoccTrialSpec,
@@ -35,8 +34,7 @@ from stateid.simulate import (
     chunk_bounds,
     run_batch,
 )
-from stateid.symmetry import S3, S3_PERMUTATIONS, permutation_sum, s3_coordinates
-from stateid.unambiguous import global_unamb_povm
+from stateid.symmetry import S3, permutation_sum, s3_product
 
 PMAX_D2_HALF = 0.6443375672974064
 
@@ -44,14 +42,6 @@ PMAX_D2_HALF = 0.6443375672974064
 def kron(*ops):
     """Kronecker product of one or more operators, leftmost most significant."""
     return functools.reduce(np.kron, ops)
-
-
-def conjugated(povm, u):
-    """The POVM {U3^dag E U3} with U3 = U x U x U: measuring it on a trial gives
-    the Born probabilities of measuring povm on the trial with both references
-    rotated by U."""
-    u3 = kron(u, u, u)
-    return povm_from_dict((label, u3.conj().T @ op @ u3) for label, op in povm.elements)
 
 
 class TestHaarState:
@@ -99,7 +89,7 @@ def test_haar_unitary_is_unitary():
 
 class TestGlobalTrials:
     def test_always_answer_one(self):
-        povm = povm_from_dict({1: np.eye(8), 2: np.zeros((8, 8))})
+        povm = Povm((2,), {1: S3.identity, 2: np.zeros(6)})
         spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
         for i in range(20):
             rec = spec.run(np.random.default_rng(i), i)
@@ -107,8 +97,12 @@ class TestGlobalTrials:
             assert rec.transcript == (("global", 1),)
 
     def test_incomplete_povm_aborts(self):
-        povm = povm_from_dict({1: np.eye(8) / 2, 2: np.eye(8) / 4})
-        spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
+        # an incomplete POVM fails when it is made; a table whose elements
+        # miss one still aborts the batch, naming the first trial it reaches
+        with pytest.raises(ValueError, match=r"^elements do not sum to the identity"):
+            Povm((2,), {1: S3.identity / 2, 2: S3.identity / 4})
+        spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
+        object.__setattr__(spec, "table", spec.table * 0.75)
         with pytest.raises(TrialAbort, match="sum"):
             spec.run(np.random.default_rng(0), 0)
         with pytest.raises(TrialAbort, match=r"^trial 0: .*sum"):
@@ -123,8 +117,7 @@ class TestGlobalTrials:
         assert stats.inconclusive == 0
 
     def test_unambiguous_batch_never_errs(self):
-        povm = global_unamb_povm(2).as_povm()
-        spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
+        spec = GlobalTrialSpec(unambiguous.optimal_global_povm(2), 2, EQUAL_PRIORS)
         stats = run_batch(spec, 10_000, 3, target=1 / 6)
         assert stats.errors == 0
         assert abs(stats.p_hat - 1 / 6) <= 3 * stats.stderr
@@ -137,36 +130,36 @@ class TestGlobalTrials:
         # a + b s of every element on both labels against <psi|E|psi> for
         # psi = phi_L (x) phi_1 (x) phi_2, on the min-error and unambiguous POVMs
         rng = np.random.default_rng(seed)
-        for povm in (optimal_global_povm(d, Priors.from_eta1(eta1)), global_unamb_povm(d).as_povm()):
+        for povm in (optimal_global_povm(d, Priors.from_eta1(eta1)),
+                     unambiguous.optimal_global_povm(d)):
             table = GlobalTrialSpec(povm, d, EQUAL_PRIORS).table
             for _ in range(3):
                 phi = [haar_state(d, rng) for _ in range(2)]
                 s = abs(np.vdot(phi[0], phi[1])) ** 2
                 for label in (1, 2):
                     psi = kron(phi[label - 1], phi[0], phi[1])
-                    dense = [np.vdot(psi, op @ psi).real for _, op in povm.elements]
+                    dense = [np.vdot(psi, povm.element(e) @ psi).real for e in povm.labels]
                     table_probs = table[0, :, label - 1] + table[1, :, label - 1] * s
                     assert np.abs(table_probs - dense).max() <= 1e-13
 
-    def test_off_span_element_is_rejected(self):
-        # |000><000| is no combination of the permutation operators
-        corner = np.zeros((8, 8))
-        corner[0, 0] = 1.0
-        povm = povm_from_dict({1: corner, 2: np.eye(8) - corner})
-        with pytest.raises(ValueError, match=r"^element 1 lies .+ off the span of the permutation "
-                           r"operators \(tolerance 1e-12\)$"):
-            GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
+    def test_split_povm_is_rejected(self):
+        # a table on a split, or coordinates at another d, is no POVM on (C^d)^x3
+        for povm, d in ((locc_povm_element(2, 2, EQUAL_PRIORS), 4),
+                        (optimal_global_povm(3, EQUAL_PRIORS), 2)):
+            with pytest.raises(ValueError, match=rf"^a global trial at d = {d} needs a POVM "
+                               rf"with dims \({d},\), got \({povm.dims[0]},"):
+                GlobalTrialSpec(povm, d, EQUAL_PRIORS)
 
     def test_unitary_invariance(self):
-        # rotating references and input by a fixed Haar unitary leaves the
-        # success statistics unchanged (the POVM commutes with U x U x U)
-        povm = optimal_global_povm(2, EQUAL_PRIORS)
-        u = haar_unitary(2, np.random.default_rng(99))
-        n = 100_000
-        plain = run_batch(GlobalTrialSpec(povm, 2, EQUAL_PRIORS), n, 5)
-        rotated = run_batch(GlobalTrialSpec(conjugated(povm, u), 2, EQUAL_PRIORS), n, 6)
-        z = abs(plain.p_hat - rotated.p_hat) / math.hypot(plain.stderr, rotated.stderr)
-        assert z < 3.0
+        # every element commutes with U x U x U for a Haar unitary U, so a
+        # trial's probabilities depend on its references only through s
+        for d in (2, 3):
+            u3 = kron(*[haar_unitary(d, np.random.default_rng(99))] * 3)
+            for povm in (optimal_global_povm(d, Priors.from_eta1(0.3)),
+                         unambiguous.optimal_global_povm(d)):
+                for label in povm.labels:
+                    op = povm.element(label)
+                    assert np.abs(u3.conj().T @ op @ u3 - op).max() <= 1e-13
 
 
 class TestLoccTrials:
@@ -294,17 +287,19 @@ class TestFactoredEngine:
         assert (stats.successes, stats.errors, stats.inconclusive) == (172, 28, 0)
 
 
-def prefix_products(node, a: np.ndarray, b: np.ndarray) -> list:
+def prefix_products(node, a: np.ndarray, b: np.ndarray, ca=S3.identity, cb=S3.identity) -> list:
     """(A^dag A, B^dag B) of every path prefix of a tree, the root first and
-    then depth first, children in element order, from dense Kraus operators."""
-    products = [(a.conj().T @ a, b.conj().T @ b)]
+    then depth first, children in element order, from dense Kraus operators,
+    each with its coordinates, from the products ca and cb of the Kraus
+    coordinates."""
+    products = [(a.conj().T @ a, b.conj().T @ b, gram(ca), gram(cb))]
     if not isinstance(node, Leaf):
         d = round(len(a if node.party == ALICE else b) ** (1 / 3))
-        for k, child in zip(permutation_sum(d, node.kraus), node.successors):
+        for k, c, child in zip(permutation_sum(d, node.kraus), node.kraus, node.successors):
             if node.party == ALICE:
-                products += prefix_products(child, k @ a, b)
+                products += prefix_products(child, k @ a, b, s3_product(c, ca), cb)
             else:
-                products += prefix_products(child, a, k @ b)
+                products += prefix_products(child, a, k @ b, ca, s3_product(c, cb))
     return products
 
 
@@ -327,20 +322,16 @@ class TestInvariantRoute:
         refs = np.array([[haar_state(da * db, rng) for _ in range(2)] for _ in labels])
         states = [state_matrix(da, db, kron(pair[label - 1], pair[0], pair[1])).ravel()
                   for label, pair in zip(labels, refs)]
-        basis = {d: [permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS]
-                 for d in (da, db)}
         for tree in trees:
             probs = LoccTrialSpec(tree, priors).weights @ simulate._invariants(labels, refs, da, db)
             products = prefix_products(tree.root, np.eye(da**3), np.eye(db**3))
             assert len(products) == len(probs)
-            for row, (aa, bb) in zip(probs, products):
+            for row, (aa, bb, ca, cb) in zip(probs, products):
                 joint = kron(aa, bb)
                 dense = [np.vdot(psi, joint @ psi).real for psi in states]
                 assert np.abs(row - dense).max() <= 1e-13
-                for op, d in ((aa, da), (bb, db)):
-                    coords, _ = s3_coordinates(op)
-                    rebuilt = sum(c * perm for c, perm in zip(coords, basis[d]))
-                    assert np.abs(rebuilt - op).max() <= SPAN_ATOL
+                for op, c, d in ((aa, ca, da), (bb, cb, db)):
+                    assert np.abs(permutation_sum(d, c) - op).max() <= 1e-12
 
 
 class Scripted:
@@ -401,14 +392,13 @@ def block_spec(case: str):
     """Trial specs for the block-engine properties, built once per session."""
     if case == "global":
         return GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
-    if case == "global-rotated":
-        u = haar_unitary(3, np.random.default_rng(99))
-        return GlobalTrialSpec(conjugated(global_unamb_povm(3).as_povm(), u), 3, EQUAL_PRIORS)
+    if case == "global-unamb":
+        return GlobalTrialSpec(unambiguous.optimal_global_povm(3), 3, EQUAL_PRIORS)
     task, eta1, da, db = case.split("-")
     return make_locc_spec(task, int(da), int(db), float(eta1))
 
 
-BLOCK_CASES = ["global", "global-rotated"] + [
+BLOCK_CASES = ["global", "global-unamb"] + [
     f"{task}-{eta1}-{da}-{db}" for task, eta1 in LOCC_CASES for da, db in [(2, 2), (2, 3), (3, 3)]]
 
 

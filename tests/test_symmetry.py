@@ -19,7 +19,6 @@ from stateid.symmetry import (
     permutation_sum,
     permutation_traces,
     s3_adjoint,
-    s3_coordinates,
     s3_product,
     s3_reduce,
     split_sum,
@@ -161,25 +160,6 @@ def test_swap_references_matches_dense_conjugation(d, seed):
     op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     t12 = permutation_operator((d,) * 3, (0, 2, 1))
     assert np.array_equal(swap_references(op), t12 @ op @ t12)
-
-
-@settings(max_examples=20, deadline=None)
-@given(d=st.integers(2, 4), seed=st.integers(0, 2**63))
-def test_s3_coordinates_match_dense_least_squares(d, seed):
-    # the index-map fit against pinv of the dense basis, on a point of the
-    # span and on one pushed off it by a random operator of size 1e-6
-    rng = np.random.default_rng(seed)
-    basis = np.array([permutation_operator((d,) * 3, perm) for perm in S3_PERMUTATIONS])
-    fit = np.linalg.pinv(basis.reshape(6, -1).T)
-    on_span = np.tensordot(rng.standard_normal(6), basis, 1)
-    off_span = on_span + 1e-6 * rng.standard_normal(on_span.shape)
-    for op in (on_span, off_span):
-        coords, residual = s3_coordinates(op)
-        dense = fit @ op.ravel()
-        assert np.abs(coords - dense).max() <= 1e-13
-        assert residual == pytest.approx(np.abs(np.tensordot(dense, basis, 1) - op).max(),
-                                         rel=1e-6, abs=1e-14)
-    assert s3_coordinates(on_span)[1] <= 1e-13 < s3_coordinates(off_span)[1]
 
 
 class TestBipartite:
@@ -331,11 +311,13 @@ def test_algebra_matches_dense_products(d, a, b):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_d2_reduction_is_the_least_norm_fit(d):
-    # s3_reduce picks, at d = 2, the coordinates that s3_coordinates fits
+    # s3_reduce picks, at d = 2, the coordinates that a least-squares fit of
+    # the dense operator on the dense P_k gives: the least-norm ones
     rng = np.random.default_rng(d)
+    basis = dense_basis(d).reshape(6, -1).T
     for c in (rng.standard_normal(6), S3.antisym3, S3.mixed3):
-        fitted, residual = s3_coordinates(np.tensordot(c, dense_basis(d), 1))
-        assert np.abs(s3_reduce(d, c) - fitted).max() <= 1e-14 and residual <= 1e-14
+        fitted = np.linalg.pinv(basis) @ (basis @ c)
+        assert np.abs(s3_reduce(d, c) - fitted).max() <= 1e-14
     assert np.array_equal(s3_reduce(2, S3.antisym3), np.zeros(6))
     assert np.array_equal(permutation_sum(2, S3.antisym3), np.zeros((8, 8)))
 

@@ -191,7 +191,8 @@ class TestFeasibility:
 class TestSeparableCoeffs:
     def test_optimal(self):
         c = SeparableCoeffs.optimal()
-        assert c.beta == 0.5 and c.delta == 0.0
+        assert (c.alpha1, c.alpha2, c.alpha3, c.alpha4) == (2 / 3,) * 4
+        assert (c.beta1, c.beta2) == (0.5, 0.5) and gamma_plus(c.beta1, c.beta2) == 1.0
 
     def test_rejects_alpha_overshoot(self):
         with pytest.raises(ValueError, match="alpha1.*exceeds 2/3"):
