@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -163,7 +164,7 @@ def cmd_minerr(args) -> int:
         else:
             spec = GlobalTrialSpec(global_povm, d, priors)
         stats = run_batch(spec, args.n, args.seed, args.workers, target=closed)
-        report["monte_carlo"] = _mc_block(stats)
+        report["monte_carlo"] = dataclasses.asdict(stats)
         report["checks"].append(_within_sigma_check(stats))
     return _emit(report, args)
 
@@ -186,8 +187,8 @@ def cmd_unamb(args) -> int:
         report["checks"].append(separable)
         report["checks"].append(checks.row(
             "feasibility_boundary_gamma", 1.0,
-            float(hermitian_eigenvalues(
-                unambiguous.mixed_block_operator(args.da, args.db, 0.5, 0.5))[0]),
+            float(hermitian_eigenvalues(unambiguous.mixed_block_operator(
+                args.da, args.db, 0.5, 0.5), (args.da, args.db))[0]),
             tol=1e-9))
         report["checks"].append(gap)
 
@@ -200,7 +201,7 @@ def cmd_unamb(args) -> int:
             spec = GlobalTrialSpec(unambiguous.optimal_global_povm(d), d, priors)
             target = global_row["analytic"]
         stats = run_batch(spec, args.n, args.seed, args.workers, target=target)
-        report["monte_carlo"] = _mc_block(stats)
+        report["monte_carlo"] = dataclasses.asdict(stats)
         report["checks"].append(checks.row(
             "monte_carlo_zero_errors", 0, stats.errors, stats.errors == 0))
         report["checks"].append(_within_sigma_check(stats))
@@ -212,18 +213,6 @@ def _within_sigma_check(stats) -> dict:
     return checks.row(
         "monte_carlo_within_4_sigma", stats.target, stats.p_hat,
         abs(stats.p_hat - stats.target) <= MC_SIGMA_GATE * stats.target_stderr)
-
-
-def _mc_block(stats) -> dict:
-    return {
-        "n_trials": stats.n_trials,
-        "successes": stats.successes,
-        "errors": stats.errors,
-        "inconclusive": stats.inconclusive,
-        "p_hat": stats.p_hat,
-        "stderr": stats.stderr,
-        "target": stats.target,
-    }
 
 
 def cmd_verify_all(args) -> int:

@@ -23,7 +23,7 @@ No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
 Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
 eigenvalues lambda+- on the mixed subspace, so every projector is a closed
 form in the coordinates of symmetry.S3 (_local_projectors).  Only the oracle
-route (positive_gain) solves for G's eigenvalues.
+route (positive_gain) solves for G's eigenvalues, on the S3 orbits of the basis.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 from .linalg import hermitian_eigenvalues
 from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, dimension_table, permutation_columns,
-                       s3_product, symmetrizer_traces)
+from .symmetry import (RELABEL, S3, dimension_table, permutation_sum, s3_product,
+                       symmetrizer_traces)
 
 PRIOR_ATOL = 1e-12
 
@@ -73,24 +73,9 @@ EQUAL_PRIORS = Priors(0.5, 0.5)
 
 
 def gain_operator(d: int, priors: Priors) -> np.ndarray:
-    """The operator whose positive part the optimal measurement projects onto.
-
-    G = eta1*sym01 - eta2*sym02, with sym0k = (1 + T0k)/2, written from the
-    index maps of the identity and the two swaps: row i is nonzero only at
-    i, T01(i) and T02(i), and each such entry is eta1*s01 - eta2*s02 with the
-    symmetrizers' entries s0k in {0, 1/2, 1}, the same floats as the dense
-    expression.
-    """
-    columns = permutation_columns(d)
-    rows = np.arange(d**3)
-    t01 = columns[S3_PERMUTATIONS.index((1, 0, 2))]
-    t02 = columns[S3_PERMUTATIONS.index((2, 1, 0))]
-    picked = np.stack([rows, t01, t02])
-    s01 = ((picked == rows).astype(float) + (picked == t01)) / 2
-    s02 = ((picked == rows).astype(float) + (picked == t02)) / 2
-    gain = np.zeros((d**3, d**3))
-    gain[rows, picked] = priors.eta1 * s01 - priors.eta2 * s02
-    return gain
+    """The operator whose positive part the optimal measurement projects onto:
+    G = eta1*sym01 - eta2*sym02, written dense from its coordinates."""
+    return permutation_sum(d, priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02)
 
 
 def gain_overlap(op: np.ndarray, priors: Priors) -> float:
@@ -122,8 +107,8 @@ def max_success_global(d: int, priors: Priors) -> float:
 
 def positive_gain(d: int, priors: Priors) -> float:
     """tr[P+ G] for the projector P+ onto G's positive part: the sum of the
-    gain operator's positive eigenvalues, solved on its invariant blocks."""
-    w = hermitian_eigenvalues(gain_operator(d, priors))
+    gain operator's positive eigenvalues, solved on its orbit blocks."""
+    w = hermitian_eigenvalues(gain_operator(d, priors), (d,))
     return float(w[w > 0].sum())
 
 

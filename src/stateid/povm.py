@@ -7,7 +7,8 @@ combination of the permutation operators: six coordinates on the P_pi of
 A Povm holds its elements so, and is checked complete in them when it is
 made, by the rule that also checks each protocol step (check_complete).
 Dense matrices are written only on request (Povm.element), for the oracles,
-whose dense check (validate_dense) also serves unambiguous.UnambPovm.
+whose dense check (validate_dense), solved on the orbit blocks of the space
+it is given, also serves unambiguous.UnambPovm.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ def check_complete(dims: tuple[int, ...], missing: np.ndarray, whole: str) -> No
         raise ValueError(f"elements do not sum to the {whole} (max defect {defect:.3e})")
 
 
-def validate_dense(elements: dict[Hashable, np.ndarray]) -> None:
-    """The dense oracle: each element hermitian and positive by its
-    eigenvalues, and their sum the identity within COMPLETENESS_ATOL.
+def validate_dense(elements: dict[Hashable, np.ndarray], dims: tuple[int, ...]) -> None:
+    """The dense oracle: each element on the space of dims hermitian and
+    positive by its eigenvalues, and their sum the identity within COMPLETENESS_ATOL.
 
     The eigenvalues come from one call on all the elements, and their sum is
     taken from the identity in one buffer of their own dtype; no stack of
     the elements is formed.  Every guard is written so that a NaN fails it.
     """
     ops = list(elements.values())
-    for label, low in zip(elements, hermitian_eigenvalues(ops)[:, -1]):
+    for label, low in zip(elements, hermitian_eigenvalues(ops, dims)[:, -1]):
         if not low >= PSD_EIG_FLOOR:
             raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
     missing = np.eye(len(ops[0]), dtype=np.result_type(float, *ops))
@@ -82,7 +83,3 @@ class Povm:
     def element(self, label: Hashable) -> np.ndarray:
         """The element written dense, on the system-major joint space of a split."""
         return _scatter(permutation_columns(*self.dims), self.elements[label])
-
-    def validate(self) -> None:
-        """The dense oracle (validate_dense) on every element written dense."""
-        validate_dense({label: self.element(label) for label in self.elements})

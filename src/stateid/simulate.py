@@ -100,14 +100,6 @@ class TrialRecord:
     transcript: tuple
     trial_index: int
 
-    @property
-    def success(self) -> bool:
-        return self.declared_label == self.true_label
-
-    @property
-    def error(self) -> bool:
-        return self.declared_label not in (0, self.true_label)
-
 
 @dataclass(frozen=True)
 class BatchStats:

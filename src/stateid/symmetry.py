@@ -25,7 +25,9 @@ factors of the joint space, so like the P_k they are index maps
 (permutation_columns), and one writer scatters coordinates or a table
 through them (_scatter, as permutation_sum and split_sum): the one way an
 operator becomes dense, called only by the oracles and by a POVM's element
-on request (povm.Povm.element).  Overlaps Re tr(P_pi^T op) are read through the same maps
+on request (povm.Povm.element).  The orbits of the basis under the maps are
+the blocks of every such operator, which the oracles' eigensolves run on
+(orbit_blocks).  Overlaps Re tr(P_pi^T op) are read through the same maps
 (permutation_traces), and the 1<->2 reference swap is a transposition of
 tensor-factor axes (swap_references).
 """
@@ -173,6 +175,21 @@ def permutation_columns(*dims: int) -> np.ndarray:
     columns = columns.reshape((6,) * len(dims) + (n,))
     _freeze(columns)
     return columns
+
+
+@lru_cache(maxsize=None)
+def orbit_blocks(*dims: int) -> tuple[np.ndarray, ...]:
+    """The orbits {columns[k][i]} of the basis indices under the maps of
+    permutation_columns(*dims), grouped as (orbits, size) read-only index
+    arrays by ascending size, ordered by least member, each ascending: the
+    blocks outside which an operator commuting with the maps is zero."""
+    columns = permutation_columns(*dims).reshape(-1, prod(dims) ** 3)
+    label = columns.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(columns, axis=0), axis=0), axis=0)
+    order = np.argsort(label, kind="stable")
+    blocks = tuple(order[size[order] == s].reshape(-1, s) for s in np.unique(size))
+    _freeze(*blocks)
+    return blocks
 
 
 _UNIT = np.eye(6)

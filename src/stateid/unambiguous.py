@@ -19,9 +19,9 @@ built here.
 
 Every POVM here is built as a povm.Povm in the coordinates of symmetry.S3,
 or on a split in 6 x 6 tables, the same at every dimension; the LOCC steps
-never become dense.  Only the oracles' UnambPovm is dense: E2 is written
-first and E1 taken as its 1<->2 reference swap, so that _conclusive_pair
-leaves both no-error products exactly zero.
+never become dense.  Only the oracles' UnambPovm is dense, with the dims of
+its space: E2 is written first and E1 taken as its 1<->2 reference swap, so
+that _conclusive_pair leaves both no-error products exactly zero.
 """
 
 from __future__ import annotations
@@ -69,15 +69,16 @@ def _no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class UnambPovm:
-    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}, dense."""
+    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}, dense, on dims."""
 
+    dims: tuple[int, ...]
     e1: np.ndarray
     e2: np.ndarray
     e0: np.ndarray
 
     def validate(self) -> None:
         """PSD elements summing to identity, exact no-error, exchange symmetry."""
-        validate_dense({1: self.e1, 2: self.e2, 0: self.e0})
+        validate_dense({1: self.e1, 2: self.e2, 0: self.e0}, self.dims)
         for name, leak in zip(("e1", "e2"), _no_error_leaks(self.e1, self.e2)):
             if leak > NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
@@ -92,10 +93,11 @@ def success_probability(povm: UnambPovm, d: int) -> float:
     """Mean unambiguous success probability at equal priors.
 
     (tr[E1*sym01] + tr[E2*sym02]) / (2*d1*d2); refuses POVMs whose no-error
-    leak exceeds 1e-8, since the value is meaningless for them.
+    leak exceeds NO_ERROR_ATOL, as UnambPovm.validate does, since the value
+    is meaningless for them.
     """
     leak = max(_no_error_leaks(povm.e1, povm.e2))
-    if leak > 1e-8:
+    if leak > NO_ERROR_ATOL:
         raise ValueError(f"POVM violates the no-error condition (leak {leak:.3e})")
     table = dimension_table(d)
     overlap = symmetrizer_traces(povm.e1)[0] + symmetrizer_traces(povm.e2)[1]
@@ -118,12 +120,6 @@ def _conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return swap_references(e2), e2
 
 
-def _read_only(povm: UnambPovm) -> UnambPovm:
-    for op in (povm.e1, povm.e2, povm.e0):
-        op.flags.writeable = False
-    return povm
-
-
 def optimal_global_povm(d: int) -> Povm:
     """The optimal global POVM in coordinates, the same at every d:
     E2 = (2/3) mixed3 antisym01, E1 its relabel and E0 the rest, in the
@@ -133,13 +129,11 @@ def optimal_global_povm(d: int) -> Povm:
     return Povm((d,), {1: e2[RELABEL], 2: e2, 0: e0})
 
 
-@lru_cache(maxsize=1)
 def global_unamb_povm(d: int) -> UnambPovm:
-    """optimal_global_povm written dense, E1 and E2 by _conclusive_pair from
-    E2, cached for its last d (read-only)."""
+    """optimal_global_povm written dense, E1 and E2 by _conclusive_pair from E2."""
     povm = optimal_global_povm(d)
     e1, e2 = _conclusive_pair(d, povm.element(2))
-    return _read_only(UnambPovm(e1=e1, e2=e2, e0=povm.element(0)))
+    return UnambPovm(dims=(d,), e1=e1, e2=e2, e0=povm.element(0))
 
 
 def gamma_plus(beta1: float, beta2: float) -> float:
@@ -218,15 +212,17 @@ def separable_table(coeffs: SeparableCoeffs) -> np.ndarray:
 @lru_cache(maxsize=SEPARABLE_CACHE_SIZE)
 def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPovm:
     """The separable family member of separable_table, validated once, when
-    it is built: E0's positivity by its eigenvalues, on invariant blocks of
-    at most 36 indices (the feasibility bound states the same fact, so this
+    it is built: E0's positivity by its eigenvalues, on orbit blocks of at
+    most 36 indices (the feasibility bound states the same fact, so this
     catches assembly bugs).  Cached per (d_a, d_b, coeffs), up to
     SEPARABLE_CACHE_SIZE entries, with read-only elements."""
     e1, e2 = _conclusive_pair(d_a * d_b, split_sum(d_a, d_b, separable_table(coeffs)))
     # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
-    povm = UnambPovm(e1=e1, e2=e2, e0=np.eye(len(e1)) - (e1 + e2))
+    povm = UnambPovm(dims=(d_a, d_b), e1=e1, e2=e2, e0=np.eye(len(e1)) - (e1 + e2))
     povm.validate()
-    return _read_only(povm)
+    for op in (e1, e2, povm.e0):
+        op.flags.writeable = False
+    return povm
 
 
 def max_success_separable(d_a: int, d_b: int) -> float:
@@ -238,25 +234,22 @@ def max_success_separable(d_a: int, d_b: int) -> float:
     return (11 * da2 * db2 + da2 + db2 - 13) / (36 * d * (d + 1))
 
 
-def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccProtocol:
+def locc_protocol(d_a: int, d_b: int) -> LoccProtocol:
     """LOCC tree implementing the optimal separable unambiguous scheme.
 
     Both parties resolve their local permutation symmetry.  Equal outcomes
     (sym, sym) or (antisym, antisym) are inconclusive.  When exactly one party
     is mixed, that party finishes with a local three-outcome POVM whose
     conclusive elements are scaled pair-(anti)symmetrizers.  When both are
-    mixed, the party given by mixed_mixed_first applies a four-outcome POVM
-    (a1, a2), the other measures one of two projective pairs selected by a1,
-    and the answer is a1 when a2 agrees with it, else inconclusive.  Every
-    Kraus operator is sqrt(w) times a projector in the group algebra, for w =
-    1, 2/3 or 1/2.
+    mixed, Alice applies a four-outcome POVM (a1, a2), Bob measures one of
+    two projective pairs selected by a1, and the answer is a1 when a2 agrees
+    with it, else inconclusive.  Every Kraus operator is sqrt(w) times a
+    projector in the group algebra, for w = 1, 2/3 or 1/2.
 
     The combinations (sym, antisym) and (antisym, sym) never occur on valid
     inputs; the tree still carries them (as inconclusive leaves) so the
     flattened POVM is complete.
     """
-    if mixed_mixed_first not in (ALICE, BOB):
-        raise ValueError(f"mixed_mixed_first must be {ALICE!r} or {BOB!r}")
     dims = {ALICE: d_a, BOB: d_b}
 
     def conclusive_step(party: str, other_symmetric: bool):
@@ -270,22 +263,21 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
         }
         return step(party, dims[party], kraus, {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, S3.mixed3)
 
-    def mixed_mixed_step(first: str):
-        second = BOB if first == ALICE else ALICE
-        half = math.sqrt(0.5)
-        four = {
-            (1, 1): half * MIXED_ANTISYM02,
-            (1, 2): half * MIXED_SYM02,
-            (2, 1): half * MIXED_ANTISYM01,
-            (2, 2): half * MIXED_SYM01,
-        }
-        children = {}
-        for (a1, a2) in four:
-            pair = (MIXED_SYM02, MIXED_ANTISYM02) if a1 == 1 else (MIXED_SYM01, MIXED_ANTISYM01)
-            children[(a1, a2)] = step(second, dims[second], {1: pair[0], 2: pair[1]},
-                                      {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
-                                      S3.mixed3)
-        return step(first, dims[first], four, children, S3.mixed3)
+    # both mixed: Alice's four-outcome POVM, then Bob's pair selected by a1
+    half = math.sqrt(0.5)
+    four = {
+        (1, 1): half * MIXED_ANTISYM02,
+        (1, 2): half * MIXED_SYM02,
+        (2, 1): half * MIXED_ANTISYM01,
+        (2, 2): half * MIXED_SYM01,
+    }
+    bob_pairs = {}
+    for (a1, a2) in four:
+        pair = (MIXED_SYM02, MIXED_ANTISYM02) if a1 == 1 else (MIXED_SYM01, MIXED_ANTISYM01)
+        bob_pairs[(a1, a2)] = step(BOB, d_b, {1: pair[0], 2: pair[1]},
+                                   {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
+                                   S3.mixed3)
+    mixed_mixed = step(ALICE, d_a, four, bob_pairs, S3.mixed3)
 
     types = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
 
@@ -302,7 +294,7 @@ def locc_protocol(d_a: int, d_b: int, mixed_mixed_first: str = ALICE) -> LoccPro
                 mixed_party = BOB if b_outcome == "mixed" else ALICE
                 children[b_outcome] = conclusive_step(mixed_party, other_symmetric=False)
             else:
-                children[b_outcome] = mixed_mixed_step(mixed_mixed_first)
+                children[b_outcome] = mixed_mixed
         return step(BOB, d_b, types, children)
 
     root = step(ALICE, d_a, types, {outcome: bob_layer(outcome) for outcome in types})

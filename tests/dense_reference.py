@@ -11,8 +11,9 @@ between its system-major and party-major bases, sums of Kronecker products
 regrouped into the system-major basis, the symmetry toolkit and the
 unambiguous POVMs as products of them, and a Haar unitary: the dense forms
 of what the package writes from index maps, coordinates and tables.  Also
-the Haar state, the hermiticity assertion and the feasibility flag of the
-separable coefficients, which only the tests use.
+the Haar state, the hermiticity assertion, the feasibility flag of the
+separable coefficients, the mask of the orbit blocks and the dense check of
+a Povm, which only the tests use.
 """
 
 import functools
@@ -23,7 +24,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from stateid import linalg
-from stateid.symmetry import S3_PERMUTATIONS
+from stateid.povm import validate_dense
+from stateid.symmetry import S3_PERMUTATIONS, orbit_blocks
 from stateid.unambiguous import COEFF_ATOL, gamma_plus
 
 # eigenvalues above CLASSIFY_TOL count as positive; one in [CLASSIFY_TOL/10,
@@ -202,3 +204,17 @@ def beta_feasibility(beta1: float, beta2: float) -> tuple[float, bool]:
         raise ValueError("beta coefficients must be nonnegative")
     g = gamma_plus(beta1, beta2)
     return g, g <= 1.0 + COEFF_ATOL
+
+
+def orbit_mask(*dims: int) -> np.ndarray:
+    """The (n, n) mask of symmetry.orbit_blocks(*dims): True where the row's
+    and the column's indices lie in one orbit."""
+    label = np.empty(math.prod(dims) ** 3, int)
+    for index in orbit_blocks(*dims):
+        label[index] = index[:, :1]
+    return label[:, None] == label
+
+
+def validate_povm(povm) -> None:
+    """The dense oracle (povm.validate_dense) on every element of a Povm written dense."""
+    validate_dense({label: povm.element(label) for label in povm.elements}, povm.dims)

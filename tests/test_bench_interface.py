@@ -1,8 +1,11 @@
 """The benchmark's calls into the package, at its smallest: the set-up and
 work of one verify unit and one mc-2x2 unit of bench/unit.py, run in this
-process at the benchmark's default seed, so that a change to an interface
-the benchmark uses fails here first.  Nothing is written to disk."""
+process at the benchmark's default seed, and the same units traced in a
+fresh interpreter, so that a change to an interface the benchmark uses, or
+that its spans wrap, fails here first.  Nothing is written to disk."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,17 @@ def test_unit_runs_clean(workload):
         assert run.trials == sum(n for *_, n in unit.BATCHES[workload])
     assert run.attempted > 0
     assert (run.problems, run.failed) == ([], 0)
+
+
+@pytest.mark.parametrize("workload", ["verify", "mc-2x2"])
+def test_traced_unit_runs_clean(workload):
+    # the spans wrap package names by attribute and the trial sample calls
+    # spec.run, neither of which the untraced unit reaches
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "unit.py"), "--workload", workload,
+         "--seed", str(unit.DEFAULT_SEED), "--trace"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["problems"], result["failed"]) == ([], 0)
+    assert result["attempted"] > 0 and result["per_layer"]

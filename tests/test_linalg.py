@@ -10,14 +10,16 @@ from dense_reference import (
     assert_hermitian,
     hermitian_eig,
     kron,
+    orbit_mask,
     permutation_operator,
     positive_part_projector,
     psd_sqrt,
     regroup_operator,
 )
 from stateid import linalg, minerr, unambiguous
-from stateid.linalg import hermitian_eigenvalues, invariant_blocks
+from stateid.linalg import hermitian_eigenvalues
 from stateid.povm import validate_dense
+from stateid.symmetry import orbit_blocks, permutation_sum, split_sum
 
 RNG = np.random.default_rng(20260810)
 
@@ -73,7 +75,7 @@ class TestKron:
 
 # hermitian_eig, positive_part_projector and psd_sqrt are the tests' dense
 # reference recipes (dense_reference.py), which the closed forms are checked
-# against; hermitian_eigenvalues is the package's blocked eigensolver.
+# against; hermitian_eigenvalues is the package's eigensolver on orbit blocks.
 
 class TestHermitianEig:
     def test_diagonal_sorted_descending(self):
@@ -213,6 +215,21 @@ class TestRegrouping:
 BAD_VALUES = (math.nan, math.inf, -math.inf)
 
 
+def on_orbits(h):
+    """h, or each matrix of a stack, set in the corner of the least (C^d)^x3
+    that holds it with its finite entries off the orbit blocks zeroed; and
+    that space's dims."""
+    n = h.shape[-1]
+    d = next(d for d in range(2, n + 2) if d**3 >= n)
+    big = np.zeros(h.shape[:-2] + (d**3, d**3), h.dtype)
+    big[..., :n, :n] = h
+    return np.where(orbit_mask(d) | ~np.isfinite(big), big, 0), (d,)
+
+
+def eigenvalues_on_orbits(h):
+    return hermitian_eigenvalues(*on_orbits(h))
+
+
 def bad_matrix(n, value, where):
     """A real symmetric n x n matrix with one non-finite entry (or a mirrored pair)."""
     h = rand_hermitian(n).real
@@ -227,40 +244,43 @@ class TestNonFinite:
     @pytest.mark.parametrize("n", [8, 72])
     @pytest.mark.parametrize("where", ["diagonal", "one-sided", "mirrored"])
     @pytest.mark.parametrize("value", BAD_VALUES)
-    @pytest.mark.parametrize("fn", [assert_hermitian, hermitian_eig, hermitian_eigenvalues,
-                                    positive_part_projector, psd_sqrt])
+    @pytest.mark.parametrize("fn", [
+        assert_hermitian, hermitian_eig,
+        pytest.param(eigenvalues_on_orbits, id="hermitian_eigenvalues"),
+        positive_part_projector, psd_sqrt])
     def test_rejected(self, fn, value, where, n):
+        # on orbit blocks the diagonal entry lies in a block and the others
+        # outside: a non-finite entry is refused wherever it is
         with pytest.raises(ValueError, match="non-finite"):
             fn(bad_matrix(n, value, where))
 
     @pytest.mark.parametrize("value", BAD_VALUES + (complex(0.0, math.inf),))
     def test_complex_entry_rejected(self, value):
         h = rand_hermitian(4)
-        h[1, 2] = value
+        h[1, 2] = value   # indices 1 and 2 of (C^2)^x3 share an orbit
         with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(h)
+            eigenvalues_on_orbits(h)
 
     @pytest.mark.parametrize("n", [8, 72])
     @pytest.mark.parametrize("value", BAD_VALUES)
     def test_povm_validate_rejects(self, value, n):
         h = np.diag(np.linspace(0.0, 1.0, n))
         h[0, 0] = value
+        h, dims = on_orbits(h)
         with pytest.raises(ValueError, match="non-finite"):
-            validate_dense({1: h, 2: np.eye(n) - h})
+            validate_dense({1: h, 2: np.eye(len(h)) - h}, dims)
 
 
-# --- block eigensolves against the dense reference ---------------------------
+# --- eigensolves on orbit blocks against the dense reference ----------------
 
 SIZES = st.lists(st.integers(1, 9), min_size=1, max_size=14)
-# the component search runs at every size with floor 1, and only from
-# BLOCK_MIN_DIM with the module's own floor
-FLOORS = st.sampled_from([1, linalg.BLOCK_MIN_DIM])
+DIMS = st.sampled_from([(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (3, 3)])
 
 
-def scrambled_blocks(seed, sizes, is_complex, spectrum=None):
+def scrambled_blocks(seed, sizes, is_complex, spectrum):
     """A hermitian direct sum of random blocks of the given sizes, with its
-    indices permuted at random.  spectrum, if given, maps a block size and a
-    generator to that block's eigenvalues (else they are random)."""
+    indices permuted at random.  spectrum maps a block size and a generator
+    to that block's eigenvalues."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     h = np.zeros((n, n), complex if is_complex else float)
@@ -269,33 +289,44 @@ def scrambled_blocks(seed, sizes, is_complex, spectrum=None):
         z = rng.standard_normal((s, s))
         if is_complex:
             z = z + 1j * rng.standard_normal((s, s))
-        if spectrum is None:
-            block = (z + z.conj().T) / 2
-        else:
-            q, _ = np.linalg.qr(z)
-            block = (q * spectrum(s, rng)) @ q.conj().T
-            block = (block + block.conj().T) / 2
-        h[start:start + s, start:start + s] = block
+        q, _ = np.linalg.qr(z)
+        block = (q * spectrum(s, rng)) @ q.conj().T
+        h[start:start + s, start:start + s] = (block + block.conj().T) / 2
         start += s
     perm = rng.permutation(n)
-    return h[np.ix_(perm, perm)], perm
+    return h[np.ix_(perm, perm)]
 
 
-def degenerate(s, rng):
-    return rng.choice([-1.0, 0.0, 2.0], size=s)
+def random_on_orbits(seed, dims, is_complex):
+    """A random hermitian matrix on the space of dims, zero off its orbit blocks."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims) ** 3
+    z = rng.standard_normal((n, n))
+    if is_complex:
+        z = z + 1j * rng.standard_normal((n, n))
+    return np.where(orbit_mask(*dims), (z + z.conj().T) / 2, 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**63), sizes=SIZES, is_complex=st.booleans(),
-       spread=st.sampled_from(["random", "degenerate"]), floor=FLOORS)
-def test_eigenvalues_match_dense(seed, sizes, is_complex, spread, floor):
-    h, _ = scrambled_blocks(seed, sizes, is_complex, degenerate if spread == "degenerate" else None)
-    ref = np.linalg.eigvalsh(h)[::-1]
+def assert_spectra_match(h, dims):
+    ref = np.linalg.eigvalsh(h)[..., ::-1]
     scale = max(1.0, np.abs(ref).max())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
-        w = hermitian_eigenvalues(h)
-    assert np.abs(w - ref).max() <= 1e-12 * scale
+    assert np.abs(hermitian_eigenvalues(h, dims) - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), dims=DIMS, is_complex=st.booleans())
+def test_eigenvalues_match_dense(seed, dims, is_complex):
+    assert_spectra_match(random_on_orbits(seed, dims, is_complex), dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), dims=DIMS)
+def test_written_operators_match_dense(seed, dims):
+    # random coordinates, or tables, for a stack of two operators made
+    # symmetric: their spectra are highly degenerate
+    c = np.random.default_rng(seed).standard_normal((2,) + (6,) * len(dims))
+    ops = permutation_sum(*dims, c) if len(dims) == 1 else split_sum(*dims, c)
+    assert_spectra_match((ops + ops.swapaxes(-1, -2)) / 2, dims)
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,42 +343,60 @@ def test_band_raised_from_one_block(seed, sizes, is_complex, pick):
             w[rng.integers(s)] = 5e-10
         return w
 
-    h, _ = scrambled_blocks(seed, sizes, is_complex, spectrum)
+    h = scrambled_blocks(seed, sizes, is_complex, spectrum)
     with pytest.raises(ValueError, match="classification band"):
         positive_part_projector(h)
 
 
+def with_off_block_entry(seed, dims, is_complex, pick, value, mirrored):
+    """random_on_orbits with value set at one entry off the blocks, and at its
+    mirror image (conjugated) if mirrored."""
+    h = random_on_orbits(seed, dims, is_complex)
+    off = np.flatnonzero(~orbit_mask(*dims))
+    i, j = divmod(int(off[pick % len(off)]), len(h))
+    h[i, j] = value
+    if mirrored:
+        h[j, i] = np.conj(value)
+    return h
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**63), sizes=st.lists(st.integers(1, 9), min_size=2, max_size=14),
-       is_complex=st.booleans(), floor=FLOORS, pick=st.integers(0, 2**32))
-def test_one_sided_off_block_entry_fails(seed, sizes, is_complex, floor, pick):
-    h, perm = scrambled_blocks(seed, sizes, is_complex)
-    # perm[i] is the direct-sum index that scrambled index i carries
-    block_of = np.repeat(np.arange(len(sizes)), sizes)[perm]
-    i = pick % len(h)
-    j = int(np.flatnonzero(block_of != block_of[i])[pick % np.sum(block_of != block_of[i])])
-    h[i, j] = 1e-3 * np.abs(h).max()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "BLOCK_MIN_DIM", floor)
-        with pytest.raises(ValueError, match="not hermitian"):
-            hermitian_eigenvalues(h)
+@given(seed=st.integers(0, 2**63), dims=DIMS, is_complex=st.booleans(),
+       pick=st.integers(0, 2**32))
+def test_one_sided_off_block_entry_fails(seed, dims, is_complex, pick):
+    h = with_off_block_entry(seed, dims, is_complex, pick, 1e-3, mirrored=False)
+    with pytest.raises(ValueError, match="1 nonzero or non-finite entries outside"):
+        hermitian_eigenvalues(h, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), dims=DIMS, is_complex=st.booleans(),
+       pick=st.integers(0, 2**32), value=st.sampled_from([1e-3, 1e-300, math.nan, math.inf]))
+def test_mirrored_or_non_finite_off_block_entries_fail(seed, dims, is_complex, pick, value):
+    # a hermitian pair off the blocks, or a non-finite one, is refused as well
+    h = with_off_block_entry(seed, dims, is_complex, pick, value, mirrored=True)
+    with pytest.raises(ValueError, match="2 nonzero or non-finite entries outside"):
+        hermitian_eigenvalues(h, dims)
+    h = with_off_block_entry(seed, dims, is_complex, pick, value, mirrored=False)
+    with pytest.raises(ValueError, match="outside the orbit blocks"):
+        hermitian_eigenvalues(np.stack([np.zeros_like(h), h]), dims)
 
 
 @pytest.mark.parametrize("n", [5, 80])
 def test_zero_matrix(n):
     z = np.zeros((n, n))
-    assert np.array_equal(hermitian_eigenvalues(z), np.zeros(n))
+    big, dims = on_orbits(z)
+    assert np.array_equal(hermitian_eigenvalues(big, dims), np.zeros(len(big)))
     assert np.array_equal(positive_part_projector(z), z)
     assert np.array_equal(psd_sqrt(z), z)
-    assert [g.shape for g in invariant_blocks(z)] == ([(1, n)] if n < linalg.BLOCK_MIN_DIM
-                                                      else [(n, 1)])
 
 
 def test_stack_eigenvalues_per_matrix():
     a, b = np.diag([3.0, -1.0, 2.0]), rand_hermitian(3)
-    w = hermitian_eigenvalues(np.stack([a, b]))
-    assert np.array_equal(w[0], [3.0, 2.0, -1.0])
-    assert np.abs(w[1] - np.linalg.eigvalsh(b)[::-1]).max() < 1e-12
+    ops, dims = on_orbits(np.stack([a, b]))
+    w = hermitian_eigenvalues(ops, dims)
+    assert np.array_equal(w[0], [3.0, 2.0, 0, 0, 0, 0, 0, -1.0])
+    assert np.abs(w[1] - np.linalg.eigvalsh(ops[1])[::-1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 80])
@@ -355,9 +404,8 @@ def test_sequence_eigenvalues_equal_stack(n):
     # a list is solved as the stack it would make, without forming it
     a, b = np.diag(np.arange(n, dtype=float)), rand_hermitian(n)
     b[:, : n // 2] = b[: n // 2, :] = 0.0
-    assert np.array_equal(hermitian_eigenvalues([a, b]), hermitian_eigenvalues(np.stack([a, b])))
-    assert [g.tolist() for g in invariant_blocks([a, b])] == [
-        g.tolist() for g in invariant_blocks(np.stack([a, b]))]
+    ops, dims = on_orbits(np.stack([a, b]))
+    assert np.array_equal(hermitian_eigenvalues(list(ops), dims), hermitian_eigenvalues(ops, dims))
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -369,11 +417,13 @@ def test_max_abs(is_complex):
 
 
 def test_stack_hermiticity_is_per_matrix():
-    # a defect tolerable next to the large matrix's scale still fails the small one
-    big, small = np.eye(2), np.array([[1e-6, 1e-16], [0.0, 1e-6]])
-    hermitian_eigenvalues(np.stack([big, big]))
+    # a defect tolerable next to the large matrix's scale still fails the
+    # small one (indices 1 and 2 of (C^2)^x3 share an orbit)
+    big, small = np.eye(8), 1e-6 * np.eye(8)
+    small[1, 2] = 1e-16
+    hermitian_eigenvalues(np.stack([big, big]), (2,))
     with pytest.raises(ValueError, match="not hermitian"):
-        hermitian_eigenvalues(np.stack([big, small]))
+        hermitian_eigenvalues(np.stack([big, small]), (2,))
 
 
 # --- the package's own large operators against the dense reference ----------
@@ -383,15 +433,15 @@ class TestDenseReferencePins:
         # the blocked eigenvalues, and the closed-form global projector, at d = 9
         priors = minerr.Priors.from_eta1(0.3)
         g = minerr.gain_operator(9, priors)
-        assert max(index.shape[1] for index in invariant_blocks(g)) <= 6
+        assert max(index.shape[1] for index in orbit_blocks(9)) <= 6
         w, v = np.linalg.eigh(g)
-        assert np.abs(hermitian_eigenvalues(g) - w[::-1]).max() < 1e-12
+        assert np.abs(hermitian_eigenvalues(g, (9,)) - w[::-1]).max() < 1e-12
         dense = (v * (w > CLASSIFY_TOL)) @ v.T
         assert np.abs(minerr.optimal_global_povm(9, priors).element(1) - dense).max() < 1e-12
 
     def test_separable_element_3x3(self):
         povm = unambiguous.separable_unamb_povm(3, 3, unambiguous.SeparableCoeffs.optimal())
+        assert max(index.shape[1] for index in orbit_blocks(3, 3)) <= 36
         for op in (povm.e1, povm.e0):
-            assert max(index.shape[1] for index in invariant_blocks(op)) <= 36
             w = np.linalg.eigvalsh(op)
-            assert np.abs(hermitian_eigenvalues(op) - w[::-1]).max() < 1e-12
+            assert np.abs(hermitian_eigenvalues(op, (3, 3)) - w[::-1]).max() < 1e-12

@@ -49,7 +49,7 @@ def dense_accepts(d: int, kraus: np.ndarray, support: np.ndarray) -> bool:
     elements = dict(enumerate(permutation_sum(d, np.array([gram(k) for k in kraus]))))
     elements["rest"] = np.eye(d**3) - permutation_sum(d, support)
     try:
-        validate_dense(elements)
+        validate_dense(elements, (d,))
     except ValueError:
         return False
     return True

@@ -265,7 +265,7 @@ class TestFactoredEngine:
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_production_stacks_are_real(self, da, db):
         trees = [locc_protocol(da, db, Priors.from_eta1(eta1)) for eta1 in (0.3, 0.5, 0.7)]
-        trees += [unambiguous.locc_protocol(da, db, first) for first in (ALICE, BOB)]
+        trees.append(unambiguous.locc_protocol(da, db))
         for tree in trees:
             for node in steps_of(tree.root):
                 assert node.kraus.dtype == np.float64
@@ -310,13 +310,13 @@ class TestInvariantRoute:
     @given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
            eta1=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
     def test_prefix_probabilities_match_dense(self, split, eta1, seed):
-        # every prefix of the min-error tree and of both unambiguous trees:
+        # every prefix of the min-error tree and of the unambiguous tree:
         # the invariant route against <psi| kron(A^dag A, B^dag B) |psi>, and
         # the coordinates against the operator they stand for
         da, db = split
         priors = Priors.from_eta1(eta1)
         trees = [locc_protocol(da, db, priors)]
-        trees += [unambiguous.locc_protocol(da, db, first) for first in (ALICE, BOB)]
+        trees.append(unambiguous.locc_protocol(da, db))
         rng = np.random.default_rng(seed)
         labels = np.array([1, 2, 2, 1])
         refs = np.array([[haar_state(da * db, rng) for _ in range(2)] for _ in labels])
@@ -404,7 +404,8 @@ BLOCK_CASES = ["global", "global-unamb"] + [
 
 def counts_of(records) -> tuple[int, int, int]:
     records = list(records)
-    return (sum(r.success for r in records), sum(r.error for r in records),
+    return (sum(r.declared_label == r.true_label for r in records),
+            sum(r.declared_label not in (0, r.true_label) for r in records),
             sum(r.declared_label == 0 for r in records))
 
 

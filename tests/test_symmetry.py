@@ -15,6 +15,7 @@ from stateid.symmetry import (
     build_toolkit,
     check_dim_relation,
     dimension_table,
+    orbit_blocks,
     permutation_columns,
     permutation_sum,
     permutation_traces,
@@ -127,11 +128,35 @@ class TestToolkitInvariants:
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_swap_diff_spectrum(d):
     tk = build_toolkit(d)
-    w = hermitian_eigenvalues(tk.swap_diff)
+    w = hermitian_eigenvalues(tk.swap_diff, (d,))
     vm = tk.dims.mixed3
     assert np.sum(np.abs(w - SQRT3_2) < 1e-9) == vm // 2
     assert np.sum(np.abs(w + SQRT3_2) < 1e-9) == vm // 2
     assert np.sum(np.abs(w) < 1e-9) == tk.dims.sym3 + tk.dims.antisym3
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (3, 3)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_orbit_blocks_are_the_orbits_of_the_maps(dims):
+    # each index's orbit by closure under the maps, one at a time, grouped by
+    # size and ordered by least index
+    maps = permutation_columns(*dims).reshape(-1, np.prod(dims) ** 3)
+    orbits, seen = {}, set()
+    for i in range(maps.shape[1]):
+        if i in seen:
+            continue
+        orbit, todo = {i}, [i]
+        while todo:
+            j = todo.pop()
+            new = {int(m[j]) for m in maps} - orbit
+            orbit |= new
+            todo += new
+        seen |= orbit
+        orbits.setdefault(len(orbit), []).append(sorted(orbit))
+    blocks = orbit_blocks(*dims)
+    assert [b.tolist() for b in blocks] == [orbits[size] for size in sorted(orbits)]
+    assert not any(b.flags.writeable for b in blocks)
+    assert max(orbits) <= 6 ** len(dims)
 
 
 def test_no_antisymmetric_qubit_triples():

@@ -16,7 +16,7 @@ from dense_reference import (
     state_matrix,
 )
 from stateid import checks, unambiguous
-from stateid.protocol import ALICE, BOB, effective_povm
+from stateid.protocol import effective_povm
 from stateid.symmetry import build_toolkit, swap_references
 from stateid.unambiguous import (
     SEPARABLE_CACHE_SIZE,
@@ -120,7 +120,7 @@ class TestNoErrorProbe:
 
     def test_bulk_probe_detects_swapped_elements(self, monkeypatch):
         def swapped(povm):
-            return UnambPovm(e1=povm.e2, e2=povm.e1, e0=povm.e0)
+            return UnambPovm(dims=povm.dims, e1=povm.e2, e2=povm.e1, e0=povm.e0)
 
         glob, sep = unambiguous.global_unamb_povm, unambiguous.separable_unamb_povm
         monkeypatch.setattr(unambiguous, "global_unamb_povm", lambda d: swapped(glob(d)))
@@ -136,18 +136,18 @@ class TestNoErrorProbe:
 class TestSuccessProbability:
     def test_zero_conclusive_elements(self):
         n = 8
-        povm = UnambPovm(np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
+        povm = UnambPovm((2,), np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
         assert success_probability(povm, 2) == 0.0
 
     def test_rejects_no_error_violation(self):
         good = global_unamb_povm(2)
-        bad = UnambPovm(e1=good.e2, e2=good.e1, e0=good.e0)
+        bad = UnambPovm(dims=good.dims, e1=good.e2, e2=good.e1, e0=good.e0)
         with pytest.raises(ValueError, match="no-error"):
             success_probability(bad, 2)
 
     def test_validate_flags_broken_exchange_symmetry(self):
         good = global_unamb_povm(2)
-        tweaked = UnambPovm(e1=good.e1 / 2, e2=good.e2,
+        tweaked = UnambPovm(dims=good.dims, e1=good.e1 / 2, e2=good.e2,
                             e0=good.e0 + good.e1 / 2)
         with pytest.raises(ValueError, match="exchange symmetry"):
             tweaked.validate()
@@ -156,12 +156,15 @@ class TestSuccessProbability:
     def test_validate_flags_a_small_leak(self, d):
         # moving 1e-9 sym3 from E0 into both conclusive elements keeps them
         # PSD, complete and exchange-symmetric; only E1 sym02 = 1e-9 sym3 and
-        # E2 sym01 = 1e-9 sym3 break, by 1e-9 at the sym3 entry <000|.|000>
+        # E2 sym01 = 1e-9 sym3 break, by 1e-9 at the sym3 entry <000|.|000>;
+        # success_probability refuses the same leak
         good, sym3 = global_unamb_povm(d), build_toolkit(d).sym3
-        leaky = UnambPovm(e1=good.e1 + 1e-9 * sym3, e2=good.e2 + 1e-9 * sym3,
+        leaky = UnambPovm(dims=good.dims, e1=good.e1 + 1e-9 * sym3, e2=good.e2 + 1e-9 * sym3,
                           e0=good.e0 - 2e-9 * sym3)
         with pytest.raises(ValueError, match=r"^e1 violates the no-error condition \(leak 1\.000e-09\)"):
             leaky.validate()
+        with pytest.raises(ValueError, match=r"no-error condition \(leak 1\.000e-09\)"):
+            success_probability(leaky, d)
 
 
 class TestFeasibility:
@@ -316,7 +319,7 @@ class TestCoordinatesMatchDenseProducts:
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_global(self, d):
-        povm = global_unamb_povm.__wrapped__(d)
+        povm = global_unamb_povm(d)
         assert unambiguous._no_error_leaks(povm.e1, povm.e2) == (0.0, 0.0)
         for got, ref in zip((povm.e1, povm.e2, povm.e0), global_unamb_elements(d), strict=True):
             assert np.abs(got - ref).max() <= 1e-15
@@ -346,12 +349,6 @@ class TestLoccProtocol:
         assert np.abs(eff.element(2) - ref.e2).max() < 1e-9
         assert np.abs(eff.element(0) - ref.e0).max() < 1e-9
 
-    def test_role_swap_invariance(self):
-        eff_a = effective_povm(locc_protocol(2, 3, mixed_mixed_first=ALICE))
-        eff_b = effective_povm(locc_protocol(2, 3, mixed_mixed_first=BOB))
-        for label in (0, 1, 2):
-            assert np.abs(eff_a.element(label) - eff_b.element(label)).max() < 1e-9
-
     def test_local_povm_completeness(self):
         # the three-outcome sets the mixed party uses resolve its mixed projector
         tk = build_toolkit(2)
@@ -376,7 +373,3 @@ class TestLoccProtocol:
                 party = state_matrix(2, 2, state).ravel()
                 assert (party.conj() @ block_sa @ party).real < 1e-12
                 assert (party.conj() @ block_as @ party).real < 1e-12
-
-    def test_rejects_unknown_first_party(self):
-        with pytest.raises(ValueError):
-            locc_protocol(2, 2, mixed_mixed_first="carol")
