@@ -6,13 +6,15 @@ the acceptance tests report grid rows (the entry's whole standard grid).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import minerr, unambiguous
+from .linalg import largest_image, trace
 from .minerr import Priors
-from .symmetry import build_toolkit, check_dim_relation
+from .symmetry import S3, check_dim_relation, dimension_table, s3_product
 
 GAP_THRESHOLD = 1e-3
 SPLITS = ((2, 2), (2, 3), (3, 3))
@@ -61,34 +63,38 @@ def grid_row(check: Check, seed: int) -> dict:
 
 @_register(None, "toolkit_identities_d2_to_d6", DIMS, 1e-9)
 def toolkit_identities(d: int) -> tuple[float, float]:
-    tk = build_toolkit(d)
-    eye = np.eye(d**3)
-    vm = tk.dims.mixed3
+    """The algebra of the symmetry toolkit and its traces, on the irreps of S3."""
+    dims, table = (d,), dimension_table(d)
+
+    def mul(*ops):
+        return functools.reduce(s3_product, ops)
+
     pieces = [
-        tk.swap_diff @ tk.swap_diff - 0.75 * tk.mixed3,
-        tk.swap_diff @ tk.swap_sum + tk.swap_sum @ tk.swap_diff,
-        tk.swap_sum @ tk.swap_sum - (eye - tk.swap_diff @ tk.swap_diff),
-        tk.sym3 + tk.antisym3 + tk.mixed3 - eye,
-        tk.sym3 @ tk.sym3 - tk.sym3,
-        tk.antisym3 @ tk.antisym3 - tk.antisym3,
-        tk.mixed3 @ tk.mixed3 - tk.mixed3,
-        tk.mixed3 @ tk.swap01 - tk.swap01 @ tk.mixed3,
-        tk.mixed3 @ tk.swap02 - tk.swap02 @ tk.mixed3,
-        tk.mixed3 @ tk.swap12 - tk.swap12 @ tk.mixed3,
+        mul(S3.swap_diff, S3.swap_diff) - 0.75 * S3.mixed3,
+        mul(S3.swap_diff, S3.swap_sum) + mul(S3.swap_sum, S3.swap_diff),
+        mul(S3.swap_sum, S3.swap_sum) - (S3.identity - mul(S3.swap_diff, S3.swap_diff)),
+        S3.sym3 + S3.antisym3 + S3.mixed3 - S3.identity,
+        mul(S3.sym3, S3.sym3) - S3.sym3,
+        mul(S3.antisym3, S3.antisym3) - S3.antisym3,
+        mul(S3.mixed3, S3.mixed3) - S3.mixed3,
+        mul(S3.mixed3, S3.swap01) - mul(S3.swap01, S3.mixed3),
+        mul(S3.mixed3, S3.swap02) - mul(S3.swap02, S3.mixed3),
+        mul(S3.mixed3, S3.swap12) - mul(S3.swap12, S3.mixed3),
     ]
-    defect = max(float(np.abs(p).max()) for p in pieces)
+    defect = max(largest_image(p, dims) for p in pieces)
+    vm = table.mixed3
     traces = [
-        np.trace(tk.sym3) - tk.dims.sym3,
-        np.trace(tk.antisym3) - tk.dims.antisym3,
-        np.trace(tk.mixed3) - vm,
-        np.trace(tk.mixed3 @ tk.antisym02 @ tk.sym01) - 3 * vm / 8,
-        np.trace(tk.mixed3 @ tk.sym02 @ tk.antisym01) - 3 * vm / 8,
-        np.trace(tk.mixed3 @ tk.sym02 @ tk.sym01) - vm / 8,
-        np.trace(tk.mixed3 @ tk.antisym02 @ tk.antisym01) - vm / 8,
-        np.trace(tk.mixed3 @ tk.swap01),
-        np.trace(tk.mixed3 @ tk.swap02),
+        trace(S3.sym3, dims) - table.sym3,
+        trace(S3.antisym3, dims) - table.antisym3,
+        trace(S3.mixed3, dims) - vm,
+        trace(mul(S3.mixed3, S3.antisym02, S3.sym01), dims) - 3 * vm / 8,
+        trace(mul(S3.mixed3, S3.sym02, S3.antisym01), dims) - 3 * vm / 8,
+        trace(mul(S3.mixed3, S3.sym02, S3.sym01), dims) - vm / 8,
+        trace(mul(S3.mixed3, S3.antisym02, S3.antisym01), dims) - vm / 8,
+        trace(mul(S3.mixed3, S3.swap01), dims),
+        trace(mul(S3.mixed3, S3.swap02), dims),
     ]
-    return 0.0, max(defect, max(abs(float(t)) for t in traces))
+    return 0.0, max(defect, max(map(abs, traces)))
 
 
 @_register("split_dimension_identity", "split_dimension_identity_grid", SPLIT_GRID, 0)
@@ -113,21 +119,22 @@ def minerr_locc(d_a: int, d_b: int, eta1: float) -> tuple[float, float]:
     priors = Priors.from_eta1(eta1)
     # the separable construction follows the eta1 <= eta2 convention
     ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
+    element = minerr.locc_povm_element(d_a, d_b, ordered).elements[1]
     return (minerr.positive_gain(d_a * d_b, ordered),
-            minerr.gain_overlap(minerr.locc_povm_element(d_a, d_b, ordered).element(1), ordered))
+            minerr.gain_overlap(element, (d_a, d_b), ordered))
 
 
 @_register("global_success_vs_closed", "unamb_global_grid", DIMS, 1e-10)
 def unamb_global(d: int) -> tuple[float, float]:
     return (unambiguous.max_success_global(d),
-            unambiguous.success_probability(unambiguous.global_unamb_povm(d), d))
+            unambiguous.success_probability(unambiguous.optimal_global_povm(d)))
 
 
 @_register("separable_success_vs_closed", "unamb_separable_grid", SPLITS, 1e-10)
 def unamb_separable(d_a: int, d_b: int) -> tuple[float, float]:
     povm = unambiguous.separable_unamb_povm(d_a, d_b, unambiguous.SeparableCoeffs.optimal())
     return (unambiguous.max_success_separable(d_a, d_b),
-            unambiguous.success_probability(povm, d_a * d_b))
+            unambiguous.success_probability(povm))
 
 
 @_register(None, "no_error_acceptance", None, 1e-10)
@@ -139,7 +146,7 @@ def no_error(seed: int, n_pairs: int = 1000) -> tuple[float, float]:
     rng = np.random.default_rng(seed)
     probes = []
     for d in (2, 3):
-        povm = unambiguous.global_unamb_povm(d)
+        povm = unambiguous.optimal_global_povm(d)
         probes.append((d, povm.e1, povm.e2))
     sep = unambiguous.separable_unamb_povm(2, 2, unambiguous.SeparableCoeffs.optimal())
     probes.append((4, sep.e1, sep.e2))

@@ -13,9 +13,12 @@ Subcommands
 Reports carry one row per check with the analytic value, the oracle value,
 their absolute difference and a pass flag; exit code 0 means every check
 passed, 1 means some check failed, 2 means a usage error (a bad flag, a
-report that cannot be written to --out or stdout, or dimensions whose dense
-operators do not fit in memory).  Reports are deterministic for a fixed seed
-and config (independent of --workers).
+report that cannot be written to --out or stdout, or a simulation that does
+not fit in memory).  Every oracle reads spectra and traces on the irreps of
+S3 (linalg), so minerr and unamb form no dense operator at any dimension;
+verify-all writes dense only the elements its Haar probe samples, at d <= 4.
+Reports are deterministic for a fixed seed and config (independent of
+--workers).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import os
 import sys
 
 from . import checks, minerr, unambiguous
-from .linalg import hermitian_eigenvalues
+from .linalg import spectrum
 from .minerr import Priors
 from .simulate import MIN_FORK_CHUNK, GlobalTrialSpec, LoccTrialSpec, run_batch
 from .symmetry import dimension_table
@@ -151,7 +154,7 @@ def cmd_minerr(args) -> int:
     global_povm = minerr.optimal_global_povm(d, priors)
     report["checks"].append(checks.row(
         "pmax_closed_vs_povm_trace", closed,
-        minerr.mean_success(global_povm, d, priors), tol=1e-9))
+        minerr.mean_success(global_povm, priors), tol=1e-9))
 
     if args.locc:
         locc = checks.instance_row(checks.minerr_locc, args.da, args.db, args.eta1)
@@ -187,8 +190,7 @@ def cmd_unamb(args) -> int:
         report["checks"].append(separable)
         report["checks"].append(checks.row(
             "feasibility_boundary_gamma", 1.0,
-            float(hermitian_eigenvalues(unambiguous.mixed_block_operator(
-                args.da, args.db, 0.5, 0.5), (args.da, args.db))[0]),
+            float(spectrum(unambiguous.mixed_block_table(0.5, 0.5), (args.da, args.db))[0].max()),
             tol=1e-9))
         report["checks"].append(gap)
 
@@ -353,8 +355,8 @@ def main(argv=None) -> int:
         return _usage_error(problem)
     try:
         return _COMMANDS[args.command](args)
-    except MemoryError:   # the dense oracles' size grows as d^6: a dimension too large
-        return _usage_error("not enough memory for the dense operators at these dimensions")
+    except MemoryError:   # a simulation's blocks still grow with d: a huge --d or --da
+        return _usage_error("not enough memory for a simulation at these dimensions")
 
 
 if __name__ == "__main__":

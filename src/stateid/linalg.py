@@ -1,63 +1,26 @@
-"""Dense complex linear algebra primitives: Hermitian eigenvalues, for the
-numerical oracles and the POVM positivity checks.  No spectral function is
-formed here, and no permutation operator: every local operator of the
-package is a closed form in the permutation coordinates of symmetry.S3, and
-every tensor-factor permutation an index map.
+"""Spectra and traces of the operators of the schemes, read on the irreps of S3,
+for the numerical oracles and the POVM positivity checks.
 
-Every eigensolve runs on the orbit blocks of its matrix's space
-(symmetry.orbit_blocks): the orbits of the basis indices under the
-tensor-factor permutations of a party, or of both parties of a split,
-grouped by size, one batched LAPACK eigvalsh call per group.  Every operator
-of the schemes commutes with those permutations, so it is zero outside the
-blocks and its spectrum is the union of theirs; nothing is approximated.  The
-blocks have at most 6 indices on (C^d)^x3 and at most 36 on a split (one S3
-orbit of each party's indices; Schur-Weyl duality, A. Harrow,
-arXiv:quant-ph/0512255).  A matrix with a nonzero entry outside them is
-refused, so the oracle is exact for any matrix it is given.
-
-The global basis convention used everywhere in this package: the index of a
-basis vector of a tensor-product space is the mixed-radix number over the
-factors in declared order, most significant first.  A split's joint space is
-system-major, (0a, 0b, 1a, 1b, 2a, 2b), and only symmetry.permutation_columns
-reads that layout.
+Every operator here is given by its six coordinates on the P_pi of
+(C^d)^x3, or by its 6 x 6 table on the P_pi^A (x) P_sigma^B of a split
+(symmetry.S3).  By Schur-Weyl duality its spectrum is the union of those of
+its images rho(x) under the irreps of S3, or of S3 x S3, each eigenvalue
+repeated as often as its irrep (symmetry.irreps); its trace is sum m tr
+rho(x) (A. Harrow, arXiv:quant-ph/0512255; Fulton & Harris, Representation
+Theory, sections 4 and 6).  The images are at most 2 x 2 on a party and 4 x 4
+on a split, at every dimension, so nothing dense is formed and nothing is
+approximated.  At d = 2 the sign irrep is absent: an operator that differs
+from another by a multiple of sum_k sgn(k) P_k has the same images.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .symmetry import orbit_blocks
+from .symmetry import irreps, s3_adjoint
 
 HERMITIAN_RTOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
-
-
-def _adjoint(blocks: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack."""
-    return blocks.conj().swapaxes(-1, -2)
-
-
-def _check_hermitian(stacks: Sequence[np.ndarray]) -> None:
-    """Raise unless each matrix is finite and hermitian.
-
-    stacks hold the blocks of each matrix on their last three axes, after the
-    matrices' own leading axes.  A matrix passes when its max entrywise
-    |H - H^dag| is at most HERMITIAN_RTOL times its largest entry magnitude.
-    """
-    if not all(np.isfinite(s).all() for s in stacks):
-        raise ValueError("matrix has non-finite entries")
-    defect = max(np.abs(s - _adjoint(s)).max() for s in stacks)
-    if defect == 0.0:   # exactly hermitian, whatever the scale
-        return
-    if stacks[0].ndim > 3:   # each matrix of a stack against its own scale
-        for matrix in np.ndindex(stacks[0].shape[:-3]):
-            _check_hermitian([s[matrix] for s in stacks])
-        return
-    scale = max(np.abs(s).max() for s in stacks)
-    if not defect <= HERMITIAN_RTOL * scale:
-        raise ValueError(f"matrix is not hermitian (relative defect {defect / scale:.3e})")
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -67,30 +30,40 @@ def max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min()))   # both NaN when a holds a NaN
 
 
-def _submatrices(h, rows, cols) -> np.ndarray:
-    """h[..., rows, cols]; for a sequence of matrices, their stack of these."""
-    if isinstance(h, np.ndarray):
-        return h[..., rows, cols]
-    return np.stack([matrix[rows, cols] for matrix in h])
+def irrep_images(x, dims: tuple[int, ...]) -> list[tuple[np.ndarray, int]]:
+    """(rho(x), m) for each irrep (rho, m) of symmetry.irreps(*dims), for the
+    coordinates x (6,) on a party, dims = (d,), or the table x (6, 6) on a
+    split, dims = (d_a, d_b)."""
+    return [(np.tensordot(x, rho, len(dims)), m) for rho, m in irreps(*dims)]
 
 
-def hermitian_eigenvalues(h, dims: tuple[int, ...]) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix on the space of dims, (d,) or (d_a, d_b),
-    or of each of a stack (..., n, n) or of a sequence of n x n matrices,
-    descending; no eigenvectors are formed.
+def largest_image(x, dims: tuple[int, ...]) -> float:
+    """The largest entry of the images of x: 0 exactly when x is the zero operator."""
+    return max(max_abs(image) for image, _ in irrep_images(x, dims))
 
-    Each size group of symmetry.orbit_blocks(*dims) is one batched eigvalsh
-    call, whose results carry the stack's leading axes.  Raises for a matrix
-    with a nonzero entry outside the blocks, counted without a copy, and so
-    for a non-finite or non-hermitian one by its blocks alone.
+
+def spectrum(x, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(w, m): the eigenvalues w of the hermitian operator x, as in
+    irrep_images, one per eigenvalue of an image, and their multiplicities m
+    on the whole space, as floats.
+
+    Raises unless x is finite and hermitian: its real coordinates, or table,
+    equal to their adjoint's (symmetry.s3_adjoint) within HERMITIAN_RTOL
+    times its largest entry; at d = 2 too, where two coordinates of one
+    operator differ along the signs, which the adjoint leaves as they are.
     """
-    stacks = [_submatrices(h, index[:, :, None], index[:, None, :])
-              for index in orbit_blocks(*dims)]
-    total = sum(map(np.count_nonzero, [h] if isinstance(h, np.ndarray) else h))
-    outside = total - sum(map(np.count_nonzero, stacks))
-    if outside:
-        raise ValueError(f"matrix has {outside} nonzero or non-finite entries outside "
-                         f"the orbit blocks of {dims}")
-    _check_hermitian(stacks)
-    w = np.concatenate([np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1) for s in stacks], axis=-1)
-    return np.sort(w, axis=-1)[..., ::-1]
+    x = np.asarray(x, float)
+    if not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
+    defect, scale = max_abs(x - s3_adjoint(x)), max_abs(x)
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise ValueError(f"matrix is not hermitian (relative defect {defect / scale:.3e})")
+    images = irrep_images(x, dims)
+    w = np.concatenate([np.linalg.eigvalsh(image) for image, _ in images])
+    m = np.concatenate([np.full(len(image), float(m)) for image, m in images])
+    return w, m
+
+
+def trace(x, dims: tuple[int, ...]) -> float:
+    """tr x = sum m tr rho(x) over the images of x, as in irrep_images."""
+    return float(sum(m * np.trace(image) for image, m in irrep_images(x, dims)))

@@ -2,7 +2,7 @@
 states (one copy each, priors eta1/eta2).
 
 Averaging over the unitary-invariant reference distribution reduces the
-problem to dense operator algebra on the triple space: the mean success
+problem to operator algebra on the triple space: the mean success
 probability of a two-outcome POVM {E1, E2} is
 
     p = eta2 + tr[E1 * G] / (d1 * d2),      G = eta1*sym01 - eta2*sym02,
@@ -23,7 +23,8 @@ No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
 Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
 eigenvalues lambda+- on the mixed subspace, so every projector is a closed
 form in the coordinates of symmetry.S3 (_local_projectors).  Only the oracle
-route (positive_gain) solves for G's eigenvalues, on the S3 orbits of the basis.
+route (positive_gain) solves for G's eigenvalues, on the irreps of S3
+(linalg.spectrum), and traces are read there too (gain_overlap).
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import spectrum, trace
 from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import (RELABEL, S3, dimension_table, permutation_sum, s3_product,
-                       symmetrizer_traces)
+from .symmetry import S3, dimension_table, joint, relabel, s3_product
 
 PRIOR_ATOL = 1e-12
 
@@ -72,16 +72,16 @@ class Priors:
 EQUAL_PRIORS = Priors(0.5, 0.5)
 
 
-def gain_operator(d: int, priors: Priors) -> np.ndarray:
-    """The operator whose positive part the optimal measurement projects onto:
-    G = eta1*sym01 - eta2*sym02, written dense from its coordinates."""
-    return permutation_sum(d, priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02)
+def gain(priors: Priors) -> np.ndarray:
+    """Coordinates of the operator whose positive part the optimal measurement
+    projects onto: G = eta1*sym01 - eta2*sym02."""
+    return priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02
 
 
-def gain_overlap(op: np.ndarray, priors: Priors) -> float:
-    """Re tr[op*G], read from op's entries through the swaps' index maps."""
-    s01, s02 = symmetrizer_traces(op)
-    return priors.eta1 * s01 - priors.eta2 * s02
+def gain_overlap(x: np.ndarray, dims: tuple[int, ...], priors: Priors) -> float:
+    """tr[X*G] for X given by its coordinates on (C^d)^x3, dims = (d,), or by
+    its table on a split, dims = (d_a, d_b); read on the irreps of S3."""
+    return trace(s3_product(x, joint(gain(priors), dims)), dims)
 
 
 def gain_eigenvalues_mixed(priors: Priors) -> tuple[float, float]:
@@ -107,9 +107,10 @@ def max_success_global(d: int, priors: Priors) -> float:
 
 def positive_gain(d: int, priors: Priors) -> float:
     """tr[P+ G] for the projector P+ onto G's positive part: the sum of the
-    gain operator's positive eigenvalues, solved on its orbit blocks."""
-    w = hermitian_eigenvalues(gain_operator(d, priors), (d,))
-    return float(w[w > 0].sum())
+    gain operator's positive eigenvalues, with their multiplicities, solved
+    on the irreps of S3."""
+    w, m = spectrum(gain(priors), (d,))
+    return float(m[w > 0] @ w[w > 0])
 
 
 def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
@@ -117,12 +118,14 @@ def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
     return priors.eta2 + positive_gain(d, priors) / (d * dimension_table(d).sym2)
 
 
-def mean_success(povm: Povm, d: int, priors: Priors) -> float:
-    """Mean success probability of a two-outcome identification POVM."""
+def mean_success(povm: Povm, priors: Priors) -> float:
+    """Mean success probability of a two-outcome identification POVM, at the
+    dimensions it is made for, read from E1's coordinates or table."""
     if set(povm.labels) != {1, 2}:
         raise ValueError(f"min-error POVM must carry labels {{1, 2}}, got {povm.labels}")
-    table = dimension_table(d)
-    return priors.eta2 + gain_overlap(povm.element(1), priors) / (d * table.sym2)
+    d = math.prod(povm.dims)
+    overlap = gain_overlap(povm.elements[1], povm.dims, priors)
+    return priors.eta2 + overlap / (d * dimension_table(d).sym2)
 
 
 def optimal_global_povm(d: int, priors: Priors) -> Povm:
@@ -166,16 +169,16 @@ def _local_projectors(priors: Priors, swap: bool = False) -> tuple[np.ndarray, .
     swap_sum anticommute and square to one on the mixed subspace, and the
     rotation angle is chosen so that the gain operator becomes diagonal in
     the rotated pair.  swap exchanges the two reference systems in all four
-    (the coordinate permutation RELABEL).
+    (symmetry.relabel).
     """
     lam_plus, lam_minus = gain_eigenvalues_mixed(priors)
-    gain = priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02
+    g = gain(priors)
     theta = _rotation_angle(priors)
     y2 = 2.0 * (-math.sin(theta) / math.sqrt(3.0) * S3.swap_diff + math.cos(theta) * S3.swap_sum)
-    ops = [(gain - lam_minus * S3.identity) / (lam_plus - lam_minus),
-           (lam_plus * S3.identity - gain) / (lam_plus - lam_minus),
+    ops = [(g - lam_minus * S3.identity) / (lam_plus - lam_minus),
+           (lam_plus * S3.identity - g) / (lam_plus - lam_minus),
            (S3.identity + y2) / 2, (S3.identity - y2) / 2]
-    return tuple(s3_product(S3.mixed3, op)[RELABEL] if swap else s3_product(S3.mixed3, op)
+    return tuple(relabel(s3_product(S3.mixed3, op)) if swap else s3_product(S3.mixed3, op)
                  for op in ops)
 
 
@@ -192,7 +195,7 @@ def locc_table(priors: Priors) -> np.ndarray:
     if priors.eta2 == 0.0:
         return unit
     if priors.eta1 > priors.eta2:
-        return (unit - locc_table(priors.swapped()))[np.ix_(RELABEL, RELABEL)]
+        return relabel(unit - locc_table(priors.swapped()))
     pp, pm, qp, qm = _local_projectors(priors)
     return (np.array([S3.sym3, S3.antisym3, pp, pm, qp, qm]).T
             @ np.array([pp, pm, S3.sym3, S3.antisym3, qm, qp]))

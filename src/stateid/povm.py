@@ -6,9 +6,9 @@ combination of the permutation operators: six coordinates on the P_pi of
 (C^d)^x3, or on a d_a*d_b split a 6 x 6 table on the P_pi^A (x) P_sigma^B.
 A Povm holds its elements so, and is checked complete in them when it is
 made, by the rule that also checks each protocol step (check_complete).
-Dense matrices are written only on request (Povm.element), for the oracles,
-whose dense check (validate_dense), solved on the orbit blocks of the space
-it is given, also serves unambiguous.UnambPovm.
+Dense matrices are written only on request (Povm.element); the oracles read
+the elements as they are held, spectra and traces on the irreps of S3
+(linalg), at every dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .linalg import PSD_EIG_FLOOR, hermitian_eigenvalues, max_abs
+from .linalg import max_abs
 from .symmetry import _scatter, permutation_columns, s3_reduce
 
 COMPLETENESS_ATOL = 1e-10
@@ -36,26 +36,6 @@ def check_complete(dims: tuple[int, ...], missing: np.ndarray, whole: str) -> No
     defect = max_abs(missing)
     if not defect <= COMPLETENESS_ATOL:
         raise ValueError(f"elements do not sum to the {whole} (max defect {defect:.3e})")
-
-
-def validate_dense(elements: dict[Hashable, np.ndarray], dims: tuple[int, ...]) -> None:
-    """The dense oracle: each element on the space of dims hermitian and
-    positive by its eigenvalues, and their sum the identity within COMPLETENESS_ATOL.
-
-    The eigenvalues come from one call on all the elements, and their sum is
-    taken from the identity in one buffer of their own dtype; no stack of
-    the elements is formed.  Every guard is written so that a NaN fails it.
-    """
-    ops = list(elements.values())
-    for label, low in zip(elements, hermitian_eigenvalues(ops, dims)[:, -1]):
-        if not low >= PSD_EIG_FLOOR:
-            raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
-    missing = np.eye(len(ops[0]), dtype=np.result_type(float, *ops))
-    for op in ops:
-        missing -= op
-    defect = max_abs(missing)
-    if not defect <= COMPLETENESS_ATOL:
-        raise ValueError(f"elements do not sum to the identity (max defect {defect:.3e})")
 
 
 @dataclass(frozen=True)

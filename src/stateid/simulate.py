@@ -79,6 +79,10 @@ BRANCH_PROB_FLOOR = 1e-12
 # take a few times its probabilities; whole windows as LOCC blocks raised the
 # peak memory of each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
+# Bytes of an LOCC block's (2, 2, d_a, d_a) complex invariant factors
+# (_invariants): 1820 trials at d_a = 3, more than the prefix rows of any
+# tree allow, and 18 at d_a = 30, where blocks of 606 trials peaked at 153 MB.
+INVARIANT_BLOCK_BYTES = 8 * BLOCK_STATE_BYTES
 # Fewest trials per chunk for which run_batch forks: the smallest chunk at
 # which two workers beat one in median wall time by more than the spread of
 # the runs, at both (2,2) and (3,3), one batch per fresh interpreter (2 CPUs,
@@ -332,8 +336,11 @@ class LoccTrialSpec:
 
     @property
     def block_trials(self) -> int:
-        """Trials per block: their prefix probabilities take BLOCK_STATE_BYTES."""
-        return max(1, BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(self.nodes)))
+        """Trials per block: their prefix probabilities take at most
+        BLOCK_STATE_BYTES, and their invariant factors INVARIANT_BLOCK_BYTES."""
+        factor_bytes = 4 * self.protocol.d_a**2 * np.dtype(complex).itemsize
+        return max(1, min(BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(self.nodes)),
+                          INVARIANT_BLOCK_BYTES // factor_bytes))
 
     def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
         """Trials first_index, first_index + 1, ... drawing from rngs in turn."""

@@ -3,10 +3,10 @@
 The space splits into the totally symmetric subspace (dimension d(d+1)(d+2)/6),
 the totally antisymmetric one (d(d-1)(d-2)/6) and the mixed-symmetry remainder
 (2d(d^2-1)/3, carrying the two-dimensional irrep of the order-3 symmetric group
-with multiplicity half its dimension).  The toolkit materializes the pairwise
-swaps and (anti)symmetrizers, the three subspace projectors, and the two
-combinations swap_diff = (T01 - T02)/2 and swap_sum = (T01 + T02)/2 whose
-algebra drives every measurement construction downstream:
+with multiplicity half its dimension).  The pairwise swaps and
+(anti)symmetrizers, the three subspace projectors, and the two combinations
+swap_diff = (T01 - T02)/2 and swap_sum = (T01 + T02)/2 drive every
+measurement construction downstream:
 
     swap_diff^2 = (3/4) * mixed3
     swap_diff * swap_sum + swap_sum * swap_diff = 0
@@ -15,21 +15,25 @@ algebra drives every measurement construction downstream:
 Every local operator of the schemes is given by its six real coordinates on
 the P_k, the permutations S3_PERMUTATIONS[k] of the three tensor factors, the
 same at every d (S3), and multiplied in the group algebra R[S3] (s3_product,
-s3_adjoint, RELABEL).  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks
+s3_adjoint, relabel).  At d = 2, where sum_k sgn(k) P_k = 0, s3_reduce picks
 one representative of the coordinates.  No operator is ever fitted back to
 coordinates: every scheme is built in them.
 
 A joint operator of a split d = d_a*d_b is its 6 x 6 table W on the
-P_k^A (x) P_l^B, the same at every split.  Those permute the six tensor
-factors of the joint space, so like the P_k they are index maps
-(permutation_columns), and one writer scatters coordinates or a table
-through them (_scatter, as permutation_sum and split_sum): the one way an
-operator becomes dense, called only by the oracles and by a POVM's element
-on request (povm.Povm.element).  The orbits of the basis under the maps are
-the blocks of every such operator, which the oracles' eigensolves run on
-(orbit_blocks).  Overlaps Re tr(P_pi^T op) are read through the same maps
-(permutation_traces), and the 1<->2 reference swap is a transposition of
-tensor-factor axes (swap_references).
+P_k^A (x) P_l^B, the same at every split, multiplied party by party
+(s3_product).  By Schur-Weyl duality (A. Harrow, arXiv:quant-ph/0512255) the
+P_k act on (C^d)^x3 as the trivial, sign and standard irreps of S3, each
+repeated sym3, antisym3 and mixed3/2 times, and the P_k^A (x) P_l^B as their
+products (irreps): so an operator's spectrum and trace are those of matrices
+of at most 4 x 4 (linalg), at every dimension.
+
+The P_k are also index maps of the basis (permutation_columns), through
+which one writer scatters coordinates or a table dense (_scatter): called only
+by a POVM's element on request (povm.Povm.element) and by the toolkit, which
+writes the operators of S3 dense under their names.  The index of a basis
+vector is the mixed-radix number over the tensor factors, most significant
+first; a split's joint space is system-major, (0a, 0b, 1a, 1b, 2a, 2b), and
+only permutation_columns reads that layout.
 """
 
 from __future__ import annotations
@@ -63,6 +67,14 @@ _INVERSE = np.array([S3_PERMUTATIONS.index(tuple(s.index(p) for p in range(3)))
                      for s in S3_PERMUTATIONS])
 # the 1<->2 relabel P_3 P_k P_3 = P_{RELABEL[k]}: coordinates c go to c[RELABEL]
 RELABEL = _PRODUCT[3, _PRODUCT[:, 3]]
+# P_i P_k (x) P_j P_l = P_m (x) P_n for 6 m + n = _SPLIT_PRODUCT[i, j, k, l]
+_SPLIT_PRODUCT = 6 * _PRODUCT[:, None, :, None] + _PRODUCT[None, :, None, :]
+# The irreps of S3 indexed like the P_k: trivial, sign, and the standard one,
+# the 3 x 3 permutation matrices M_k[p, perm[p]] = 1 (which compose by
+# _PRODUCT) restricted to an orthonormal basis of the sum-zero plane.
+_PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T / np.sqrt([2.0, 6.0])
+_IRREPS = (np.ones((6, 1, 1)), _SIGNS.reshape(6, 1, 1),
+           np.array([_PLANE.T @ np.eye(3)[list(perm)] @ _PLANE for perm in S3_PERMUTATIONS]))
 
 
 @dataclass(frozen=True)
@@ -177,21 +189,6 @@ def permutation_columns(*dims: int) -> np.ndarray:
     return columns
 
 
-@lru_cache(maxsize=None)
-def orbit_blocks(*dims: int) -> tuple[np.ndarray, ...]:
-    """The orbits {columns[k][i]} of the basis indices under the maps of
-    permutation_columns(*dims), grouped as (orbits, size) read-only index
-    arrays by ascending size, ordered by least member, each ascending: the
-    blocks outside which an operator commuting with the maps is zero."""
-    columns = permutation_columns(*dims).reshape(-1, prod(dims) ** 3)
-    label = columns.min(axis=0)
-    size = 1 + np.count_nonzero(np.diff(np.sort(columns, axis=0), axis=0), axis=0)
-    order = np.argsort(label, kind="stable")
-    blocks = tuple(order[size[order] == s].reshape(-1, s) for s in np.unique(size))
-    _freeze(*blocks)
-    return blocks
-
-
 _UNIT = np.eye(6)
 
 
@@ -212,13 +209,53 @@ _freeze(*(c for c in vars(S3).values() if isinstance(c, np.ndarray)))
 
 
 def s3_product(a, b) -> np.ndarray:
-    """Coordinates of (sum_i a[i] P_i)(sum_j b[j] P_j), from the multiplication table."""
-    return np.bincount(_PRODUCT.ravel(), np.outer(a, b).ravel(), minlength=6)
+    """Coordinates of (sum_i a[i] P_i)(sum_j b[j] P_j), from the multiplication
+    table; for two tables of a split, the table of their product."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.ndim == 1:
+        return np.bincount(_PRODUCT.ravel(), np.outer(a, b).ravel(), minlength=6)
+    weights = (a[:, :, None, None] * b).ravel()
+    return np.bincount(_SPLIT_PRODUCT.ravel(), weights, minlength=36).reshape(6, 6)
 
 
-def s3_adjoint(c) -> np.ndarray:
-    """Coordinates of the adjoint of sum_k c[k] P_k, for real c."""
-    return np.asarray(c)[_INVERSE]
+def s3_adjoint(x) -> np.ndarray:
+    """Coordinates of the adjoint of sum_k x[k] P_k, for real x; or the table
+    of the adjoint of a split's table x."""
+    x = np.asarray(x)
+    return x[np.ix_(*(_INVERSE,) * x.ndim)]
+
+
+def joint(c, dims: tuple[int, ...]) -> np.ndarray:
+    """sum_k c[k] P_k on the whole (C^d)^x3: the coordinates c on a party,
+    dims = (d,), or on a split the diagonal table, as P_k = P_k^A (x) P_k^B."""
+    return np.asarray(c) if len(dims) == 1 else np.diag(c)
+
+
+def relabel(x) -> np.ndarray:
+    """The 1<->2 reference swap P_3 X P_3 of coordinates, or of a table, whose
+    P_3 is P_3^A (x) P_3^B."""
+    x = np.asarray(x)
+    return x[np.ix_(*(RELABEL,) * x.ndim)]
+
+
+@lru_cache(maxsize=None)
+def irreps(*dims: int) -> tuple[tuple[np.ndarray, int], ...]:
+    """(rho, m) for each irrep rho of S3 present on (C^d)^x3, dims = (d,), or of
+    S3 x S3 on a split, dims = (d_a, d_b): rho is (6, n, n), or (6, 6, n, n)
+    for rho_A (x) rho_B, indexed like coordinates or tables, and m its
+    multiplicity, sym3, antisym3 or mixed3/2 of dimension_table, or their
+    products; an irrep of multiplicity 0 (the sign at d = 2) is left out."""
+    parties = []
+    for d in dims:
+        t = dimension_table(d)
+        parties.append([(rho, m) for rho, m in zip(_IRREPS, (t.sym3, t.antisym3, t.mixed3 // 2))
+                        if m])
+    out = parties[0]
+    if len(dims) == 2:
+        out = [(np.einsum("kij,lmn->klimjn", ra, rb).reshape(6, 6, *(ra.shape[1] * rb.shape[1],) * 2),
+                ma * mb) for ra, ma in parties[0] for rb, mb in parties[1]]
+    _freeze(*(rho for rho, _ in out))
+    return tuple(out)
 
 
 def s3_reduce(d: int, c) -> np.ndarray:
@@ -248,43 +285,6 @@ def permutation_sum(d: int, c) -> np.ndarray:
     return _scatter(permutation_columns(d), c)
 
 
-def split_sum(d_a: int, d_b: int, table) -> np.ndarray:
-    """The dense sum_{k,l} W[k, l] P_k^A (x) P_l^B of a 6 x 6 table W, or of
-    each of a stack (..., 6, 6), on the joint space of a d_a*d_b split."""
-    return _scatter(permutation_columns(d_a, d_b), table)
-
-
-def permutation_traces(op: np.ndarray) -> np.ndarray:
-    """Re tr(P_k^T op) for the six P_k on (C^d)^x3, each the sum of the d^3
-    entries of op that P_k's index map picks out; no P_k is formed.  For the
-    identity and the swaps P_k^T = P_k, so these are Re tr(op P_k)."""
-    d = round(op.shape[0] ** (1 / 3))
-    return op.real[np.arange(d**3), permutation_columns(d)].sum(axis=1)
-
-
-def symmetrizer_traces(op: np.ndarray) -> tuple[float, float]:
-    """Re tr(op sym01) and Re tr(op sym02), from the identity's and the two
-    swaps' index maps."""
-    traces = permutation_traces(op)
-    return float(traces[0] + traces[1]) / 2, float(traces[0] + traces[2]) / 2
-
-
-def reference_swap_view(op: np.ndarray) -> np.ndarray:
-    """swap12 @ op @ swap12 on (C^d)^x3 as a strided view with the six
-    tensor-factor axes (d,)*6 of op's rows and columns: nothing is copied."""
-    d = round(op.shape[0] ** (1 / 3))
-    return op.reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4)
-
-
-def swap_references(op: np.ndarray) -> np.ndarray:
-    """swap12 @ op @ swap12 on (C^d)^x3, as an index map rather than a 0/1 matmul.
-
-    Exchanges the two reference systems: the relabeling 1 <-> 2 of both the
-    min-error and the unambiguous schemes.
-    """
-    return reference_swap_view(op).reshape(op.shape)
-
-
 @lru_cache(maxsize=None)
 def _toolkit(d: int) -> SymmetryToolkit:
     names = [f.name for f in fields(SymmetryToolkit)[2:]]
@@ -302,8 +302,8 @@ def build_toolkit(d: int) -> SymmetryToolkit:
 
 @dataclass(frozen=True)
 class BipartiteToolkit:
-    """A validated d = d_a*d_b split.  Its joint operators are 6 x 6 tables
-    written by split_sum; no regrouping is formed."""
+    """A validated d = d_a*d_b split.  Its joint operators are 6 x 6 tables;
+    no regrouping is formed."""
 
     d_a: int
     d_b: int

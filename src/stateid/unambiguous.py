@@ -18,10 +18,12 @@ strictly below the global optimum, and is implementable by the LOCC tree
 built here.
 
 Every POVM here is built as a povm.Povm in the coordinates of symmetry.S3,
-or on a split in 6 x 6 tables, the same at every dimension; the LOCC steps
-never become dense.  Only the oracles' UnambPovm is dense, with the dims of
-its space: E2 is written first and E1 taken as its 1<->2 reference swap, so
-that _conclusive_pair leaves both no-error products exactly zero.
+or on a split in 6 x 6 tables, the same at every dimension, E1 as the 1<->2
+relabel of E2; the LOCC steps never become dense.  An UnambPovm is checked
+on the irreps of S3 (linalg): positivity by its elements' spectra, the
+no-error conditions by the products E1 sym02 and E2 sym01 of coordinates or
+tables, exactly, at every dimension.  Its dense elements are written only
+when read (e1, e2, e0).
 """
 
 from __future__ import annotations
@@ -32,17 +34,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs
-from .povm import Povm, validate_dense
+from .linalg import PSD_EIG_FLOOR, largest_image, spectrum, trace
+from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import (RELABEL, S3, S3_PERMUTATIONS, dimension_table, permutation_columns,
-                       reference_swap_view, s3_product, split_sum, swap_references,
-                       symmetrizer_traces)
+from .symmetry import S3, dimension_table, joint, relabel, s3_product
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
 ALPHA_MAX = 2.0 / 3.0
-# separable POVMs kept per process; a (3,3) entry holds three 729x729 elements
+# separable POVMs kept per process, each validated once
 SEPARABLE_CACHE_SIZE = 8
 
 
@@ -54,54 +54,53 @@ for _op in (MIXED_SYM01, MIXED_ANTISYM01, MIXED_SYM02, MIXED_ANTISYM02):
     _op.flags.writeable = False
 
 
-def _no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
-    """Largest entries of E1 sym02 and of E2 sym01.
-
-    op @ (1 + T)/2 for a swap T is (op + op with T applied to its column
-    factors)/2, and that is a transposed view of op's columns: no dense
-    product, no gathered copy, and the same floats as the product.
-    """
-    d = round(e1.shape[0] ** (1 / 3))
-    return tuple(max_abs(cube + cube.transpose(axes)) / 2
-                 for cube, axes in ((e1.reshape(-1, d, d, d), (0, 3, 2, 1)),    # T02
-                                    (e2.reshape(-1, d, d, d), (0, 2, 1, 3))))   # T01
-
-
 @dataclass(frozen=True)
-class UnambPovm:
-    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}, dense, on dims."""
+class UnambPovm(Povm):
+    """Three-outcome POVM {conclusive 1, conclusive 2, inconclusive 0}, in
+    that order, held as a Povm is; e1, e2 and e0 write an element dense."""
 
-    dims: tuple[int, ...]
-    e1: np.ndarray
-    e2: np.ndarray
-    e0: np.ndarray
+    e1 = property(lambda self: self.element(1))
+    e2 = property(lambda self: self.element(2))
+    e0 = property(lambda self: self.element(0))
+
+    def no_error_leaks(self) -> tuple[float, float]:
+        """The largest entries of the images of E1 sym02 and of E2 sym01."""
+        return tuple(largest_image(s3_product(self.elements[label], joint(sym, self.dims)),
+                                   self.dims)
+                     for label, sym in ((1, S3.sym02), (2, S3.sym01)))
 
     def validate(self) -> None:
-        """PSD elements summing to identity, exact no-error, exchange symmetry."""
-        validate_dense({1: self.e1, 2: self.e2, 0: self.e0}, self.dims)
-        for name, leak in zip(("e1", "e2"), _no_error_leaks(self.e1, self.e2)):
-            if leak > NO_ERROR_ATOL:
+        """PSD elements (complete when made), exact no-error, exchange symmetry,
+        on the irreps of S3."""
+        for label, x in self.elements.items():
+            low = spectrum(x, self.dims)[0].min()
+            if not low >= PSD_EIG_FLOOR:
+                raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
+        for name, leak in zip(("e1", "e2"), self.no_error_leaks()):
+            if not leak <= NO_ERROR_ATOL:
                 raise ValueError(f"{name} violates the no-error condition (leak {leak:.3e})")
-        for name, lhs, rhs in (("e2", self.e2, self.e1), ("e0", self.e0, self.e0)):
-            swapped = reference_swap_view(rhs)
-            defect = max_abs(lhs.reshape(swapped.shape) - swapped)
-            if defect > NO_ERROR_ATOL:
+        for name, lhs, rhs in (("e2", 2, 1), ("e0", 0, 0)):
+            defect = largest_image(self.elements[lhs] - relabel(self.elements[rhs]), self.dims)
+            if not defect <= NO_ERROR_ATOL:
                 raise ValueError(f"{name} breaks 1<->2 exchange symmetry (defect {defect:.3e})")
 
 
-def success_probability(povm: UnambPovm, d: int) -> float:
-    """Mean unambiguous success probability at equal priors.
+def success_probability(povm: UnambPovm) -> float:
+    """Mean unambiguous success probability at equal priors, at the dimensions
+    the POVM is made for.
 
-    (tr[E1*sym01] + tr[E2*sym02]) / (2*d1*d2); refuses POVMs whose no-error
-    leak exceeds NO_ERROR_ATOL, as UnambPovm.validate does, since the value
-    is meaningless for them.
+    (tr[E1*sym01] + tr[E2*sym02]) / (2*d1*d2), read on the irreps of S3;
+    refuses POVMs whose no-error leak exceeds NO_ERROR_ATOL, as
+    UnambPovm.validate does, since the value is meaningless for them.
     """
-    leak = max(_no_error_leaks(povm.e1, povm.e2))
-    if leak > NO_ERROR_ATOL:
+    leak = max(povm.no_error_leaks())
+    if not leak <= NO_ERROR_ATOL:
         raise ValueError(f"POVM violates the no-error condition (leak {leak:.3e})")
-    table = dimension_table(d)
-    overlap = symmetrizer_traces(povm.e1)[0] + symmetrizer_traces(povm.e2)[1]
-    return overlap / (2 * d * table.sym2)
+    dims = povm.dims
+    overlap = trace(s3_product(povm.elements[1], joint(S3.sym01, dims))
+                    + s3_product(povm.elements[2], joint(S3.sym02, dims)), dims)
+    d = math.prod(dims)
+    return overlap / (2 * d * dimension_table(d).sym2)
 
 
 def max_success_global(d: int) -> float:
@@ -111,29 +110,13 @@ def max_success_global(d: int) -> float:
     return (d - 1) / (3 * d)
 
 
-def _conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E1, E2) on (C^d)^x3 for E2 <- (E2 - E2 T01)/2 through T01's index map,
-    so that E2 sym01 = 0 whatever the writer's rounding, and E1 its 1<->2
-    reference swap, so that E1 sym02 = 0; both exactly."""
-    t01 = permutation_columns(d)[S3_PERMUTATIONS.index((1, 0, 2))]
-    e2 = (e2 - e2[:, t01]) / 2
-    return swap_references(e2), e2
-
-
-def optimal_global_povm(d: int) -> Povm:
+def optimal_global_povm(d: int) -> UnambPovm:
     """The optimal global POVM in coordinates, the same at every d:
     E2 = (2/3) mixed3 antisym01, E1 its relabel and E0 the rest, in the
     order {1: E1, 2: E2, 0: E0} in which a trial samples them."""
     e2 = ALPHA_MAX * MIXED_ANTISYM01
     e0 = s3_product(S3.mixed3, S3.identity + 2.0 * S3.swap_sum) / 3.0 + S3.sym3 + S3.antisym3
-    return Povm((d,), {1: e2[RELABEL], 2: e2, 0: e0})
-
-
-def global_unamb_povm(d: int) -> UnambPovm:
-    """optimal_global_povm written dense, E1 and E2 by _conclusive_pair from E2."""
-    povm = optimal_global_povm(d)
-    e1, e2 = _conclusive_pair(d, povm.element(2))
-    return UnambPovm(dims=(d,), e1=e1, e2=e2, e0=povm.element(0))
+    return UnambPovm((d,), {1: relabel(e2), 2: e2, 0: e0})
 
 
 def gamma_plus(beta1: float, beta2: float) -> float:
@@ -149,14 +132,6 @@ def mixed_block_table(beta1: float, beta2: float) -> np.ndarray:
              beta2 * MIXED_ANTISYM02, beta2 * MIXED_ANTISYM01]
     bob = [MIXED_ANTISYM02, MIXED_ANTISYM01, MIXED_SYM02, MIXED_SYM01]
     return np.array(alice).T @ np.array(bob)
-
-
-def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
-    """Explicit mixed-mixed block of E1+E2 on the joint space, system-major.
-
-    Oracle for gamma_plus: its largest eigenvalue is the closed form.
-    """
-    return split_sum(d_a, d_b, mixed_block_table(beta1, beta2))
 
 
 @dataclass(frozen=True)
@@ -212,16 +187,17 @@ def separable_table(coeffs: SeparableCoeffs) -> np.ndarray:
 @lru_cache(maxsize=SEPARABLE_CACHE_SIZE)
 def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPovm:
     """The separable family member of separable_table, validated once, when
-    it is built: E0's positivity by its eigenvalues, on orbit blocks of at
-    most 36 indices (the feasibility bound states the same fact, so this
-    catches assembly bugs).  Cached per (d_a, d_b, coeffs), up to
-    SEPARABLE_CACHE_SIZE entries, with read-only elements."""
-    e1, e2 = _conclusive_pair(d_a * d_b, split_sum(d_a, d_b, separable_table(coeffs)))
+    it is built: E0's positivity by its spectrum (the feasibility bound
+    states the same fact, so this catches assembly bugs).  Cached per (d_a,
+    d_b, coeffs), up to SEPARABLE_CACHE_SIZE entries, with read-only tables."""
+    e2 = separable_table(coeffs)
+    e1 = relabel(e2)
     # e1 + e2 is exchange-symmetric as a sum, so e0 is too, to the last bit
-    povm = UnambPovm(dims=(d_a, d_b), e1=e1, e2=e2, e0=np.eye(len(e1)) - (e1 + e2))
+    e0 = np.outer(S3.identity, S3.identity) - (e1 + e2)
+    for table in (e1, e2, e0):
+        table.flags.writeable = False
+    povm = UnambPovm((d_a, d_b), {1: e1, 2: e2, 0: e0})
     povm.validate()
-    for op in (e1, e2, povm.e0):
-        op.flags.writeable = False
     return povm
 
 

@@ -6,6 +6,15 @@ they became closed forms in the permutation coordinates (symmetry.S3).  The
 tests check those closed forms against these recipes, and the recipes run
 the package's own finiteness and hermiticity checks first.
 
+The dense oracle route the package used before it read spectra and traces on
+the irreps of S3 (linalg.spectrum, linalg.trace): eigenvalues solved on the
+orbit blocks of the basis under the tensor-factor permutations
+(hermitian_eigenvalues, orbit_blocks), the dense POVM check
+(validate_dense), the unambiguous elements written dense with exact no-error
+products (conclusive_pair, no_error_leaks), the gain operator and the
+mixed-mixed block written dense, and traces read through the permutations'
+index maps.  The tests compare the irreps readers against it.
+
 Tensor-factor permutations as dense 0/1 matrices, the regrouping of a split
 between its system-major and party-major bases, sums of Kronecker products
 regrouped into the system-major basis, the symmetry toolkit and the
@@ -23,10 +32,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from stateid import linalg
-from stateid.povm import validate_dense
-from stateid.symmetry import S3_PERMUTATIONS, orbit_blocks
-from stateid.unambiguous import COEFF_ATOL, gamma_plus
+from stateid.linalg import HERMITIAN_RTOL, PSD_EIG_FLOOR, max_abs
+from stateid.minerr import gain
+from stateid.povm import COMPLETENESS_ATOL
+from stateid.symmetry import (S3_PERMUTATIONS, _freeze, _scatter, permutation_columns,
+                              permutation_sum)
+from stateid.unambiguous import COEFF_ATOL, gamma_plus, mixed_block_table
 
 # eigenvalues above CLASSIFY_TOL count as positive; one in [CLASSIFY_TOL/10,
 # CLASSIFY_TOL] cannot be classified
@@ -48,10 +59,36 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def _check_hermitian(stacks: Sequence[np.ndarray]) -> None:
+    """Raise unless each matrix is finite and hermitian.
+
+    stacks hold the blocks of each matrix on their last three axes, after the
+    matrices' own leading axes.  A matrix passes when its max entrywise
+    |H - H^dag| is at most HERMITIAN_RTOL times its largest entry magnitude.
+    """
+    if not all(np.isfinite(s).all() for s in stacks):
+        raise ValueError("matrix has non-finite entries")
+    defect = max(np.abs(s - _adjoint(s)).max() for s in stacks)
+    if defect == 0.0:   # exactly hermitian, whatever the scale
+        return
+    if stacks[0].ndim > 3:   # each matrix of a stack against its own scale
+        for matrix in np.ndindex(stacks[0].shape[:-3]):
+            _check_hermitian([s[matrix] for s in stacks])
+        return
+    scale = max(np.abs(s).max() for s in stacks)
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise ValueError(f"matrix is not hermitian (relative defect {defect / scale:.3e})")
+
+
 def assert_hermitian(h: np.ndarray) -> None:
     """Raise unless h (or each matrix of a stack) is finite and hermitian,
-    by the package's own relative check."""
-    linalg._check_hermitian([h[..., None, :, :]])
+    by the package's relative tolerance."""
+    _check_hermitian([h[..., None, :, :]])
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
@@ -82,7 +119,7 @@ def positive_part_projector(h: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndar
 def psd_sqrt(e: np.ndarray) -> np.ndarray:
     """Principal square root; eigenvalues in [PSD_EIG_FLOOR, 0) count as 0."""
     w, v = hermitian_eig(e)
-    if not w.min() >= linalg.PSD_EIG_FLOOR:
+    if not w.min() >= PSD_EIG_FLOOR:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return _hermitian_outer(v, v * np.sqrt(np.clip(w, 0.0, None)))
 
@@ -216,5 +253,127 @@ def orbit_mask(*dims: int) -> np.ndarray:
 
 
 def validate_povm(povm) -> None:
-    """The dense oracle (povm.validate_dense) on every element of a Povm written dense."""
+    """The dense oracle (validate_dense) on every element of a Povm written dense."""
     validate_dense({label: povm.element(label) for label in povm.elements}, povm.dims)
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_blocks(*dims: int) -> tuple[np.ndarray, ...]:
+    """The orbits {columns[k][i]} of the basis indices under the maps of
+    permutation_columns(*dims), grouped as (orbits, size) read-only index
+    arrays by ascending size, ordered by least member, each ascending: the
+    blocks outside which an operator commuting with the maps is zero."""
+    columns = permutation_columns(*dims).reshape(-1, math.prod(dims) ** 3)
+    label = columns.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(columns, axis=0), axis=0), axis=0)
+    order = np.argsort(label, kind="stable")
+    blocks = tuple(order[size[order] == s].reshape(-1, s) for s in np.unique(size))
+    _freeze(*blocks)
+    return blocks
+
+
+def _submatrices(h, rows, cols) -> np.ndarray:
+    """h[..., rows, cols]; for a sequence of matrices, their stack of these."""
+    if isinstance(h, np.ndarray):
+        return h[..., rows, cols]
+    return np.stack([matrix[rows, cols] for matrix in h])
+
+
+def hermitian_eigenvalues(h, dims: tuple[int, ...]) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix on the space of dims, (d,) or (d_a, d_b),
+    or of each of a stack (..., n, n) or of a sequence of n x n matrices,
+    descending; no eigenvectors are formed.
+
+    Each size group of orbit_blocks(*dims) is one batched eigvalsh call, whose
+    results carry the stack's leading axes.  Raises for a matrix with a
+    nonzero entry outside the blocks, counted without a copy, and so for a
+    non-finite or non-hermitian one by its blocks alone.
+    """
+    stacks = [_submatrices(h, index[:, :, None], index[:, None, :])
+              for index in orbit_blocks(*dims)]
+    total = sum(map(np.count_nonzero, [h] if isinstance(h, np.ndarray) else h))
+    outside = total - sum(map(np.count_nonzero, stacks))
+    if outside:
+        raise ValueError(f"matrix has {outside} nonzero or non-finite entries outside "
+                         f"the orbit blocks of {dims}")
+    _check_hermitian(stacks)
+    w = np.concatenate([np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1) for s in stacks], axis=-1)
+    return np.sort(w, axis=-1)[..., ::-1]
+
+
+def validate_dense(elements: dict, dims: tuple[int, ...]) -> None:
+    """The dense oracle: each element on the space of dims hermitian and
+    positive by its eigenvalues, and their sum the identity within
+    COMPLETENESS_ATOL.  Every guard is written so that a NaN fails it."""
+    ops = list(elements.values())
+    for label, low in zip(elements, hermitian_eigenvalues(ops, dims)[:, -1]):
+        if not low >= PSD_EIG_FLOOR:
+            raise ValueError(f"element {label!r} is not PSD (min eigenvalue {low:.3e})")
+    missing = np.eye(len(ops[0]), dtype=np.result_type(float, *ops))
+    for op in ops:
+        missing -= op
+    defect = max_abs(missing)
+    if not defect <= COMPLETENESS_ATOL:
+        raise ValueError(f"elements do not sum to the identity (max defect {defect:.3e})")
+
+
+def split_sum(d_a: int, d_b: int, table) -> np.ndarray:
+    """The dense sum_{k,l} W[k, l] P_k^A (x) P_l^B of a 6 x 6 table W, or of
+    each of a stack (..., 6, 6), on the joint space of a d_a*d_b split."""
+    return _scatter(permutation_columns(d_a, d_b), table)
+
+
+def gain_operator(d: int, priors) -> np.ndarray:
+    """The gain operator G = eta1*sym01 - eta2*sym02 written dense."""
+    return permutation_sum(d, gain(priors))
+
+
+def mixed_block_operator(d_a: int, d_b: int, beta1: float, beta2: float) -> np.ndarray:
+    """The mixed-mixed block of E1+E2 written dense from its table."""
+    return split_sum(d_a, d_b, mixed_block_table(beta1, beta2))
+
+
+def permutation_traces(op: np.ndarray) -> np.ndarray:
+    """Re tr(P_k^T op) for the six P_k on (C^d)^x3, each the sum of the d^3
+    entries of op that P_k's index map picks out; no P_k is formed.  For the
+    identity and the swaps P_k^T = P_k, so these are Re tr(op P_k)."""
+    d = round(op.shape[0] ** (1 / 3))
+    return op.real[np.arange(d**3), permutation_columns(d)].sum(axis=1)
+
+
+def symmetrizer_traces(op: np.ndarray) -> tuple[float, float]:
+    """Re tr(op sym01) and Re tr(op sym02), from the identity's and the two
+    swaps' index maps."""
+    traces = permutation_traces(op)
+    return float(traces[0] + traces[1]) / 2, float(traces[0] + traces[2]) / 2
+
+
+def reference_swap_view(op: np.ndarray) -> np.ndarray:
+    """swap12 @ op @ swap12 on (C^d)^x3 as a strided view with the six
+    tensor-factor axes (d,)*6 of op's rows and columns: nothing is copied."""
+    d = round(op.shape[0] ** (1 / 3))
+    return op.reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4)
+
+
+def swap_references(op: np.ndarray) -> np.ndarray:
+    """swap12 @ op @ swap12 on (C^d)^x3, as an index map rather than a 0/1 matmul."""
+    return reference_swap_view(op).reshape(op.shape)
+
+
+def no_error_leaks(e1: np.ndarray, e2: np.ndarray) -> tuple[float, float]:
+    """Largest entries of the dense E1 sym02 and E2 sym01, from transposed
+    views of the elements' column factors."""
+    d = round(e1.shape[0] ** (1 / 3))
+    return tuple(max_abs(cube + cube.transpose(axes)) / 2
+                 for cube, axes in ((e1.reshape(-1, d, d, d), (0, 3, 2, 1)),    # T02
+                                    (e2.reshape(-1, d, d, d), (0, 2, 1, 3))))   # T01
+
+
+def conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E1, E2) on (C^d)^x3 for E2 <- (E2 - E2 T01)/2 through T01's index map,
+    so that E2 sym01 = 0 whatever the writer's rounding, and E1 its 1<->2
+    reference swap, so that E1 sym02 = 0; both exactly."""
+    t01 = permutation_columns(d)[S3_PERMUTATIONS.index((1, 0, 2))]
+    e2 = (e2 - e2[:, t01]) / 2
+    return swap_references(e2), e2
+

@@ -18,13 +18,13 @@ import json
 import numpy as np
 import pytest
 
+from dense_reference import gain_operator
 from stateid import checks, unambiguous
 from stateid.cli import main as cli_main
 from stateid.minerr import (
     EQUAL_PRIORS,
     Priors,
     gain_eigenvalues_mixed,
-    gain_operator,
     locc_povm_element,
     locc_protocol,
 )

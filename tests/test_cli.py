@@ -164,7 +164,7 @@ class TestMinerr:
 
 
 def test_memory_error_is_a_usage_error(capsys, monkeypatch):
-    # a dimension whose dense operators do not fit: one stderr line, exit 2
+    # a simulation whose blocks do not fit: one stderr line, exit 2
     def out_of_memory(args):
         raise MemoryError
 
@@ -180,15 +180,15 @@ EDGE_ETA1 = (st.floats(0.0, 1e-15) | st.floats(1.0 - 1e-15, 1.0) | st.just(5e-32
 
 @st.composite
 def cli_calls(draw):
-    """minerr or unamb argv over the CLI's own domain: small dimensions, priors at
-    both edges and subnormal, with or without --locc and a small simulation."""
+    """minerr or unamb argv over the CLI's own domain: --d up to 40 and splits
+    up to (6,6), whose checks read no dense operator, priors at both edges and
+    subnormal, with or without --locc and a small simulation."""
     command = draw(st.sampled_from(["minerr", "unamb"]))
     argv = [command]
     if draw(st.booleans()):
-        argv += ["--d", str(draw(st.integers(2, 4)))]
+        argv += ["--d", str(draw(st.integers(2, 40)))]
     else:
-        argv += ["--da", str(draw(st.sampled_from([2, 3]))),
-                 "--db", str(draw(st.sampled_from([2, 3])))]
+        argv += ["--da", str(draw(st.integers(2, 6))), "--db", str(draw(st.integers(2, 6)))]
     if command == "minerr":
         argv += ["--eta1", repr(draw(EDGE_ETA1))]
         if draw(st.booleans()):

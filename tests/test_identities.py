@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import split_sum, symmetrizer_traces
 from stateid import minerr, unambiguous
 from stateid.minerr import Priors
 from stateid.protocol import effective_povm
-from stateid.symmetry import S3_PERMUTATIONS, s3_product, split_sum
+from stateid.symmetry import S3_PERMUTATIONS, s3_product
 from stateid.unambiguous import SeparableCoeffs, gamma_plus
 
 DIMS = np.arange(2, 41)
@@ -130,12 +131,17 @@ def test_separable_table_changes_sign_under_t01(coeffs):
 
 
 def test_tables_match_the_dense_elements_at_3x3():
-    # the same traces from the dense elements that the tables write
+    # the same traces from the dense elements that the tables write, read
+    # through the permutations' index maps, and from the irreps of S3
     for eta1 in ETA1_GRID:
         priors = Priors.from_eta1(eta1)
-        dense = minerr.gain_overlap(minerr.locc_povm_element(3, 3, priors).element(1), priors)
+        povm = minerr.locc_povm_element(3, 3, priors)
+        s01, s02 = symmetrizer_traces(povm.element(1))
         from_table = product_trace(minerr.locc_table(priors), gain_table(priors), [3], [3])[0, 0]
-        assert abs(dense - from_table) <= 1e-12
+        assert abs(priors.eta1 * s01 - priors.eta2 * s02 - from_table) <= 1e-12
+        assert abs(minerr.gain_overlap(povm.elements[1], (3, 3), priors) - from_table) <= 1e-12
     povm = unambiguous.separable_unamb_povm(3, 3, SeparableCoeffs.optimal())
-    dense = unambiguous.success_probability(povm, 9)
-    assert abs(dense - separable_success(SeparableCoeffs.optimal(), [3], [3])[0, 0]) <= 1e-14
+    dense = (symmetrizer_traces(povm.e1)[0] + symmetrizer_traces(povm.e2)[1]) / (2 * 9 * 45)
+    expected = separable_success(SeparableCoeffs.optimal(), [3], [3])[0, 0]
+    assert abs(dense - expected) <= 1e-14
+    assert abs(unambiguous.success_probability(povm) - expected) <= 1e-14

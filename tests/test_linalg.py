@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 from dense_reference import (
     CLASSIFY_TOL,
     assert_hermitian,
+    gain_operator,
     hermitian_eig,
+    hermitian_eigenvalues,
     kron,
+    orbit_blocks,
     orbit_mask,
     permutation_operator,
     positive_part_projector,
     psd_sqrt,
     regroup_operator,
+    split_sum,
+    validate_dense,
 )
 from stateid import linalg, minerr, unambiguous
-from stateid.linalg import hermitian_eigenvalues
-from stateid.povm import validate_dense
-from stateid.symmetry import orbit_blocks, permutation_sum, split_sum
+from stateid.linalg import spectrum, trace
+from stateid.symmetry import _INVERSE, irreps, permutation_sum, s3_product
 
 RNG = np.random.default_rng(20260810)
 
@@ -75,7 +79,8 @@ class TestKron:
 
 # hermitian_eig, positive_part_projector and psd_sqrt are the tests' dense
 # reference recipes (dense_reference.py), which the closed forms are checked
-# against; hermitian_eigenvalues is the package's eigensolver on orbit blocks.
+# against; hermitian_eigenvalues is the dense oracle's eigensolver on orbit
+# blocks, which the irreps readers are checked against.
 
 class TestHermitianEig:
     def test_diagonal_sorted_descending(self):
@@ -432,7 +437,7 @@ class TestDenseReferencePins:
     def test_gain_operator_d9(self):
         # the blocked eigenvalues, and the closed-form global projector, at d = 9
         priors = minerr.Priors.from_eta1(0.3)
-        g = minerr.gain_operator(9, priors)
+        g = gain_operator(9, priors)
         assert max(index.shape[1] for index in orbit_blocks(9)) <= 6
         w, v = np.linalg.eigh(g)
         assert np.abs(hermitian_eigenvalues(g, (9,)) - w[::-1]).max() < 1e-12
@@ -445,3 +450,67 @@ class TestDenseReferencePins:
         for op in (povm.e1, povm.e0):
             w = np.linalg.eigvalsh(op)
             assert np.abs(hermitian_eigenvalues(op, (3, 3)) - w[::-1]).max() < 1e-12
+
+
+# --- the irreps readers against the dense reference -------------------------
+
+def hermitian_coordinates(c):
+    """Coordinates (6,) or a table (6, 6) made hermitian: X^dag = sum c_k P_k^T,
+    and P_k^T = P_INVERSE[k] on each party."""
+    return (c + c[np.ix_(*(_INVERSE,) * c.ndim)]) / 2
+
+
+def dense_of(x, dims):
+    return permutation_sum(*dims, x) if len(dims) == 1 else split_sum(*dims, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), dims=DIMS, scale=st.sampled_from([1e-6, 1.0, 1e3]))
+def test_irreps_readers_match_dense(seed, dims, scale):
+    # random hermitian coordinates at d = 2..6, tables at splits up to (3,3):
+    # the spectrum with its multiplicities and the trace, against the dense
+    # operator's eigenvalues on its orbit blocks and its diagonal
+    x = hermitian_coordinates(scale * np.random.default_rng(seed).standard_normal((6,) * len(dims)))
+    dense = dense_of(x, dims)
+    w, m = spectrum(x, dims)
+    assert np.array_equal(m, np.round(m)) and m.sum() == len(dense)
+    ref = hermitian_eigenvalues(dense, dims)
+    assert np.abs(np.sort(np.repeat(w, m.astype(int)))[::-1] - ref).max() <= 1e-12 * scale
+    assert abs(trace(x, dims) - np.trace(dense)) <= 1e-12 * scale * len(dense)
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_irreps_are_the_representation(dims):
+    # rho(P_i) rho(P_j) = rho(P_i P_j) for each irrep, and the multiplicities
+    # count every dimension: sum m tr rho(P_k) = tr P_k, d^cycles(k) on a party
+    unit = np.eye(6) if len(dims) == 1 else np.eye(36).reshape(36, 6, 6)
+    flat = unit.reshape(len(unit), -1)
+    product = np.array([[np.flatnonzero(s3_product(a, b).ravel() @ flat.T)[0] for b in unit]
+                        for a in unit])
+    for rho, m in irreps(*dims):
+        images = np.tensordot(unit, rho, len(dims))
+        assert np.abs(np.einsum("ikl,jlm->ijkm", images, images) - images[product]).max() <= 1e-15
+    for x in unit:
+        assert abs(trace(x, dims) - np.trace(dense_of(x, dims))) <= 1e-12
+
+
+def test_sign_irrep_absent_at_d2():
+    assert [m for _, m in irreps(2)] == [4, 2]
+    assert [m for _, m in irreps(3)] == [10, 1, 8]
+    assert len(irreps(2, 3)) == 6 and len(irreps(3, 3)) == 9
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 2)])
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_spectrum_rejects_non_finite(dims, value):
+    x = np.zeros((6,) * len(dims))
+    x[(0,) * len(dims)] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        spectrum(x, dims)
+
+
+def test_spectrum_rejects_non_hermitian():
+    # the cycle P_4 alone is not hermitian: its adjoint is P_5
+    with pytest.raises(ValueError, match="not hermitian"):
+        spectrum(np.eye(6)[4], (3,))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import positive_part_projector, validate_povm
+from dense_reference import gain_operator, positive_part_projector, swap_references, validate_povm
 from stateid.minerr import (
     EQUAL_PRIORS,
     Priors,
     _local_projectors,
     _rotation_angle,
     gain_eigenvalues_mixed,
-    gain_operator,
     locc_povm_element,
     locc_protocol,
     max_success_eigenvalue_route,
@@ -23,7 +22,7 @@ from stateid.minerr import (
 from stateid import unambiguous
 from stateid.povm import Povm
 from stateid.protocol import Leaf, effective_povm
-from stateid.symmetry import S3, build_toolkit, dimension_table, permutation_sum, swap_references
+from stateid.symmetry import S3, build_toolkit, dimension_table, permutation_sum
 
 # frozen via the eigenvalue-sum oracle (assemble gain operator, eigensolve,
 # sum positive part):
@@ -172,23 +171,30 @@ class TestGlobalPovm:
     def test_attains_closed_form(self, eta1):
         p = Priors.from_eta1(eta1)
         povm = optimal_global_povm(3, p)
-        assert abs(mean_success(povm, 3, p) - max_success_global(3, p)) < 1e-9
+        assert abs(mean_success(povm, p) - max_success_global(3, p)) < 1e-9
 
 
 class TestMeanSuccess:
     def test_never_answer_one(self):
         povm = Povm((2,), {1: np.zeros(6), 2: S3.identity})
         p = Priors.from_eta1(0.3)
-        assert mean_success(povm, 2, p) == p.eta2
+        assert mean_success(povm, p) == p.eta2
 
     def test_always_answer_one(self):
         povm = Povm((2,), {1: S3.identity, 2: np.zeros(6)})
-        assert abs(mean_success(povm, 2, EQUAL_PRIORS) - 0.5) < 1e-12
+        assert abs(mean_success(povm, EQUAL_PRIORS) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("eta1", (0.3, 0.5))
+    def test_reads_the_dimensions_of_the_povm(self, eta1):
+        # the same coordinates at d = 2 and d = 3 succeed at each one's optimum
+        p = Priors.from_eta1(eta1)
+        for d in (2, 3, 40):
+            assert abs(mean_success(optimal_global_povm(d, p), p) - max_success_global(d, p)) < 1e-12
 
     def test_rejects_unexpected_labels(self):
         povm = Povm((2,), {1: S3.identity / 2, 0: S3.identity / 2})
         with pytest.raises(ValueError, match="labels"):
-            mean_success(povm, 2, EQUAL_PRIORS)
+            mean_success(povm, EQUAL_PRIORS)
 
 
 class TestLoccPovmElement:
@@ -198,7 +204,7 @@ class TestLoccPovmElement:
         g = gain_operator(4, EQUAL_PRIORS)
         overlap = np.trace(povm.element(1) @ g).real
         assert abs(overlap - LOCC_OVERLAP_22_HALF) < 1e-9
-        assert abs(mean_success(povm, 4, EQUAL_PRIORS) - PMAX_D4_HALF) < 1e-9
+        assert abs(mean_success(povm, EQUAL_PRIORS) - PMAX_D4_HALF) < 1e-9
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("eta1", (0.1, 0.3, 0.5))
@@ -264,18 +270,18 @@ class TestLoccProtocol:
         # the reference systems exchanged
         t12 = build_toolkit(4).swap12
         assert np.abs(eff.element(2) - t12 @ ref.element(1) @ t12).max() < 1e-9
-        assert abs(mean_success(eff, 4, p) - max_success_global(4, p)) < 1e-9
+        assert abs(mean_success(eff, p) - max_success_global(4, p)) < 1e-9
 
     @pytest.mark.parametrize("eta1", (0.6, 0.9))
     def test_swapped_priors_attain_optimum(self, eta1):
         p = Priors.from_eta1(eta1)
         eff = effective_povm(locc_protocol(2, 2, p))
-        assert abs(mean_success(eff, 4, p) - max_success_global(4, p)) < 1e-9
+        assert abs(mean_success(eff, p) - max_success_global(4, p)) < 1e-9
 
     def test_party_symmetry(self):
         p = Priors.from_eta1(0.3)
-        p32 = mean_success(effective_povm(locc_protocol(3, 2, p)), 6, p)
-        p23 = mean_success(effective_povm(locc_protocol(2, 3, p)), 6, p)
+        p32 = mean_success(effective_povm(locc_protocol(3, 2, p)), p)
+        p23 = mean_success(effective_povm(locc_protocol(2, 3, p)), p)
         assert abs(p32 - p23) < 1e-9
         assert abs(p32 - max_success_global(6, p)) < 1e-9
 
@@ -335,6 +341,6 @@ def test_eigh_is_never_called(monkeypatch):
         validate_povm(locc_povm_element(da, db, Priors.from_eta1(0.3)))
         unambiguous.separable_unamb_povm.__wrapped__(da, db, unambiguous.SeparableCoeffs.optimal())
     validate_povm(optimal_global_povm(9, Priors.from_eta1(0.3)))
-    unambiguous.global_unamb_povm(3).validate()
+    unambiguous.optimal_global_povm(3).validate()
     with pytest.raises(AssertionError, match="eigh called"):
         np.linalg.eigh(np.eye(2))

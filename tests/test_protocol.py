@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateid import minerr, povm, protocol, simulate, symmetry, unambiguous
-from stateid.linalg import max_abs
+from dense_reference import validate_dense
+from stateid import checks, minerr, povm, protocol, simulate, symmetry, unambiguous
+from stateid.linalg import largest_image, max_abs, spectrum
 from stateid.minerr import Priors, _local_projectors
-from stateid.povm import COMPLETENESS_ATOL, validate_dense
+from stateid.povm import COMPLETENESS_ATOL
 from stateid.protocol import ALICE, BOB, Leaf, gram, step
 from stateid.symmetry import S3, permutation_sum, s3_product
 
@@ -122,19 +123,25 @@ def test_d2_support_modulo_the_signs(t):
 
 
 def test_no_step_is_dense(monkeypatch):
-    # trees, their flattened POVMs, the closed-form POVMs and a seeded batch
-    # at (30,30), where one dense local operator of Alice's root step would
-    # take 27000^2 doubles, never call the dense writer, neither a party's
-    # permutation_sum nor a split's split_sum; only a POVM's element() does
+    # trees, their flattened POVMs, the closed-form POVMs, their validation,
+    # every oracle row of the check registry and a seeded batch at (30,30),
+    # where one dense local operator of Alice's root step would take 27000^2
+    # doubles, never call the dense writer; only a POVM's element() does
     def refuse(*args, **kwargs):
         raise AssertionError("dense writer called")
 
     for module in (symmetry, povm):
         monkeypatch.setattr(module, "_scatter", refuse)
     monkeypatch.setattr(symmetry, "permutation_sum", refuse)
-    for module in (symmetry, unambiguous):
-        monkeypatch.setattr(module, "split_sum", refuse)
     priors = Priors.from_eta1(0.7)
+    checks.toolkit_identities.evaluate(40)
+    checks.minerr_dual_route.evaluate(900, 0.3)
+    checks.minerr_locc.evaluate(30, 30, 0.3)
+    checks.unamb_global.evaluate(900)
+    checks.unamb_separable.evaluate(30, 30)
+    unambiguous.separable_unamb_povm.__wrapped__(30, 30, unambiguous.SeparableCoeffs.optimal())
+    unambiguous.optimal_global_povm(900).validate()
+    spectrum(unambiguous.mixed_block_table(0.5, 0.5), (30, 30))
     for split in ((2, 2), (3, 3), (30, 30)):
         tree = minerr.locc_protocol(*split, priors)
         protocol.effective_povm(tree)
@@ -149,3 +156,79 @@ def test_no_step_is_dense(monkeypatch):
     assert abs(stats.p_hat - stats.target) <= 4 * stats.target_stderr
     with pytest.raises(AssertionError, match="dense writer called"):
         protocol.effective_povm(minerr.locc_protocol(2, 2, priors)).element(1)
+
+
+# --- every step and POVM on the irreps: two cases per party ------------------
+
+# Positivity, completeness and the no-error products of an operator given by
+# coordinates or a table depend on d only through which irreps of S3 are
+# present: all three at every d >= 3, and no sign irrep at d = 2.  So these
+# checks at d = 2 and d = 3 on each party hold at every dimension.
+PARTY_CASES = (2, 3)
+EXACT_ATOL = 1e-14
+
+
+def test_irreps_present_are_two_cases_per_party():
+    assert len(symmetry.irreps(2)) == 2
+    assert all(len(symmetry.irreps(d)) == 3 for d in range(3, 200))
+
+
+def steps_of(tree) -> list:
+    """Every measurement step of a tree, once each."""
+    seen, todo = {}, [tree.root]
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, Leaf) and id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.successors)
+    return list(seen.values())
+
+
+def assert_positive_and_complete(elements, dims, whole):
+    """Each element's least eigenvalue at least -EXACT_ATOL, and the elements
+    summing to whole on every irrep within EXACT_ATOL."""
+    for x in elements:
+        assert spectrum(x, dims)[0].min() >= -EXACT_ATOL
+    assert largest_image(whole - sum(elements), dims) <= EXACT_ATOL
+
+
+def trees_at(d_a, d_b):
+    return [minerr.locc_protocol(d_a, d_b, Priors.from_eta1(eta1)) for eta1 in (0.2, 0.5, 0.8)] + [
+        unambiguous.locc_protocol(d_a, d_b)]
+
+
+@pytest.mark.parametrize("d_b", PARTY_CASES)
+@pytest.mark.parametrize("d_a", PARTY_CASES)
+def test_steps_and_flattened_trees_on_the_irreps(d_a, d_b):
+    unit = np.outer(S3.identity, S3.identity)
+    for tree in trees_at(d_a, d_b):
+        for node in steps_of(tree):
+            d = d_a if node.party == ALICE else d_b
+            grams = [gram(k) for k in node.kraus]
+            # a step resolves the identity, or the mixed projector it follows
+            support = S3.identity if largest_image(sum(grams) - S3.identity, (d,)) <= EXACT_ATOL \
+                else S3.mixed3
+            assert_positive_and_complete(grams, (d,), support)
+        eff = protocol.effective_povm(tree)
+        assert_positive_and_complete(list(eff.elements.values()), (d_a, d_b), unit)
+
+
+@pytest.mark.parametrize("d_b", PARTY_CASES)
+@pytest.mark.parametrize("d_a", PARTY_CASES)
+def test_closed_form_povms_on_the_irreps(d_a, d_b):
+    unit = np.outer(S3.identity, S3.identity)
+    for eta1 in (0.0, 0.2, 0.5, 1.0):
+        p = Priors.from_eta1(eta1)
+        ordered = p if p.eta1 <= p.eta2 else p.swapped()
+        element = minerr.locc_povm_element(d_a, d_b, ordered)
+        assert_positive_and_complete(list(element.elements.values()), (d_a, d_b), unit)
+        for d in (d_a, d_a * d_b):
+            glob = minerr.optimal_global_povm(d, p)
+            assert_positive_and_complete(list(glob.elements.values()), (d,), S3.identity)
+    sep = unambiguous.separable_unamb_povm(d_a, d_b, unambiguous.SeparableCoeffs.optimal())
+    for povm, dims, whole in ((sep, (d_a, d_b), unit),
+                              (unambiguous.optimal_global_povm(d_a), (d_a,), S3.identity)):
+        assert_positive_and_complete(list(povm.elements.values()), dims, whole)
+        # the no-error products E1 sym02 and E2 sym01 are zero to the last bit
+        assert povm.no_error_leaks() == (0.0, 0.0)
+        povm.validate()

@@ -425,6 +425,20 @@ class TestBlockEngine:
                             for i in range(start, stop))
         assert _run_chunk(spec, seed, start, stop) == singles
 
+    def test_counts_at_30x30_do_not_depend_on_block_size(self, monkeypatch):
+        # the invariant factors bound a (30,30) block to 18 trials, while the
+        # prefix rows alone set the blocks at (2,2) and (3,3); one block of
+        # all 60 trials gives the same seeded counts
+        for task, blocks in (("minerr", 606), ("unamb", 442)):
+            for split in ((2, 2), (3, 3)):
+                assert make_locc_spec(task, *split, 0.3).block_trials == blocks
+        spec = make_locc_spec("minerr", 30, 30, 0.3)
+        assert spec.block_trials == 18
+        counts = _run_chunk(spec, 7, 5, 65)
+        monkeypatch.setattr(simulate, "INVARIANT_BLOCK_BYTES", 2**40)
+        assert spec.block_trials == 606
+        assert _run_chunk(spec, 7, 5, 65) == counts
+
     def test_incomplete_locc_step_aborts_the_batch(self, monkeypatch):
         # one outcome, K = 1/sqrt(2), that resolves only half the identity
         half = step(ALICE, 2, {0: S3.identity / math.sqrt(2)}, {0: Leaf(0)}, S3.identity / 2)

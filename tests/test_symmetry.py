@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import (dense_toolkit, permutation_operator, regroup_operator,
-                             split_sum_dense, state_matrix)
-from stateid.linalg import hermitian_eigenvalues
+from dense_reference import (dense_toolkit, hermitian_eigenvalues, orbit_blocks,
+                             permutation_operator, permutation_traces, regroup_operator,
+                             split_sum, split_sum_dense, state_matrix, swap_references,
+                             symmetrizer_traces)
 from stateid import checks, minerr, symmetry, unambiguous
 from stateid.symmetry import (
     RELABEL,
@@ -15,16 +16,12 @@ from stateid.symmetry import (
     build_toolkit,
     check_dim_relation,
     dimension_table,
-    orbit_blocks,
     permutation_columns,
     permutation_sum,
-    permutation_traces,
+    relabel,
     s3_adjoint,
     s3_product,
     s3_reduce,
-    split_sum,
-    swap_references,
-    symmetrizer_traces,
 )
 
 SQRT3_2 = 0.8660254037844386
@@ -289,6 +286,18 @@ def test_permutation_traces_match_dense(d, is_complex, seed):
     assert abs(s02 - np.einsum("ij,ji->", op, tk.sym02).real) <= 1e-12 * n
 
 
+@settings(max_examples=20, deadline=None)
+@given(split=st.sampled_from([(2, 2), (2, 3), (3, 2), (1, 3)]), seed=st.integers(0, 2**63))
+def test_table_algebra_matches_dense(split, seed):
+    # the product, adjoint and 1<->2 relabel of tables against the dense operators
+    w, v = np.random.default_rng(seed).standard_normal((2, 6, 6))
+    dense_w = split_sum(*split, w)
+    tol = 1e-12 * 36
+    assert np.abs(split_sum(*split, s3_product(w, v)) - dense_w @ split_sum(*split, v)).max() <= tol
+    assert np.abs(split_sum(*split, s3_adjoint(w)) - dense_w.T).max() <= tol
+    assert np.abs(split_sum(*split, relabel(w)) - swap_references(dense_w)).max() <= tol
+
+
 def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
     # the separable and overlap paths at (3,3) form their dense operators from
     # index maps and the two local toolkits only
@@ -306,7 +315,7 @@ def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
         assert checks.instance_row(checks.minerr_locc, 3, 3, eta1)["pass"]
     assert checks.instance_row(checks.unamb_separable, 3, 3)["pass"]
     povm = minerr.optimal_global_povm(9, priors)
-    assert abs(minerr.mean_success(povm, 9, priors) - minerr.max_success_global(9, priors)) < 1e-9
+    assert abs(minerr.mean_success(povm, priors) - minerr.max_success_global(9, priors)) < 1e-9
     with pytest.raises(AssertionError, match="joint toolkit"):
         build_toolkit(9)
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -7,27 +8,32 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     beta_feasibility,
+    conclusive_pair,
     global_unamb_elements,
     haar_state,
     haar_unitary,
     kron_sum,
     mixed_block_dense,
+    mixed_block_operator,
+    no_error_leaks,
     separable_unamb_elements,
     state_matrix,
+    swap_references,
 )
 from stateid import checks, unambiguous
+from stateid.linalg import spectrum
 from stateid.protocol import effective_povm
-from stateid.symmetry import build_toolkit, swap_references
+from stateid.symmetry import S3, build_toolkit, relabel
 from stateid.unambiguous import (
     SEPARABLE_CACHE_SIZE,
     SeparableCoeffs,
     UnambPovm,
     gamma_plus,
-    global_unamb_povm,
     locc_protocol,
     max_success_global,
     max_success_separable,
-    mixed_block_operator,
+    mixed_block_table,
+    optimal_global_povm,
     separable_unamb_povm,
     success_probability,
 )
@@ -48,13 +54,21 @@ def kron(*ops):
 class TestGlobalPovm:
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_valid_and_attains_closed_form(self, d):
-        povm = global_unamb_povm(d)
+        povm = optimal_global_povm(d)
         povm.validate()
-        assert abs(success_probability(povm, d) - max_success_global(d)) < 1e-10
+        assert abs(success_probability(povm) - max_success_global(d)) < 1e-10
 
     def test_quarter_at_d4(self):
         assert max_success_global(4) == 0.25
-        assert abs(success_probability(global_unamb_povm(4), 4) - 0.25) < 1e-10
+        assert abs(success_probability(optimal_global_povm(4)) - 0.25) < 1e-10
+
+    def test_success_at_the_dimensions_of_the_povm(self):
+        # the coordinates are the same at every d: the success reader takes d
+        # from the POVM, and a separate d can no longer be passed
+        for d in (2, 3, 40, 900):
+            assert abs(success_probability(optimal_global_povm(d)) - (d - 1) / (3 * d)) < 1e-12
+        with pytest.raises(TypeError):
+            success_probability(optimal_global_povm(2), 3)
 
     def test_large_d_limit(self):
         assert abs(max_success_global(300) - 1 / 3) < 2e-3
@@ -70,7 +84,7 @@ class TestGlobalPovm:
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_unitary_scalar(self, d):
-        povm = global_unamb_povm(d)
+        povm = optimal_global_povm(d)
         for _ in range(20):
             u = haar_unitary(d, RNG)
             u3 = kron(u, u, u)
@@ -78,7 +92,7 @@ class TestGlobalPovm:
                 assert np.abs(op @ u3 - u3 @ op).max() < 1e-9
 
     def test_no_error_on_haar_pairs(self):
-        povm = global_unamb_povm(2)
+        povm = optimal_global_povm(2)
         worst = 0.0
         for _ in range(200):
             phi1, phi2 = haar_state(2, RNG), haar_state(2, RNG)
@@ -90,20 +104,27 @@ class TestGlobalPovm:
         assert worst < 1e-10
 
 
+def swapped(povm):
+    """The POVM with its conclusive elements exchanged."""
+    e = povm.elements
+    return UnambPovm(povm.dims, {1: e[2], 2: e[1], 0: e[0]})
+
+
 def per_pair_no_error_defect(seed, n_pairs):
     """The per-pair haar_state/kron loop that checks.no_error does in bulk."""
     rng = np.random.default_rng(seed)
-    probes = [(d, unambiguous.global_unamb_povm(d)) for d in (2, 3)]
+    probes = [(d, unambiguous.optimal_global_povm(d)) for d in (2, 3)]
     probes.append((4, unambiguous.separable_unamb_povm(2, 2, SeparableCoeffs.optimal())))
     worst = 0.0
     for d, povm in probes:
+        e1, e2 = povm.e1, povm.e2   # each read writes the element dense
         for _ in range(n_pairs):
             phi1, phi2 = haar_state(d, rng), haar_state(d, rng)
             s2 = np.kron(np.kron(phi2, phi1), phi2)
             s1 = np.kron(np.kron(phi1, phi1), phi2)
             worst = max(worst,
-                        float((s2.conj() @ (povm.e1 @ s2)).real),
-                        float((s1.conj() @ (povm.e2 @ s1)).real))
+                        float((s2.conj() @ (e1 @ s2)).real),
+                        float((s1.conj() @ (e2 @ s1)).real))
     return worst
 
 
@@ -119,11 +140,8 @@ class TestNoErrorProbe:
         assert bulk <= 1e-10
 
     def test_bulk_probe_detects_swapped_elements(self, monkeypatch):
-        def swapped(povm):
-            return UnambPovm(dims=povm.dims, e1=povm.e2, e2=povm.e1, e0=povm.e0)
-
-        glob, sep = unambiguous.global_unamb_povm, unambiguous.separable_unamb_povm
-        monkeypatch.setattr(unambiguous, "global_unamb_povm", lambda d: swapped(glob(d)))
+        glob, sep = unambiguous.optimal_global_povm, unambiguous.separable_unamb_povm
+        monkeypatch.setattr(unambiguous, "optimal_global_povm", lambda d: swapped(glob(d)))
         monkeypatch.setattr(unambiguous, "separable_unamb_povm",
                             lambda *args: swapped(sep(*args)))
         for seed in (0, 7, 23):
@@ -135,20 +153,16 @@ class TestNoErrorProbe:
 
 class TestSuccessProbability:
     def test_zero_conclusive_elements(self):
-        n = 8
-        povm = UnambPovm((2,), np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
-        assert success_probability(povm, 2) == 0.0
+        povm = UnambPovm((2,), {1: np.zeros(6), 2: np.zeros(6), 0: S3.identity})
+        assert success_probability(povm) == 0.0
 
     def test_rejects_no_error_violation(self):
-        good = global_unamb_povm(2)
-        bad = UnambPovm(dims=good.dims, e1=good.e2, e2=good.e1, e0=good.e0)
         with pytest.raises(ValueError, match="no-error"):
-            success_probability(bad, 2)
+            success_probability(swapped(optimal_global_povm(2)))
 
     def test_validate_flags_broken_exchange_symmetry(self):
-        good = global_unamb_povm(2)
-        tweaked = UnambPovm(dims=good.dims, e1=good.e1 / 2, e2=good.e2,
-                            e0=good.e0 + good.e1 / 2)
+        e = optimal_global_povm(2).elements
+        tweaked = UnambPovm((2,), {1: e[1] / 2, 2: e[2], 0: e[0] + e[1] / 2})
         with pytest.raises(ValueError, match="exchange symmetry"):
             tweaked.validate()
 
@@ -156,15 +170,24 @@ class TestSuccessProbability:
     def test_validate_flags_a_small_leak(self, d):
         # moving 1e-9 sym3 from E0 into both conclusive elements keeps them
         # PSD, complete and exchange-symmetric; only E1 sym02 = 1e-9 sym3 and
-        # E2 sym01 = 1e-9 sym3 break, by 1e-9 at the sym3 entry <000|.|000>;
+        # E2 sym01 = 1e-9 sym3 break, by 1e-9 on the trivial irrep;
         # success_probability refuses the same leak
-        good, sym3 = global_unamb_povm(d), build_toolkit(d).sym3
-        leaky = UnambPovm(dims=good.dims, e1=good.e1 + 1e-9 * sym3, e2=good.e2 + 1e-9 * sym3,
-                          e0=good.e0 - 2e-9 * sym3)
+        e = optimal_global_povm(d).elements
+        leaky = UnambPovm((d,), {1: e[1] + 1e-9 * S3.sym3, 2: e[2] + 1e-9 * S3.sym3,
+                                 0: e[0] - 2e-9 * S3.sym3})
         with pytest.raises(ValueError, match=r"^e1 violates the no-error condition \(leak 1\.000e-09\)"):
             leaky.validate()
         with pytest.raises(ValueError, match=r"no-error condition \(leak 1\.000e-09\)"):
-            success_probability(leaky, d)
+            success_probability(leaky)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_validate_flags_a_negative_element(self, d):
+        # 1e-9 mixed3 moved from E0 into E2 alone: E0 loses positivity on the
+        # mixed subspace, where its least eigenvalue is 0
+        e = optimal_global_povm(d).elements
+        bent = UnambPovm((d,), {1: e[1], 2: e[2] + 1e-9 * S3.mixed3, 0: e[0] - 1e-9 * S3.mixed3})
+        with pytest.raises(ValueError, match=r"^element 0 is not PSD"):
+            bent.validate()
 
 
 class TestFeasibility:
@@ -189,6 +212,7 @@ class TestFeasibility:
     def test_gamma_matches_assembled_block(self, b1, b2, da, db):
         top = np.linalg.eigvalsh(mixed_block_operator(da, db, b1, b2)).max()
         assert abs(gamma_plus(b1, b2) - top) < 1e-9
+        assert abs(spectrum(mixed_block_table(b1, b2), (da, db))[0].max() - top) < 1e-12
 
 
 class TestSeparableCoeffs:
@@ -215,21 +239,21 @@ class TestSeparablePovm:
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
         povm.validate()
         assert np.linalg.eigvalsh(povm.e0).min() > -1e-10
-        assert abs(success_probability(povm, 4) - P_SEP_22) < 1e-10
+        assert abs(success_probability(povm) - P_SEP_22) < 1e-10
 
     def test_zero_coefficients(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs(0, 0, 0, 0, 0, 0))
         assert np.abs(povm.e1).max() == 0.0
         assert np.abs(povm.e0 - np.eye(64)).max() < 1e-12
-        assert success_probability(povm, 4) == 0.0
+        assert success_probability(povm) == 0.0
 
     def test_cached_and_read_only(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
         assert separable_unamb_povm(2, 2, SeparableCoeffs.optimal()) is povm
         assert separable_unamb_povm.cache_info().maxsize == SEPARABLE_CACHE_SIZE
-        for op in (povm.e1, povm.e2, povm.e0):
+        for table in povm.elements.values():
             with pytest.raises(ValueError):
-                op[0, 0] = 1.0
+                table[0, 0] = 1.0
 
     def test_coefficients_key_the_cache(self):
         optimal = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
@@ -240,10 +264,13 @@ class TestSeparablePovm:
 
     @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
     def test_index_map_swap_equals_dense(self, da, db):
+        # exact in the tables; the dense elements each write within rounding
         povm = separable_unamb_povm(da, db, SeparableCoeffs.optimal())
+        assert np.array_equal(povm.elements[2], relabel(povm.elements[1]))
+        assert np.array_equal(povm.elements[0], relabel(povm.elements[0]))
         t12 = build_toolkit(da * db).swap12
-        assert np.array_equal(povm.e2, t12 @ povm.e1 @ t12)
-        assert np.array_equal(povm.e0, t12 @ povm.e0 @ t12)
+        assert np.abs(povm.e2 - t12 @ povm.e1 @ t12).max() <= 1e-15
+        assert np.abs(povm.e0 - t12 @ povm.e0 @ t12).max() <= 1e-15
 
     @settings(max_examples=15, deadline=None)
     @given(split=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
@@ -251,13 +278,17 @@ class TestSeparablePovm:
            betas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
                lambda b: gamma_plus(*b) <= 1.0))
     def test_exchange_symmetry_is_exact(self, split, alphas, betas):
-        # e0 = 1 - (e1 + e2) is invariant under the 1<->2 swap to the last bit
+        # e2 is e1's relabel, and e0 = 1 - (e1 + e2) invariant under it, to
+        # the last bit in the tables; the dense elements within rounding
         da, db = split
         povm = separable_unamb_povm.__wrapped__(da, db, SeparableCoeffs(*alphas, *betas))
+        e = povm.elements
+        assert np.array_equal(e[2], relabel(e[1])) and np.array_equal(e[0], relabel(e[0]))
+        assert povm.no_error_leaks() == (0.0, 0.0)
         t12 = build_toolkit(da * db).swap12 if da * db < 9 else None
         for lhs, op in ((povm.e2, povm.e1), (povm.e0, povm.e0)):
-            swapped = t12 @ op @ t12 if t12 is not None else swap_references(op)
-            assert np.array_equal(lhs, swapped)
+            moved = t12 @ op @ t12 if t12 is not None else swap_references(op)
+            assert np.abs(lhs - moved).max() <= 1e-15
 
     def test_unitary_scalar_separable(self):
         povm = separable_unamb_povm(2, 2, SeparableCoeffs.optimal())
@@ -273,7 +304,7 @@ class TestSeparablePovm:
     ])
     def test_attains_closed_form(self, da, db, expected):
         povm = separable_unamb_povm(da, db, SeparableCoeffs.optimal())
-        assert abs(success_probability(povm, da * db) - expected) < 1e-10
+        assert abs(success_probability(povm) - expected) < 1e-10
         assert abs(max_success_separable(da, db) - expected) < 1e-12
 
 
@@ -313,14 +344,24 @@ SPLITS = ((2, 2), (2, 3), (3, 2), (3, 3))
 INTERIOR = SeparableCoeffs(0.3, 0.5, 0.1, 0.6, 0.4, 0.2)
 
 
+def assert_dense_route_agrees(povm):
+    """The dense route's conclusive pair, E2 antisymmetrized through T01's
+    index map and E1 its reference swap, has exactly zero no-error products
+    and lies within rounding of the elements written from the POVM."""
+    e1, e2 = conclusive_pair(math.prod(povm.dims), povm.e2)
+    assert no_error_leaks(e1, e2) == (0.0, 0.0)
+    assert max(np.abs(e1 - povm.e1).max(), np.abs(e2 - povm.e2).max()) <= 1e-15
+
+
 class TestCoordinatesMatchDenseProducts:
     """The elements written from S3 coordinates against the dense toolkit
-    products they replace, and the exact no-error products those gave."""
+    products they replace, and their exact no-error products on the irreps."""
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_global(self, d):
-        povm = global_unamb_povm(d)
-        assert unambiguous._no_error_leaks(povm.e1, povm.e2) == (0.0, 0.0)
+        povm = optimal_global_povm(d)
+        assert povm.no_error_leaks() == (0.0, 0.0)
+        assert_dense_route_agrees(povm)
         for got, ref in zip((povm.e1, povm.e2, povm.e0), global_unamb_elements(d), strict=True):
             assert np.abs(got - ref).max() <= 1e-15
 
@@ -328,7 +369,8 @@ class TestCoordinatesMatchDenseProducts:
     @pytest.mark.parametrize("da,db", SPLITS)
     def test_separable(self, da, db, coeffs):
         povm = separable_unamb_povm.__wrapped__(da, db, coeffs)
-        assert unambiguous._no_error_leaks(povm.e1, povm.e2) == (0.0, 0.0)
+        assert povm.no_error_leaks() == (0.0, 0.0)
+        assert_dense_route_agrees(povm)
         for got, ref in zip((povm.e1, povm.e2, povm.e0), separable_unamb_elements(da, db, coeffs),
                             strict=True):
             assert np.abs(got - ref).max() <= 1e-15
