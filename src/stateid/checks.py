@@ -114,14 +114,13 @@ def minerr_dual_route(d: int, eta1: float) -> tuple[float, float]:
 @_register("locc_overlap_vs_global_overlap", "minerr_locc_equality_grid",
            tuple(s + (eta1,) for s in SPLITS for eta1 in (0.1, 0.3, 0.5)), 1e-9)
 def minerr_locc(d_a: int, d_b: int, eta1: float) -> tuple[float, float]:
-    """tr[P+ G] of the global positive-part projector P+, the sum of G's positive
-    eigenvalues, and tr[E1*G] of the separable element."""
+    """The success probability of the global positive-part projector, from the
+    sum of G's positive eigenvalues, and that of the separable element."""
     priors = Priors.from_eta1(eta1)
     # the separable construction follows the eta1 <= eta2 convention
     ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-    element = minerr.locc_povm_element(d_a, d_b, ordered).elements[1]
-    return (minerr.positive_gain(d_a * d_b, ordered),
-            minerr.gain_overlap(element, (d_a, d_b), ordered))
+    separable = minerr.mean_success(minerr.locc_povm_element(d_a, d_b, ordered), ordered)
+    return minerr.max_success_eigenvalue_route(d_a * d_b, ordered), separable
 
 
 @_register("global_success_vs_closed", "unamb_global_grid", DIMS, 1e-10)
@@ -166,5 +165,6 @@ def no_error(seed: int, n_pairs: int = 1000) -> tuple[float, float]:
 
 @_register("gap_exceeds_threshold", "gap_strict_grid", SPLIT_GRID, None)
 def gap(d_a: int, d_b: int) -> tuple[float, float, bool]:
-    value = unambiguous.max_success_global(d_a * d_b) - unambiguous.max_success_separable(d_a, d_b)
+    separable = unambiguous.max_success_separable(d_a, d_b)
+    value = unambiguous.max_success_global(d_a * d_b) - separable
     return GAP_THRESHOLD, value, value > GAP_THRESHOLD

@@ -14,9 +14,13 @@ Reports carry one row per check with the analytic value, the oracle value,
 their absolute difference and a pass flag; exit code 0 means every check
 passed, 1 means some check failed, 2 means a usage error (a bad flag, a
 report that cannot be written to --out or stdout, or a simulation that does
-not fit in memory).  Every oracle reads spectra and traces on the irreps of
-S3 (linalg), so minerr and unamb form no dense operator at any dimension;
-verify-all writes dense only the elements its Haar probe samples, at d <= 4.
+not fit in memory).  The CLI checks only which flags go together, --seed
+and --out; a value out of range is refused by the library's rule for it
+(symmetry.check_dims, minerr.Priors, simulate.check_batch) before any work,
+and its text is the one stderr line of the usage error.  Every oracle reads
+spectra and traces on the irreps of S3 (linalg), so minerr and unamb form
+no dense operator at any dimension; verify-all writes dense only the
+elements its Haar probe samples, at d <= 4.
 Reports are deterministic for a fixed seed and config (independent of
 --workers).
 """
@@ -35,8 +39,8 @@ import sys
 from . import checks, minerr, unambiguous
 from .linalg import spectrum
 from .minerr import Priors
-from .simulate import MIN_FORK_CHUNK, GlobalTrialSpec, LoccTrialSpec, run_batch
-from .symmetry import dimension_table
+from .simulate import MIN_FORK_CHUNK, GlobalTrialSpec, LoccTrialSpec, check_batch, run_batch
+from .symmetry import check_dims, dimension_table
 
 MC_SIGMA_GATE = 4.0
 
@@ -307,9 +311,11 @@ def _out_problem(path: str) -> str | None:
 def _validate(parser: argparse.ArgumentParser, args) -> str | None:
     """Check the flags before any work.
 
-    A bad flag combination or range exits through parser.error.  A negative
-    --seed or an --out path that cannot be written is returned as a one-line
-    message, which main reports as a usage error.
+    A bad flag combination exits through parser.error.  A negative --seed, an
+    --out path that cannot be written, or a value the library's rules refuse
+    (symmetry.check_dims, minerr.Priors, simulate.check_batch) is returned as
+    a one-line message, the rule's own text, which main reports as a usage
+    error.
     """
     if getattr(args, "seed", 0) < 0:
         return f"--seed must be >= 0, got {args.seed}"
@@ -323,19 +329,16 @@ def _validate(parser: argparse.ArgumentParser, args) -> str | None:
         parser.error("give either --d or both --da and --db")
     if has_split and (args.da is None or args.db is None):
         parser.error("--da and --db must be given together")
-    if has_d and args.d < 2:
-        parser.error(f"--d must be >= 2, got {args.d}")
-    if has_split and (args.da < 2 or args.db < 2):
-        parser.error(f"--da/--db must be >= 2, got ({args.da}, {args.db})")
-    if not 0.0 <= getattr(args, "eta1", 0.5) <= 1.0:  # also rejects nan
-        parser.error(f"--eta1 must be a number in [0, 1], got {args.eta1}")
     if getattr(args, "locc", False) and not has_split:
         parser.error("--locc needs --da and --db")
-    if getattr(args, "simulate", False):
-        if args.n < 1:
-            parser.error(f"--n must be >= 1, got {args.n}")
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
+    try:
+        check_dims((args.d,) if has_d else (args.da, args.db))
+        if hasattr(args, "eta1"):
+            Priors.from_eta1(args.eta1)
+        if getattr(args, "simulate", False):
+            check_batch(args.n, args.workers)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 

@@ -23,8 +23,8 @@ No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
 Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
 eigenvalues lambda+- on the mixed subspace, so every projector is a closed
 form in the coordinates of symmetry.S3 (_local_projectors).  Only the oracle
-route (positive_gain) solves for G's eigenvalues, on the irreps of S3
-(linalg.spectrum), and traces are read there too (gain_overlap).
+route (max_success_eigenvalue_route) solves for G's eigenvalues, on the
+irreps of S3 (linalg.spectrum), and traces are read there too (gain_overlap).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .linalg import spectrum, trace
 from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import S3, dimension_table, joint, relabel, s3_product
+from .symmetry import S3, check_dims, dimension_table, joint, relabel, s3_product
 
 PRIOR_ATOL = 1e-12
 
@@ -68,6 +68,12 @@ class Priors:
     def swapped(self) -> "Priors":
         return Priors(self.eta2, self.eta1)
 
+    @property
+    def certain(self) -> int | None:
+        """The label a zero prior makes certain (2 when eta1 = 0, 1 when eta2 =
+        0), which is guessed without a measurement; None for interior priors."""
+        return 2 if self.eta1 == 0.0 else 1 if self.eta2 == 0.0 else None
+
 
 EQUAL_PRIORS = Priors(0.5, 0.5)
 
@@ -96,8 +102,7 @@ def gain_eigenvalues_mixed(priors: Priors) -> tuple[float, float]:
 
 def max_success_global(d: int, priors: Priors) -> float:
     """Closed-form optimal mean success probability of the global scheme."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    check_dims((d,))
     return (
         0.5
         + (d + 2) / (6 * d) * abs(priors.diff)
@@ -105,17 +110,12 @@ def max_success_global(d: int, priors: Priors) -> float:
     )
 
 
-def positive_gain(d: int, priors: Priors) -> float:
-    """tr[P+ G] for the projector P+ onto G's positive part: the sum of the
-    gain operator's positive eigenvalues, with their multiplicities, solved
-    on the irreps of S3."""
-    w, m = spectrum(gain(priors), (d,))
-    return float(m[w > 0] @ w[w > 0])
-
-
 def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
-    """Oracle route: eta2 + (sum of positive gain eigenvalues) / (d1*d2)."""
-    return priors.eta2 + positive_gain(d, priors) / (d * dimension_table(d).sym2)
+    """Oracle route: eta2 + tr[P+ G] / (d1*d2) for the projector P+ onto G's
+    positive part, tr[P+ G] the sum of G's positive eigenvalues, with their
+    multiplicities, solved on the irreps of S3."""
+    w, m = spectrum(gain(priors), (d,))
+    return priors.eta2 + float(m[w > 0] @ w[w > 0]) / (d * dimension_table(d).sym2)
 
 
 def mean_success(povm: Povm, priors: Priors) -> float:
@@ -137,19 +137,12 @@ def optimal_global_povm(d: int, priors: Priors) -> Povm:
     eta2.  Degenerate priors (eta1 in {0, 1}) reduce to always guessing the
     more likely label: E1 is 0 or the identity.
     """
-    if priors.eta1 == 0.0:
-        c = np.zeros(6)
-    elif priors.eta2 == 0.0:
-        c = S3.identity
+    if priors.certain:
+        c = S3.identity if priors.certain == 1 else np.zeros(6)
     else:
         pp = _local_projectors(priors)[0]
         c = pp + S3.sym3 if priors.eta1 > priors.eta2 else pp
     return Povm((d,), {1: c, 2: S3.identity - c})
-
-
-def _is_degenerate(priors: Priors) -> bool:
-    """One label is certain (eta1 in {0, 1}): guessing it needs no measurement."""
-    return min(priors.eta1, priors.eta2) == 0.0
 
 
 def _rotation_angle(priors: Priors) -> float:
@@ -190,10 +183,8 @@ def locc_table(priors: Priors) -> np.ndarray:
     the 1<->2 relabel of 1 - E1 at the swapped priors, as locc_protocol
     builds it.  Degenerate priors give E1 = 0 or the identity."""
     unit = np.outer(S3.identity, S3.identity)
-    if priors.eta1 == 0.0:
-        return np.zeros((6, 6))
-    if priors.eta2 == 0.0:
-        return unit
+    if priors.certain:
+        return unit if priors.certain == 1 else np.zeros((6, 6))
     if priors.eta1 > priors.eta2:
         return relabel(unit - locc_table(priors.swapped()))
     pp, pm, qp, qm = _local_projectors(priors)
@@ -206,7 +197,7 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
     matches the global projector's exactly.  Raises for eta1 > eta2 unless
     one prior is 0, where E1 = 0 or 1 is the global optimum, separable as it
     stands."""
-    if priors.eta1 > priors.eta2 and not _is_degenerate(priors):
+    if priors.eta1 > priors.eta2 and not priors.certain:
         raise ValueError(
             "separable construction assumes eta1 <= eta2; swap labels first "
             "(locc_protocol does this automatically)"
@@ -233,8 +224,8 @@ def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
     signed projectors are not).  Degenerate priors give the one-leaf tree that
     answers the certain label without measuring.
     """
-    if _is_degenerate(priors):
-        return LoccProtocol(d_a=d_a, d_b=d_b, root=Leaf(1 if priors.eta2 == 0.0 else 2))
+    if priors.certain:
+        return LoccProtocol(d_a=d_a, d_b=d_b, root=Leaf(priors.certain))
     swap = priors.eta1 > priors.eta2
     p = priors.swapped() if swap else priors
     one, two = (Leaf(2), Leaf(1)) if swap else (Leaf(1), Leaf(2))

@@ -4,8 +4,9 @@ the global POVMs and the flattened LOCC trees.
 Every measurement of the schemes commutes with U^x3, so each element is a
 combination of the permutation operators: six coordinates on the P_pi of
 (C^d)^x3, or on a d_a*d_b split a 6 x 6 table on the P_pi^A (x) P_sigma^B.
-A Povm holds its elements so, and is checked complete in them when it is
-made, by the rule that also checks each protocol step (check_complete).
+A Povm holds its elements so, and is checked when it is made: its dims by
+symmetry.check_dims, and completeness in its elements, by the rule that
+also checks each protocol step (check_complete).
 Dense matrices are written only on request (Povm.element); the oracles read
 the elements as they are held, spectra and traces on the irreps of S3
 (linalg), at every dimension.
@@ -19,7 +20,7 @@ from typing import Hashable
 import numpy as np
 
 from .linalg import max_abs
-from .symmetry import _scatter, permutation_columns, s3_reduce
+from .symmetry import _scatter, check_dims, permutation_columns, s3_reduce
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -48,6 +49,7 @@ class Povm:
     elements: dict[Hashable, np.ndarray]
 
     def __post_init__(self) -> None:
+        check_dims(self.dims)
         shape = (6,) * len(self.dims)
         for label, c in self.elements.items():
             if np.shape(c) != shape:

@@ -2,7 +2,8 @@
 
 A protocol node holds one party's local measurement and a child per outcome;
 leaves carry the final label (1 or 2 for the two identification answers, 0
-for inconclusive).
+for inconclusive).  A protocol's split passes symmetry.check_dims when the
+protocol is made.
 
 Operators never leave their party's space, and each is given by its six
 real coordinates on the party's permutation operators P_pi (symmetry.S3): a
@@ -23,7 +24,7 @@ from typing import Hashable, Iterator, Mapping, Union
 import numpy as np
 
 from .povm import Povm, check_complete
-from .symmetry import S3, s3_adjoint, s3_product, s3_reduce
+from .symmetry import S3, check_dims, s3_adjoint, s3_product, s3_reduce
 
 ALICE = "alice"
 BOB = "bob"
@@ -80,11 +81,15 @@ def step(party: str, d: int, kraus: dict, children: dict,
 
 @dataclass(frozen=True)
 class LoccProtocol:
-    """A measurement tree over the party-major split space (see module doc)."""
+    """A measurement tree over the party-major split space (see module doc),
+    on a split that symmetry.check_dims accepts."""
 
     d_a: int
     d_b: int
     root: Union[MeasurementStep, Leaf]
+
+    def __post_init__(self) -> None:
+        check_dims((self.d_a, self.d_b))
 
 
 def path_prefixes(protocol: LoccProtocol) -> Iterator[tuple]:

@@ -60,6 +60,7 @@ import math
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -575,6 +576,14 @@ def chunk_bounds(n: int, workers: int) -> list[int]:
     return [n * k // chunks for k in range(chunks + 1)]
 
 
+def check_batch(n: int, workers: int) -> None:
+    """The one batch rule: n trials and workers, each an integer >= 1;
+    otherwise ValueError, with one text."""
+    if not all(isinstance(k, Integral) and k >= 1 for k in (n, workers)):
+        raise ValueError(f"a batch needs n >= 1 trials and workers >= 1, each an integer, "
+                         f"got n={n!r}, workers={workers!r}")
+
+
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
               target: float | None = None) -> BatchStats:
     """Run n independent trials; results do not depend on the worker count.
@@ -591,10 +600,7 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
     worker's exception is raised in the caller, and every pipe is closed and
     every process reaped before run_batch returns.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    check_batch(n, workers)
     bounds = chunk_bounds(n, workers)
     procs, pipes = [], []
     try:

@@ -34,6 +34,12 @@ writes the operators of S3 dense under their names.  The index of a basis
 vector is the mixed-radix number over the tensor factors, most significant
 first; a split's joint space is system-major, (0a, 0b, 1a, 1b, 2a, 2b), and
 only permutation_columns reads that layout.
+
+The schemes are defined for local dimensions of at least 2, and one rule
+says so (check_dims): dims is (d,) or (d_a, d_b), each an integer >= 2.
+dimension_table, povm.Povm, protocol.LoccProtocol, bipartite_toolkit and
+the three closed forms call it, and every other entry point reaches one of
+them before any work, so each refuses a bad dimension with its one text.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
+from numbers import Integral
 
 import numpy as np
 
@@ -97,9 +104,17 @@ class DimensionTable:
         return self.d**3
 
 
+def check_dims(dims: tuple) -> None:
+    """The one dimension rule: dims is (d,) or a split (d_a, d_b), each local
+    dimension an integer >= 2; otherwise ValueError, with one text."""
+    if not (isinstance(dims, tuple) and len(dims) in (1, 2)
+            and all(isinstance(d, Integral) and d >= 2 for d in dims)):
+        raise ValueError(f"dimensions must be (d,) or (d_a, d_b), each an integer >= 2, "
+                         f"got {dims!r}")
+
+
 def dimension_table(d: int) -> DimensionTable:
-    if d < 1:
-        raise ValueError(f"local dimension must be >= 1, got {d}")
+    check_dims((d,))
     sym3 = comb(d + 2, 3)
     antisym3 = comb(d, 3)
     return DimensionTable(
@@ -286,18 +301,13 @@ def permutation_sum(d: int, c) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _toolkit(d: int) -> SymmetryToolkit:
+def build_toolkit(d: int) -> SymmetryToolkit:
+    """Cached symmetry toolkit on (C^d)^x3."""
+    dims = dimension_table(d)
     names = [f.name for f in fields(SymmetryToolkit)[2:]]
     ops = permutation_sum(d, np.array([getattr(S3, name) for name in names]))
     _freeze(ops)
-    return SymmetryToolkit(d, dimension_table(d), *ops)
-
-
-def build_toolkit(d: int) -> SymmetryToolkit:
-    """Cached symmetry toolkit on (C^d)^x3; rejects d < 2."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    return _toolkit(d)
+    return SymmetryToolkit(d, dims, *ops)
 
 
 @dataclass(frozen=True)
@@ -315,11 +325,6 @@ class BipartiteToolkit:
 
 @lru_cache(maxsize=None)
 def bipartite_toolkit(d_a: int, d_b: int) -> BipartiteToolkit:
-    """The d_a*d_b split.
-
-    A trivial party with local dimension 1 is allowed as long as the other
-    side is at least 2.
-    """
-    if d_a < 1 or d_b < 1 or d_a * d_b < 2:
-        raise ValueError(f"invalid split ({d_a}, {d_b}); need d_a*d_b >= 2")
+    """The d_a*d_b split, by check_dims."""
+    check_dims((d_a, d_b))
     return BipartiteToolkit(d_a=d_a, d_b=d_b)

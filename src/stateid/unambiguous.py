@@ -37,7 +37,7 @@ import numpy as np
 from .linalg import PSD_EIG_FLOOR, largest_image, spectrum, trace
 from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import S3, dimension_table, joint, relabel, s3_product
+from .symmetry import S3, check_dims, dimension_table, joint, relabel, s3_product
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
@@ -105,8 +105,7 @@ def success_probability(povm: UnambPovm) -> float:
 
 def max_success_global(d: int) -> float:
     """Closed-form optimum of the global unambiguous scheme."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    check_dims((d,))
     return (d - 1) / (3 * d)
 
 
@@ -203,8 +202,7 @@ def separable_unamb_povm(d_a: int, d_b: int, coeffs: SeparableCoeffs) -> UnambPo
 
 def max_success_separable(d_a: int, d_b: int) -> float:
     """Closed-form optimum over separable (hence over LOCC) schemes."""
-    if d_a < 2 or d_b < 2:
-        raise ValueError(f"both local dimensions must be >= 2, got ({d_a}, {d_b})")
+    check_dims((d_a, d_b))
     da2, db2 = d_a * d_a, d_b * d_b
     d = d_a * d_b
     return (11 * da2 * db2 + da2 + db2 - 13) / (36 * d * (d + 1))

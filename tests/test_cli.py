@@ -1,18 +1,23 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stateid import checks, cli
 from stateid.cli import main
 from stateid.minerr import Priors, max_success_global
+from stateid.simulate import check_batch
+from stateid.symmetry import check_dims
+
+DIMS_TEXT = "dimensions must be (d,) or (d_a, d_b), each an integer >= 2"
 
 
 def run_cli(capsys, *argv):
@@ -52,9 +57,8 @@ class TestDims:
                          "split_dimension_identity"]
 
     def test_rejects_d1(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["dims", "--d", "1"])
-        assert err.value.code == 2
+        assert main(["dims", "--d", "1"]) == 2
+        assert capsys.readouterr().err == f"stateid: error: {DIMS_TEXT}, got (1,)\n"
 
     def test_requires_some_dimension(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -101,15 +105,15 @@ class TestMinerr:
         assert err.value.code == 2
 
     def test_eta_out_of_range(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["minerr", "--d", "2", "--eta1", "1.5"])
-        assert err.value.code == 2
+        assert main(["minerr", "--d", "2", "--eta1", "1.5"]) == 2
+        assert capsys.readouterr().err == ("stateid: error: priors must be nonnegative, "
+                                           "got (1.5, -0.5)\n")
 
     @pytest.mark.parametrize("eta1", ("nan", "inf", "-inf"))
     def test_eta_not_finite(self, capsys, eta1):
-        with pytest.raises(SystemExit) as err:
-            main(["minerr", "--d", "2", "--eta1", eta1])
-        assert err.value.code == 2
+        assert main(["minerr", "--d", "2", f"--eta1={eta1}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stateid: error: priors must be finite, got (") and err.count("\n") == 1
 
     def test_simulation_gate_on_exact_result(self, capsys):
         # a certain prior makes every trial succeed: p_hat is exactly 1 while
@@ -152,15 +156,17 @@ class TestMinerr:
         assert all(row["pass"] for row in report["checks"])
 
     def test_locc_overlap_at_a_tiny_prior(self, capsys):
-        # both sides of tr[E1 G] equal (p_max - eta2) D D(D+1)/2 = 1.5e-11 at D = 4
+        # both sides exceed eta2 by p_max - eta2 = 3.75e-13, which the row resolves
+        # (the report rounds its values to 12 digits)
         code, report = run_json(capsys, "minerr", "--da", "2", "--db", "2", "--eta1", "1e-12",
                                 "--locc")
         assert code == 0
+        assert all(row["pass"] for row in report["checks"])
         priors = Priors.from_eta1(1e-12)
-        expected = (max_success_global(4, priors) - priors.eta2) * 4 * 10
-        row = next(r for r in report["checks"] if r["name"] == "locc_overlap_vs_global_overlap")
+        expected = max_success_global(4, priors) - priors.eta2
+        row = checks.instance_row(checks.minerr_locc, 2, 2, 1e-12)
         for side in (row["analytic"], row["oracle"]):
-            assert abs(side - expected) <= 0.01 * expected
+            assert abs(side - priors.eta2 - expected) <= 0.01 * expected
 
 
 def test_memory_error_is_a_usage_error(capsys, monkeypatch):
@@ -176,39 +182,80 @@ def test_memory_error_is_a_usage_error(capsys, monkeypatch):
 
 
 EDGE_ETA1 = (st.floats(0.0, 1e-15) | st.floats(1.0 - 1e-15, 1.0) | st.just(5e-324))
+BAD_PARTY = st.integers(-3, 1)
+BAD_ETA1 = (st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-10.0, -5e-324)
+            | st.floats(math.nextafter(1.0, 2.0), 10.0))
+BAD_COUNT = st.integers(-3, 0)
+
+
+def rule_text(rule, *args) -> str:
+    """The ValueError text of a library rule for args."""
+    with pytest.raises(ValueError) as err:
+        rule(*args)
+    return str(err.value)
 
 
 @st.composite
-def cli_calls(draw):
-    """minerr or unamb argv over the CLI's own domain: --d up to 40 and splits
-    up to (6,6), whose checks read no dense operator, priors at both edges and
-    subnormal, with or without --locc and a small simulation."""
+def cli_calls(draw, refused: bool = False):
+    """(argv, text): minerr or unamb argv over the CLI's own domain, --d up to
+    40 and splits up to (6,6), whose checks read no dense operator, priors at
+    both edges and subnormal, with or without --locc and a small simulation,
+    and text None; or, if refused, the same with one value that a library
+    rule refuses (a local dimension, --eta1, --n or --workers), and text that
+    rule's message.  A non-integer dimension is argparse's own error, so none
+    is drawn."""
     command = draw(st.sampled_from(["minerr", "unamb"]))
-    argv = [command]
+    bad = draw(st.sampled_from(["dims", "batch"] + (["priors"] if command == "minerr" else []))
+               if refused else st.none())
     if draw(st.booleans()):
-        argv += ["--d", str(draw(st.integers(2, 40)))]
+        dims = (draw(BAD_PARTY if bad == "dims" else st.integers(2, 40)),)
+        argv = [command, f"--d={dims[0]}"]
     else:
-        argv += ["--da", str(draw(st.integers(2, 6))), "--db", str(draw(st.integers(2, 6)))]
+        dims = (draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+        if bad == "dims":
+            dims = draw(st.sampled_from([(draw(BAD_PARTY), dims[1]), (dims[0], draw(BAD_PARTY)),
+                                         (draw(BAD_PARTY), draw(BAD_PARTY))]))
+        argv = [command, f"--da={dims[0]}", f"--db={dims[1]}"]
+    text = rule_text(check_dims, dims) if bad == "dims" else None
     if command == "minerr":
-        argv += ["--eta1", repr(draw(EDGE_ETA1))]
-        if draw(st.booleans()):
+        eta1 = draw(BAD_ETA1 if bad == "priors" else EDGE_ETA1)
+        argv.append(f"--eta1={eta1!r}")
+        if bad == "priors":
+            text = rule_text(Priors.from_eta1, eta1)
+        if len(dims) == 2 and draw(st.booleans()):
             argv.append("--locc")
-    if draw(st.booleans()):
-        argv += ["--simulate", "--n", str(draw(st.integers(1, 300))), "--seed", "7"]
-    return argv
+    if bad == "batch" or draw(st.booleans()):
+        n, workers = draw(st.integers(1, 300)), 1
+        if bad == "batch":
+            n, workers = draw(st.sampled_from([(draw(BAD_COUNT), 1), (n, draw(BAD_COUNT))]))
+            text = rule_text(check_batch, n, workers)
+        argv += ["--simulate", f"--n={n}", "--seed=7", f"--workers={workers}"]
+    return argv, text
+
+
+def run_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(argv=cli_calls())
-def test_cli_domain_gives_an_answer_or_a_usage_error(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse's own usage errors
-            code = exc.code
-    assert code in (0, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
+@example(call=(["minerr", "--da=30", "--db=30", "--eta1=0.3", "--locc"], None))
+@given(call=cli_calls())
+def test_cli_domain_gives_an_answer_or_a_usage_error(call):
+    # every call in the domain answers, with every check passed
+    code, out, err = run_quietly(call[0])
+    assert (code, err) == (0, ""), call[0]
+    assert "all checks passed" in out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(call=cli_calls(refused=True))
+def test_cli_refuses_a_bad_value_with_the_rule_text(call):
+    # exit 2 before any work, with the library rule's text on one stderr line
+    argv, text = call
+    assert run_quietly(argv) == (2, "", f"stateid: error: {text}\n"), argv
 
 
 class TestUnamb:

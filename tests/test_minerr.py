@@ -55,6 +55,12 @@ class TestPriors:
         assert (p.eta1, p.eta2) == (0.3, 0.7)
         assert p.swapped() == Priors(0.7, 0.3)
 
+    @pytest.mark.parametrize("eta1, label", [
+        (0.0, 2), (1.0, 1), (1e-320, None), (1e-9, None), (0.5, None), (1 - 1e-16, None)])
+    def test_certain_label(self, eta1, label):
+        # only a prior of exactly 0 makes the other label certain
+        assert Priors.from_eta1(eta1).certain == label
+
 
 class TestGainOperator:
     @pytest.mark.parametrize("d", (2, 3))

@@ -689,7 +689,8 @@ class TestRunBatch:
     def test_rejects_fewer_than_one_worker(self, monkeypatch, workers):
         starts = []
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", starts.append)
-        with pytest.raises(ValueError, match=rf"worker.*got {workers}$"):
+        with pytest.raises(ValueError, match=rf"^a batch needs n >= 1 trials and workers >= 1, "
+                           rf"each an integer, got n=10, workers={workers}$"):
             run_batch(block_spec("minerr-0.5-2-2"), 10, 7, workers=workers)
         assert starts == []
 

@@ -225,14 +225,13 @@ class TestBipartite:
         assert np.isclose(vec.conj() @ split_sum(da, db, table) @ vec,
                           np.einsum("ij,ik,jl,kl->", psi.conj(), a, b, psi), rtol=1e-12)
 
-    def test_trivial_party_allowed(self):
-        bt = bipartite_toolkit(1, 2)
-        assert bt.d == 2
-        assert dimension_table(bt.d_a).sym3 == 1
-        assert dimension_table(bt.d_a).mixed3 == 0
-        # a one-dimensional Alice has every P_k = 1, so her coordinates only sum
-        c = np.random.default_rng(12).standard_normal(6)
-        assert np.array_equal(split_sum(1, 2, np.outer(S3.identity, c)), permutation_sum(2, c))
+    def test_trivial_party_refused(self):
+        # no scheme uses a party of dimension 1: the split is refused by the
+        # one dimension rule, although the index maps still write it
+        for split in ((1, 2), (2, 1), (0, 4), (2, 2.5)):
+            with pytest.raises(ValueError, match=r"^dimensions must be \(d,\) or \(d_a, d_b\), "
+                               rf"each an integer >= 2, got \({split[0]}, {split[1]}\)$"):
+                bipartite_toolkit(*split)
         assert np.array_equal(permutation_columns(1, 2),
                               np.broadcast_to(permutation_columns(2), (6, 6, 8)))
 
@@ -301,14 +300,14 @@ def test_table_algebra_matches_dense(split, seed):
 def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
     # the separable and overlap paths at (3,3) form their dense operators from
     # index maps and the two local toolkits only
-    local = symmetry._toolkit
+    local = symmetry.build_toolkit
 
     def small_only(d):
         if d >= 4:
             raise AssertionError(f"joint toolkit built at d = {d}")
         return local(d)
 
-    monkeypatch.setattr(symmetry, "_toolkit", small_only)
+    monkeypatch.setattr(symmetry, "build_toolkit", small_only)
     unambiguous.separable_unamb_povm.cache_clear()
     priors = minerr.Priors.from_eta1(0.3)
     for eta1 in (0.1, 0.3, 0.5):
@@ -317,7 +316,7 @@ def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
     povm = minerr.optimal_global_povm(9, priors)
     assert abs(minerr.mean_success(povm, priors) - minerr.max_success_global(9, priors)) < 1e-9
     with pytest.raises(AssertionError, match="joint toolkit"):
-        build_toolkit(9)
+        symmetry.build_toolkit(9)
 
 
 # --- the group algebra of the P_k, against dense permutation operators ------
