@@ -2,32 +2,30 @@
 
 A trial draws the true label from the priors and both reference states from
 the unitary-invariant (Haar) distribution, and samples outcomes with the exact
-Born probabilities of its product state: in one shot for a global POVM, or a
-level at a time down an LOCC tree.  Trials run in blocks: each trial draws its
-own variates, and the block does the rest on stacked arrays.
+Born probabilities of its product state a step at a time down a tree; a global
+POVM is the tree of one step.  Trials run in blocks: each trial draws its own
+variates, and the block does the rest on stacked arrays.
 
-Neither kind of block forms a product state.  A label-L trial's state psi =
-phi_L (x) phi_1 (x) phi_2 has <psi| P_pi |psi> = 1 for the identity and for
-the swap of the two systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for
-the other four of the six permutation operators P_pi.  A global POVM holds
-each element as its coordinates on the P_pi (povm.Povm), so GlobalTrialSpec
-reads from them, when it is made, each element's probability on each label
-as a + b s, and a block needs one overlap per trial.
-
-An LOCC block evolves no state either.  A trial follows the path to a node
-(a prefix of the tree) with probability <psi| A^dag A (x) B^dag B |psi>, for
-Alice's and Bob's Kraus products A and B on the path.  Both lie in the real
-span of their party's six P_pi, so the probability is sum c_pi e_sigma
-f(pi, sigma) over the 36 invariants f(pi, sigma) = <psi| P_pi^A (x)
-P_sigma^B |psi>.  For a product of systems s with (d_a, d_b) coefficient
-matrices M_s, f is the product over the cycles (p, tau(p), ...) of tau =
-pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))} ...), with X_{s,q} =
-conj(M_s) M_q^T (local-unitary invariants as in E. Rains,
-arXiv:quant-ph/9704042).  LoccTrialSpec keeps every prefix's (c, e) from when
-it is made, as the tree's own Kraus coordinates multiply out along the path
-(protocol.path_prefixes); a block computes its invariants, every prefix
-probability in one matrix product, and samples each step from the ratios
-P(child)/P(step).
+No block forms a product state.  A trial follows the path to a node (a prefix
+of the tree) with probability <psi| E |psi> for an E in the real span of the
+permutation operators P_pi, so each spec keeps, from when it is made, a row
+of E's coordinates per prefix (weights) and the tree's steps and leaves
+(nodes).  One block body (_run_block) computes a block's invariants <psi| P
+|psi>, every prefix probability in one matrix product, and samples each step
+from the ratios P(child)/P(step); one trial body (_run_trial) reads a trial's
+transcript from the nodes.  A label-L trial's state psi = phi_L (x) phi_1 (x)
+phi_2 has <psi| P_pi |psi> = 1 for the identity and for the swap of the two
+systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for the other four P_pi
+on (C^d)^x3: a global POVM's rows are its elements' coordinates (povm.Povm),
+and a block needs one overlap per trial.  An LOCC prefix's E is A^dag A (x)
+B^dag B for Alice's and Bob's Kraus products A and B on the path, its row the
+coordinates c (x) e they multiply out to (protocol.path_prefixes), and its
+probability sum c_pi e_sigma f(pi, sigma) over the 36 invariants f(pi,
+sigma) = <psi| P_pi^A (x) P_sigma^B |psi>.  For a product of systems s with
+(d_a, d_b) coefficient matrices M_s, f is the product over the cycles (p,
+tau(p), ...) of tau = pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))}
+...), with X_{s,q} = conj(M_s) M_q^T (local-unitary invariants as in E.
+Rains, arXiv:quant-ph/9704042).
 
 Determinism contract: trial i of a batch uses the generator seeded with
 (base_seed, i), so batch results are identical for any worker count and any
@@ -70,7 +68,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .minerr import Priors
 from .povm import Povm
 from .protocol import Leaf, LoccProtocol, path_prefixes
-from .symmetry import RELABEL, S3_PERMUTATIONS
+from .symmetry import RELABEL, S3, S3_PERMUTATIONS
 
 PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
@@ -149,10 +147,8 @@ class Block(NamedTuple):
 
 def _draw(rngs: Sequence[np.random.Generator], priors: Priors, d: int,
           depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """True labels (n,), unit references (n, 2, d) and step uniforms (n, depth).
-
-    Each trial draws from its own generator in the contract order.
-    """
+    """True labels (n,), unit references (n, 2, d) and step uniforms (n,
+    depth), each trial from its own generator in the contract order."""
     n = len(rngs)
     label_u = np.empty(n)
     normals = np.empty((n, 2, 2, d))
@@ -166,78 +162,101 @@ def _draw(rngs: Sequence[np.random.Generator], priors: Priors, d: int,
     return np.where(label_u < priors.eta1, 1, 2), refs, step_u
 
 
-def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray, first_index: int,
-            party: str = "", tol: float | np.ndarray = PROB_SUM_ATOL) -> np.ndarray:
-    """Inverse-CDF element index per trial; probs is (elements, trials).
+def _run_block(spec: TrialSpec, rngs: Sequence[np.random.Generator],
+               first_index: int = 0) -> Block:
+    """The block body of both specs: trials first_index, ... from rngs in turn."""
+    labels, refs, step_u = _draw(rngs, spec.priors, spec.d, spec.depth)
+    f = spec.invariants(labels, refs)
+    probs = spec.weights @ f
+    # each prefix probability sums terms of total size |weights[k]| @ |f|,
+    # and carries a rounding error of about 1e-16 times that size
+    sizes = np.abs(spec.weights) @ np.abs(f)
+    declared = np.empty_like(labels)
+    path = np.full((len(labels), spec.depth), -1)
+    # (prefix, its trials in ascending order, level), a level at a time
+    todo = [(0, np.arange(len(labels)), 0)]
+    for k, rows, level in todo:
+        if not isinstance(spec.nodes[k], tuple):
+            declared[rows] = spec.nodes[k]
+            continue
+        party, _, children = spec.nodes[k]
+        ratios = probs[children][:, rows] / probs[k, rows]
+        cum = ratios.cumsum(axis=0)
+        # the children must sum to P(step) within PROB_SUM_ATOL times the
+        # size of its terms: in units of P(step), for the ratios
+        bad = ~(np.abs(cum[-1] - 1.0) <= PROB_SUM_ATOL * sizes[k, rows] / probs[k, rows])
+        if bad.any():   # NaN fails it too
+            j = np.flatnonzero(bad)[0]
+            raise TrialAbort(f"trial {first_index + rows[j]} at {party}: outcome probabilities "
+                             f"sum to {cum[-1, j]!r}")
+        # inverse CDF: searchsorted(cum, u, side="right") per trial, clipped to the last child
+        idx = np.minimum((cum <= step_u[rows, level]).sum(axis=0), len(children) - 1)
+        path[rows, level] = idx
+        chosen = ratios[idx, np.arange(len(rows))]
+        if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
+            j = np.flatnonzero(~(chosen >= BRANCH_PROB_FLOOR))[0]
+            raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
+                             f"{chosen[j]!r}")
+        for i, child in enumerate(children):
+            if (picked := rows[idx == i]).size:
+                todo.append((child, picked, level + 1))
+    return Block(labels, declared, path)
 
-    rows are the trials' ascending positions in their block, which starts at
-    trial first_index.  Raises TrialAbort, naming the first such trial, when a
-    trial's outcome probabilities miss one by more than tol (one value for
-    every trial, or one per trial).
-    """
-    cum = probs.cumsum(axis=0)
-    bad = ~(np.abs(cum[-1] - 1.0) <= tol)   # NaN fails it too
-    if bad.any():
-        j = np.flatnonzero(bad)[0]
-        where = f" at {party}" if party else ""
-        raise TrialAbort(f"trial {first_index + rows[j]}{where}: outcome probabilities sum to "
-                         f"{cum[-1, j]!r}")
-    # as searchsorted(cum, u, side="right") per trial, clipped to the last element
-    return np.minimum((cum <= u).sum(axis=0), len(probs) - 1)
 
-
-def _global_table(povm: Povm, d: int) -> np.ndarray:
-    """The table of GlobalTrialSpec."""
-    if povm.dims != (d,):
-        raise ValueError(f"a global trial at d = {d} needs a POVM with dims ({d},), "
-                         f"got {povm.dims}")
-    c = np.array(list(povm.elements.values()), float)
-    # systems 0 and L of a label-L trial hold phi_L, and S3_PERMUTATIONS[L]
-    # is their swap: it and the identity read 1, the other four read s
-    a = c[:, :1] + c[:, 1:3]
-    return np.array([a, c.sum(axis=1)[:, None] - a])
+def _run_trial(spec: TrialSpec, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
+    """One trial, its transcript read from the nodes: the trial body of both specs."""
+    block = spec.run_block([rng], trial_index)
+    transcript, k = [], 0
+    while isinstance(spec.nodes[k], tuple):
+        party, outcomes, children = spec.nodes[k]
+        i = block.path[0, len(transcript)]
+        transcript.append((party, outcomes[i]))
+        k = children[i]
+    return TrialRecord(int(block.labels[0]), int(block.declared[0]), tuple(transcript),
+                       trial_index)
 
 
 @dataclass(frozen=True)
 class GlobalTrialSpec:
-    """One-shot measurement of a global POVM on the triple space, from a table:
-    element e of the POVM has probability table[0, e, L - 1] + table[1, e, L -
-    1] s on a label-L trial, for s = |<phi_1|phi_2>|^2, read from the
-    element's coordinates.  A POVM on a split (dims not (d,)): ValueError.
-    """
+    """A global POVM on the triple space as the tree of one step: weights[0]
+    holds the identity's coordinates and weights[e] the e-th element's,
+    nodes[0] is the step ("global", the POVM's labels, rows 1, 2, ...) and
+    nodes[e] the e-th label.  A POVM on a split (dims not (d,)): ValueError."""
 
     povm: Povm
     d: int
     priors: Priors
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: tuple = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _global_table(self.povm, self.d))
+        if self.povm.dims != (self.d,):
+            raise ValueError(f"a global trial at d = {self.d} needs a POVM with dims "
+                             f"({self.d},), got {self.povm.dims}")
+        labels = self.povm.labels
+        tree = (np.array([S3.identity, *self.povm.elements.values()], float),
+                (("global", labels, list(range(1, len(labels) + 1))), *map(int, labels)), 1)
+        for name, value in zip(("weights", "nodes", "depth"), tree):
+            object.__setattr__(self, name, value)
 
     @property
     def block_trials(self) -> int:
         """Trials per block: their references take BLOCK_STATE_BYTES."""
         return max(1, BLOCK_STATE_BYTES // (2 * self.d * np.dtype(complex).itemsize))
 
-    def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
-        """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
-        labels, refs, step_u = _draw(rngs, self.priors, self.d, 1)
+    @staticmethod
+    def invariants(labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """<psi| S3_PERMUTATIONS[i] |psi> in row i: 1 for the identity and the swap
+        of systems 0 and L, which hold phi_L, and s = |<phi_1|phi_2>|^2 for the rest."""
         overlap = np.vecdot(refs[:, 0], refs[:, 1])
-        a, b = self.table[:, :, labels - 1]
-        probs = a + b * (overlap.real**2 + overlap.imag**2)
-        idx = _sample(probs, step_u[:, 0], np.arange(len(labels)), first_index)
-        declared = np.array([int(label) for label in self.povm.labels])[idx]
-        return Block(labels, declared, idx[:, None])
+        f = np.repeat((overlap.real**2 + overlap.imag**2)[None], 6, axis=0)
+        f[0] = 1.0
+        f[labels, np.arange(len(labels))] = 1.0
+        return f
 
-    def run(self, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
-        block = self.run_block([rng], trial_index)
-        outcome = self.povm.labels[block.path[0, 0]]
-        return TrialRecord(
-            true_label=int(block.labels[0]),
-            declared_label=int(outcome),
-            transcript=(("global", outcome),),
-            trial_index=trial_index,
-        )
+    run_block = _run_block
+    run = _run_trial
 
 
 # System s of a label-1 trial holds reference _HOLDER[s] of its pair (the
@@ -307,12 +326,12 @@ def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.
 def _prefixes(protocol: LoccProtocol) -> tuple[np.ndarray, tuple, int]:
     """The weights, nodes and depth of LoccTrialSpec."""
     weights, nodes, index = [], [], {}
-    for k, (node, table, path) in enumerate(path_prefixes(protocol)):
-        weights.append(table.ravel())
-        nodes.append(node.label if isinstance(node, Leaf) else (node.party, []))
+    for k, (node, w, path) in enumerate(path_prefixes(protocol)):
+        weights.append(w.ravel())
+        nodes.append(node.label if isinstance(node, Leaf) else (node.party, node.labels, []))
         index[path] = k
         if path:
-            nodes[index[path[:-1]]][1].append(k)
+            nodes[index[path[:-1]]][2].append(k)
     return np.array(weights), tuple(nodes), max(map(len, index))
 
 
@@ -321,8 +340,9 @@ class LoccTrialSpec:
     """Sequential execution of an LOCC protocol tree, from a row per path prefix
     (protocol.path_prefixes order): weights[k] = c (x) e, the coordinates of
     its A^dag A and B^dag B on the permutation operators, as the tree's own
-    coordinates multiply out, and nodes[k], a step's (party, children's rows)
-    or a leaf's label.  depth counts the steps of the longest path.
+    coordinates multiply out, and nodes[k], a step's (party, outcome labels,
+    children's rows) or a leaf's label.  depth counts the steps of the
+    longest path.
     """
 
     protocol: LoccProtocol
@@ -343,57 +363,15 @@ class LoccTrialSpec:
         return max(1, min(BLOCK_STATE_BYTES // (np.dtype(float).itemsize * len(self.nodes)),
                           INVARIANT_BLOCK_BYTES // factor_bytes))
 
-    def run_block(self, rngs: Sequence[np.random.Generator], first_index: int = 0) -> Block:
-        """Trials first_index, first_index + 1, ... drawing from rngs in turn."""
-        proto = self.protocol
-        labels, refs, step_u = _draw(rngs, self.priors, proto.d_a * proto.d_b, self.depth)
-        n = len(labels)
-        f = _invariants(labels, refs, proto.d_a, proto.d_b)
-        probs = self.weights @ f
-        # each prefix probability sums terms of total size |weights[k]| @ |f|,
-        # and carries a rounding error of about 1e-16 times that size
-        sizes = np.abs(self.weights) @ np.abs(f)
-        declared = np.empty(n, dtype=int)
-        path = np.full((n, self.depth), -1)
-        # (prefix, its trials in ascending order, level), a level at a time
-        todo = [(0, np.arange(n), 0)]
-        for k, rows, level in todo:
-            if not isinstance(self.nodes[k], tuple):
-                declared[rows] = self.nodes[k]
-                continue
-            party, children = self.nodes[k]
-            ratios = probs[children][:, rows] / probs[k, rows]
-            # the children must sum to P(step) within PROB_SUM_ATOL times the
-            # size of its terms: in units of P(step), for the ratios
-            tol = PROB_SUM_ATOL * sizes[k, rows] / probs[k, rows]
-            idx = _sample(ratios, step_u[rows, level], rows, first_index, party, tol)
-            path[rows, level] = idx
-            chosen = ratios[idx, np.arange(len(rows))]
-            if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
-                j = np.flatnonzero(~(chosen >= BRANCH_PROB_FLOOR))[0]
-                raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
-                                 f"{chosen[j]!r}")
-            for i, child in enumerate(children):
-                if (picked := rows[idx == i]).size:
-                    todo.append((child, picked, level + 1))
-        return Block(labels, declared, path)
+    @property
+    def d(self) -> int:
+        return self.protocol.d_a * self.protocol.d_b
 
-    def run(self, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
-        block = self.run_block([rng], trial_index)
-        transcript: list[tuple[str, object]] = []
-        node = self.protocol.root
-        for i in block.path[0]:
-            if isinstance(node, Leaf):
-                break
-            outcome = node.labels[i]
-            transcript.append((node.party, outcome))
-            node = node.children[outcome]
-        return TrialRecord(
-            true_label=int(block.labels[0]),
-            declared_label=int(block.declared[0]),
-            transcript=tuple(transcript),
-            trial_index=trial_index,
-        )
+    def invariants(self, labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        return _invariants(labels, refs, self.protocol.d_a, self.protocol.d_b)
+
+    run_block = _run_block
+    run = _run_trial
 
 
 TrialSpec = Union[GlobalTrialSpec, LoccTrialSpec]

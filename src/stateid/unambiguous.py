@@ -152,6 +152,8 @@ class SeparableCoeffs:
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         for name in ("alpha1", "alpha2", "alpha3", "alpha4"):

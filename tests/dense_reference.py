@@ -23,6 +23,10 @@ of what the package writes from index maps, coordinates and tables.  Also
 the Haar state, the hermiticity assertion, the feasibility flag of the
 separable coefficients, the mask of the orbit blocks and the dense check of
 a Povm, which only the tests use.
+
+The one-shot global sampler that GlobalTrialSpec ran before a global POVM
+became the one-step tree of the trial walker (global_block): each element's
+probability on each label as a + b s, sampled with no dead-branch guard.
 """
 
 import functools
@@ -34,6 +38,7 @@ import numpy as np
 
 from stateid.linalg import HERMITIAN_RTOL, PSD_EIG_FLOOR, max_abs
 from stateid.minerr import gain
+from stateid import simulate
 from stateid.povm import COMPLETENESS_ATOL
 from stateid.symmetry import (S3_PERMUTATIONS, _freeze, _scatter, permutation_columns,
                               permutation_sum)
@@ -377,3 +382,28 @@ def conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e2 = (e2 - e2[:, t01]) / 2
     return swap_references(e2), e2
 
+
+
+def global_block(povm, d: int, priors, rngs, first_index: int = 0) -> simulate.Block:
+    """Trials first_index, first_index + 1, ... of a global POVM on (C^d)^x3
+    from rngs in turn, drawn by simulate._draw: element e has probability
+    a[e, L - 1] + b[e, L - 1] s on a label-L trial, for s = |<phi_1|phi_2>|^2,
+    read from its coordinates c, as systems 0 and L hold phi_L and their swap
+    S3_PERMUTATIONS[L] and the identity read 1, the other four s.  Inverse
+    CDF over the elements in order; a sum that misses one by more than
+    PROB_SUM_ATOL raises TrialAbort, and no branch is too small to declare."""
+    c = np.array(list(povm.elements.values()), float)
+    a = c[:, :1] + c[:, 1:3]
+    b = c.sum(axis=1)[:, None] - a
+    labels, refs, step_u = simulate._draw(rngs, priors, d, 1)
+    overlap = np.vecdot(refs[:, 0], refs[:, 1])
+    probs = a[:, labels - 1] + b[:, labels - 1] * (overlap.real**2 + overlap.imag**2)
+    cum = probs.cumsum(axis=0)
+    bad = ~(np.abs(cum[-1] - 1.0) <= simulate.PROB_SUM_ATOL)
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
+        raise simulate.TrialAbort(f"trial {first_index + j}: outcome probabilities sum to "
+                                  f"{cum[-1, j]!r}")
+    idx = np.minimum((cum <= step_u[:, 0]).sum(axis=0), len(probs) - 1)
+    declared = np.array([int(label) for label in povm.labels])[idx]
+    return simulate.Block(labels, declared, idx[:, None])

@@ -1,8 +1,9 @@
 """The benchmark's calls into the package, at its smallest: the set-up and
 work of one verify unit and one mc-2x2 unit of bench/unit.py, run in this
-process at the benchmark's default seed, and the same units traced in a
-fresh interpreter, so that a change to an interface the benchmark uses, or
-that its spans wrap, fails here first.  Nothing is written to disk."""
+process at the benchmark's default seed, and those units and an mc-3x3 unit
+traced in a fresh interpreter, so that a change to an interface the
+benchmark uses, or that its spans wrap, fails here first.  Nothing is
+written to disk."""
 
 import json
 import subprocess
@@ -33,10 +34,12 @@ def test_unit_runs_clean(workload):
     assert (run.problems, run.failed) == ([], 0)
 
 
-@pytest.mark.parametrize("workload", ["verify", "mc-2x2"])
+@pytest.mark.parametrize("workload", ["verify", "mc-2x2", "mc-3x3"])
 def test_traced_unit_runs_clean(workload):
     # the spans wrap package names by attribute and the trial sample calls
-    # spec.run, neither of which the untraced unit reaches
+    # spec.run, neither of which the untraced unit reaches; they wrap a
+    # spec's run only where its own class defines it, so a run moved to a
+    # shared base would leave the trial layer empty without an error
     proc = subprocess.run(
         [sys.executable, str(BENCH / "unit.py"), "--workload", workload,
          "--seed", str(unit.DEFAULT_SEED), "--trace"],
@@ -44,4 +47,10 @@ def test_traced_unit_runs_clean(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["problems"], result["failed"]) == ([], 0)
-    assert result["attempted"] > 0 and result["per_layer"]
+    layers = result["per_layer"]
+    assert result["attempted"] > 0 and layers
+    if workload != "verify":
+        assert layers["simulate.walk_us"] > 0
+    if workload == "mc-2x2":
+        assert layers["simulate.trial_samples"] == 1200
+        assert layers["simulate.steps_per_trial"] == 2.875

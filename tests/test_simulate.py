@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import haar_state, haar_unitary, regroup_operator, state_matrix
+from dense_reference import (global_block, haar_state, haar_unitary, regroup_operator,
+                             state_matrix)
 from stateid import simulate, unambiguous
 from stateid.minerr import (EQUAL_PRIORS, Priors, locc_povm_element, locc_protocol,
                             max_success_global, optimal_global_povm)
@@ -97,17 +98,17 @@ class TestGlobalTrials:
             assert rec.transcript == (("global", 1),)
 
     def test_incomplete_povm_aborts(self):
-        # an incomplete POVM fails when it is made; a table whose elements
-        # miss one still aborts the batch, naming the first trial it reaches
+        # an incomplete POVM fails when it is made; element rows that miss
+        # one still abort the batch, naming the first trial they reach
         with pytest.raises(ValueError, match=r"^elements do not sum to the identity"):
             Povm((2,), {1: S3.identity / 2, 2: S3.identity / 4})
         spec = GlobalTrialSpec(optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
-        object.__setattr__(spec, "table", spec.table * 0.75)
+        object.__setattr__(spec, "weights", spec.weights * [[1.0], [0.75], [0.75]])
         with pytest.raises(TrialAbort, match="sum"):
             spec.run(np.random.default_rng(0), 0)
-        with pytest.raises(TrialAbort, match=r"^trial 0: .*sum"):
+        with pytest.raises(TrialAbort, match=r"^trial 0 at global: outcome probabilities sum"):
             run_batch(spec, 300, 0)
-        with pytest.raises(TrialAbort, match=r"^trial 37: .*sum"):
+        with pytest.raises(TrialAbort, match=r"^trial 37 at global: .*sum"):
             _run_chunk(spec, 0, 37, 50)
 
     def test_minerr_batch_matches_closed_form(self):
@@ -127,20 +128,45 @@ class TestGlobalTrials:
     @example(d=4, eta1=0.7, seed=1)
     @given(d=st.integers(2, 4), eta1=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
     def test_table_matches_dense_probabilities(self, d, eta1, seed):
-        # a + b s of every element on both labels against <psi|E|psi> for
-        # psi = phi_L (x) phi_1 (x) phi_2, on the min-error and unambiguous POVMs
+        # weights @ invariants, the root's and every element's probability,
+        # against <psi|E|psi> for psi = phi_L (x) phi_1 (x) phi_2, on the
+        # min-error and unambiguous POVMs
         rng = np.random.default_rng(seed)
+        labels = np.array([1, 2, 2, 1, 1, 2])
+        refs = np.array([[haar_state(d, rng) for _ in range(2)] for _ in labels])
         for povm in (optimal_global_povm(d, Priors.from_eta1(eta1)),
                      unambiguous.optimal_global_povm(d)):
-            table = GlobalTrialSpec(povm, d, EQUAL_PRIORS).table
-            for _ in range(3):
-                phi = [haar_state(d, rng) for _ in range(2)]
-                s = abs(np.vdot(phi[0], phi[1])) ** 2
-                for label in (1, 2):
-                    psi = kron(phi[label - 1], phi[0], phi[1])
-                    dense = [np.vdot(psi, povm.element(e) @ psi).real for e in povm.labels]
-                    table_probs = table[0, :, label - 1] + table[1, :, label - 1] * s
-                    assert np.abs(table_probs - dense).max() <= 1e-13
+            spec = GlobalTrialSpec(povm, d, EQUAL_PRIORS)
+            probs = spec.weights @ spec.invariants(labels, refs)
+            for column, label, (phi1, phi2) in zip(probs.T, labels, refs):
+                psi = kron(phi1 if label == 1 else phi2, phi1, phi2)
+                dense = [np.vdot(psi, op @ psi).real
+                         for op in [np.eye(d**3), *map(povm.element, povm.labels)]]
+                assert np.abs(column - dense).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @example(d=2, eta1=0.0, minerr=True, seed=0, start=0, n=300)
+    @example(d=5, eta1=1.0, minerr=False, seed=2**64 - 1, start=2**32 - 150, n=300)
+    @example(d=4, eta1=0.5, minerr=True, seed=7, start=0, n=1)
+    @given(d=st.integers(2, 5), eta1=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+           minerr=st.booleans(), seed=st.integers(0, 2**64 - 1),
+           start=st.integers(0, 2**40), n=st.integers(1, 300))
+    def test_blocks_match_the_one_shot_sampler(self, d, eta1, minerr, seed, start, n):
+        # the one-step tree declares, block by block, what the a + b s
+        # sampler of dense_reference declares, and a chunk counts the same
+        priors = Priors.from_eta1(eta1)
+        povm = optimal_global_povm(d, priors) if minerr else unambiguous.optimal_global_povm(d)
+        spec = GlobalTrialSpec(povm, d, priors)
+        counts = np.zeros(3, int)
+        for lo, rngs in simulate._block_rngs(seed, start, start + n, spec.block_trials):
+            block = spec.run_block(rngs, lo)
+            reference = global_block(povm, d, priors, rngs, lo)
+            for got, want in zip(block, reference):
+                assert np.array_equal(got, want)
+            declared, labels = reference.declared, reference.labels
+            counts += [np.sum(declared == labels), np.sum((declared != labels) & (declared != 0)),
+                       np.sum(declared == 0)]
+        assert _run_chunk(spec, seed, start, start + n) == tuple(counts)
 
     def test_split_povm_is_rejected(self):
         # a table on a split, or coordinates at another d, is no POVM on (C^d)^x3
@@ -360,12 +386,14 @@ def test_tiny_prefix_samples_like_the_dense_walk(monkeypatch):
     phi2 /= np.linalg.norm(phi2)
     assert 1e-10 < 1 - abs(np.vdot(phi1, phi2)) ** 2 < 1e-8
     refs = np.array([[phi1, phi2]])
-    probs = spec.weights @ simulate._invariants(np.array([1]), refs, 2, 2)[:, 0]
-    _, (sym, _, _) = spec.nodes[0]
-    _, bob = spec.nodes[sym]
+    probs = spec.weights @ spec.invariants(np.array([1]), refs)[:, 0]
+    _, outcomes, (sym, _, _) = spec.nodes[0]
+    assert outcomes[0] == "sym"
+    _, outcomes, bob = spec.nodes[sym]
     tiny = bob[2]
+    assert outcomes[2] == "mixed"
     assert spec.nodes[tiny][0] == BOB and 0 < probs[tiny] < 1e-7
-    _, last = spec.nodes[tiny]
+    _, _, last = spec.nodes[tiny]
     # alice's "sym", then the middle of bob's "mixed", then the middle of the
     # widest interval of bob's last step
     widest = np.argmax(probs[last])
@@ -380,11 +408,34 @@ def test_tiny_prefix_samples_like_the_dense_walk(monkeypatch):
                                                           phi2.real, phi2.imag]), 0)
 
 
-def test_sample_aborts_on_a_nan_probability():
-    # a NaN outcome probability must not fall through to the last element
-    probs = np.array([[0.5, np.nan], [0.5, 0.5]])
+def test_sample_aborts_on_a_nan_probability(monkeypatch):
+    # a NaN outcome probability must not fall through to the last element:
+    # the second trial of a block from trial 10 has a NaN reference
+    halves = step(BOB, 2, {0: S3.identity / math.sqrt(2), 1: S3.identity / math.sqrt(2)},
+                  {0: Leaf(1), 1: Leaf(2)})
+    spec = LoccTrialSpec(LoccProtocol(d_a=2, d_b=2, root=halves), EQUAL_PRIORS)
+    refs = np.full((2, 2, 4), 0.5 + 0j)
+    refs[1, 0, 0] = np.nan
+    monkeypatch.setattr(simulate, "_draw",
+                        lambda rngs, priors, d, depth: (np.array([1, 2]), refs,
+                                                        np.full((2, depth), 0.3)))
     with pytest.raises(TrialAbort, match=r"^trial 11 at bob: outcome probabilities sum to .*nan"):
-        simulate._sample(probs, np.array([0.3, 0.3]), np.array([0, 1]), 10, "bob")
+        spec.run_block([None, None], 10)
+
+
+def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
+    # a step uniform above the first element's 1 - eps samples the second,
+    # of probability eps < BRANCH_PROB_FLOOR: the walker's guard aborts the
+    # trial, where the one-shot sampler declared label 2
+    eps = 1e-14
+    povm = Povm((2,), {1: (1 - eps) * S3.identity, 2: eps * S3.identity})
+    spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
+    refs = np.array([[[1, 0], [0.6, 0.8]]], complex)
+    monkeypatch.setattr(simulate, "_draw", lambda rngs, priors, d, depth: (
+        np.array([1]), refs, np.array([[1 - 1e-15]])))
+    assert global_block(povm, 2, EQUAL_PRIORS, [None]).declared.tolist() == [2]
+    with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability \S*1e-14"):
+        spec.run(None, 0)
 
 
 @lru_cache(maxsize=None)

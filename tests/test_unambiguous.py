@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -232,6 +233,14 @@ class TestSeparableCoeffs:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             SeparableCoeffs(-0.1, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SeparableCoeffs)])
+    def test_rejects_non_finite(self, name, value):
+        # every comparison with NaN is false, so no bound alone refuses it
+        zeros = {f.name: 0.0 for f in dataclasses.fields(SeparableCoeffs)}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            SeparableCoeffs(**{**zeros, name: value})
 
 
 class TestSeparablePovm:
