@@ -7,6 +7,7 @@ the acceptance tests report grid rows (the entry's whole standard grid).
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from . import minerr, unambiguous
 from .linalg import largest_image, trace
 from .minerr import Priors
+from .povm import mean_success
+from .simulate import haar_refs, invariants
 from .symmetry import S3, check_dim_relation, dimension_table, s3_product
 
 GAP_THRESHOLD = 1e-3
@@ -97,10 +100,8 @@ def toolkit_identities(d: int) -> tuple[float, float]:
     return 0.0, max(defect, max(map(abs, traces)))
 
 
-@_register("split_dimension_identity", "split_dimension_identity_grid", SPLIT_GRID, 0)
-def split_identity(d_a: int, d_b: int) -> tuple[int, int]:
-    rel = check_dim_relation(d_a, d_b)
-    return rel.lhs, rel.rhs
+split_identity = _register("split_dimension_identity", "split_dimension_identity_grid",
+                           SPLIT_GRID, 0)(check_dim_relation)
 
 
 @_register("pmax_closed_vs_eigensum", "minerr_dual_route_grid",
@@ -117,10 +118,8 @@ def minerr_locc(d_a: int, d_b: int, eta1: float) -> tuple[float, float]:
     """The success probability of the global positive-part projector, from the
     sum of G's positive eigenvalues, and that of the separable element."""
     priors = Priors.from_eta1(eta1)
-    # the separable construction follows the eta1 <= eta2 convention
-    ordered = priors if priors.eta1 <= priors.eta2 else priors.swapped()
-    separable = minerr.mean_success(minerr.locc_povm_element(d_a, d_b, ordered), ordered)
-    return minerr.max_success_eigenvalue_route(d_a * d_b, ordered), separable
+    separable = mean_success(minerr.locc_povm_element(d_a, d_b, priors), priors)
+    return minerr.max_success_eigenvalue_route(d_a * d_b, priors), separable
 
 
 @_register("global_success_vs_closed", "unamb_global_grid", DIMS, 1e-10)
@@ -138,28 +137,20 @@ def unamb_separable(d_a: int, d_b: int) -> tuple[float, float]:
 
 @_register(None, "no_error_acceptance", None, 1e-10)
 def no_error(seed: int, n_pairs: int = 1000) -> tuple[float, float]:
-    """Largest wrong-label acceptance over n_pairs Haar reference pairs per scheme
-    (global d=2 and d=3, separable (2,2)).  One generator draws each scheme's
-    pairs as one standard_normal block indexed [pair, reference, re/im]; each
-    reference is its normalized complex Gaussian vector, a Haar-random state."""
+    """Largest wrong-label acceptance <psi_L| E_wrong |psi_L> over n_pairs Haar
+    reference pairs per scheme (global d=2 and d=3, separable (2,2)), from the
+    invariants a trial reads (simulate.invariants).  One generator draws each
+    scheme's pairs as one standard_normal block indexed [pair, reference,
+    re/im], made unit references by simulate.haar_refs."""
     rng = np.random.default_rng(seed)
-    probes = []
-    for d in (2, 3):
-        povm = unambiguous.optimal_global_povm(d)
-        probes.append((d, povm.e1, povm.e2))
-    sep = unambiguous.separable_unamb_povm(2, 2, unambiguous.SeparableCoeffs.optimal())
-    probes.append((4, sep.e1, sep.e2))
+    schemes = [unambiguous.optimal_global_povm(d) for d in (2, 3)]
+    schemes.append(unambiguous.separable_unamb_povm(2, 2, unambiguous.SeparableCoeffs.optimal()))
     worst = 0.0
-    for d, e1, e2 in probes:
-        z = rng.standard_normal((n_pairs, 2, 2, d))
-        refs = z[:, :, 0] + 1j * z[:, :, 1]
-        refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        phi1, phi2 = refs[:, 0], refs[:, 1]
-        for first, e in ((phi2, e1), (phi1, e2)):   # true label 2, then 1
-            s = ((first[:, :, None] * phi1[:, None, :])[:, :, :, None]
-                 * phi2[:, None, None, :]).reshape(n_pairs, d**3)
-            accept = np.einsum("ni,ni->n", s.conj(), s @ e.T).real
-            worst = max(worst, float(accept.max()))
+    for povm in schemes:
+        refs = haar_refs(rng.standard_normal((n_pairs, 2, 2, math.prod(povm.dims))))
+        for label, wrong in ((2, 1), (1, 2)):
+            f = invariants(np.full(n_pairs, label), refs, povm.dims)
+            worst = max(worst, float((povm.elements[wrong].ravel() @ f).max()))
     return 0.0, worst
 
 

@@ -18,9 +18,9 @@ not fit in memory).  The CLI checks only which flags go together, --seed
 and --out; a value out of range is refused by the library's rule for it
 (symmetry.check_dims, minerr.Priors, simulate.check_batch) before any work,
 and its text is the one stderr line of the usage error.  Every oracle reads
-spectra and traces on the irreps of S3 (linalg), so minerr and unamb form
-no dense operator at any dimension; verify-all writes dense only the
-elements its Haar probe samples, at d <= 4.
+spectra and traces on the irreps of S3 (linalg), every mean success is
+povm.mean_success and every sampled <psi| E |psi> reads simulate.invariants,
+so no command forms a dense operator, at any dimension.
 Reports are deterministic for a fixed seed and config (independent of
 --workers).
 """
@@ -39,6 +39,7 @@ import sys
 from . import checks, minerr, unambiguous
 from .linalg import spectrum
 from .minerr import Priors
+from .povm import mean_success
 from .simulate import MIN_FORK_CHUNK, GlobalTrialSpec, LoccTrialSpec, check_batch, run_batch
 from .symmetry import check_dims, dimension_table
 
@@ -158,7 +159,7 @@ def cmd_minerr(args) -> int:
     global_povm = minerr.optimal_global_povm(d, priors)
     report["checks"].append(checks.row(
         "pmax_closed_vs_povm_trace", closed,
-        minerr.mean_success(global_povm, priors), tol=1e-9))
+        mean_success(global_povm, priors), tol=1e-9))
 
     if args.locc:
         locc = checks.instance_row(checks.minerr_locc, args.da, args.db, args.eta1)

@@ -16,15 +16,15 @@ has the closed form
 For a bipartite split d = d_a*d_b the same optimum is reachable by local
 operations and classical communication; this module also builds the separable
 POVM element that attains it, a 6 x 6 table (locc_table), and the executable
-protocol tree.  The separable construction follows the convention eta1 <=
-eta2 (labels are swapped and swapped back otherwise, as locc_protocol does).
+protocol tree, at any priors: each is written for eta1 <= eta2, and at
+eta1 > eta2 is the 1<->2 relabel of its construction at the swapped priors.
 
 No measurement here needs an eigensolve: in R[S3] = R + R + M2(R) (Fulton &
 Harris, section 1.3) G is diff on sym3, 0 on antisym3 and has only the
 eigenvalues lambda+- on the mixed subspace, so every projector is a closed
 form in the coordinates of symmetry.S3 (_local_projectors).  Only the oracle
 route (max_success_eigenvalue_route) solves for G's eigenvalues, on the
-irreps of S3 (linalg.spectrum), and traces are read there too (gain_overlap).
+irreps of S3 (linalg.spectrum); a POVM's mean success is povm.mean_success.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectrum, trace
+from .linalg import spectrum
 from .povm import Povm
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
-from .symmetry import S3, check_dims, dimension_table, joint, relabel, s3_product
+from .symmetry import S3, check_dims, dimension_table, relabel, s3_product
 
 PRIOR_ATOL = 1e-12
 
@@ -84,12 +84,6 @@ def gain(priors: Priors) -> np.ndarray:
     return priors.eta1 * S3.sym01 - priors.eta2 * S3.sym02
 
 
-def gain_overlap(x: np.ndarray, dims: tuple[int, ...], priors: Priors) -> float:
-    """tr[X*G] for X given by its coordinates on (C^d)^x3, dims = (d,), or by
-    its table on a split, dims = (d_a, d_b); read on the irreps of S3."""
-    return trace(s3_product(x, joint(gain(priors), dims)), dims)
-
-
 def gain_eigenvalues_mixed(priors: Priors) -> tuple[float, float]:
     """The two gain-operator eigenvalues on the mixed-symmetry subspace.
 
@@ -116,16 +110,6 @@ def max_success_eigenvalue_route(d: int, priors: Priors) -> float:
     multiplicities, solved on the irreps of S3."""
     w, m = spectrum(gain(priors), (d,))
     return priors.eta2 + float(m[w > 0] @ w[w > 0]) / (d * dimension_table(d).sym2)
-
-
-def mean_success(povm: Povm, priors: Priors) -> float:
-    """Mean success probability of a two-outcome identification POVM, at the
-    dimensions it is made for, read from E1's coordinates or table."""
-    if set(povm.labels) != {1, 2}:
-        raise ValueError(f"min-error POVM must carry labels {{1, 2}}, got {povm.labels}")
-    d = math.prod(povm.dims)
-    overlap = gain_overlap(povm.elements[1], povm.dims, priors)
-    return priors.eta2 + overlap / (d * dimension_table(d).sym2)
 
 
 def optimal_global_povm(d: int, priors: Priors) -> Povm:
@@ -194,14 +178,7 @@ def locc_table(priors: Priors) -> np.ndarray:
 
 def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
     """The separable POVM {E1, E2 = 1 - E1} of locc_table, whose tr[E1*G]
-    matches the global projector's exactly.  Raises for eta1 > eta2 unless
-    one prior is 0, where E1 = 0 or 1 is the global optimum, separable as it
-    stands."""
-    if priors.eta1 > priors.eta2 and not priors.certain:
-        raise ValueError(
-            "separable construction assumes eta1 <= eta2; swap labels first "
-            "(locc_protocol does this automatically)"
-        )
+    matches the global projector's exactly, at any priors."""
     w = locc_table(priors)
     return Povm((d_a, d_b), {1: w, 2: np.outer(S3.identity, S3.identity) - w})
 

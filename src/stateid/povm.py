@@ -7,20 +7,24 @@ combination of the permutation operators: six coordinates on the P_pi of
 A Povm holds its elements so, and is checked when it is made: its dims by
 symmetry.check_dims, and completeness in its elements, by the rule that
 also checks each protocol step (check_complete).
-Dense matrices are written only on request (Povm.element); the oracles read
-the elements as they are held, spectra and traces on the irreps of S3
-(linalg), at every dimension.
+The oracles read the elements as they are held, spectra and traces on the
+irreps of S3 (linalg), at every dimension, and mean_success is the one rule
+for a POVM's mean success over the reference pairs.  Povm.element writes an
+element dense, as the tests' and the benchmark's reference; no command calls
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
 
-from .linalg import max_abs
-from .symmetry import _scatter, check_dims, permutation_columns, s3_reduce
+from .linalg import max_abs, trace
+from .symmetry import (S3, _scatter, check_dims, dimension_table, joint, permutation_columns,
+                       s3_product, s3_reduce)
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -63,5 +67,26 @@ class Povm:
         return tuple(self.elements)
 
     def element(self, label: Hashable) -> np.ndarray:
-        """The element written dense, on the system-major joint space of a split."""
+        """The element written dense, on the system-major joint space of a split:
+        the tests' and the benchmark's reference."""
         return _scatter(permutation_columns(*self.dims), self.elements[label])
+
+
+def mean_success(povm: Povm, priors) -> float:
+    """The mean success sum_L eta_L <psi_L| E_L |psi_L> over Haar reference
+    pairs, psi_L = phi_L (x) phi_1 (x) phi_2, of a POVM labeled {1, 2}, or
+    {0, 1, 2}, whose inconclusive label 0 answers nothing; priors carries
+    eta1 and eta2.  The mean of psi_L's projector is sym0L / (d1*d2), with
+    d1 = D and d2 = D(D+1)/2 at D = prod(povm.dims), so this is
+
+        sum_L eta_L tr[E_L sym0L] / (d1*d2),
+
+    read on the irreps of S3, at the dimensions the POVM is made for."""
+    if set(povm.labels) not in ({1, 2}, {0, 1, 2}):
+        raise ValueError(f"an identification POVM carries labels {{1, 2}} or {{0, 1, 2}}, "
+                         f"got {povm.labels}")
+    dims = povm.dims
+    overlap = trace(priors.eta1 * s3_product(povm.elements[1], joint(S3.sym01, dims))
+                    + priors.eta2 * s3_product(povm.elements[2], joint(S3.sym02, dims)), dims)
+    d = math.prod(dims)
+    return overlap / (d * dimension_table(d).sym2)

@@ -11,8 +11,9 @@ of the tree) with probability <psi| E |psi> for an E in the real span of the
 permutation operators P_pi, so each spec keeps, from when it is made, a row
 of E's coordinates per prefix (weights) and the tree's steps and leaves
 (nodes).  One block body (_run_block) computes a block's invariants <psi| P
-|psi>, every prefix probability in one matrix product, and samples each step
-from the ratios P(child)/P(step); one trial body (_run_trial) reads a trial's
+|psi> (invariants, the one rule for them, which checks.no_error reads too),
+every prefix probability in one matrix product, and samples each step from
+the ratios P(child)/P(step); one trial body (_run_trial) reads a trial's
 transcript from the nodes.  A label-L trial's state psi = phi_L (x) phi_1 (x)
 phi_2 has <psi| P_pi |psi> = 1 for the identity and for the swap of the two
 systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for the other four P_pi
@@ -157,9 +158,16 @@ def _draw(rngs: Sequence[np.random.Generator], priors: Priors, d: int,
         label_u[j] = rng.random()
         rng.standard_normal(out=normals[j])
         rng.random(out=step_u[j])
+    return np.where(label_u < priors.eta1, 1, 2), haar_refs(normals), step_u
+
+
+def haar_refs(normals: np.ndarray) -> np.ndarray:
+    """Unit references (n, 2, d) from standard normals (n, 2, 2, d) indexed
+    [trial, reference, re/im]: each the normalized complex Gaussian vector,
+    a Haar-random state."""
     refs = normals[:, :, 0] + 1j * normals[:, :, 1]
     refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-    return np.where(label_u < priors.eta1, 1, 2), refs, step_u
+    return refs
 
 
 def _run_block(spec: TrialSpec, rngs: Sequence[np.random.Generator],
@@ -188,7 +196,7 @@ def _run_block(spec: TrialSpec, rngs: Sequence[np.random.Generator],
         if bad.any():   # NaN fails it too
             j = np.flatnonzero(bad)[0]
             raise TrialAbort(f"trial {first_index + rows[j]} at {party}: outcome probabilities "
-                             f"sum to {cum[-1, j]!r}")
+                             f"sum to {float(cum[-1, j])}")
         # inverse CDF: searchsorted(cum, u, side="right") per trial, clipped to the last child
         idx = np.minimum((cum <= step_u[rows, level]).sum(axis=0), len(children) - 1)
         path[rows, level] = idx
@@ -196,7 +204,7 @@ def _run_block(spec: TrialSpec, rngs: Sequence[np.random.Generator],
         if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
             j = np.flatnonzero(~(chosen >= BRANCH_PROB_FLOOR))[0]
             raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
-                             f"{chosen[j]!r}")
+                             f"{float(chosen[j])}")
         for i, child in enumerate(children):
             if (picked := rows[idx == i]).size:
                 todo.append((child, picked, level + 1))
@@ -245,15 +253,8 @@ class GlobalTrialSpec:
         """Trials per block: their references take BLOCK_STATE_BYTES."""
         return max(1, BLOCK_STATE_BYTES // (2 * self.d * np.dtype(complex).itemsize))
 
-    @staticmethod
-    def invariants(labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """<psi| S3_PERMUTATIONS[i] |psi> in row i: 1 for the identity and the swap
-        of systems 0 and L, which hold phi_L, and s = |<phi_1|phi_2>|^2 for the rest."""
-        overlap = np.vecdot(refs[:, 0], refs[:, 1])
-        f = np.repeat((overlap.real**2 + overlap.imag**2)[None], 6, axis=0)
-        f[0] = 1.0
-        f[labels, np.arange(len(labels))] = 1.0
-        return f
+    def invariants(self, labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        return invariants(labels, refs, self.povm.dims)
 
     run_block = _run_block
     run = _run_trial
@@ -290,6 +291,23 @@ def _invariant_words() -> tuple[tuple, tuple, np.ndarray]:
 
 
 _WORDS, _TERMS, _RELABEL = _invariant_words()
+
+
+def invariants(labels: np.ndarray, refs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The invariants of the states psi = phi_L (x) phi_1 (x) phi_2 of labels
+    (n,) and unit references (n, 2, prod(dims)), a column per trial, so that
+    an element of coordinates or table c has <psi| E |psi> = c.ravel() @ f.
+    On (C^d)^x3, dims = (d,), <psi| S3_PERMUTATIONS[i] |psi> in row i: 1 for
+    the identity and the swap of systems 0 and L, which hold phi_L, and s =
+    |<phi_1|phi_2>|^2 for the rest; on a split, dims = (d_a, d_b), the 36 of
+    _invariants."""
+    if len(dims) == 2:
+        return _invariants(labels, refs, *dims)
+    overlap = np.vecdot(refs[:, 0], refs[:, 1])
+    f = np.repeat((overlap.real**2 + overlap.imag**2)[None], 6, axis=0)
+    f[0] = 1.0
+    f[labels, np.arange(len(labels))] = 1.0
+    return f
 
 
 def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -368,7 +386,7 @@ class LoccTrialSpec:
         return self.protocol.d_a * self.protocol.d_b
 
     def invariants(self, labels: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        return _invariants(labels, refs, self.protocol.d_a, self.protocol.d_b)
+        return invariants(labels, refs, (self.protocol.d_a, self.protocol.d_b))
 
     run_block = _run_block
     run = _run_trial

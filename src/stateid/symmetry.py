@@ -28,9 +28,10 @@ products (irreps): so an operator's spectrum and trace are those of matrices
 of at most 4 x 4 (linalg), at every dimension.
 
 The P_k are also index maps of the basis (permutation_columns), through
-which one writer scatters coordinates or a table dense (_scatter): called only
-by a POVM's element on request (povm.Povm.element) and by the toolkit, which
-writes the operators of S3 dense under their names.  The index of a basis
+which one writer scatters coordinates or a table dense (_scatter), for a
+POVM's element (povm.Povm.element) and for the toolkit, which writes the
+operators of S3 dense under their names.  The dense writers are the tests'
+and the benchmark's reference: no command calls them.  The index of a basis
 vector is the mixed-radix number over the tensor factors, most significant
 first; a split's joint space is system-major, (0a, 0b, 1a, 1b, 2a, 2b), and
 only permutation_columns reads that layout.
@@ -126,22 +127,9 @@ def dimension_table(d: int) -> DimensionTable:
     )
 
 
-@dataclass(frozen=True)
-class DimRelationReport:
-    """Both sides of the mixed-subspace dimension identity for a split d = d_a*d_b."""
-
-    d_a: int
-    d_b: int
-    lhs: int
-    rhs: int
-
-    @property
-    def residual(self) -> int:
-        return self.lhs - self.rhs
-
-
-def check_dim_relation(d_a: int, d_b: int) -> DimRelationReport:
-    """Mixed-subspace dimension at d_a*d_b vs the five-term sum over local tables.
+def check_dim_relation(d_a: int, d_b: int) -> tuple[int, int]:
+    """(lhs, rhs): the mixed-subspace dimension at d_a*d_b and the five-term
+    sum over local tables.
 
     The identity: mixed3(d_a*d_b) = sym3_a*mixed3_b + mixed3_a*sym3_b
     + antisym3_a*mixed3_b + mixed3_a*antisym3_b + mixed3_a*mixed3_b/2,
@@ -155,7 +143,7 @@ def check_dim_relation(d_a: int, d_b: int) -> DimRelationReport:
         + ta.mixed3 * tb.antisym3
         + ta.mixed3 * tb.mixed3 // 2
     )
-    return DimRelationReport(d_a=d_a, d_b=d_b, lhs=dimension_table(d_a * d_b).mixed3, rhs=rhs)
+    return dimension_table(d_a * d_b).mixed3, rhs
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ or on a split in 6 x 6 tables, the same at every dimension, E1 as the 1<->2
 relabel of E2; the LOCC steps never become dense.  An UnambPovm is checked
 on the irreps of S3 (linalg): positivity by its elements' spectra, the
 no-error conditions by the products E1 sym02 and E2 sym01 of coordinates or
-tables, exactly, at every dimension.  Its dense elements are written only
-when read (e1, e2, e0).
+tables, exactly, at every dimension.  Its success is povm.mean_success at
+equal priors.  Its dense elements (e1, e2, e0) are the tests' and the
+benchmark's reference; no command reads them.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PSD_EIG_FLOOR, largest_image, spectrum, trace
-from .povm import Povm
+from .linalg import PSD_EIG_FLOOR, largest_image, spectrum
+from .minerr import EQUAL_PRIORS
+from .povm import Povm, mean_success
 from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
-from .symmetry import S3, check_dims, dimension_table, joint, relabel, s3_product
+from .symmetry import S3, check_dims, joint, relabel, s3_product
 
 NO_ERROR_ATOL = 1e-10
 COEFF_ATOL = 1e-12
@@ -86,21 +88,13 @@ class UnambPovm(Povm):
 
 
 def success_probability(povm: UnambPovm) -> float:
-    """Mean unambiguous success probability at equal priors, at the dimensions
-    the POVM is made for.
-
-    (tr[E1*sym01] + tr[E2*sym02]) / (2*d1*d2), read on the irreps of S3;
-    refuses POVMs whose no-error leak exceeds NO_ERROR_ATOL, as
-    UnambPovm.validate does, since the value is meaningless for them.
-    """
+    """Mean unambiguous success probability at equal priors: povm.mean_success,
+    after refusing a POVM whose no-error leak exceeds NO_ERROR_ATOL, as
+    UnambPovm.validate does, since the value is meaningless for it."""
     leak = max(povm.no_error_leaks())
     if not leak <= NO_ERROR_ATOL:
         raise ValueError(f"POVM violates the no-error condition (leak {leak:.3e})")
-    dims = povm.dims
-    overlap = trace(s3_product(povm.elements[1], joint(S3.sym01, dims))
-                    + s3_product(povm.elements[2], joint(S3.sym02, dims)), dims)
-    d = math.prod(dims)
-    return overlap / (2 * d * dimension_table(d).sym2)
+    return mean_success(povm, EQUAL_PRIORS)
 
 
 def max_success_global(d: int) -> float:

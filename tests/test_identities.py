@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dense_reference import split_sum, symmetrizer_traces
 from stateid import minerr, unambiguous
 from stateid.minerr import Priors
+from stateid.povm import mean_success
 from stateid.protocol import effective_povm
 from stateid.symmetry import S3_PERMUTATIONS, s3_product
 from stateid.unambiguous import SeparableCoeffs, gamma_plus
@@ -139,7 +140,7 @@ def test_tables_match_the_dense_elements_at_3x3():
         s01, s02 = symmetrizer_traces(povm.element(1))
         from_table = product_trace(minerr.locc_table(priors), gain_table(priors), [3], [3])[0, 0]
         assert abs(priors.eta1 * s01 - priors.eta2 * s02 - from_table) <= 1e-12
-        assert abs(minerr.gain_overlap(povm.elements[1], (3, 3), priors) - from_table) <= 1e-12
+        assert abs(mean_success(povm, priors) - priors.eta2 - from_table / (9 * 45)) <= 1e-14
     povm = unambiguous.separable_unamb_povm(3, 3, SeparableCoeffs.optimal())
     dense = (symmetrizer_traces(povm.e1)[0] + symmetrizer_traces(povm.e2)[1]) / (2 * 9 * 45)
     expected = separable_success(SeparableCoeffs.optimal(), [3], [3])[0, 0]

@@ -106,7 +106,8 @@ class TestGlobalTrials:
         object.__setattr__(spec, "weights", spec.weights * [[1.0], [0.75], [0.75]])
         with pytest.raises(TrialAbort, match="sum"):
             spec.run(np.random.default_rng(0), 0)
-        with pytest.raises(TrialAbort, match=r"^trial 0 at global: outcome probabilities sum"):
+        with pytest.raises(TrialAbort, match=r"^trial 0 at global: outcome probabilities sum "
+                                             r"to 0\.75$"):
             run_batch(spec, 300, 0)
         with pytest.raises(TrialAbort, match=r"^trial 37 at global: .*sum"):
             _run_chunk(spec, 0, 37, 50)
@@ -419,7 +420,7 @@ def test_sample_aborts_on_a_nan_probability(monkeypatch):
     monkeypatch.setattr(simulate, "_draw",
                         lambda rngs, priors, d, depth: (np.array([1, 2]), refs,
                                                         np.full((2, depth), 0.3)))
-    with pytest.raises(TrialAbort, match=r"^trial 11 at bob: outcome probabilities sum to .*nan"):
+    with pytest.raises(TrialAbort, match=r"^trial 11 at bob: outcome probabilities sum to nan$"):
         spec.run_block([None, None], 10)
 
 
@@ -434,7 +435,7 @@ def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
     monkeypatch.setattr(simulate, "_draw", lambda rngs, priors, d, depth: (
         np.array([1]), refs, np.array([[1 - 1e-15]])))
     assert global_block(povm, 2, EQUAL_PRIORS, [None]).declared.tolist() == [2]
-    with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability \S*1e-14"):
+    with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability 1e-14$"):
         spec.run(None, 0)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from dense_reference import (dense_toolkit, hermitian_eigenvalues, orbit_blocks,
                              permutation_operator, permutation_traces, regroup_operator,
                              split_sum, split_sum_dense, state_matrix, swap_references,
                              symmetrizer_traces)
-from stateid import checks, minerr, symmetry, unambiguous
+from stateid import checks, cli, minerr, symmetry, unambiguous
+from stateid.povm import mean_success
 from stateid.symmetry import (
     RELABEL,
     S3,
@@ -57,18 +60,16 @@ def test_dimension_table_rejects_nonpositive():
 
 class TestDimRelation:
     def test_two_qubits(self):
-        rel = check_dim_relation(2, 2)
-        assert (rel.lhs, rel.rhs, rel.residual) == (40, 40, 0)
+        assert check_dim_relation(2, 2) == (40, 40)
 
     def test_qubit_qutrit(self):
-        rel = check_dim_relation(2, 3)
-        assert rel.lhs == 140
-        assert rel.residual == 0
+        assert check_dim_relation(2, 3) == (140, 140)
 
     @pytest.mark.parametrize("da", (2, 3, 4, 5))
     @pytest.mark.parametrize("db", (2, 3, 4, 5))
     def test_grid_residual_zero(self, da, db):
-        assert check_dim_relation(da, db).residual == 0
+        lhs, rhs = check_dim_relation(da, db)
+        assert lhs - rhs == 0
 
 
 @pytest.mark.parametrize("d", ALL_D)
@@ -297,26 +298,45 @@ def test_table_algebra_matches_dense(split, seed):
     assert np.abs(split_sum(*split, relabel(w)) - swap_references(dense_w)).max() <= tol
 
 
-def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch):
-    # the separable and overlap paths at (3,3) form their dense operators from
-    # index maps and the two local toolkits only
-    local = symmetry.build_toolkit
+def test_3x3_checks_never_build_the_joint_toolkit(monkeypatch, capsys):
+    # the separable and overlap paths at (3,3) read tables on the irreps and
+    # never build the joint toolkit, and no command writes a dense operator:
+    # every binding of the dense writer in the package raises
+    local, scatter = symmetry.build_toolkit, symmetry._scatter
 
     def small_only(d):
         if d >= 4:
             raise AssertionError(f"joint toolkit built at d = {d}")
         return local(d)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense writer called")
+
     monkeypatch.setattr(symmetry, "build_toolkit", small_only)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "stateid" and getattr(module, "_scatter", None) is scatter:
+            monkeypatch.setattr(module, "_scatter", refuse)
     unambiguous.separable_unamb_povm.cache_clear()
     priors = minerr.Priors.from_eta1(0.3)
     for eta1 in (0.1, 0.3, 0.5):
         assert checks.instance_row(checks.minerr_locc, 3, 3, eta1)["pass"]
     assert checks.instance_row(checks.unamb_separable, 3, 3)["pass"]
     povm = minerr.optimal_global_povm(9, priors)
-    assert abs(minerr.mean_success(povm, priors) - minerr.max_success_global(9, priors)) < 1e-9
+    assert abs(mean_success(povm, priors) - minerr.max_success_global(9, priors)) < 1e-9
+    for argv in (["dims", "--d", "3"], ["dims", "--da", "2", "--db", "3"],
+                 ["minerr", "--d", "3", "--eta1", "0.3"],
+                 ["minerr", "--da", "3", "--db", "3", "--eta1", "0.7", "--locc"],
+                 ["minerr", "--da", "2", "--db", "2", "--locc", "--simulate", "--n", "200"],
+                 ["unamb", "--d", "3"], ["unamb", "--da", "2", "--db", "3"],
+                 ["unamb", "--d", "3", "--simulate", "--n", "200"],
+                 ["unamb", "--da", "2", "--db", "2", "--simulate", "--n", "200"],
+                 ["verify-all", "--seed", "7"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
     with pytest.raises(AssertionError, match="joint toolkit"):
         symmetry.build_toolkit(9)
+    with pytest.raises(AssertionError, match="dense writer"):
+        unambiguous.optimal_global_povm(2).e1
 
 
 # --- the group algebra of the P_k, against dense permutation operators ------
