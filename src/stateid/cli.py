@@ -16,8 +16,9 @@ passed, 1 means some check failed, 2 means a usage error (a bad flag, a
 report that cannot be written to --out or stdout, or a simulation that does
 not fit in memory).  The CLI checks only which flags go together, --seed
 and --out; a value out of range is refused by the library's rule for it
-(symmetry.check_dims, minerr.Priors, simulate.check_batch) before any work,
-and its text is the one stderr line of the usage error.  Every oracle reads
+(symmetry.check_dims, minerr.Priors, simulate.check_batch) before any work.
+Each of these is one stderr line, `stateid: error: <text>`; only a flag
+argparse cannot parse gets argparse's own usage message.  Every oracle reads
 spectra and traces on the irreps of S3 (linalg), every mean success is
 povm.mean_success and every sampled <psi| E |psi> reads simulate.invariants,
 so no command forms a dense operator, at any dimension.
@@ -259,8 +260,8 @@ def _add_sim_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel worker count, at most the usable CPU count; a batch "
                           f"forks only when each chunk holds at least {MIN_FORK_CHUNK} trials "
-                          "(a forked worker costs 13-36 ms of CPU that fewer trials do not "
-                          "win back) and otherwise runs in one process")
+                          "(simulate.MIN_FORK_CHUNK, the fewest that repay a fork) and "
+                          "otherwise runs in one process")
     sub.add_argument("--baseline", action="store_true",
                      help="include the no-reference-copy baseline value")
 
@@ -309,15 +310,12 @@ def _out_problem(path: str) -> str | None:
     return None if os.access(parent, os.W_OK | os.X_OK) else os.strerror(errno.EACCES)
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> str | None:
-    """Check the flags before any work.
-
-    A bad flag combination exits through parser.error.  A negative --seed, an
-    --out path that cannot be written, or a value the library's rules refuse
-    (symmetry.check_dims, minerr.Priors, simulate.check_batch) is returned as
-    a one-line message, the rule's own text, which main reports as a usage
-    error.
-    """
+def _validate(args) -> str | None:
+    """Check the flags before any work.  A bad flag combination, a negative
+    --seed, an --out path that cannot be written, or a value the library's
+    rules refuse (symmetry.check_dims, minerr.Priors, simulate.check_batch,
+    in the rule's own text) is returned as a one-line message, which main
+    reports as a usage error."""
     if getattr(args, "seed", 0) < 0:
         return f"--seed must be >= 0, got {args.seed}"
     if args.out and (problem := _out_problem(args.out)):
@@ -327,11 +325,11 @@ def _validate(parser: argparse.ArgumentParser, args) -> str | None:
     has_d = args.d is not None
     has_split = args.da is not None or args.db is not None
     if has_d == has_split:
-        parser.error("give either --d or both --da and --db")
+        return "give either --d or both --da and --db"
     if has_split and (args.da is None or args.db is None):
-        parser.error("--da and --db must be given together")
+        return "--da and --db must be given together"
     if getattr(args, "locc", False) and not has_split:
-        parser.error("--locc needs --da and --db")
+        return "--locc needs --da and --db"
     try:
         check_dims((args.d,) if has_d else (args.da, args.db))
         if hasattr(args, "eta1"):
@@ -352,9 +350,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    problem = _validate(parser, args)
+    args = build_parser().parse_args(argv)
+    problem = _validate(args)
     if problem:
         return _usage_error(problem)
     try:

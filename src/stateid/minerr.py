@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import spectrum
 from .povm import Povm
-from .protocol import ALICE, BOB, Leaf, LoccProtocol, MeasurementStep, step
+from .protocol import Leaf, LoccProtocol, MeasurementStep, alice_then_bob, step, type_tree
 from .symmetry import S3, check_dims, dimension_table, relabel, s3_product
 
 PRIOR_ATOL = 1e-12
@@ -184,14 +184,15 @@ def locc_povm_element(d_a: int, d_b: int, priors: Priors) -> Povm:
 
 
 def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
-    """Executable LOCC tree implementing the separable min-error optimum.
+    """Executable LOCC tree implementing the separable min-error optimum, a
+    protocol.type_tree.
 
-    Both parties first resolve their local permutation symmetry.  If one side
-    is totally (anti)symmetric and the other mixed, the mixed party measures
-    the signed local-gain projectors and the answer is 1 on (symmetric, +) or
-    (antisymmetric, -).  If both are mixed, each measures the rotated-involution
-    projectors and the answer is 1 exactly when the outcomes differ.  All
-    remaining combinations answer 2.
+    Both parties first measure their local symmetry type.  If one side is
+    totally (anti)symmetric and the other mixed, the mixed party measures the
+    signed local-gain projectors (pp, pm) and the answer is 1 on (symmetric,
+    +) or (antisymmetric, -).  If both are mixed, Alice then Bob measure the
+    rotated-involution projectors (qp, qm) and the answer is 1 exactly when
+    the outcomes differ.  Neither mixed answers 2.
 
     Accepts any priors: for eta1 > eta2 the tree is built under the swapped
     convention and relabeled back.  Relabeling exchanges the two reference
@@ -204,42 +205,15 @@ def locc_protocol(d_a: int, d_b: int, priors: Priors) -> LoccProtocol:
     if priors.certain:
         return LoccProtocol(d_a=d_a, d_b=d_b, root=Leaf(priors.certain))
     swap = priors.eta1 > priors.eta2
-    p = priors.swapped() if swap else priors
     one, two = (Leaf(2), Leaf(1)) if swap else (Leaf(1), Leaf(2))
+    pp, pm, qp, qm = _local_projectors(priors.swapped() if swap else priors, swap)
 
-    dims = {ALICE: d_a, BOB: d_b}
-    pp, pm, qp, qm = _local_projectors(p, swap)
+    def signed(party: str, d: int, other: str) -> MeasurementStep:
+        answer = "+" if other == "sym" else "-"
+        return step(party, d, {"+": pp, "-": pm},
+                    {s: one if s == answer else two for s in "+-"}, S3.mixed3)
 
-    def signed_step(party, answer_on):
-        # answer_on: which sign concludes "reference 1"
-        children = {"+": one if answer_on == "+" else two,
-                    "-": one if answer_on == "-" else two}
-        return step(party, dims[party], {"+": pp, "-": pm}, children, S3.mixed3)
-
-    bob_q = {
-        a_sign: step(BOB, d_b, {"+": qp, "-": qm},
-                     {"+": one if a_sign == "-" else two,
-                      "-": one if a_sign == "+" else two},
-                     S3.mixed3)
-        for a_sign in ("+", "-")
-    }
-    alice_q = step(ALICE, d_a, {"+": qp, "-": qm}, bob_q, S3.mixed3)
-    types = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
-
-    def bob_layer(alice_outcome: str) -> MeasurementStep:
-        children: dict[str, MeasurementStep | Leaf] = {}
-        for b_outcome in ("sym", "antisym", "mixed"):
-            if alice_outcome in ("sym", "antisym") and b_outcome == "mixed":
-                children[b_outcome] = signed_step(
-                    BOB, answer_on="+" if alice_outcome == "sym" else "-")
-            elif alice_outcome == "mixed" and b_outcome in ("sym", "antisym"):
-                children[b_outcome] = signed_step(
-                    ALICE, answer_on="+" if b_outcome == "sym" else "-")
-            elif alice_outcome == "mixed" and b_outcome == "mixed":
-                children[b_outcome] = alice_q
-            else:
-                children[b_outcome] = two
-        return step(BOB, d_b, types, children)
-
-    root = step(ALICE, d_a, types, {outcome: bob_layer(outcome) for outcome in types})
-    return LoccProtocol(d_a=d_a, d_b=d_b, root=root)
+    q = {"+": qp, "-": qm}
+    both = alice_then_bob(d_a, d_b, q, lambda a: q, lambda a, b: one if a != b else two,
+                          S3.mixed3)
+    return LoccProtocol(d_a=d_a, d_b=d_b, root=type_tree(d_a, d_b, signed, both, two))

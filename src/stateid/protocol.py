@@ -5,6 +5,11 @@ leaves carry the final label (1 or 2 for the two identification answers, 0
 for inconclusive).  A protocol's split passes symmetry.check_dims when the
 protocol is made.
 
+Both schemes' trees have one shape (type_tree): each party measures the
+permutation-symmetry type of its three systems (TYPES), and a case table
+finishes: a lone mixed party measures alone, two mixed parties measure Alice
+then Bob (alice_then_bob), and neither mixed gives a fixed answer.
+
 Operators never leave their party's space, and each is given by its six
 real coordinates on the party's permutation operators P_pi (symmetry.S3): a
 step holds its outcomes' Kraus operators K as a read-only (elements, 6)
@@ -19,7 +24,7 @@ same coordinate rule as a step; it is written dense only on request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -79,6 +84,38 @@ def step(party: str, d: int, kraus: dict, children: dict,
     return MeasurementStep(party, tuple(kraus), children, stack)
 
 
+# the local symmetry types: their projectors resolve the identity at every d
+TYPES = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
+Node = Union[MeasurementStep, Leaf]
+
+
+def alice_then_bob(d_a: int, d_b: int, alice: dict, bob: Callable[[Hashable], dict],
+                   finish: Callable[[Hashable, Hashable], Node],
+                   support: np.ndarray = S3.identity) -> MeasurementStep:
+    """Alice measures the outcome->Kraus coordinates alice; after her outcome
+    a, Bob measures bob(a), and finish(a, b) is the node that follows both
+    outcomes.  Each step resolves support (see step)."""
+    def bob_step(a):
+        kraus = bob(a)
+        return step(BOB, d_b, kraus, {b: finish(a, b) for b in kraus}, support)
+
+    return step(ALICE, d_a, alice, {a: bob_step(a) for a in alice}, support)
+
+
+def type_tree(d_a: int, d_b: int, one_mixed: Callable[[str, int, str], Node],
+              both_mixed: Node, neither: Node) -> MeasurementStep:
+    """Both parties measure their symmetry type (TYPES), Alice then Bob; then
+    when exactly one party is mixed, one_mixed(party, its dimension, the
+    other's type) follows, when both are, both_mixed, and otherwise
+    neither."""
+    def finish(a: str, b: str) -> Node:
+        if a == "mixed":
+            return both_mixed if b == "mixed" else one_mixed(ALICE, d_a, b)
+        return one_mixed(BOB, d_b, a) if b == "mixed" else neither
+
+    return alice_then_bob(d_a, d_b, TYPES, lambda a: TYPES, finish)
+
+
 @dataclass(frozen=True)
 class LoccProtocol:
     """A measurement tree over the party-major split space (see module doc),
@@ -86,7 +123,7 @@ class LoccProtocol:
 
     d_a: int
     d_b: int
-    root: Union[MeasurementStep, Leaf]
+    root: Node
 
     def __post_init__(self) -> None:
         check_dims((self.d_a, self.d_b))

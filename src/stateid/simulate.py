@@ -42,9 +42,7 @@ A chunk of a batch hashes the seeds (seed, i) of a window of trials at once
 
 A batch on several workers is split into consecutive chunks (chunk_bounds),
 at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
-each: in a fresh interpreter, which is what the CLI runs, each forked worker
-costs 13-36 ms of CPU, the first one with the import of multiprocessing
-(about 6 ms), which a chunk of fewer trials does not win back in wall time.
+each, the fewest that repay a fork (see MIN_FORK_CHUNK for the measurement).
 A batch of one chunk runs in the caller, starts no process and does not
 import multiprocessing.  Otherwise the caller runs the first chunk while one
 forked process per further chunk runs the rest and sends its counts back
@@ -88,8 +86,9 @@ INVARIANT_BLOCK_BYTES = 8 * BLOCK_STATE_BYTES
 # the runs, at both (2,2) and (3,3), one batch per fresh interpreter (2 CPUs,
 # 1 BLAS thread).  Two chunks of 3000 trials won x0.84-1.21 at (2,2), within
 # that spread; two of 4000 won x1.09-1.31 at both.  The first fork of a
-# process also loads multiprocessing, and each forked worker cost 13-36 ms of
-# CPU, so one floor for every spec has to repay that on the cheapest trials.
+# process also loads multiprocessing (about 6 ms), and each forked worker cost
+# 13-36 ms of CPU in a fresh interpreter, which is what the CLI runs, so one
+# floor for every spec has to repay that on the cheapest trials.
 MIN_FORK_CHUNK = 4000
 
 
@@ -586,9 +585,7 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
 
     The trials are split into the consecutive chunks of chunk_bounds: never
     more than the CPUs the batch may run on, and only as many as hold
-    MIN_FORK_CHUNK trials each, because in a fresh interpreter a forked
-    worker costs 13-36 ms of CPU, the first one with the import of
-    multiprocessing, that smaller chunks do not win back in wall time.  A
+    MIN_FORK_CHUNK trials each, the fewest that repay a fork.  A
     batch of one chunk runs in the caller, starts no process and imports no
     multiprocessing.  Otherwise the caller runs the first chunk itself while
     one forked process per remaining chunk runs the rest and sends its

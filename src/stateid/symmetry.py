@@ -45,11 +45,12 @@ them before any work, so each refuses a bad dimension with its one text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,30 +145,6 @@ def check_dim_relation(d_a: int, d_b: int) -> tuple[int, int]:
         + ta.mixed3 * tb.mixed3 // 2
     )
     return dimension_table(d_a * d_b).mixed3, rhs
-
-
-@dataclass(frozen=True)
-class SymmetryToolkit:
-    """The operators of S3 on (C^d)^x3 under their names, as real dense
-    matrices written by permutation_sum.
-
-    Arrays are read-only; toolkits are cached per d and shared.
-    """
-
-    d: int
-    dims: DimensionTable
-    swap01: np.ndarray
-    swap02: np.ndarray
-    swap12: np.ndarray
-    sym01: np.ndarray
-    sym02: np.ndarray
-    antisym01: np.ndarray
-    antisym02: np.ndarray
-    sym3: np.ndarray
-    antisym3: np.ndarray
-    mixed3: np.ndarray
-    swap_diff: np.ndarray
-    swap_sum: np.ndarray
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -289,13 +266,17 @@ def permutation_sum(d: int, c) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def build_toolkit(d: int) -> SymmetryToolkit:
-    """Cached symmetry toolkit on (C^d)^x3."""
+def build_toolkit(d: int) -> SimpleNamespace:
+    """The operators of S3 on (C^d)^x3 under their names, as read-only real
+    dense matrices written by permutation_sum, with d and its
+    DimensionTable dims; cached per d and shared.  The identity is left out,
+    a d^6 array that no reader needs."""
     dims = dimension_table(d)
-    names = [f.name for f in fields(SymmetryToolkit)[2:]]
-    ops = permutation_sum(d, np.array([getattr(S3, name) for name in names]))
+    named = {name: c for name, c in vars(S3).items()
+             if isinstance(c, np.ndarray) and name != "identity"}
+    ops = permutation_sum(d, np.array(list(named.values())))
     _freeze(ops)
-    return SymmetryToolkit(d, dims, *ops)
+    return SimpleNamespace(d=d, dims=dims, **dict(zip(named, ops)))
 
 
 @dataclass(frozen=True)

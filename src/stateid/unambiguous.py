@@ -38,7 +38,7 @@ import numpy as np
 from .linalg import PSD_EIG_FLOOR, largest_image, spectrum
 from .minerr import EQUAL_PRIORS
 from .povm import Povm, mean_success
-from .protocol import ALICE, BOB, Leaf, LoccProtocol, step
+from .protocol import Leaf, LoccProtocol, MeasurementStep, alice_then_bob, step, type_tree
 from .symmetry import S3, check_dims, joint, relabel, s3_product
 
 NO_ERROR_ATOL = 1e-10
@@ -205,67 +205,37 @@ def max_success_separable(d_a: int, d_b: int) -> float:
 
 
 def locc_protocol(d_a: int, d_b: int) -> LoccProtocol:
-    """LOCC tree implementing the optimal separable unambiguous scheme.
+    """LOCC tree implementing the optimal separable unambiguous scheme, a
+    protocol.type_tree.
 
-    Both parties resolve their local permutation symmetry.  Equal outcomes
-    (sym, sym) or (antisym, antisym) are inconclusive.  When exactly one party
-    is mixed, that party finishes with a local three-outcome POVM whose
+    Both parties first measure their local symmetry type.  When exactly one
+    party is mixed, that party finishes with a local three-outcome POVM whose
     conclusive elements are scaled pair-(anti)symmetrizers.  When both are
     mixed, Alice applies a four-outcome POVM (a1, a2), Bob measures one of
-    two projective pairs selected by a1, and the answer is a1 when a2 agrees
-    with it, else inconclusive.  Every Kraus operator is sqrt(w) times a
-    projector in the group algebra, for w = 1, 2/3 or 1/2.
+    two projective pairs selected by a1, and the answer is a1 when Bob's
+    outcome agrees with a2, else inconclusive.  Neither mixed is
+    inconclusive.  Every Kraus operator is sqrt(w) times a projector in the
+    group algebra, for w = 1, 2/3 or 1/2.
 
     The combinations (sym, antisym) and (antisym, sym) never occur on valid
     inputs; the tree still carries them (as inconclusive leaves) so the
     flattened POVM is complete.
     """
-    dims = {ALICE: d_a, BOB: d_b}
+    root, half = math.sqrt(ALPHA_MAX), math.sqrt(0.5)
 
-    def conclusive_step(party: str, other_symmetric: bool):
-        """Local POVM for the mixed party when the other side is (anti)symmetric."""
-        sign = 1.0 if other_symmetric else -1.0
-        root = math.sqrt(ALPHA_MAX)
-        kraus = {
-            1: root * (MIXED_ANTISYM02 if other_symmetric else MIXED_SYM02),
-            2: root * (MIXED_ANTISYM01 if other_symmetric else MIXED_SYM01),
-            0: root * s3_product(S3.mixed3, (S3.identity + sign * 2.0 * S3.swap_sum) / 2),
-        }
-        return step(party, dims[party], kraus, {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, S3.mixed3)
+    def conclusive_step(party: str, d: int, other: str) -> MeasurementStep:
+        """The mixed party's local POVM when the other side is (anti)symmetric."""
+        sym = other == "sym"
+        rest = (S3.identity + (2.0 if sym else -2.0) * S3.swap_sum) / 2
+        kraus = {1: root * (MIXED_ANTISYM02 if sym else MIXED_SYM02),
+                 2: root * (MIXED_ANTISYM01 if sym else MIXED_SYM01),
+                 0: root * s3_product(S3.mixed3, rest)}
+        return step(party, d, kraus, {1: Leaf(1), 2: Leaf(2), 0: Leaf(0)}, S3.mixed3)
 
-    # both mixed: Alice's four-outcome POVM, then Bob's pair selected by a1
-    half = math.sqrt(0.5)
-    four = {
-        (1, 1): half * MIXED_ANTISYM02,
-        (1, 2): half * MIXED_SYM02,
-        (2, 1): half * MIXED_ANTISYM01,
-        (2, 2): half * MIXED_SYM01,
-    }
-    bob_pairs = {}
-    for (a1, a2) in four:
-        pair = (MIXED_SYM02, MIXED_ANTISYM02) if a1 == 1 else (MIXED_SYM01, MIXED_ANTISYM01)
-        bob_pairs[(a1, a2)] = step(BOB, d_b, {1: pair[0], 2: pair[1]},
-                                   {1: Leaf(a1 if a2 == 1 else 0), 2: Leaf(a1 if a2 == 2 else 0)},
-                                   S3.mixed3)
-    mixed_mixed = step(ALICE, d_a, four, bob_pairs, S3.mixed3)
-
-    types = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
-
-    def bob_layer(alice_outcome: str):
-        children = {}
-        for b_outcome in types:
-            pair = {alice_outcome, b_outcome}
-            if pair in ({"sym"}, {"antisym"}, {"sym", "antisym"}):
-                children[b_outcome] = Leaf(0)
-            elif pair == {"sym", "mixed"}:
-                mixed_party = BOB if b_outcome == "mixed" else ALICE
-                children[b_outcome] = conclusive_step(mixed_party, other_symmetric=True)
-            elif pair == {"antisym", "mixed"}:
-                mixed_party = BOB if b_outcome == "mixed" else ALICE
-                children[b_outcome] = conclusive_step(mixed_party, other_symmetric=False)
-            else:
-                children[b_outcome] = mixed_mixed
-        return step(BOB, d_b, types, children)
-
-    root = step(ALICE, d_a, types, {outcome: bob_layer(outcome) for outcome in types})
-    return LoccProtocol(d_a=d_a, d_b=d_b, root=root)
+    # pairs[a1]: Bob's (sym, antisym) pair on systems 0 and 3 - a1; Alice's
+    # outcome (a1, a2) is, at weight 1/2, the opposite of Bob's outcome a2
+    pairs = {1: {1: MIXED_SYM02, 2: MIXED_ANTISYM02}, 2: {1: MIXED_SYM01, 2: MIXED_ANTISYM01}}
+    four = {(a1, a2): half * pairs[a1][3 - a2] for a1 in pairs for a2 in (1, 2)}
+    both = alice_then_bob(d_a, d_b, four, lambda a: pairs[a[0]],
+                          lambda a, b: Leaf(a[0] if a[1] == b else 0), S3.mixed3)
+    return LoccProtocol(d_a=d_a, d_b=d_b, root=type_tree(d_a, d_b, conclusive_step, both, Leaf(0)))

@@ -61,9 +61,21 @@ class TestDims:
         assert capsys.readouterr().err == f"stateid: error: {DIMS_TEXT}, got (1,)\n"
 
     def test_requires_some_dimension(self, capsys):
+        assert main(["dims"]) == 2
+        assert capsys.readouterr().err == ("stateid: error: give either --d or both "
+                                           "--da and --db\n")
+
+    def test_split_needs_both_parties(self, capsys):
+        assert main(["unamb", "--da", "3"]) == 2
+        assert capsys.readouterr().err == "stateid: error: --da and --db must be given together\n"
+
+    @pytest.mark.parametrize("argv", [["dims", "--d", "2", "--bogus"],
+                                      ["dims", "--d", "2", "--json", "--csv"]])
+    def test_parse_errors_stay_argparse_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            main(["dims"])
+            main(argv)
         assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: stateid")
 
 
 class TestMinerr:
@@ -100,9 +112,8 @@ class TestMinerr:
         assert report["values"]["baseline_no_measurement"] == 0.7
 
     def test_locc_requires_split(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["minerr", "--d", "4", "--locc"])
-        assert err.value.code == 2
+        assert main(["minerr", "--d", "4", "--locc"]) == 2
+        assert capsys.readouterr().err == "stateid: error: --locc needs --da and --db\n"
 
     def test_eta_out_of_range(self, capsys):
         assert main(["minerr", "--d", "2", "--eta1", "1.5"]) == 2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import validate_dense
@@ -13,12 +13,10 @@ from stateid import checks, minerr, povm, protocol, simulate, symmetry, unambigu
 from stateid.linalg import largest_image, max_abs, spectrum
 from stateid.minerr import Priors, _local_projectors
 from stateid.povm import COMPLETENESS_ATOL
-from stateid.protocol import ALICE, BOB, Leaf, gram, step
+from stateid.protocol import ALICE, BOB, TYPES, Leaf, gram, step
 from stateid.symmetry import S3, permutation_sum, s3_product
 
 SIGNS = 6 * S3.antisym3
-# the three type projectors: a complete step at every d
-TYPES = {"sym": S3.sym3, "antisym": S3.antisym3, "mixed": S3.mixed3}
 # a basis of the mixed block, in which it is the algebra of real 2 x 2
 # matrices: mixed3 <-> 1, x1 <-> diag(1, -1), x2 <-> [[0, 1], [1, 0]]
 X1 = 2 / math.sqrt(3) * S3.swap_diff
@@ -211,6 +209,32 @@ def test_steps_and_flattened_trees_on_the_irreps(d_a, d_b):
             assert_positive_and_complete(grams, (d,), support)
         eff = protocol.effective_povm(tree)
         assert_positive_and_complete(list(eff.elements.values()), (d_a, d_b), unit)
+
+
+SPLITS = st.integers(2, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta1=st.floats(0.0, 1.0), d_a=SPLITS, d_b=SPLITS)
+@example(eta1=0.0, d_a=2, d_b=2)
+@example(eta1=5e-324, d_a=2, d_b=3)
+@example(eta1=1e-9, d_a=3, d_b=3)
+@example(eta1=0.5, d_a=5, d_b=5)
+@example(eta1=0.7, d_a=2, d_b=5)
+@example(eta1=1 - 1e-16, d_a=4, d_b=2)
+@example(eta1=1.0, d_a=5, d_b=3)
+def test_trees_flatten_to_their_closed_forms(eta1, d_a, d_b):
+    # label by label, a label missing from one side is 0 there; compared as
+    # operators, on the irreps: at a d = 2 party two tables of one operator
+    # differ along the signs
+    p = Priors.from_eta1(eta1)
+    sep = unambiguous.separable_unamb_povm(d_a, d_b, unambiguous.SeparableCoeffs.optimal())
+    for tree, ref in ((minerr.locc_protocol(d_a, d_b, p), minerr.locc_povm_element(d_a, d_b, p)),
+                      (unambiguous.locc_protocol(d_a, d_b), sep)):
+        eff = protocol.effective_povm(tree)
+        for label in set(eff.labels) | set(ref.labels):
+            diff = eff.elements.get(label, 0.0) - ref.elements.get(label, 0.0)
+            assert largest_image(diff, (d_a, d_b)) <= 1e-12, label
 
 
 @pytest.mark.parametrize("d_b", PARTY_CASES)

@@ -1,10 +1,12 @@
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def load(name: str):
@@ -33,3 +35,19 @@ def test_src_lines_against_a_revision_counts_the_working_tree(capsys):
     totals = table.pop("total")
     assert [sum(column) for column in zip(*table.values())] == list(totals)
     assert totals[1] == sum(map(src_lines.count, modules))
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # a failing hypothesis test makes its plugin import a module whose
+    # dependencies warn; under the project's warning filters the session
+    # still reports the failure and runs the tests after it
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
