@@ -335,7 +335,7 @@ def _validate(args) -> str | None:
         if hasattr(args, "eta1"):
             Priors.from_eta1(args.eta1)
         if getattr(args, "simulate", False):
-            check_batch(args.n, args.workers)
+            check_batch(args.n, args.workers, args.seed)
     except ValueError as exc:
         return str(exc)
     return None

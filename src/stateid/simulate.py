@@ -28,17 +28,25 @@ tau(p), ...) of tau = pi^-1 sigma of tr(X_{p,sigma(p)} X_{tau(p),sigma(tau(p))}
 ...), with X_{s,q} = conj(M_s) M_q^T (local-unitary invariants as in E.
 Rains, arXiv:quant-ph/9704042).
 
-Determinism contract: trial i of a batch uses the generator seeded with
-(base_seed, i), so batch results are identical for any worker count and any
-block size.  A trial draws, in this order, the label uniform; the 4*d
-standard normals of both references (real then imaginary parts of the first,
-then of the second); and one uniform per step of the deepest path of the tree
-(1 for a global POVM).  A step at level k of the tree reads the k-th of those
-uniforms.  These are the numbers that drawing each value as it is needed
-would give: a Generator keeps no state between calls for normals or
-uniforms.  Outcome sampling is inverse-CDF over the ordered element list.
-A chunk of a batch hashes the seeds (seed, i) of a window of trials at once
-(_seed_states) and hands each row to numpy's own PCG64 set-seed.
+Determinism contract: trial i of a batch uses the numbers of the generator
+default_rng((base_seed, i)), so batch results are identical for any worker
+count and any block size.  A trial draws, in this order, the label uniform;
+the 4*d standard normals of both references (real then imaginary parts of
+the first, then of the second); and one uniform per step of the deepest path
+of the tree (1 for a global POVM).  A step at level k of the tree reads the
+k-th of those uniforms.  These are the numbers that drawing each value as it
+is needed would give: a Generator keeps no state between calls for normals
+or uniforms.  Outcome sampling is inverse-CDF over the ordered element list.
+The contract fixes the numbers, not the calls that make them.  A chunk of a
+batch hashes the seeds (seed, i) of a window of trials at once
+(_seed_states), and a block draws its trials' numbers at once from those
+rows (_bulk_draws): numpy's PCG64 set-seed and outputs on uint64 arrays,
+uniforms from the top 53 bits of an output, and normals by the fast path of
+numpy's ziggurat.  A trial with a normal off that path, whose next numbers
+numpy takes from further outputs, is drawn again from its own generator,
+numpy's PCG64 on its row (_State), as is every trial above d = 8
+(_BULK_NORMALS) and the first trial of each block, the canary that checks
+the bulk numbers against numpy's.
 
 A batch on several workers is split into consecutive chunks (chunk_bounds),
 at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
@@ -84,11 +92,16 @@ INVARIANT_BLOCK_BYTES = 8 * BLOCK_STATE_BYTES
 # Fewest trials per chunk for which run_batch forks: the smallest chunk at
 # which two workers beat one in median wall time by more than the spread of
 # the runs, at both (2,2) and (3,3), one batch per fresh interpreter (2 CPUs,
-# 1 BLAS thread).  Two chunks of 3000 trials won x0.84-1.21 at (2,2), within
-# that spread; two of 4000 won x1.09-1.31 at both.  The first fork of a
-# process also loads multiprocessing (about 6 ms), and each forked worker cost
-# 13-36 ms of CPU in a fresh interpreter, which is what the CLI runs, so one
-# floor for every spec has to repay that on the cheapest trials.
+# 1 BLAS thread).  With a generator built for every trial, two chunks of 3000
+# trials won x0.84-1.21 at (2,2), within that spread; two of 4000 won
+# x1.09-1.31 at both.  The first fork of a process also loads multiprocessing
+# (about 6 ms), and each forked worker cost 13-36 ms of CPU in a fresh
+# interpreter, which is what the CLI runs, so one floor for every spec has to
+# repay that on the cheapest trials.  Since blocks draw in bulk, a 4000-trial
+# batch in one process takes a median 4.6 us per trial at (2,2) and 8.3 us
+# at (3,3), and two chunks of 4000 won x0.87-1.08 (median 1.02) at (2,2),
+# within the spread, and x0.92-1.34 (1.10) at (3,3), 7 runs each: the floor
+# is kept, but at (2,2) a fork now barely repays itself.
 MIN_FORK_CHUNK = 4000
 
 
@@ -145,19 +158,32 @@ class Block(NamedTuple):
     path: np.ndarray
 
 
-def _draw(rngs: Sequence[np.random.Generator], priors: Priors, d: int,
+def _draw(rngs: Sequence, priors: Priors, d: int,
           depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True labels (n,), unit references (n, 2, d) and step uniforms (n,
-    depth), each trial from its own generator in the contract order."""
-    n = len(rngs)
-    label_u = np.empty(n)
-    normals = np.empty((n, 2, 2, d))
-    step_u = np.empty((n, depth))
-    for j, rng in enumerate(rngs):
-        label_u[j] = rng.random()
-        rng.standard_normal(out=normals[j])
-        rng.random(out=step_u[j])
+    depth) of n trials in the contract order.  rngs are the trials' seed
+    states, an (n, 4) uint64 array of _seed_states rows, drawn in bulk
+    (_bulk_draws) except for the trials it leaves to their own generators;
+    or the trials' generators, each drawn by _draw_trial."""
+    if isinstance(rngs, np.ndarray):
+        label_u, normals, step_u, slow = _bulk_draws(rngs, d, depth)
+        redo = ((j, Generator(PCG64(_State(rngs[j])))) for j in np.flatnonzero(slow))
+    else:
+        n = len(rngs)
+        label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
+        redo = enumerate(rngs)
+    for j, rng in redo:
+        label_u[j] = _draw_trial(rng, normals[j], step_u[j])
     return np.where(label_u < priors.eta1, 1, 2), haar_refs(normals), step_u
+
+
+def _draw_trial(rng: np.random.Generator, normals: np.ndarray, step_u: np.ndarray) -> float:
+    """One trial's numbers from its generator: returns the label uniform and
+    fills its normals (2, 2, d) and step uniforms (depth,)."""
+    label_u = rng.random()
+    rng.standard_normal(out=normals)
+    rng.random(out=step_u)
+    return label_u
 
 
 def haar_refs(normals: np.ndarray) -> np.ndarray:
@@ -169,9 +195,9 @@ def haar_refs(normals: np.ndarray) -> np.ndarray:
     return refs
 
 
-def _run_block(spec: TrialSpec, rngs: Sequence[np.random.Generator],
-               first_index: int = 0) -> Block:
-    """The block body of both specs: trials first_index, ... from rngs in turn."""
+def _run_block(spec: TrialSpec, rngs: Sequence, first_index: int = 0) -> Block:
+    """The block body of both specs: trials first_index, ... drawn from rngs
+    (their seed states or their generators, see _draw)."""
     labels, refs, step_u = _draw(rngs, spec.priors, spec.d, spec.depth)
     f = spec.invariants(labels, refs)
     probs = spec.weights @ f
@@ -497,45 +523,283 @@ class _State(ISeedSequence):
         return self.row
 
 
-class _Generators(Sequence):
-    """Generators of consecutive trials, each built as it is read from its seed state."""
-
-    def __init__(self, states: np.ndarray):
-        self.states = states
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, j: int) -> np.random.Generator:
-        return Generator(PCG64(_State(self.states[j])))
-
-
 def _block_rngs(seed: int, start: int, stop: int,
-                size: int) -> Iterator[tuple[int, Sequence[np.random.Generator]]]:
-    """(lo, generators of trials lo, lo + 1, ...) for blocks of at most size trials.
+                size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, seed states of trials lo, lo + 1, ...) for blocks of at most size trials.
 
-    Trial i gets the generator default_rng((seed, i)) would give.  The seed
-    states are hashed a window at a time; a window ends at each multiple of
-    2^32, and a generator is built when its block reads it.
+    Trial i gets the row SeedSequence((seed, i)).generate_state(4,
+    np.uint64), from which default_rng((seed, i)) is built.  The rows are
+    hashed a window at a time; a window ends at each multiple of 2^32.
     """
     lo = start
     while lo < stop:
         hi = min(stop, lo + _SEED_WINDOW, ((lo >> 32) + 1) << 32)
         states = _seed_states(seed, lo, hi)
         for a in range(0, hi - lo, size):
-            yield lo + a, _Generators(states[a:a + size])
+            yield lo + a, states[a:a + size]
         lo = hi
+
+
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, state' = state *
+# _PCG_MULT + inc mod 2^128, and each output the XSL-RR of the state after a
+# step (O'Neill, HMC-CS-2014-0905).  Set-seed from a row (s_hi, s_lo, q_hi,
+# q_lo) sets inc = 2 q + 1 and state = (s + inc) * _PCG_MULT + inc.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+# numpy's ziggurat for standard normals (Marsaglia & Tsang, J. Stat. Softw.
+# 5(8), 2000; numpy/random/src/distributions): an output r gives idx = r &
+# 0xff, a sign bit r >> 8 & 1 and rabs = r >> 9 & (2^52 - 1), and the normal
+# is +-rabs * _WI[idx] when rabs < _KI[idx]; any other draw takes the slow
+# path, which reads further outputs.  _WI[1] is never read (_KI[1] = 0).
+# Both tables are recovered from numpy's own sampler by
+# tests/test_simulate.py::TestBulkDraws::test_ziggurat_tables_match_numpy.
+# They are written as strings, which compile in a tenth of the time of 512
+# number literals (every import compiles this module when bytecode is not
+# written).
+_KI = np.array("""
+    4208095142473578 0 3387314423973544 3838760076542274 4030768804392682
+    4136731738896254 4203757248105145 4249917568205994 4283617341590296 4309289223136604
+    4329489775174550 4345795907393188 4359232558744730 4370494503737299 4380069246215646
+    4388308869042394 4395473957549321 4401761481783924 4407323076021240 4412277362218204
+    4416718463613199 4420722014516422 4424349484777079 4427651345409294 4430669422005229
+    4433438668975191 4435988524278344 4438343955930065 4440526279077425 4442553800234660
+    4444442329865861 4446205593658138 4447855565093316 4449402736340121 4450856340408624
+    4452224534496486 4453514552210512 4454732830656798 4455885117109368 4456976558985043
+    4458011780094444 4458994945550386 4459929817254120 4460819801517196 4461667990089170
+    4462477195632268 4463249982500384 4463988693531856 4464695473445501 4465372289331869
+    4466020948651920 4466643115089764 4467240322552142 4467813987562542 4468365420260672
+    4468895834186994 4469406355006040 4469898028300364 4470371826548633 4470828655385770
+    4471269359229841 4471694726349190 4472105493433674 4472502349725738 4472885940759935
+    4473256871753524 4473615710685532 4473962991097124 4474299214642296 4474624853414418
+    4474940352071305 4475246129778808 4475542581990776 4475830082081194 4476108982842610
+    4476379617863426 4476642302795321 4476897336520866 4477145002230339 4477385568415884
+    4477619289790266 4477846408136804 4478067153096380 4478281742896886 4478490385029917
+    4478693276879082 4478890606303906 4479082552182886 4479269284918997 4479450966910588
+    4479627752990372 4479799790834988 4479967221347354 4480130179013872 4480288792238368
+    4480443183654460 4480593470417939 4480739764480586 4480882172846772 4481020797814010
+    4481155737198612 4481287084547452 4481414929336784 4481539357158974 4481660449897960
+    4481778285894165 4481892940099539 4482004484223382 4482112986869492 4482218513665204
+    4482321127382802 4482420888053758 4482517853076245 4482612077316275 4482703613202871
+    4482792510817576 4482878817978627 4482962580320076 4483043841366126 4483122642600925
+    4483199023534056 4483273021761922 4483344673025224 4483414011262724 4483481068661428
+    4483545875703378 4483608461209170 4483668852378323 4483727074826624 4483783152620564
+    4483837108308932 4483888962951686 4483938736146144 4483986446050596 4484032109405372
+    4484075741551420 4484117356446452 4484156966678662 4484194583478081 4484230216725550
+    4484263874959345 4484295565379450 4484325293849474 4484353064896186 4484378881706674
+    4484402746123075 4484424658634833 4484444618368474 4484462623074794 4484478669113436
+    4484492751434740 4484504863558830 4484514997551788 4484523143998833 4484529291974394
+    4484533429008906 4484535541052219 4484535612433424 4484533625816926 4484529562154580
+    4484523400633636 4484515118620291 4484504691598554 4484492093104164 4484477294653230
+    4484460265665252 4484440973380154 4484419382768918 4484395456437370 4484369154522621
+    4484340434581640 4484309251471359 4484275557219678 4484239300886654 4484200428415112
+    4484158882469814 4484114602264271 4484067523374160 4484017577536216 4483964692431365
+    4483908791450714 4483849793442887 4483787612441036 4483722157367660 4483653331715198
+    4483581033200083 4483505153387764 4483425577285833 4483342182902157 4483254840764470
+    4483163413397547 4483067754753536 4482967709590562 4482863112794072 4482753788634692
+    4482639549955636 4482520197281720 4482395517841076 4482265284489409 4482129254525304
+    4481987168383486 4481838748191074 4481683696169781 4481521692864464 4481352395175570
+    4481175434169564 4480990412637506 4480796902367134 4480594441088331 4480382529045225
+    4480160625140311 4479928142586662 4479684443993061 4479428835793398 4479160561915451
+    4478878796564388 4478582635972392 4478271088936406 4477943065929958 4477597366530538
+    4477232664848704 4476847492576192 4476440219183781 4476009028690434 4475551892286424
+    4475066535915646 4474550401693506 4474000601739904 4473413862618200 4472786458058295
+    4472114126959004 4471391972746494 4470614338917719 4469774653883156 4468865235838896
+    4467877045039530 4466799366045354 4465619395558397 4464321701199635 4462887501169282
+    4461293691124341 4459511507635972 4457504658253067 4455226650325010 4452616884242348
+    4449594783440798 4446050695647666 4441831266659618 4436714892174061 4430368316897338
+    4422264825074740 4411517007702132 4396496531309976 4373832704204284 4335125104963628
+    4251099761679434
+""".split(), np.uint64)
+_WI = np.array("""
+    8.683627060801306e-16 0.0 6.354352417405262e-17 7.454870481247696e-17
+    8.3293668157931e-17 9.068060405059482e-17 9.714860076567762e-17 1.0294750314241019e-16
+    1.0823430288447684e-16 1.131147019610903e-16 1.176635945702292e-16 1.2193617278714363e-16
+    1.2597439914637093e-16 1.2981099886264032e-16 1.3347203736824123e-16 1.3697864842571203e-16
+    1.4034823001242382e-16 1.4359529452056943e-16 1.4673208742364422e-16 1.4976904668391037e-16
+    1.5271515003596198e-16 1.5557818169460764e-16 1.5836494009290885e-16 1.6108140175274928e-16
+    1.6373285203969853e-16 1.6632399058420835e-16 1.6885901708676596e-16 1.713417017655966e-16
+    1.737754436586486e-16 1.7616331923000996e-16 1.7850812316976727e-16 1.8081240285799152e-16
+    1.830784876482675e-16 1.853085138861802e-16 1.8750444639373882e-16 1.896680970077476e-16
+    1.918011406483862e-16 1.9390512930625104e-16 1.9598150426628824e-16 1.9803160683128174e-16
+    2.000566877627333e-16 2.0205791562071654e-16 2.0403638415480212e-16 2.0599311887403706e-16
+    2.079290829041402e-16 2.0984518222370352e-16 2.1174227035760342e-16 2.1362115259449868e-16
+    2.1548258978581458e-16 2.1732730177564367e-16 2.191559705042727e-16 2.2096924282235318e-16
+    2.2276773304789553e-16 2.2455202529414355e-16 2.263226755928568e-16 2.280802138345017e-16
+    2.2982514554424684e-16 2.3155795351040804e-16 2.3327909928004356e-16 2.3498902453470955e-16
+    2.3668815235791604e-16 2.3837688840454243e-16 2.4005562198135063e-16 2.4172472704675025e-16
+    2.433845631371103e-16 2.4503547622614954e-16 2.466777995232705e-16 2.4831185421610877e-16
+    2.4993795016204524e-16 2.515563865329658e-16 2.5316745241713583e-16 2.547714273816944e-16
+    2.563685819989397e-16 2.579591783392867e-16 2.5954347043351707e-16 2.6112170470670194e-16
+    2.6269412038597256e-16 2.6426094988411895e-16 2.658224191608307e-16 2.6737874806323633e-16
+    2.689301506472616e-16 2.704768354811995e-16 2.720190059327732e-16 2.735568604408679e-16
+    2.7509059277301666e-16 2.7662039226963903e-16 2.781464440759544e-16 2.79668929362423e-16
+    2.8118802553450207e-16 2.827039064324479e-16 2.842167425218406e-16 2.8572670107546015e-16
+    2.87233946347098e-16 2.887386397378482e-16 2.9024093995538423e-16 2.9174100316669455e-16
+    2.9323898314471816e-16 2.947350314092935e-16 2.9622929736280665e-16 2.977219284209029e-16
+    2.992130701386013e-16 3.007028663321331e-16 3.0219145919680615e-16 3.036789894211802e-16
+    3.051655962978219e-16 3.0665141783089545e-16 3.081365908408297e-16 3.0962125106629225e-16
+    3.111055332636893e-16 3.125895713043999e-16 3.140734982699446e-16 3.1555744654528006e-16
+    3.1704154791040285e-16 3.1852593363044065e-16 3.2001073454440114e-16 3.214960811527447e-16
+    3.2298210370394156e-16 3.244689322801698e-16 3.2595669688230784e-16 3.2744552751437067e-16
+    3.2893555426753697e-16 3.3042690740391284e-16 3.3191971744017523e-16 3.3341411523123725e-16
+    3.3491023205407785e-16 3.364081996918765e-16 3.37908150518595e-16 3.394102175841489e-16
+    3.409145347003126e-16 3.424212365275018e-16 3.4393045866258313e-16 3.454423377278584e-16
+    3.4695701146137835e-16 3.4847461880874137e-16 3.499953000165381e-16 3.5151919672760744e-16
+    3.53046452078274e-16 3.5457721079774357e-16 3.5611161930983884e-16 3.5764982583726505e-16
+    3.59191980508603e-16 3.6073823546823514e-16 3.6228874498941915e-16 3.6384366559073444e-16
+    3.65403156156137e-16 3.669673780588701e-16 3.685364952894914e-16 3.7011067458828983e-16
+    3.716900855823823e-16 3.7327490092779435e-16 3.7486529645684887e-16 3.7646145133120287e-16
+    3.7806354820089604e-16 3.7967177336979443e-16 3.8128631696783774e-16 3.829073731305243e-16
+    3.8453514018609596e-16 3.8616982085091493e-16 3.878116224335587e-16 3.894607570481926e-16
+    3.9111744183782054e-16 3.9278189920805415e-16 3.944543570720877e-16 3.9613504910761354e-16
+    3.9782421502646826e-16 3.995221008578565e-16 4.012289592460629e-16 4.029450497636328e-16
+    4.04670639241075e-16 4.0640600211422504e-16 4.0815142079049387e-16 4.0990718603532664e-16
+    4.1167359738030257e-16 4.134509635544236e-16 4.1523960294026883e-16 4.170398440568316e-16
+    4.1885202607101123e-16 4.206764993399015e-16 4.2251362598620494e-16 4.243637805093078e-16
+    4.262273504347798e-16 4.2810473700531167e-16 4.2999635591638323e-16 4.3190263810026294e-16
+    4.338240305622791e-16 4.357609972736849e-16 4.3771402012585875e-16 4.3968359995105214e-16
+    4.4167025761542035e-16 4.4367453519065673e-16 4.456969972112043e-16 4.477382320247534e-16
+    4.49798853244555e-16 4.518795013130059e-16 4.539808451870034e-16 4.561035841567422e-16
+    4.582484498109567e-16 4.604162081631153e-16 4.626076619547846e-16 4.648236531543207e-16
+    4.670650656712631e-16 4.693328283093329e-16 4.716279179838351e-16 4.739513632325867e-16
+    4.763042480533137e-16 4.786877161048723e-16 4.811029753147417e-16 4.835513029411525e-16
+    4.860340511450812e-16 4.885526531353603e-16 4.91108629959527e-16 4.937035980240335e-16
+    4.963392774403987e-16 4.990175013091822e-16 5.017402260718089e-16 5.045095430818727e-16
+    5.073276915733542e-16 5.101970732341562e-16 5.131202686306784e-16 5.161000557743228e-16
+    5.191394311757699e-16 5.222416338000234e-16 5.254101724177597e-16 5.286488569504945e-16
+    5.3196183453384e-16 5.353536311816497e-16 5.388292001334053e-16 5.423939782201712e-16
+    5.46053951907478e-16 5.498157350892814e-16 5.536866612467876e-16 5.576748932926576e-16
+    5.617895553555417e-16 5.660408920082422e-16 5.704404621291389e-16 5.750013768919895e-16
+    5.797385945724594e-16 5.846692893455479e-16 5.898133176477899e-16 5.951938149641444e-16
+    6.008379696271908e-16 6.067780409333449e-16 6.130527208725282e-16 6.197089894581626e-16
+    6.268046963301284e-16 6.344122407127506e-16 6.426239659548055e-16 6.515603317344994e-16
+    6.613827885097664e-16 6.723150462505587e-16 6.846803417564259e-16 6.98971833638762e-16
+    7.159994934830664e-16 7.372424301798799e-16 7.658936370805573e-16 8.113849337656484e-16
+""".split(), float)
+# Normals per trial above which every trial draws from its own generator.
+# The share of trials with all normals on the fast path falls from 79 % at
+# d = 4 to 59 % at d = 9, and the outputs drawn in bulk for the rest are
+# wasted.  Per trial, with 1 BLAS thread, bulk against generators: 1.7-1.8
+# against 3.9-4.1 us at d = 4, 2.9 against 4.1 us at d = 7, 3.5-3.9 against
+# 4.2-4.5 us at d = 8, but 3.9-4.3 against 4.3-4.7 us at d = 9, a gain that
+# numpy's first calls of the bulk path in a process (about 0.3 ms) take back
+# from a batch of a few hundred trials; generators won from d = 11.
+_BULK_NORMALS = 32
+# Elements of each (outputs, trials) array of _pcg64_outputs: a block is
+# drawn in equal parts that keep each within 64 KiB.  Parts of 128 KiB drew
+# 41 outputs a trial about 1.7 times slower per output than parts of 64 KiB.
+_OUTPUT_ELEMENTS = BLOCK_STATE_BYTES // (2 * np.dtype(np.uint64).itemsize)
+
+
+def _mulhi(x: np.ndarray, k: int) -> np.ndarray:
+    """The high words of the 128-bit products x * k (0 <= k < 2^64), from 32-bit limbs."""
+    k0, k1 = np.uint64(k & _MASK32), np.uint64(k >> 32)
+    x0, x1 = x & np.uint64(_MASK32), x >> np.uint64(32)
+    t = x1 * k0 + ((x0 * k0) >> np.uint64(32))
+    w = x0 * k1 + (t & np.uint64(_MASK32))
+    return x1 * k1 + (t >> np.uint64(32)) + (w >> np.uint64(32))
+
+
+def _scan(z: np.ndarray, mult: int) -> np.ndarray:
+    """In place, row j becomes the sum over i <= j of mult^(j - i) z[i] mod
+    2^64, in ceil(log2(len(z))) doubling rounds: x[j] of the recurrence x[0]
+    = z[0], x[j + 1] = mult x[j] + z[j + 1]."""
+    k = 1
+    while k < len(z):
+        z[k:] += np.uint64(pow(mult, k, 1 << 64)) * z[:-k]
+        k *= 2
+    return z
+
+
+def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
+    """The first count outputs of PCG64(_State(row)) for each seed-state row,
+    as (count, trials): random_raw(count) of each trial in a column.
+
+    The low words of the states follow lo' = m_lo lo + inc_lo mod 2^64 on
+    their own; the high words follow hi' = m_lo hi + e with e = m_hi lo +
+    mulhi(lo, m_lo) + inc_hi + the carry of the low word, a function of the
+    low words.  Both recurrences run as scans over the rows, from s + inc,
+    the state before set-seed's second step.
+    """
+    m_lo, m_hi = _PCG_MULT & _MASK64, _PCG_MULT >> 64
+    one = np.uint64(1)
+    inc_hi = (states[:, 2] << one) | (states[:, 3] >> np.uint64(63))
+    inc_lo = (states[:, 3] << one) | one
+    lo = np.empty((count + 2, len(states)), np.uint64)
+    lo[0] = states[:, 1] + inc_lo
+    lo[1:] = inc_lo
+    hi = np.empty_like(lo)
+    hi[0] = states[:, 0] + inc_hi + (lo[0] < inc_lo)
+    _scan(lo, m_lo)
+    e = hi[1:]
+    e[:] = _mulhi(lo[:-1], m_lo)
+    e += lo[:-1] * np.uint64(m_hi)
+    e += inc_hi
+    e += lo[1:] < inc_lo
+    _scan(hi, m_lo)
+    # XSL-RR: the xor of both words, rotated right by the top 6 bits
+    hi, lo = hi[2:], lo[2:]
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    return (x >> rot) | (x << (-rot & np.uint64(63)))
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """numpy's doubles in [0, 1): the top 53 bits of each output times 2^-53."""
+    return (raw >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+def _bulk_draws(states: np.ndarray, d: int,
+                depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Label uniforms (n,), normals (n, 2, 2, d) and step uniforms (n,
+    depth) of the trials of seed states (n, 4), and which trials to draw
+    again from their generators (n,): those with a normal off the
+    ziggurat's fast path, or every trial above _BULK_NORMALS normals.
+
+    A trial on the fast path reads 1 + 4 d + depth consecutive outputs.  The
+    canary: the first trial is drawn from its own generator as well, and its
+    bulk label uniform, and all its bulk numbers if it is on the fast path,
+    must be the generator's, or RuntimeError.
+    """
+    n, count = len(states), 1 + 4 * d + depth
+    label_u, normals, step_u = np.empty(n), np.empty((n, 4 * d)), np.empty((n, depth))
+    slow = np.ones(n, bool)
+    if not n or 4 * d > _BULK_NORMALS:
+        return label_u, normals.reshape(n, 2, 2, d), step_u, slow
+    # the fewest equal parts of at most _OUTPUT_ELEMENTS outputs each
+    part = -(-n // -(-n * count // _OUTPUT_ELEMENTS))
+    for a in range(0, n, part):
+        raw = _pcg64_outputs(states[a:a + part], count)
+        r = raw[1:1 + 4 * d]
+        idx = (r & np.uint64(0xFF)).astype(np.intp)
+        rabs = (r >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+        x = rabs * _WI[idx]
+        # the products are >= 0: setting the sign bit negates them, -0.0 included
+        x.view(np.uint64)[...] |= (r & np.uint64(0x100)) << np.uint64(55)
+        normals[a:a + part] = x.T
+        label_u[a:a + part] = _uniforms(raw[0])
+        step_u[a:a + part] = _uniforms(raw[1 + 4 * d:]).T
+        slow[a:a + part] = (rabs >= _KI[idx]).any(axis=0)
+    normals = normals.reshape(n, 2, 2, d)
+    first = label_u[0], normals[0].copy(), step_u[0].copy()
+    label_u[0] = _draw_trial(Generator(PCG64(_State(states[0]))), normals[0], step_u[0])
+    if not (first[0] == label_u[0] and (slow[0] or (np.array_equal(first[1], normals[0])
+                                                     and np.array_equal(first[2], step_u[0])))):
+        raise RuntimeError("bulk draws differ from numpy's PCG64 and ziggurat at the first "
+                           "trial of a block")
+    slow[0] = False
+    return label_u, normals, step_u, slow
 
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
     successes = errors = inconclusive = 0
-    for lo, rngs in _block_rngs(seed, start, stop, spec.block_trials):
-        block = spec.run_block(rngs, lo)
+    for lo, states in _block_rngs(seed, start, stop, spec.block_trials):
+        block = spec.run_block(states, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))
         successes += hits
         inconclusive += blanks
-        errors += len(rngs) - hits - blanks
+        errors += len(states) - hits - blanks
     return successes, errors, inconclusive
 
 
@@ -571,12 +835,14 @@ def chunk_bounds(n: int, workers: int) -> list[int]:
     return [n * k // chunks for k in range(chunks + 1)]
 
 
-def check_batch(n: int, workers: int) -> None:
-    """The one batch rule: n trials and workers, each an integer >= 1;
-    otherwise ValueError, with one text."""
-    if not all(isinstance(k, Integral) and k >= 1 for k in (n, workers)):
-        raise ValueError(f"a batch needs n >= 1 trials and workers >= 1, each an integer, "
-                         f"got n={n!r}, workers={workers!r}")
+def check_batch(n: int, workers: int, seed: int) -> None:
+    """The one batch rule: n trials and workers, each an integer >= 1, and
+    a seed, an integer >= 0 (a bool is none of them); otherwise ValueError,
+    with one text."""
+    if not all(isinstance(k, Integral) and not isinstance(k, bool) and k >= least
+               for k, least in ((n, 1), (workers, 1), (seed, 0))):
+        raise ValueError(f"a batch needs n >= 1 trials and workers >= 1, each an integer, and "
+                         f"an integer seed >= 0, got n={n!r}, workers={workers!r}, seed={seed!r}")
 
 
 def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
@@ -593,7 +859,7 @@ def run_batch(spec: TrialSpec, n: int, seed: int, workers: int = 1,
     worker's exception is raised in the caller, and every pipe is closed and
     every process reaped before run_batch returns.
     """
-    check_batch(n, workers)
+    check_batch(n, workers, seed)
     bounds = chunk_bounds(n, workers)
     procs, pipes = [], []
     try:

@@ -384,9 +384,23 @@ def conclusive_pair(d: int, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 
+def draw(rngs, priors, d: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeding contract's numbers of trials, each drawn from its own
+    generator in rngs, a call per kind of number: true labels (n,), unit
+    references (n, 2, d) and step uniforms (n, depth).  The reference for
+    the bulk draws of simulate._draw."""
+    n = len(rngs)
+    label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
+    for j, rng in enumerate(rngs):
+        label_u[j] = rng.random()
+        rng.standard_normal(out=normals[j])
+        rng.random(out=step_u[j])
+    return np.where(label_u < priors.eta1, 1, 2), simulate.haar_refs(normals), step_u
+
+
 def global_block(povm, d: int, priors, rngs, first_index: int = 0) -> simulate.Block:
     """Trials first_index, first_index + 1, ... of a global POVM on (C^d)^x3
-    from rngs in turn, drawn by simulate._draw: element e has probability
+    from their generators rngs, drawn by draw: element e has probability
     a[e, L - 1] + b[e, L - 1] s on a label-L trial, for s = |<phi_1|phi_2>|^2,
     read from its coordinates c, as systems 0 and L hold phi_L and their swap
     S3_PERMUTATIONS[L] and the identity read 1, the other four s.  Inverse
@@ -395,7 +409,7 @@ def global_block(povm, d: int, priors, rngs, first_index: int = 0) -> simulate.B
     c = np.array(list(povm.elements.values()), float)
     a = c[:, :1] + c[:, 1:3]
     b = c.sum(axis=1)[:, None] - a
-    labels, refs, step_u = simulate._draw(rngs, priors, d, 1)
+    labels, refs, step_u = draw(rngs, priors, d, 1)
     overlap = np.vecdot(refs[:, 0], refs[:, 1])
     probs = a[:, labels - 1] + b[:, labels - 1] * (overlap.real**2 + overlap.imag**2)
     cum = probs.cumsum(axis=0)

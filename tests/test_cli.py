@@ -239,7 +239,7 @@ def cli_calls(draw, refused: bool = False):
         n, workers = draw(st.integers(1, 300)), 1
         if bad == "batch":
             n, workers = draw(st.sampled_from([(draw(BAD_COUNT), 1), (n, draw(BAD_COUNT))]))
-            text = rule_text(check_batch, n, workers)
+            text = rule_text(check_batch, n, workers, 7)
         argv += ["--simulate", f"--n={n}", "--seed=7", f"--workers={workers}"]
     return argv, text
 

@@ -18,7 +18,8 @@ from stateid.symmetry import bipartite_toolkit, build_toolkit, check_dims, dimen
 
 DIMS_RULE = r"^dimensions must be \(d,\) or \(d_a, d_b\), each an integer >= 2, got "
 PRIORS_RULE = r"^priors must be "
-BATCH_RULE = r"^a batch needs n >= 1 trials and workers >= 1, each an integer, got "
+BATCH_RULE = (r"^a batch needs n >= 1 trials and workers >= 1, each an integer, and an "
+              r"integer seed >= 0, got ")
 
 BAD_PARTY = st.integers(-3, 1) | st.just(2.5)
 GOOD_PARTY = st.integers(2, 4)
@@ -26,7 +27,8 @@ BAD_SPLIT = (st.tuples(BAD_PARTY, GOOD_PARTY) | st.tuples(GOOD_PARTY, BAD_PARTY)
              | st.tuples(BAD_PARTY, BAD_PARTY))
 BAD_ETA1 = (st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-10.0, -5e-324)
             | st.floats(math.nextafter(1.0, 2.0), 10.0))
-BAD_COUNT = st.integers(-3, 0) | st.just(2.5)
+BAD_COUNT = st.integers(-3, 0) | st.sampled_from([2.5, 4.0, True, False])
+BAD_SEED = st.integers(-3, -1) | st.sampled_from([7.0, 0.0, True, False])
 
 P = Priors.from_eta1
 
@@ -132,12 +134,24 @@ def test_bad_prior_is_refused_by_every_entry(eta1):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(n=BAD_COUNT | st.integers(1, 20), workers=BAD_COUNT)
-def test_bad_batch_is_refused_before_any_trial(n, workers):
+@example(n=True, workers=1, seed=7)      # a bool is an Integral
+@example(n=3, workers=True, seed=7)
+@example(n=3, workers=1, seed=7.0)       # numpy's TypeError before the rule
+@example(n=3, workers=1, seed=-1)        # numpy's ValueError before the rule
+@example(n=3, workers=1, seed=True)
+@given(n=BAD_COUNT | st.integers(1, 20), workers=BAD_COUNT | st.integers(1, 3),
+       seed=BAD_SEED | st.integers(0, 2**70))
+def test_bad_batch_is_refused_before_any_trial(n, workers, seed):
     spec = GlobalTrialSpec(minerr.optimal_global_povm(2, EQUAL_PRIORS), 2, EQUAL_PRIORS)
-    for args in ((n, workers), (workers, 1)):
-        text = BATCH_RULE + re.escape(f"n={args[0]!r}, workers={args[1]!r}") + "$"
+    calls = [(n, workers, seed), (workers, 1, 7), (1, n, 7), (1, 1, seed)]
+    for args in calls:
+        good = all(type(k) is int and k >= least for k, least in zip(args, (1, 1, 0)))
+        if good:
+            check_batch(*args)
+            continue
+        text = BATCH_RULE + re.escape(f"n={args[0]!r}, workers={args[1]!r}, "
+                                      f"seed={args[2]!r}") + "$"
         with pytest.raises(ValueError, match=text):
             check_batch(*args)
         with pytest.raises(ValueError, match=text):
-            run_batch(spec, args[0], 7, args[1])
+            run_batch(spec, args[0], args[2], args[1])

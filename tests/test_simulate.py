@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import PCG64, Generator, SeedSequence
 
+import dense_reference
 from dense_reference import (global_block, haar_state, haar_unitary, regroup_operator,
                              state_matrix)
 from stateid import simulate, unambiguous
@@ -159,8 +161,9 @@ class TestGlobalTrials:
         povm = optimal_global_povm(d, priors) if minerr else unambiguous.optimal_global_povm(d)
         spec = GlobalTrialSpec(povm, d, priors)
         counts = np.zeros(3, int)
-        for lo, rngs in simulate._block_rngs(seed, start, start + n, spec.block_trials):
-            block = spec.run_block(rngs, lo)
+        for lo, states in simulate._block_rngs(seed, start, start + n, spec.block_trials):
+            block = spec.run_block(states, lo)
+            rngs = [np.random.default_rng((seed, i)) for i in range(lo, lo + len(states))]
             reference = global_block(povm, d, priors, rngs, lo)
             for got, want in zip(block, reference):
                 assert np.array_equal(got, want)
@@ -432,8 +435,11 @@ def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
     povm = Povm((2,), {1: (1 - eps) * S3.identity, 2: eps * S3.identity})
     spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
     refs = np.array([[[1, 0], [0.6, 0.8]]], complex)
-    monkeypatch.setattr(simulate, "_draw", lambda rngs, priors, d, depth: (
-        np.array([1]), refs, np.array([[1 - 1e-15]])))
+    def draw(rngs, priors, d, depth):
+        return np.array([1]), refs, np.array([[1 - 1e-15]])
+
+    monkeypatch.setattr(simulate, "_draw", draw)
+    monkeypatch.setattr(dense_reference, "draw", draw)
     assert global_block(povm, 2, EQUAL_PRIORS, [None]).declared.tolist() == [2]
     with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability 1e-14$"):
         spec.run(None, 0)
@@ -539,8 +545,77 @@ class ExitInWorker:
         return self.spec.run_block(rngs, first_index)
 
 
-def first_draws(rngs) -> list:
-    return [rng.random(3).tolist() + rng.standard_normal(2).tolist() for rng in rngs]
+def chunk_draws(seed: int, start: int, stop: int, size: int, d: int, depth: int) -> tuple:
+    """The labels, references and step uniforms of trials start, ..., stop -
+    1, drawn by simulate._draw from the seed states of blocks of size."""
+    draws = [simulate._draw(states, EQUAL_PRIORS, d, depth)
+             for _, states in simulate._block_rngs(seed, start, stop, size)]
+    return tuple(map(np.concatenate, zip(*draws)))
+
+
+def assert_draws_equal(seed: int, start: int, stop: int, size: int, d: int, depth: int) -> None:
+    """Bulk draws of trials start, ..., stop - 1 in blocks of size are, bit for
+    bit, those of default_rng((seed, i)) drawn one trial at a time."""
+    got = chunk_draws(seed, start, stop, size, d, depth)
+    want = dense_reference.draw([np.random.default_rng((seed, i)) for i in range(start, stop)],
+                                EQUAL_PRIORS, d, depth)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def raw_normals(seed: int, i: int, d: int) -> np.ndarray:
+    """The outputs that default_rng((seed, i)) reads for its 4 d normals if
+    all are on the ziggurat's fast path, from numpy's own PCG64."""
+    return PCG64(SeedSequence((seed, i))).random_raw(1 + 4 * d)[1:]
+
+
+def first_slow_idx(seed: int, i: int, d: int, ki: np.ndarray) -> int | None:
+    """The ziggurat layer idx of the first normal of trial i off the fast path
+    of the table ki, or None if all its normals are on it."""
+    raw = raw_normals(seed, i, d)
+    idx = (raw & np.uint64(0xFF)).astype(np.intp)
+    slow = np.flatnonzero((raw >> np.uint64(9)) & np.uint64(2**52 - 1) >= ki[idx])
+    return int(idx[slow[0]]) if slow.size else None
+
+
+def ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ki (256,) and wi (256,) recovered from its
+    public API, wi[1] as 0.  A PCG64 state 0 with increment r makes r the
+    next output, so one standard_normal reads idx = r & 0xff, the sign bit r
+    >> 8 & 1 and rabs = r >> 9.  At rabs = 1 and sign 0 the fast path returns
+    wi[idx]; the fast path reads one output and leaves the state at r, so
+    bisecting rabs on whether the state is still r gives ki[idx], the least
+    rabs off the fast path."""
+    bits = PCG64(0)
+    rng = Generator(bits)
+
+    def one_output(r: int) -> tuple[bool, float]:
+        bits.state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": r},
+                      "has_uint32": 0, "uinteger": 0}
+        value = rng.standard_normal()
+        return bits.state["state"]["state"] == r, value
+
+    ki, wi = np.zeros(256, np.uint64), np.zeros(256)
+    for idx in range(256):
+        fast, value = one_output(idx | 1 << 9)
+        if fast:
+            wi[idx] = value
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if one_output(idx | mid << 9)[0]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return ki, wi
+
+
+# Pinned draws: 40 trials at d = 8 across 2^32, 16 of them drawn again from
+# their generators, trial 2^32 + 2 first off the fast path at idx 0 (the
+# tail); and 40 trials at d = 4 whose first, the canary, takes the tail.
+TAIL_EXAMPLES = ({"seed": 21, "start": 2**32 - 20, "d": 8, "depth": 7, "tail": 2**32 + 2},
+                 {"seed": 2**127 + 12345, "start": 80, "d": 4, "depth": 1, "tail": 80})
 
 
 class TestBulkSeeding:
@@ -552,15 +627,10 @@ class TestBulkSeeding:
     @given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 2**40 - 6))
     def test_chunk_generators_match_default_rng(self, seed, start):
         # seeds of more than 3 words make SeedSequence entropy longer than its pool
-        got, trials = [], []
-        for lo, rngs in simulate._block_rngs(seed, start, start + 6, 4):
-            trials += range(lo, lo + len(rngs))
-            got += first_draws(rngs)
-        assert trials == list(range(start, start + 6))
-        assert got == first_draws(np.random.default_rng((seed, i)) for i in trials)
+        assert_draws_equal(seed, start, start + 6, 4, 2, 1)
 
     def test_window_ends_at_multiples_of_2_32(self):
-        blocks = [(lo, len(rngs)) for lo, rngs in
+        blocks = [(lo, len(states)) for lo, states in
                   simulate._block_rngs(7, 2**32 - 3, 2**32 + 2, 4)]
         assert blocks == [(2**32 - 3, 3), (2**32, 2)]
 
@@ -572,6 +642,66 @@ class TestBulkSeeding:
     def test_negative_seed_keeps_numpy_error(self):
         with pytest.raises(ValueError):
             next(simulate._block_rngs(-1, 0, 4, 4))
+
+
+class TestBulkDraws:
+    def test_ziggurat_tables_match_numpy(self):
+        # every ki, and every wi the fast path reads: ki[1] = 0, so never wi[1]
+        ki, wi = ziggurat_tables()
+        assert ki[1] == 0 and np.array_equal(ki, simulate._KI)
+        read = np.arange(256) != 1
+        assert np.array_equal(wi[read].view(np.uint64), simulate._WI[read].view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @example(**{k: v for k, v in TAIL_EXAMPLES[0].items() if k != "tail"}, n=40, size=17)
+    @example(**{k: v for k, v in TAIL_EXAMPLES[1].items() if k != "tail"}, n=40, size=40)
+    @example(seed=7, start=0, d=9, depth=3, n=5, size=5)    # above _BULK_NORMALS
+    @given(seed=st.integers(0, 2**128 - 1),
+           start=st.integers(0, 2**40) | st.integers(2**32 - 60, 2**32 - 1),
+           d=st.integers(2, 16), depth=st.integers(1, 7), n=st.integers(1, 60),
+           size=st.integers(1, 64))
+    def test_blocks_draw_what_default_rng_draws(self, seed, start, d, depth, n, size):
+        # labels, references and step uniforms, bit for bit, in blocks of any
+        # size, fast-path, fallback and canary trials alike
+        assert_draws_equal(seed, start, start + n, size, d, depth)
+
+    @pytest.mark.parametrize("case", TAIL_EXAMPLES)
+    def test_pinned_examples_take_both_slow_paths(self, case):
+        # each pinned example holds a trial first off the fast path at idx 0
+        # (the tail) and one first off it at idx > 0
+        trials = range(case["start"], case["start"] + 40)
+        firsts = {i: first_slow_idx(case["seed"], i, case["d"], simulate._KI) for i in trials}
+        assert firsts[case["tail"]] == 0
+        assert any(idx not in (None, 0) for idx in firsts.values())
+
+    def test_canary_catches_a_wrong_multiplier(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_PCG_MULT", simulate._PCG_MULT ^ 2)
+        with pytest.raises(RuntimeError, match="^bulk draws differ"):
+            chunk_draws(7, 0, 10, 10, 2, 1)
+
+    def test_canary_catches_a_corrupted_ki(self, monkeypatch):
+        # trial 0 of seed 6 has one normal off the fast path; with its ki
+        # entry raised, the bulk would take that normal as fast
+        seed, d = 6, 2
+        raw = raw_normals(seed, 0, d)
+        idx = (raw & np.uint64(0xFF)).astype(np.intp)
+        slow = np.flatnonzero((raw >> np.uint64(9)) & np.uint64(2**52 - 1) >= simulate._KI[idx])
+        assert len(slow) == 1
+        chunk_draws(seed, 0, 10, 10, d, 1)
+        ki = simulate._KI.copy()
+        ki[idx[slow[0]]] = 2**52
+        monkeypatch.setattr(simulate, "_KI", ki)
+        with pytest.raises(RuntimeError, match="^bulk draws differ"):
+            chunk_draws(seed, 0, 10, 10, d, 1)
+
+    def test_canary_catches_a_corrupted_wi(self, monkeypatch):
+        seed, d = 7, 2
+        assert first_slow_idx(seed, 0, d, simulate._KI) is None
+        wi = simulate._WI.copy()
+        wi[int(raw_normals(seed, 0, d)[0] & np.uint64(0xFF))] *= 1.5
+        monkeypatch.setattr(simulate, "_WI", wi)
+        with pytest.raises(RuntimeError, match="^bulk draws differ"):
+            chunk_draws(seed, 0, 10, 10, d, 1)
 
 
 def run_python(code: str) -> None:
@@ -742,7 +872,8 @@ class TestRunBatch:
         starts = []
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", starts.append)
         with pytest.raises(ValueError, match=rf"^a batch needs n >= 1 trials and workers >= 1, "
-                           rf"each an integer, got n=10, workers={workers}$"):
+                           rf"each an integer, and an integer seed >= 0, got n=10, "
+                           rf"workers={workers}, seed=7$"):
             run_batch(block_spec("minerr-0.5-2-2"), 10, 7, workers=workers)
         assert starts == []
 
