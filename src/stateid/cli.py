@@ -10,6 +10,8 @@ Subcommands
                 optima, gap, optional simulation)
     verify-all  the full invariant suite over the standard grids
 
+Each command hands its values, its check rows and its batch (_simulate) to
+_emit, the one function that assembles, renders and writes a report.
 Reports carry one row per check with the analytic value, the oracle value,
 their absolute difference and a pass flag; exit code 0 means every check
 passed, 1 means some check failed, 2 means a usage error (a bad flag, a
@@ -76,17 +78,13 @@ def _render(report: dict, args) -> str:
             writer.writerow([row["name"], row["analytic"], row["oracle"],
                              row["diff"], row["pass"]])
         return buf.getvalue()
-    lines = [f"command: {report['command']}"]
-    for key, value in report["config"].items():
-        lines.append(f"  {key} = {value}")
-    if report["values"]:
-        lines.append("values:")
-        for key, value in report["values"].items():
-            lines.append(f"  {key} = {value}")
-    if report.get("monte_carlo"):
-        lines.append("monte carlo:")
-        for key, value in report["monte_carlo"].items():
-            lines.append(f"  {key} = {value}")
+    lines = []
+    for header, section in ((f"command: {report['command']}", report["config"]),
+                            ("values:", report["values"]),
+                            ("monte carlo:", report.get("monte_carlo"))):
+        if section:
+            lines.append(header)
+            lines.extend(f"  {key} = {value}" for key, value in section.items())
     lines.append("checks:")
     for row in report["checks"]:
         status = "PASS" if row["pass"] else "FAIL"
@@ -104,8 +102,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _emit(report: dict, args) -> int:
-    report["passed"] = all(row["pass"] for row in report["checks"])
+def _emit(args, values: dict, rows: list, monte_carlo: dict | None = None) -> int:
+    """Write a command's report; the exit code.  config is every parsed flag but
+    the output ones, and monte_carlo is present exactly when the command has
+    --simulate."""
+    report = {"command": args.command,
+              "config": {k: v for k, v in vars(args).items() if k not in ("json", "csv", "out")},
+              "values": values, "checks": rows}
+    if hasattr(args, "simulate"):
+        report["monte_carlo"] = monte_carlo
+    report["passed"] = all(row["pass"] for row in rows)
     text = _render(report, args)
     try:
         if args.out:
@@ -123,121 +129,92 @@ def _emit(report: dict, args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _simulate(args, spec, target: float) -> tuple[dict, dict]:
+    """Run the batch of --n, --seed and --workers; its monte_carlo dict and
+    its within-4-sigma row."""
+    stats = run_batch(spec, args.n, args.seed, args.workers, target=target)
+    # the stderr is taken at the target, so an exact p_hat of 0 or 1 cannot fail
+    return dataclasses.asdict(stats), checks.row(
+        "monte_carlo_within_4_sigma", stats.target, stats.p_hat,
+        abs(stats.p_hat - stats.target) <= MC_SIGMA_GATE * stats.target_stderr)
+
+
 def cmd_dims(args) -> int:
-    report = {"command": "dims", "config": _config_echo(args), "values": {}, "checks": []}
+    values, rows = {}, []
     dims = [args.d] if args.d else dict.fromkeys([args.da, args.db, args.da * args.db])
     for d in dims:
         t = dimension_table(d)
         for key in ("d", "sym2", "sym3", "antisym3", "mixed3", "total"):
-            report["values"][f"d{d}_{key}"] = getattr(t, key)
-        report["checks"].append(checks.row(
+            values[f"d{d}_{key}"] = getattr(t, key)
+        rows.append(checks.row(
             f"subspace_dims_sum_d{d}", t.total, t.sym3 + t.antisym3 + t.mixed3, tol=0))
     if args.da:
         split = checks.instance_row(checks.split_identity, args.da, args.db)
-        report["values"]["split_identity_lhs"] = split["analytic"]
-        report["values"]["split_identity_rhs"] = split["oracle"]
-        report["checks"].append(split)
-    return _emit(report, args)
+        values["split_identity_lhs"] = split["analytic"]
+        values["split_identity_rhs"] = split["oracle"]
+        rows.append(split)
+    return _emit(args, values, rows)
 
 
 def cmd_minerr(args) -> int:
     priors = Priors.from_eta1(args.eta1)
     d = args.d if args.d else args.da * args.db
-    report = {"command": "minerr", "config": _config_echo(args),
-              "values": {}, "checks": [], "monte_carlo": None}
-
     dual_route = checks.instance_row(checks.minerr_dual_route, d, args.eta1)
     closed = dual_route["analytic"]
     lam_plus, lam_minus = minerr.gain_eigenvalues_mixed(priors)
-    report["values"].update({
-        "d": d, "eta1": priors.eta1, "eta2": priors.eta2,
-        "lambda_plus": lam_plus, "lambda_minus": lam_minus, "p_max": closed,
-    })
+    values = {"d": d, "eta1": priors.eta1, "eta2": priors.eta2,
+              "lambda_plus": lam_plus, "lambda_minus": lam_minus, "p_max": closed}
     if args.baseline:
-        report["values"]["baseline_no_measurement"] = max(priors.eta1, priors.eta2)
-
-    report["checks"].append(dual_route)
+        values["baseline_no_measurement"] = max(priors.eta1, priors.eta2)
     global_povm = minerr.optimal_global_povm(d, priors)
-    report["checks"].append(checks.row(
-        "pmax_closed_vs_povm_trace", closed,
-        mean_success(global_povm, priors), tol=1e-9))
-
+    rows = [dual_route, checks.row("pmax_closed_vs_povm_trace", closed,
+                                   mean_success(global_povm, priors), tol=1e-9)]
     if args.locc:
         locc = checks.instance_row(checks.minerr_locc, args.da, args.db, args.eta1)
-        report["values"]["locc_overlap"] = locc["oracle"]
-        report["checks"].append(locc)
+        values["locc_overlap"] = locc["oracle"]
+        rows.append(locc)
 
+    monte_carlo = None
     if args.simulate:
-        if args.locc:
-            spec = LoccTrialSpec(minerr.locc_protocol(args.da, args.db, priors), priors)
-        else:
-            spec = GlobalTrialSpec(global_povm, d, priors)
-        stats = run_batch(spec, args.n, args.seed, args.workers, target=closed)
-        report["monte_carlo"] = dataclasses.asdict(stats)
-        report["checks"].append(_within_sigma_check(stats))
-    return _emit(report, args)
+        spec = (LoccTrialSpec(minerr.locc_protocol(args.da, args.db, priors), priors)
+                if args.locc else GlobalTrialSpec(global_povm, d, priors))
+        monte_carlo, within = _simulate(args, spec, closed)
+        rows.append(within)
+    return _emit(args, values, rows, monte_carlo)
 
 
 def cmd_unamb(args) -> int:
     d = args.d if args.d else args.da * args.db
-    report = {"command": "unamb", "config": _config_echo(args),
-              "values": {}, "checks": [], "monte_carlo": None}
-
     global_row = checks.instance_row(checks.unamb_global, d)
-    report["values"].update({"d": d, "p_max_global": global_row["analytic"]})
+    p_global = global_row["analytic"]
+    values = {"d": d, "p_max_global": p_global}
     if args.baseline:
-        report["values"]["baseline_no_measurement"] = 0.0
-    report["checks"].append(global_row)
-
+        values["baseline_no_measurement"] = 0.0
+    rows = [global_row]
     if args.da:
         separable = checks.instance_row(checks.unamb_separable, args.da, args.db)
+        p_separable = separable["analytic"]
         gap = checks.instance_row(checks.gap, args.da, args.db)
-        report["values"].update({"p_max_locc": separable["analytic"], "gap": gap["oracle"]})
-        report["checks"].append(separable)
-        report["checks"].append(checks.row(
+        values.update({"p_max_locc": p_separable, "gap": gap["oracle"]})
+        rows += [separable, checks.row(
             "feasibility_boundary_gamma", 1.0,
             float(spectrum(unambiguous.mixed_block_table(0.5, 0.5), (args.da, args.db))[0].max()),
-            tol=1e-9))
-        report["checks"].append(gap)
+            tol=1e-9), gap]
 
+    monte_carlo = None
     if args.simulate:
         priors = minerr.EQUAL_PRIORS
-        if args.da:
-            spec = LoccTrialSpec(unambiguous.locc_protocol(args.da, args.db), priors)
-            target = separable["analytic"]
-        else:
-            spec = GlobalTrialSpec(unambiguous.optimal_global_povm(d), d, priors)
-            target = global_row["analytic"]
-        stats = run_batch(spec, args.n, args.seed, args.workers, target=target)
-        report["monte_carlo"] = dataclasses.asdict(stats)
-        report["checks"].append(checks.row(
-            "monte_carlo_zero_errors", 0, stats.errors, stats.errors == 0))
-        report["checks"].append(_within_sigma_check(stats))
-    return _emit(report, args)
-
-
-def _within_sigma_check(stats) -> dict:
-    # the stderr is taken at the target, so an exact p_hat of 0 or 1 cannot fail
-    return checks.row(
-        "monte_carlo_within_4_sigma", stats.target, stats.p_hat,
-        abs(stats.p_hat - stats.target) <= MC_SIGMA_GATE * stats.target_stderr)
+        spec = (LoccTrialSpec(unambiguous.locc_protocol(args.da, args.db), priors) if args.da
+                else GlobalTrialSpec(unambiguous.optimal_global_povm(d), d, priors))
+        monte_carlo, within = _simulate(args, spec, p_separable if args.da else p_global)
+        errors = monte_carlo["errors"]
+        rows += [checks.row("monte_carlo_zero_errors", 0, errors, errors == 0), within]
+    return _emit(args, values, rows, monte_carlo)
 
 
 def cmd_verify_all(args) -> int:
     rows = {check: checks.grid_row(check, args.seed) for check in checks.CHECKS}
-    report = {"command": "verify-all", "config": _config_echo(args),
-              "values": {"min_global_local_gap": rows[checks.gap]["oracle"]},
-              "checks": list(rows.values())}
-    return _emit(report, args)
-
-
-def _config_echo(args) -> dict:
-    echo = {"command": args.command}
-    for key in ("d", "da", "db", "eta1", "locc", "simulate", "n", "seed",
-                "workers", "baseline"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return echo
+    return _emit(args, {"min_global_local_gap": rows[checks.gap]["oracle"]}, list(rows.values()))
 
 
 def _add_output_flags(sub) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -297,6 +298,34 @@ class TestUnamb:
     def test_baseline_is_zero(self, capsys):
         code, report = run_json(capsys, "unamb", "--d", "2", "--baseline")
         assert report["values"]["baseline_no_measurement"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--d", "2"),
+    ("minerr", "--d", "2"),
+    ("minerr", "--da", "2", "--db", "2", "--locc", "--simulate", "--n", "200"),
+    ("unamb", "--da", "2", "--db", "2"),
+    ("unamb", "--d", "2", "--simulate", "--n", "200"),
+    ("verify-all",),
+])
+def test_config_is_every_parsed_flag_but_the_output_ones(capsys, argv):
+    # in the subcommand parser's order; monte_carlo only where --simulate is
+    # a flag, and None when it is not given
+    command = argv[0]
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = [action.dest for action in subparsers.choices[command]._actions
+             if action.dest not in ("help", "json", "csv", "out")]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert list(report["config"]) == ["command", *dests]
+    assert report["config"]["command"] == command
+    simulates = command in ("minerr", "unamb")
+    assert list(report) == ["command", "config", "values", "checks",
+                            *(["monte_carlo"] if simulates else []), "passed"]
+    if simulates:
+        assert (report["monte_carlo"] is None) == ("--simulate" not in argv)
+        assert report["config"]["simulate"] == ("--simulate" in argv)
 
 
 class TestVerifyAll:

@@ -120,6 +120,20 @@ def test_d2_support_modulo_the_signs(t):
         step(ALICE, 3, TYPES, leaves, support)
 
 
+def test_leaf_label_is_a_final_label():
+    with pytest.raises(ValueError, match=r"^final label must be 0, 1 or 2, got 3$"):
+        Leaf(3)
+
+
+def test_measurement_step_checks_its_party_and_children():
+    kraus = np.array([S3.identity])
+    with pytest.raises(ValueError, match=rf"^party must be {ALICE!r} or {BOB!r}, got 'carol'$"):
+        protocol.MeasurementStep("carol", ("all",), {"all": Leaf(1)}, kraus)
+    with pytest.raises(ValueError,
+                       match=r"^children keys must match measurement outcome labels$"):
+        protocol.MeasurementStep(ALICE, ("all",), {"other": Leaf(1)}, kraus)
+
+
 def test_no_step_is_dense(monkeypatch):
     # trees, their flattened POVMs, the closed-form POVMs, their validation,
     # every oracle row of the check registry and a seeded batch at (30,30),

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -639,6 +640,15 @@ class TestBulkSeeding:
         with pytest.raises(RuntimeError, match="differ"):
             next(simulate._block_rngs(7, 0, 4, 4))
 
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint32)])
+    def test_state_hands_over_only_four_uint64_words(self, n_words, dtype):
+        row = np.arange(4, dtype=np.uint64)
+        state = simulate._State(row)
+        assert state.generate_state(4, np.uint64) is row
+        with pytest.raises(RuntimeError, match=rf"^PCG64 asked for {n_words} words of "
+                                               rf"{re.escape(str(dtype))}, not 4 of uint64$"):
+            state.generate_state(n_words, dtype)
+
     def test_negative_seed_keeps_numpy_error(self):
         with pytest.raises(ValueError):
             next(simulate._block_rngs(-1, 0, 4, 4))
@@ -746,6 +756,14 @@ class TestRunBatch:
         run_batch(block_spec("minerr-0.5-2-2"), n, 3, workers=workers)
         assert len(starts) == (0 if forked is None else forked)
         assert not multiprocessing.active_children()
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to the CPU count, or 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
 
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,25 @@ def test_a_failing_property_does_not_end_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_report_diff_flags_a_changed_row(tmp_path, monkeypatch, capsys):
+    # an unchanged copy of the package gives identical reports, exit 0; a
+    # copy with one check row renamed differs on the invocations that print it
+    monkeypatch.syspath_prepend(str(TOOLS))
+    report_diff = load("report_diff")
+    same, changed = tmp_path / "same", tmp_path / "changed"
+    for tree in (same, changed):
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "src" / "stateid" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"subspace_dims_sum_d') == 1
+    cli.write_text(text.replace('"subspace_dims_sum_d', '"subspace_dim_sum_d'))
+    invocations = (("dims", "--d", "3"), ("dims", "--d", "2", "--csv"), ("unamb", "--d", "1"))
+    assert report_diff.diff_trees(ROOT, same, invocations) == 0
+    assert capsys.readouterr().out == "3 of 3 invocations identical\n"
+    assert report_diff.diff_trees(ROOT, changed, invocations) == 1
+    assert capsys.readouterr().out == ("differs (stdout): stateid dims --d 3\n"
+                                       "differs (stdout): stateid dims --d 2 --csv\n"
+                                       "1 of 3 invocations identical\n")
