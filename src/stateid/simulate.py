@@ -11,9 +11,9 @@ of the tree) with probability <psi| E |psi> for an E in the real span of the
 permutation operators P_pi, so each spec keeps, from when it is made, a row
 of E's coordinates per prefix (weights) and the tree's steps and leaves
 (nodes).  One block body (_run_block) computes a block's invariants <psi| P
-|psi> (invariants, the one rule for them, which checks.no_error reads too),
-every prefix probability in one matrix product, and samples each step from
-the ratios P(child)/P(step); one trial body (_run_trial) reads a trial's
+|psi> (invariants, the one rule for them, which checks.no_error reads too)
+and every prefix probability in one matrix product, then walks the tree a
+level per pass (_set_tree); one trial body (_run_trial) reads a trial's
 transcript from the nodes.  A label-L trial's state psi = phi_L (x) phi_1 (x)
 phi_2 has <psi| P_pi |psi> = 1 for the identity and for the swap of the two
 systems that hold phi_L, and s = |<phi_1|phi_2>|^2 for the other four P_pi
@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple, Union
 
@@ -97,11 +97,12 @@ INVARIANT_BLOCK_BYTES = 8 * BLOCK_STATE_BYTES
 # x1.09-1.31 at both.  The first fork of a process also loads multiprocessing
 # (about 6 ms), and each forked worker cost 13-36 ms of CPU in a fresh
 # interpreter, which is what the CLI runs, so one floor for every spec has to
-# repay that on the cheapest trials.  Since blocks draw in bulk, a 4000-trial
-# batch in one process takes a median 4.6 us per trial at (2,2) and 8.3 us
-# at (3,3), and two chunks of 4000 won x0.87-1.08 (median 1.02) at (2,2),
-# within the spread, and x0.92-1.34 (1.10) at (3,3), 7 runs each: the floor
-# is kept, but at (2,2) a fork now barely repays itself.
+# repay that on the cheapest trials.  Since blocks draw in bulk, two chunks
+# of 4000 won x0.87-1.08 (median 1.02) at (2,2), within the spread, and
+# x0.92-1.34 (1.10) at (3,3), 7 runs each.  Since blocks also walk the tree a
+# level at a time, a 4000-trial min-error batch in one process takes a median
+# 4.7 us per trial at (2,2) and 8.4 us at (3,3), 9 runs each: the floor is
+# kept, but at (2,2) a fork barely repays itself.
 MIN_FORK_CHUNK = 4000
 
 
@@ -197,43 +198,44 @@ def haar_refs(normals: np.ndarray) -> np.ndarray:
 
 def _run_block(spec: TrialSpec, rngs: Sequence, first_index: int = 0) -> Block:
     """The block body of both specs: trials first_index, ... drawn from rngs
-    (their seed states or their generators, see _draw)."""
+    (their seed states or their generators, see _draw), a level at a time
+    through spec.table, whose padding reads a zero row.  An abort names the
+    lowest trial of the shallowest failing level, the sum check first."""
     labels, refs, step_u = _draw(rngs, spec.priors, spec.d, spec.depth)
-    f = spec.invariants(labels, refs)
-    probs = spec.weights @ f
-    # each prefix probability sums terms of total size |weights[k]| @ |f|,
-    # and carries a rounding error of about 1e-16 times that size
-    sizes = np.abs(spec.weights) @ np.abs(f)
-    declared = np.empty_like(labels)
+    children, counts, leaves = spec.table
+    node = np.zeros(len(labels), int)
     path = np.full((len(labels), spec.depth), -1)
-    # (prefix, its trials in ascending order, level), a level at a time
-    todo = [(0, np.arange(len(labels)), 0)]
-    for k, rows, level in todo:
-        if not isinstance(spec.nodes[k], tuple):
-            declared[rows] = spec.nodes[k]
-            continue
-        party, _, children = spec.nodes[k]
-        ratios = probs[children][:, rows] / probs[k, rows]
+    if spec.depth:   # a tree without a step reads no state
+        f = spec.invariants(labels, refs)
+        probs = np.concatenate([spec.weights @ f, np.zeros((1, len(labels)))])
+        # each prefix probability sums terms of total size |weights[k]| @ |f|,
+        # and carries a rounding error of about 1e-16 times that size
+        sizes = np.abs(spec.weights) @ np.abs(f)
+    level = 0
+    # the trials still at a step, ascending, and their steps' rows
+    while (rows := np.flatnonzero(counts[node])).size:
+        k = node[rows]
+        ratios = probs[children[k].T, rows] / probs[k, rows]
         cum = ratios.cumsum(axis=0)
         # the children must sum to P(step) within PROB_SUM_ATOL times the
         # size of its terms: in units of P(step), for the ratios
         bad = ~(np.abs(cum[-1] - 1.0) <= PROB_SUM_ATOL * sizes[k, rows] / probs[k, rows])
         if bad.any():   # NaN fails it too
             j = np.flatnonzero(bad)[0]
-            raise TrialAbort(f"trial {first_index + rows[j]} at {party}: outcome probabilities "
-                             f"sum to {float(cum[-1, j])}")
-        # inverse CDF: searchsorted(cum, u, side="right") per trial, clipped to the last child
-        idx = np.minimum((cum <= step_u[rows, level]).sum(axis=0), len(children) - 1)
-        path[rows, level] = idx
+            raise TrialAbort(f"trial {first_index + rows[j]} at {spec.nodes[k[j]][0]}: outcome "
+                             f"probabilities sum to {float(cum[-1, j])}")
+        # inverse CDF: searchsorted(cum, u, side="right") per trial, clipped
+        # to the last child; the padding's cumulative sums, 0, are all <= u
+        idx = np.minimum((cum <= step_u[rows, level]).sum(axis=0), len(cum) - 1)
         chosen = ratios[idx, np.arange(len(rows))]
         if not chosen.min() >= BRANCH_PROB_FLOOR:   # NaN fails it too
             j = np.flatnonzero(~(chosen >= BRANCH_PROB_FLOOR))[0]
             raise TrialAbort(f"trial {first_index + rows[j]}: sampled branch with probability "
                              f"{float(chosen[j])}")
-        for i, child in enumerate(children):
-            if (picked := rows[idx == i]).size:
-                todo.append((child, picked, level + 1))
-    return Block(labels, declared, path)
+        path[rows, level] = idx - len(cum) + counts[k]
+        node[rows] = children[k, idx]
+        level += 1
+    return Block(labels, leaves[node], path)
 
 
 def _run_trial(spec: TrialSpec, rng: np.random.Generator, trial_index: int = 0) -> TrialRecord:
@@ -249,6 +251,20 @@ def _run_trial(spec: TrialSpec, rng: np.random.Generator, trial_index: int = 0) 
                        trial_index)
 
 
+def _set_tree(spec: TrialSpec, weights: np.ndarray, nodes: tuple, depth: int) -> None:
+    """Set a spec's tree: weights, a row per prefix; nodes, a step's (party,
+    outcome labels, children's rows) or a leaf's label; depth, the steps of
+    its longest path; and table, per prefix its children's rows after padding
+    len(nodes) (a block's zero row), its count of them and its leaf's label."""
+    kids = [node[2] if isinstance(node, tuple) else [] for node in nodes]
+    children = np.full((len(nodes), max(map(len, kids))), len(nodes))
+    for k, row in enumerate(kids):
+        children[k, len(children[k]) - len(row):] = row
+    table = (children, np.array(list(map(len, kids))),
+             np.array([0 if isinstance(node, tuple) else node for node in nodes]))
+    vars(spec).update(weights=weights, nodes=nodes, depth=depth, table=table)
+
+
 @dataclass(frozen=True)
 class GlobalTrialSpec:
     """A global POVM on the triple space as the tree of one step: weights[0]
@@ -259,19 +275,14 @@ class GlobalTrialSpec:
     povm: Povm
     d: int
     priors: Priors
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    nodes: tuple = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.povm.dims != (self.d,):
             raise ValueError(f"a global trial at d = {self.d} needs a POVM with dims "
                              f"({self.d},), got {self.povm.dims}")
         labels = self.povm.labels
-        tree = (np.array([S3.identity, *self.povm.elements.values()], float),
-                (("global", labels, list(range(1, len(labels) + 1))), *map(int, labels)), 1)
-        for name, value in zip(("weights", "nodes", "depth"), tree):
-            object.__setattr__(self, name, value)
+        _set_tree(self, np.array([S3.identity, *self.povm.elements.values()], float),
+                  (("global", labels, list(range(1, len(labels) + 1))), *map(int, labels)), 1)
 
     @property
     def block_trials(self) -> int:
@@ -366,37 +377,25 @@ def _invariants(labels: np.ndarray, refs: np.ndarray, d_a: int, d_b: int) -> np.
     return f
 
 
-def _prefixes(protocol: LoccProtocol) -> tuple[np.ndarray, tuple, int]:
-    """The weights, nodes and depth of LoccTrialSpec."""
-    weights, nodes, index = [], [], {}
-    for k, (node, w, path) in enumerate(path_prefixes(protocol)):
-        weights.append(w.ravel())
-        nodes.append(node.label if isinstance(node, Leaf) else (node.party, node.labels, []))
-        index[path] = k
-        if path:
-            nodes[index[path[:-1]]][2].append(k)
-    return np.array(weights), tuple(nodes), max(map(len, index))
-
-
 @dataclass(frozen=True)
 class LoccTrialSpec:
-    """Sequential execution of an LOCC protocol tree, from a row per path prefix
-    (protocol.path_prefixes order): weights[k] = c (x) e, the coordinates of
-    its A^dag A and B^dag B on the permutation operators, as the tree's own
-    coordinates multiply out, and nodes[k], a step's (party, outcome labels,
-    children's rows) or a leaf's label.  depth counts the steps of the
-    longest path.
-    """
+    """Sequential execution of an LOCC protocol tree (_set_tree), a row per
+    path prefix (protocol.path_prefixes order): weights[k] = c (x) e, the
+    coordinates of its A^dag A and B^dag B on the permutation operators, as
+    the tree's own coordinates multiply out."""
 
     protocol: LoccProtocol
     priors: Priors
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    nodes: tuple = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, value in zip(("weights", "nodes", "depth"), _prefixes(self.protocol)):
-            object.__setattr__(self, name, value)
+        weights, nodes, index = [], [], {}
+        for k, (node, w, path) in enumerate(path_prefixes(self.protocol)):
+            weights.append(w.ravel())
+            nodes.append(node.label if isinstance(node, Leaf) else (node.party, node.labels, []))
+            index[path] = k
+            if path:
+                nodes[index[path[:-1]]][2].append(k)
+        _set_tree(self, np.array(weights), tuple(nodes), max(map(len, index)))
 
     @property
     def block_trials(self) -> int:

@@ -27,9 +27,13 @@ a Povm, which only the tests use.
 The one-shot global sampler that GlobalTrialSpec ran before a global POVM
 became the one-step tree of the trial walker (global_block): each element's
 probability on each label as a + b s, sampled with no dead-branch guard.
+And the walk the block body makes, one trial at a time in Python scalars
+(tree_walk): the reference for the level walk of simulate._run_block on
+trees of any shape.
 """
 
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
@@ -421,3 +425,39 @@ def global_block(povm, d: int, priors, rngs, first_index: int = 0) -> simulate.B
     idx = np.minimum((cum <= step_u[:, 0]).sum(axis=0), len(probs) - 1)
     declared = np.array([int(label) for label in povm.labels])[idx]
     return simulate.Block(labels, declared, idx[:, None])
+
+
+class Walk(NamedTuple):
+    """One trial's walk: its declared label and the element index sampled at
+    each step, or, where it aborts, abort = (level, check, text), check 0
+    for the outcome sum and 1 for the sampled branch, and text the abort's
+    words after "trial i"."""
+
+    declared: int | None
+    path: list
+    abort: tuple | None = None
+
+
+def tree_walk(nodes: Sequence, probs: Sequence[float], sizes: Sequence[float],
+              step_u: Sequence[float]) -> Walk:
+    """The walk of one trial down a tree of simulate's nodes, from its prefix
+    probabilities and their term sizes (a value per node) and its step
+    uniforms: at each step, the ratios P(child)/P(step), their running sums,
+    the sum check within PROB_SUM_ATOL times the size of P(step)'s terms,
+    inverse CDF over the running sums clipped to the last child, and the
+    BRANCH_PROB_FLOOR check on the sampled ratio."""
+    k, path = 0, []
+    while isinstance(nodes[k], tuple):
+        party, _, children = nodes[k]
+        ratios = [float(probs[child]) / float(probs[k]) for child in children]
+        cum = list(itertools.accumulate(ratios))
+        if not abs(cum[-1] - 1.0) <= simulate.PROB_SUM_ATOL * float(sizes[k]) / float(probs[k]):
+            return Walk(None, path, (len(path), 0,
+                                     f" at {party}: outcome probabilities sum to {cum[-1]}"))
+        i = min(sum(c <= step_u[len(path)] for c in cum), len(cum) - 1)
+        if not ratios[i] >= simulate.BRANCH_PROB_FLOOR:
+            return Walk(None, path, (len(path), 1,
+                                     f": sampled branch with probability {ratios[i]}"))
+        path.append(i)
+        k = children[i]
+    return Walk(nodes[k], path)

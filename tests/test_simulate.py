@@ -10,10 +10,11 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64, Generator, SeedSequence
 
@@ -444,6 +445,118 @@ def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
     assert global_block(povm, 2, EQUAL_PRIORS, [None]).declared.tolist() == [2]
     with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability 1e-14$"):
         spec.run(None, 0)
+
+
+def test_block_abort_names_the_shallowest_failing_level(monkeypatch):
+    # the bob steps after alice's "sym" and after her "mixed" both miss their
+    # sum by a quarter; trial 1 takes "sym", the first of them in tree order,
+    # and trial 0 takes "mixed": the block names trial 0, the lowest trial of
+    # the level at which both fail
+    spec = make_locc_spec("unamb", 2, 2, 0.5)
+    _, outcomes, (sym, antisym, mixed) = spec.nodes[0]
+    assert (outcomes[0], outcomes[2]) == ("sym", "mixed")
+    assert spec.nodes[sym][0] == spec.nodes[mixed][0] == BOB
+    rng = np.random.default_rng(5)
+    labels = np.array([1, 2])
+    refs = np.array([[haar_state(4, rng) for _ in range(2)] for _ in labels])
+    probs = spec.weights @ spec.invariants(labels, refs)
+    u = np.full((2, spec.depth), 0.5)
+    u[0, 0] = 1 - probs[mixed, 0] / probs[0, 0] / 2
+    u[1, 0] = probs[sym, 1] / probs[0, 1] / 2
+    monkeypatch.setattr(simulate, "_draw", lambda rngs, priors, d, depth: (labels, refs, u))
+    assert spec.run_block([None, None]).path[:, 0].tolist() == [2, 0]
+    # the rows below a step follow it in preorder, up to its next sibling
+    scale = np.ones((len(spec.nodes), 1))
+    scale[sym + 1:antisym] = scale[mixed + 1:] = 0.75
+    object.__setattr__(spec, "weights", spec.weights * scale)
+    with pytest.raises(TrialAbort, match=r"^trial 0 at bob: outcome probabilities sum to"):
+        spec.run_block([None, None])
+
+
+def test_a_tree_without_a_step_reads_no_state(monkeypatch):
+    # at eta1 = 1 the min-error tree is one leaf that declares label 1
+    priors = Priors.from_eta1(1.0)
+    spec = LoccTrialSpec(locc_protocol(2, 2, priors), priors)
+    assert spec.depth == 0 and spec.nodes == (1,)
+
+    def refuse(*args):
+        raise AssertionError("a tree without a step computed invariants")
+
+    monkeypatch.setattr(simulate, "invariants", refuse)
+    stats = run_batch(spec, 2000, 7)
+    assert (stats.successes, stats.errors, stats.inconclusive) == (2000, 0, 0)
+
+
+PARTIES = (ALICE, BOB)
+# values that tie running sums with uniforms, and a ratio below BRANCH_PROB_FLOOR
+SIMPLE = st.sampled_from([0.0, 1e-13, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def drawn_trees(draw) -> tuple[list, list, int]:
+    """(weights, nodes, depth) of a tree no protocol builds, in preorder: the
+    root a step, each step of 1-4 outcomes, leaves at every level down to a
+    depth of 1-4, a leaf's row 3 nonnegative coordinates and a step's the sum
+    of its children's, now and then times 1 - 3e-9, within PROB_SUM_ATOL, or
+    0.75."""
+    limit = draw(st.integers(1, 4))
+    weights, nodes, leaf_levels = [], [], []
+
+    def grow(level: int) -> np.ndarray:
+        k = len(nodes)
+        if level == limit or (level and draw(st.booleans())):
+            leaf_levels.append(level)
+            nodes.append(draw(st.integers(0, 2)))
+            coordinate = SIMPLE | st.floats(0, 1, allow_subnormal=False)
+            weights.append(np.array(draw(st.lists(coordinate, min_size=3, max_size=3))))
+            return weights[-1]
+        width = draw(st.integers(1, 4))
+        nodes.append((PARTIES[level % 2], tuple(range(width)), []))
+        weights.append(0.0)
+        for _ in range(width):
+            nodes[k][2].append(len(nodes))
+            weights[k] = weights[k] + grow(level + 1)
+        weights[k] = weights[k] * draw(st.sampled_from([1.0, 1.0, 1 - 3e-9, 0.75]))
+        return weights[k]
+
+    grow(0)
+    return weights, nodes, max(leaf_levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=drawn_trees(), data=st.data())
+def test_level_walk_matches_the_scalar_walk(tree, data):
+    # a block over a drawn tree gives each trial the declared label and path
+    # of dense_reference.tree_walk; where trials abort, it names the lowest
+    # trial of the shallowest failing level, the sum check before the floor
+    weights, nodes, depth = tree
+    assume(weights[0].any())   # a root of probability 0 is no tree to walk
+    n = data.draw(st.integers(1, 6))
+    invariant = st.just(1.0) | st.floats(1e-3, 10)
+    f = np.array(data.draw(st.lists(st.lists(invariant, min_size=n, max_size=n),
+                                    min_size=3, max_size=3)))
+    uniform = (st.sampled_from([0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+               | st.floats(0, 1, exclude_min=True, exclude_max=True))
+    u = np.array(data.draw(st.lists(st.lists(uniform, min_size=depth, max_size=depth),
+                                    min_size=n, max_size=n))).reshape(n, depth)
+    spec = SimpleNamespace(priors=EQUAL_PRIORS, d=1, invariants=lambda labels, refs: f)
+    simulate._set_tree(spec, np.array(weights), tuple(nodes), depth)
+    probs, sizes = spec.weights @ f, np.abs(spec.weights) @ np.abs(f)
+    walks = [dense_reference.tree_walk(spec.nodes, probs[:, j], sizes[:, j], u[j])
+             for j in range(n)]
+    aborts = [(walk.abort[:2], j, walk.abort[2]) for j, walk in enumerate(walks) if walk.abort]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_draw",
+                      lambda rngs, priors, d, depth: (np.ones(n, int), None, u))
+        if aborts:
+            _, j, text = min(aborts)
+            with pytest.raises(TrialAbort, match=f"^{re.escape(f'trial {j}{text}')}$"):
+                simulate._run_block(spec, [None] * n)
+            return
+        block = simulate._run_block(spec, [None] * n)
+    assert block.declared.tolist() == [walk.declared for walk in walks]
+    assert block.path.tolist() == [walk.path + [-1] * (depth - len(walk.path))
+                                   for walk in walks]
 
 
 @lru_cache(maxsize=None)
