@@ -39,14 +39,16 @@ is needed would give: a Generator keeps no state between calls for normals
 or uniforms.  Outcome sampling is inverse-CDF over the ordered element list.
 The contract fixes the numbers, not the calls that make them.  A chunk of a
 batch hashes the seeds (seed, i) of a window of trials at once
-(_seed_states), and a block draws its trials' numbers at once from those
-rows (_bulk_draws): numpy's PCG64 set-seed and outputs on uint64 arrays,
-uniforms from the top 53 bits of an output, and normals by the fast path of
-numpy's ziggurat.  A trial with a normal off that path, whose next numbers
-numpy takes from further outputs, is drawn again from its own generator,
-numpy's PCG64 on its row (_State), as is every trial above d = 8
-(_BULK_NORMALS) and the first trial of each block, the canary that checks
-the bulk numbers against numpy's.
+(_seed_states), and draws the window's numbers at once from those rows
+(_bulk_draws): numpy's PCG64 set-seed and outputs on uint64 arrays,
+uniforms from the top 53 bits of an output, and normals by numpy's
+ziggurat.  Most trials read their normals from consecutive outputs, by its
+fast path; the slow trials, with a normal off that path, whose next numbers
+numpy takes from further outputs, continue their PCG64 streams and are
+resolved together by its slow path (_draw_slow).  Only every trial above d =
+8 (_BULK_NORMALS) and the first trial of each window, the canary that checks
+all its bulk numbers against numpy's, are drawn from their own generators,
+numpy's PCG64 on their rows (_State).
 
 A batch on several workers is split into consecutive chunks (chunk_bounds),
 at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple, Union
@@ -81,9 +83,10 @@ PROB_SUM_ATOL = 1e-8
 BRANCH_PROB_FLOOR = 1e-12
 # Bytes of a global block's complex references (1024 trials at d = 4), of
 # an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
-# and of a window's seed states (4096 trials).  An LOCC block's other arrays
-# take a few times its probabilities; whole windows as LOCC blocks raised the
-# peak memory of each batch process by about 4 MB at (2,2).
+# and of a window's seed states (4096 trials), whose numbers are drawn at once
+# and walked a block at a time.  An LOCC block's other arrays take a few times
+# its probabilities; whole windows as LOCC blocks raised the peak memory of
+# each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
 # Bytes of an LOCC block's (2, 2, d_a, d_a) complex invariant factors
 # (_invariants): 1820 trials at d_a = 3, more than the prefix rows of any
@@ -101,8 +104,11 @@ INVARIANT_BLOCK_BYTES = 8 * BLOCK_STATE_BYTES
 # of 4000 won x0.87-1.08 (median 1.02) at (2,2), within the spread, and
 # x0.92-1.34 (1.10) at (3,3), 7 runs each.  Since blocks also walk the tree a
 # level at a time, a 4000-trial min-error batch in one process takes a median
-# 4.7 us per trial at (2,2) and 8.4 us at (3,3), 9 runs each: the floor is
-# kept, but at (2,2) a fork barely repays itself.
+# 4.7 us per trial at (2,2) and 8.4 us at (3,3), 9 runs each.  Since a window
+# also draws its slow-path trials on arrays, the same batch takes 5.9 us at
+# (2,2) and 15.5 us at (3,3), against 8.5 and 16.9 us for the walk alone,
+# measured together, 9 runs each, on a host that ran about 1.8 times slower:
+# the floor is kept, and at (2,2) a fork repays itself less still.
 MIN_FORK_CHUNK = 4000
 
 
@@ -159,22 +165,19 @@ class Block(NamedTuple):
     path: np.ndarray
 
 
-def _draw(rngs: Sequence, priors: Priors, d: int,
+def _draw(rngs: Sequence | tuple, priors: Priors, d: int,
           depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True labels (n,), unit references (n, 2, d) and step uniforms (n,
-    depth) of n trials in the contract order.  rngs are the trials' seed
-    states, an (n, 4) uint64 array of _seed_states rows, drawn in bulk
-    (_bulk_draws) except for the trials it leaves to their own generators;
-    or the trials' generators, each drawn by _draw_trial."""
-    if isinstance(rngs, np.ndarray):
-        label_u, normals, step_u, slow = _bulk_draws(rngs, d, depth)
-        redo = ((j, Generator(PCG64(_State(rngs[j])))) for j in np.flatnonzero(slow))
+    depth) of n trials in the contract order.  rngs are the trials' numbers,
+    as _bulk_draws gives them, or the trials' generators, each drawn by
+    _draw_trial."""
+    if isinstance(rngs, tuple):
+        label_u, normals, step_u = rngs
     else:
         n = len(rngs)
         label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
-        redo = enumerate(rngs)
-    for j, rng in redo:
-        label_u[j] = _draw_trial(rng, normals[j], step_u[j])
+        for j, rng in enumerate(rngs):
+            label_u[j] = _draw_trial(rng, normals[j], step_u[j])
     return np.where(label_u < priors.eta1, 1, 2), haar_refs(normals), step_u
 
 
@@ -197,8 +200,20 @@ def haar_refs(normals: np.ndarray) -> np.ndarray:
 
 
 def _run_block(spec: TrialSpec, rngs: Sequence, first_index: int = 0) -> Block:
-    """The block body of both specs: trials first_index, ... drawn from rngs
-    (their seed states or their generators, see _draw), a level at a time
+    """The block body of both specs: trials first_index, ... of rngs, their
+    seed states or their generators.  The numbers of a window of seed states
+    are drawn at once (_bulk_draws) and walked in slices of spec.block_trials
+    (_walk); generators are walked as one slice."""
+    if not isinstance(rngs, np.ndarray):
+        return _walk(spec, rngs, first_index)
+    draws, size = _bulk_draws(rngs, spec.d, spec.depth), spec.block_trials
+    return Block(*map(np.concatenate, zip(*(
+        _walk(spec, tuple(x[a:a + size] for x in draws), first_index + a)
+        for a in range(0, len(rngs), size)))))
+
+
+def _walk(spec: TrialSpec, rngs: Sequence | tuple, first_index: int) -> Block:
+    """Trials first_index, ... drawn from rngs (see _draw), a level at a time
     through spec.table, whose padding reads a zero row.  An abort names the
     lowest trial of the shallowest failing level, the sum check first."""
     labels, refs, step_u = _draw(rngs, spec.priors, spec.d, spec.depth)
@@ -207,7 +222,8 @@ def _run_block(spec: TrialSpec, rngs: Sequence, first_index: int = 0) -> Block:
     path = np.full((len(labels), spec.depth), -1)
     if spec.depth:   # a tree without a step reads no state
         f = spec.invariants(labels, refs)
-        probs = np.concatenate([spec.weights @ f, np.zeros((1, len(labels)))])
+        probs = np.zeros((len(spec.weights) + 1, len(labels)))
+        np.matmul(spec.weights, f, out=probs[:-1])
         # each prefix probability sums terms of total size |weights[k]| @ |f|,
         # and carries a rounding error of about 1e-16 times that size
         sizes = np.abs(spec.weights) @ np.abs(f)
@@ -428,8 +444,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# Trials seeded per window: the window's states, 4 uint64 words per trial,
-# take at most BLOCK_STATE_BYTES (4096 trials).
+# Trials seeded and drawn per window: the window's states, 4 uint64 words per
+# trial, take at most BLOCK_STATE_BYTES (4096 trials).
 _SEED_WINDOW = BLOCK_STATE_BYTES // (4 * np.dtype(np.uint64).itemsize)
 
 
@@ -547,14 +563,22 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 # numpy's ziggurat for standard normals (Marsaglia & Tsang, J. Stat. Softw.
 # 5(8), 2000; numpy/random/src/distributions): an output r gives idx = r &
-# 0xff, a sign bit r >> 8 & 1 and rabs = r >> 9 & (2^52 - 1), and the normal
-# is +-rabs * _WI[idx] when rabs < _KI[idx]; any other draw takes the slow
-# path, which reads further outputs.  _WI[1] is never read (_KI[1] = 0).
-# Both tables are recovered from numpy's own sampler by
-# tests/test_simulate.py::TestBulkDraws::test_ziggurat_tables_match_numpy.
-# They are written as strings, which compile in a tenth of the time of 512
-# number literals (every import compiles this module when bytecode is not
-# written).
+# 0xff, a sign bit r >> 8 & 1, rabs = r >> 9 & (2^52 - 1) and x = +-rabs *
+# _WI[idx].  The normal is x when rabs < _KI[idx], the fast path.  Otherwise
+# it takes the slow path.  At idx > 0, the wedge, it reads one more output u
+# as a uniform, and is x if (_FI[idx - 1] - _FI[idx]) u + _FI[idx] < exp(-x
+# x / 2).  At idx 0, the tail, it reads pairs of uniforms u1, u2 until yy + yy
+# > xx xx, for xx = -_ZIG_INV_R log1p(-u1) and yy = -log1p(-u2), and is
+# +-(_ZIG_R + xx), its sign bit rabs >> 8 & 1.  A rejected wedge starts again
+# at the next output.  exp and log1p are the C library's, as in numpy, so they
+# are called through math: numpy's own exp may differ in the last bit.  The
+# tables are numpy's ki_double, wi_double and fi_double; _FI is not derived,
+# as exp(-(_WI[i] 2^52)^2 / 2) misses it at i = 0 and 38.  Tests in
+# tests/test_simulate.py::TestBulkDraws recover every entry and both constants
+# from numpy's own sampler.  The tables are written as strings, which compile
+# in a tenth of the time of 768 number literals (every import compiles this
+# module when bytecode is not written).
+_ZIG_R, _ZIG_INV_R = 3.654152885361009, 0.2736612373297583
 _KI = np.array("""
     4208095142473578 0 3387314423973544 3838760076542274 4030768804392682
     4136731738896254 4203757248105145 4249917568205994 4283617341590296 4309289223136604
@@ -610,7 +634,7 @@ _KI = np.array("""
     4251099761679434
 """.split(), np.uint64)
 _WI = np.array("""
-    8.683627060801306e-16 0.0 6.354352417405262e-17 7.454870481247696e-17
+    8.683627060801306e-16 4.779330175727737e-17 6.354352417405262e-17 7.454870481247696e-17
     8.3293668157931e-17 9.068060405059482e-17 9.714860076567762e-17 1.0294750314241019e-16
     1.0823430288447684e-16 1.131147019610903e-16 1.176635945702292e-16 1.2193617278714363e-16
     1.2597439914637093e-16 1.2981099886264032e-16 1.3347203736824123e-16 1.3697864842571203e-16
@@ -675,19 +699,90 @@ _WI = np.array("""
     6.613827885097664e-16 6.723150462505587e-16 6.846803417564259e-16 6.98971833638762e-16
     7.159994934830664e-16 7.372424301798799e-16 7.658936370805573e-16 8.113849337656484e-16
 """.split(), float)
+_FI = np.array("""
+    1.0 0.9771017012676716 0.9598790918001067 0.9451989534422996
+    0.9320600759592305 0.919991505039347 0.9087264400521309 0.8980959218983434
+    0.8879846607558334 0.8783096558089174 0.869008688036857 0.8600336211963315
+    0.851346258458678 0.8429156531122042 0.8347162929868834 0.8267268339462214
+    0.8189291916037024 0.8113078743126563 0.8038494831709643 0.796542330422959
+    0.7893761435660246 0.7823418326548025 0.7754313049811872 0.7686373157984863
+    0.7619533468367954 0.7553735065070961 0.7488924472191568 0.742505296340151
+    0.7362075981268627 0.7299952645614762 0.7238645334686302 0.717811932630722
+    0.7118342488782484 0.7059285013327543 0.7000919181365116 0.6943219161261167
+    0.6886160830046718 0.6829721616449949 0.6773880362187735 0.6718617198970821
+    0.6663913439087501 0.6609751477766631 0.6556114705796973 0.6502987431108167
+    0.6450354808208223 0.6398202774530566 0.6346517992876236 0.6295287799248367
+    0.6244500155470265 0.6194143606058343 0.6144207238889139 0.6094680649257734
+    0.6045553906974678 0.5996817526191253 0.5948462437679874 0.590047996332826
+    0.5852861792633715 0.5805599961007909 0.5758686829723537 0.5712115067352532
+    0.5665877632561644 0.5619967758145243 0.557437893618766 0.5529104904258323
+    0.5484139632552658 0.5439477311900263 0.5395112342569521 0.5351039323804576
+    0.5307253044036621 0.5263748471716845 0.5220520746723218 0.5177565172297564
+    0.513487720747327 0.5092452459957479 0.5050286679434681 0.5008375751261487
+    0.4966715690524897 0.49253026364386854 0.48841328470545803 0.4843202694266833
+    0.48025086590904675 0.47620473271950586 0.4721815384677302 0.4681809614056936
+    0.46420268904817436 0.46024641781284287 0.45631185267871643 0.4523987068618485
+    0.44850670150720306 0.4446355653957394 0.440785034665804 0.43695485254798555
+    0.43314476911265226 0.4293545410294414 0.42558393133802197 0.4218327092294959
+    0.4181006498378482 0.4143875340408911 0.41069314827018816 0.40701728432947337
+    0.4033597392211145 0.3997203149801972 0.39609881851583245 0.3924950614593156
+    0.3889088600187887 0.3853400348400773 0.38178841087339366 0.3782538172456192
+    0.37473608713789114 0.3712350576682395 0.3677505697790326 0.36428246812900406
+    0.36083060098964803 0.3573948201457805 0.3539749808000768 0.3505709414814061
+    0.34718256395679364 0.3438097131468507 0.34045225704452187 0.33711006663700605
+    0.33378301583071845 0.3304709813791636 0.3271738428136014 0.3238914823763911
+    0.32062378495690536 0.3173706380299136 0.3141319315963372 0.3109075581262865
+    0.30769741250429206 0.30450139197665 0.30131939610080305 0.2981513266966855
+    0.2949970877999618 0.2918565856170952 0.2887297284821829 0.28561642681550176
+    0.2825165930837076 0.27943014176163794 0.2763569892956683 0.27329705406857707
+    0.27025025636587546 0.26721651834356147 0.2641957639972612 0.2611879191327212
+    0.25819291133761924 0.25521066995466196 0.2522411260559422 0.24928421241852852
+    0.24633986350126383 0.2434080154227503 0.2404886059405006 0.2375815744312381
+    0.23468686187233 0.23180441082433872 0.22893416541468034 0.22607607132238028
+    0.22323007576391748 0.220396127480152 0.21757417672433113 0.21476417525117358
+    0.21196607630703018 0.20917983462112508 0.2064054063978808 0.2036427493103349
+    0.2008918224946566 0.19815258654577514 0.1954250035141343 0.19270903690358918
+    0.19000465167046499 0.1873118142238003 0.18463049242679927 0.18196065559952251
+    0.17930227452284758 0.17665532144373486 0.17401977008183855 0.17139559563750575
+    0.1687827748012113 0.1661812857644819 0.16359110823236558 0.161012223437511
+    0.15844461415592428 0.1558882647244792 0.15334316106026286 0.15080929068184568
+    0.14828664273257455 0.14577520800599403 0.14327497897351346 0.1407859498144447
+    0.13830811644855073 0.13584147657125376 0.13338602969166916 0.13094177717364436
+    0.12850872227999957 0.1260868702201859 0.12367622820159657 0.1212768054847903
+    0.11888861344291006 0.11651166562561087 0.11414597782783849 0.11179156816383809
+    0.1094484571468118 0.1071166677746838 0.10479622562248707 0.10248715894193525
+    0.10018949876881002 0.09790327903886246 0.095628536713009 0.09336531191269101
+    0.09111364806637376 0.08887359206827589 0.08664519445055807 0.08442850957035347
+    0.0822235958132029 0.08003051581466307 0.07784933670209612 0.07568013035892718
+    0.07352297371398132 0.0713779490588904 0.06924514439700676 0.0671246538277885
+    0.0650165779712429 0.06292102443775814 0.06083810834953988 0.05876795292093374
+    0.0567106901062029 0.05466646132488892 0.05263541827679219 0.05061772386094778
+    0.04861355321586854 0.04662309490193038 0.044646552251294463 0.04268414491647446
+    0.04073611065594094 0.03880270740452615 0.036884215688567305 0.034980941461716125
+    0.03309321945857858 0.0312214171919203 0.02936593975813336 0.027527235669603113
+    0.02570580400854891 0.02390220330579588 0.02211706270730885 0.02035109623004451
+    0.018605121275724622 0.016880083152543142 0.01517708830793531 0.013497450601739867
+    0.011842757857907879 0.010214971439701459 0.008616582769398726 0.007050875471373222
+    0.0055224032992509916 0.0040379725933630236 0.0026090727461021593 0.001260285930498598
+""".split(), float)
 # Normals per trial above which every trial draws from its own generator.
-# The share of trials with all normals on the fast path falls from 79 % at
-# d = 4 to 59 % at d = 9, and the outputs drawn in bulk for the rest are
-# wasted.  Per trial, with 1 BLAS thread, bulk against generators: 1.7-1.8
-# against 3.9-4.1 us at d = 4, 2.9 against 4.1 us at d = 7, 3.5-3.9 against
-# 4.2-4.5 us at d = 8, but 3.9-4.3 against 4.3-4.7 us at d = 9, a gain that
-# numpy's first calls of the bulk path in a process (about 0.3 ms) take back
-# from a batch of a few hundred trials; generators won from d = 11.
+# With the slow path on arrays no output drawn in bulk is wasted.  Per trial
+# of a 4096-trial window (_bulk_draws, in one process, 1 BLAS thread, depth
+# 4), bulk against generators: 1.7-2.3 against 7.7-8.1 us at d = 4, 3.5-4.3
+# against 8.0-8.5 us at d = 8, 4.2-4.3 against 8.3-8.6 us at d = 9 and
+# 5.5-6.6 against 8.0-8.6 us at d = 12, on a host where a generator's trial
+# took twice what it took when generators won from d = 11.  The bound is
+# kept at d = 8: a (3,3) batch of the benchmark holds 200 trials, and a d =
+# 9 prototype read parity there.
 _BULK_NORMALS = 32
-# Elements of each (outputs, trials) array of _pcg64_outputs: a block is
+# Elements of each (outputs, trials) array of the bulk draws: a window is
 # drawn in equal parts that keep each within 64 KiB.  Parts of 128 KiB drew
 # 41 outputs a trial about 1.7 times slower per output than parts of 64 KiB.
 _OUTPUT_ELEMENTS = BLOCK_STATE_BYTES // (2 * np.dtype(np.uint64).itemsize)
+# Outputs added at a time to a trial with a normal off the fast path, which
+# reads more than 1 + 4 d + depth outputs; with 8, no trial of 120 000 at d =
+# 2-8 needed a second round.
+_SLOW_MARGIN = 8
 
 
 def _mulhi(x: np.ndarray, k: int) -> np.ndarray:
@@ -710,34 +805,40 @@ def _scan(z: np.ndarray, mult: int) -> np.ndarray:
     return z
 
 
-def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
-    """The first count outputs of PCG64(_State(row)) for each seed-state row,
-    as (count, trials): random_raw(count) of each trial in a column.
+def _increments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of inc = 2 q + 1 of seed-state rows (s_hi, s_lo, q_hi, q_lo)."""
+    one = np.uint64(1)
+    return (states[:, 2] << one) | (states[:, 3] >> np.uint64(63)), (states[:, 3] << one) | one
 
-    The low words of the states follow lo' = m_lo lo + inc_lo mod 2^64 on
-    their own; the high words follow hi' = m_lo hi + e with e = m_hi lo +
-    mulhi(lo, m_lo) + inc_hi + the carry of the low word, a function of the
-    low words.  Both recurrences run as scans over the rows, from s + inc,
-    the state before set-seed's second step.
+
+def _pcg64_steps(hi: np.ndarray, lo: np.ndarray, inc: tuple[np.ndarray, np.ndarray],
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states (hi, lo) of count PCG64 steps of each trial from its state
+    (hi, lo) and increment inc, as (count + 1, trials) arrays, row 0 the start.
+
+    The low words follow lo' = m_lo lo + inc_lo mod 2^64 on their own; the
+    high words follow hi' = m_lo hi + e with e = m_hi lo + mulhi(lo, m_lo) +
+    inc_hi + the carry of the low word, a function of the low words.  Both
+    recurrences run as scans over the rows.
     """
     m_lo, m_hi = _PCG_MULT & _MASK64, _PCG_MULT >> 64
-    one = np.uint64(1)
-    inc_hi = (states[:, 2] << one) | (states[:, 3] >> np.uint64(63))
-    inc_lo = (states[:, 3] << one) | one
-    lo = np.empty((count + 2, len(states)), np.uint64)
-    lo[0] = states[:, 1] + inc_lo
-    lo[1:] = inc_lo
-    hi = np.empty_like(lo)
-    hi[0] = states[:, 0] + inc_hi + (lo[0] < inc_lo)
-    _scan(lo, m_lo)
-    e = hi[1:]
-    e[:] = _mulhi(lo[:-1], m_lo)
-    e += lo[:-1] * np.uint64(m_hi)
+    inc_hi, inc_lo = inc
+    lo_rows = np.empty((count + 1, len(lo)), np.uint64)
+    lo_rows[0] = lo
+    lo_rows[1:] = inc_lo
+    hi_rows = np.empty_like(lo_rows)
+    hi_rows[0] = hi
+    _scan(lo_rows, m_lo)
+    e = hi_rows[1:]
+    e[:] = _mulhi(lo_rows[:-1], m_lo)
+    e += lo_rows[:-1] * np.uint64(m_hi)
     e += inc_hi
-    e += lo[1:] < inc_lo
-    _scan(hi, m_lo)
-    # XSL-RR: the xor of both words, rotated right by the top 6 bits
-    hi, lo = hi[2:], lo[2:]
+    e += lo_rows[1:] < inc_lo
+    return _scan(hi_rows, m_lo), lo_rows
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's outputs of states (hi, lo): the xor of both words, rotated right by the top 6 bits."""
     rot = hi >> np.uint64(58)
     x = hi ^ lo
     return (x >> rot) | (x << (-rot & np.uint64(63)))
@@ -748,51 +849,167 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
-def _bulk_draws(states: np.ndarray, d: int,
-                depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Label uniforms (n,), normals (n, 2, 2, d) and step uniforms (n,
-    depth) of the trials of seed states (n, 4), and which trials to draw
-    again from their generators (n,): those with a normal off the
-    ziggurat's fast path, or every trial above _BULK_NORMALS normals.
+def _ziggurat(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per output r: x = +-rabs * _WI[idx], and whether it takes the slow path."""
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+    x = rabs * _WI[idx]
+    # the products are >= 0: setting the sign bit negates them, -0.0 included
+    x.view(np.uint64)[...] |= (r & np.uint64(0x100)) << np.uint64(55)
+    return x, rabs >= _KI[idx]
 
-    A trial on the fast path reads 1 + 4 d + depth consecutive outputs.  The
-    canary: the first trial is drawn from its own generator as well, and its
-    bulk label uniform, and all its bulk numbers if it is on the fast path,
-    must be the generator's, or RuntimeError.
+
+def _bulk_draws(states: np.ndarray, d: int,
+                depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label uniforms (n,), normals (n, 2, 2, d) and step uniforms (n,
+    depth) of the trials of seed states (n, 4), numpy's numbers bit for bit.
+
+    Up to _BULK_NORMALS normals a trial, every trial is drawn on arrays: a
+    trial on the ziggurat's fast path reads 1 + 4 d + depth consecutive
+    outputs, and the slow trials, those with a normal off it, are resolved
+    together (_draw_slow).  Above, every trial draws from its own generator.
+    The canary: the first trial is drawn from its own generator as well, and
+    all its bulk numbers must be the generator's, or RuntimeError.
     """
     n, count = len(states), 1 + 4 * d + depth
     label_u, normals, step_u = np.empty(n), np.empty((n, 4 * d)), np.empty((n, depth))
-    slow = np.ones(n, bool)
     if not n or 4 * d > _BULK_NORMALS:
-        return label_u, normals.reshape(n, 2, 2, d), step_u, slow
-    # the fewest equal parts of at most _OUTPUT_ELEMENTS outputs each
-    part = -(-n // -(-n * count // _OUTPUT_ELEMENTS))
-    for a in range(0, n, part):
-        raw = _pcg64_outputs(states[a:a + part], count)
-        r = raw[1:1 + 4 * d]
-        idx = (r & np.uint64(0xFF)).astype(np.intp)
-        rabs = (r >> np.uint64(9)) & np.uint64((1 << 52) - 1)
-        x = rabs * _WI[idx]
-        # the products are >= 0: setting the sign bit negates them, -0.0 included
-        x.view(np.uint64)[...] |= (r & np.uint64(0x100)) << np.uint64(55)
+        for j in range(n):
+            label_u[j] = _draw_trial(Generator(PCG64(_State(states[j]))), normals[j], step_u[j])
+        return label_u, normals.reshape(n, 2, 2, d), step_u
+
+    def fast(a: int) -> tuple:
+        """Draw trials a, ..., a + part - 1 by the fast path; return which of
+        them are slow, their outputs (k, count), which of their normals'
+        outputs take the slow path (k, 4 d) and their last states."""
+        inc = _increments(states[a:a + part])
+        # set-seed: its first step starts from s + inc
+        lo = states[a:a + part, 1] + inc[1]
+        hi = states[a:a + part, 0] + inc[0] + (lo < inc[1])
+        hi, lo = _pcg64_steps(hi, lo, inc, count + 1)
+        raw = _xsl_rr(hi[2:], lo[2:])
+        x, off = _ziggurat(raw[1:1 + 4 * d])
         normals[a:a + part] = x.T
         label_u[a:a + part] = _uniforms(raw[0])
         step_u[a:a + part] = _uniforms(raw[1 + 4 * d:]).T
-        slow[a:a + part] = (rabs >= _KI[idx]).any(axis=0)
+        cols = np.flatnonzero(off.any(axis=0))
+        return a + cols, raw[:, cols].T, off[:, cols].T, hi[-1, cols], lo[-1, cols]
+
+    # the fewest equal parts of at most _OUTPUT_ELEMENTS outputs each, the
+    # slow trials of all resolved together
+    part = -(-n // -(-n * count // _OUTPUT_ELEMENTS))
+    _draw_slow(states, map(fast, range(0, n, part)), normals, step_u)
     normals = normals.reshape(n, 2, 2, d)
     first = label_u[0], normals[0].copy(), step_u[0].copy()
     label_u[0] = _draw_trial(Generator(PCG64(_State(states[0]))), normals[0], step_u[0])
-    if not (first[0] == label_u[0] and (slow[0] or (np.array_equal(first[1], normals[0])
-                                                     and np.array_equal(first[2], step_u[0])))):
+    if not (first[0] == label_u[0] and np.array_equal(first[1], normals[0])
+            and np.array_equal(first[2], step_u[0])):
         raise RuntimeError("bulk draws differ from numpy's PCG64 and ziggurat at the first "
-                           "trial of a block")
-    slow[0] = False
-    return label_u, normals, step_u, slow
+                           "trial of a window")
+    return label_u, normals, step_u
+
+
+def _draw_slow(states: np.ndarray, parts: Iterable[tuple], normals: np.ndarray,
+               step_u: np.ndarray) -> None:
+    """Write the normals (n, 4 d) and step uniforms of the slow trials of
+    parts, each (trials, outputs (k, count), which of the normals' outputs 1,
+    ..., 4 d take the slow path (k, 4 d), last states hi and lo); normals
+    holds the fast path's values of those outputs.  Each round continues the
+    trials' PCG64 streams by _SLOW_MARGIN outputs and resolves every trial
+    that no longer runs short of outputs (_resolve)."""
+    rows, raw, off, hi, lo = map(np.concatenate, zip(*parts))
+    x = np.concatenate([np.zeros((len(rows), 1)), normals[rows]], axis=1)
+    off = np.concatenate([np.zeros((len(rows), 1), bool), off], axis=1)
+    while len(rows):
+        hi, lo = _pcg64_steps(hi, lo, _increments(states[rows]), _SLOW_MARGIN)
+        raw = np.concatenate([raw, _xsl_rr(hi[1:], lo[1:]).T], axis=1)
+        hi, lo = hi[-1].copy(), lo[-1].copy()
+        x, off = (np.concatenate(pair, axis=1)
+                  for pair in zip((x, off), _ziggurat(raw[:, x.shape[1]:])))
+        short = _resolve(raw, x, off, rows, normals, step_u)
+        rows, raw, x, off, hi, lo = (a[short] for a in (rows, raw, x, off, hi, lo))
+
+
+def _resolve(raw: np.ndarray, x: np.ndarray, off: np.ndarray, rows: np.ndarray,
+             normals: np.ndarray, step_u: np.ndarray) -> np.ndarray:
+    """Read the outputs raw (m, count) of trials rows as numpy's sampler
+    does, and write their normals and step uniforms; returns which trials
+    ran short of outputs (m,), whose rows it leaves.  x and off (m, count)
+    are each output's fast-path value and whether it takes the slow path.
+
+    A trial's normals start at output 1.  Each pass moves every unfinished
+    trial over its fast normals to its next slow one, an event, and resolves
+    the events of all trials at once: a wedge reads 2 outputs and yields x
+    or nothing, a tail reads 1 + 2 k and yields its value.  A trial's normals
+    are then its outputs from 1 up to its end that no event read as a
+    uniform or rejected, and its step uniforms the depth outputs from there.
+    """
+    m, count = raw.shape
+    n_normals, depth = normals.shape[1], step_u.shape[1]
+    # the first output at or after each that takes the slow path, count if none
+    nxt = np.full((m, count + 1), count, np.int16)
+    nxt[:, :-1] = np.where(off, np.arange(count, dtype=np.int16), nxt[:, :-1])
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    take = np.ones((m, count), bool)
+    take[:, 0] = False
+    pos, got, end = np.ones(m, np.intp), np.zeros(m, np.intp), np.full(m, count)
+    short = np.zeros(m, bool)
+    live = np.arange(m)
+    while live.size:
+        p = pos[live]
+        q = nxt[live, p].astype(np.intp)
+        need = n_normals - got[live]
+        done = q - p >= need
+        end[live[done]] = (p + need)[done]
+        # an event reads at least the output after it
+        event = ~done & (q + 1 < count)
+        short[live[~done & ~event]] = True
+        live, p, q = live[event], p[event], q[event]
+        idx = (raw[live, q] & np.uint64(0xFF)).astype(np.intp)
+        xq = x[live, q]
+        u = _uniforms(raw[live, q + 1])
+        kept = (_FI[idx - 1] - _FI[idx]) * u + _FI[idx] < np.fromiter(
+            map(math.exp, (-0.5 * xq * xq).tolist()), float, len(xq))
+        used = np.full(len(live), 2)
+        for k in np.flatnonzero(idx == 0):
+            tail = _tail(raw[live[k]], q[k])
+            if tail is None:
+                short[live[k]] = True
+            else:
+                x[live[k], q[k]], used[k] = tail
+                kept[k] = True
+                take[live[k], q[k] + 2:q[k] + used[k]] = False
+        # the wedge's uniform, or the tail's first, is no normal; nor is a rejected wedge
+        take[live, q + 1] = False
+        take[live[~kept], q[~kept]] = False
+        got[live] += q - p + kept
+        pos[live] = q + used
+        live = live[~short[live]]
+    short |= end + depth > count
+    ok = np.flatnonzero(~short)
+    take &= np.arange(count) < end[:, None]
+    take[short] = False
+    normals[rows[ok]] = x[take].reshape(-1, n_normals)
+    step_u[rows[ok]] = _uniforms(raw[ok[:, None], end[ok, None] + np.arange(depth)])
+    return short
+
+
+def _tail(column: np.ndarray, at: int) -> tuple[float, int] | None:
+    """The normal of a tail draw at output at of a trial's outputs column,
+    and the outputs it reads; None if it runs short of outputs."""
+    u = _uniforms(column[at + 1:]).tolist()
+    for k in range(0, len(u) - 1, 2):
+        xx = -_ZIG_INV_R * math.log1p(-u[k])
+        yy = -math.log1p(-u[k + 1])
+        if yy + yy > xx * xx:
+            # the sign bit of a tail is bit 8 of rabs = column[at] >> 9
+            return (-(_ZIG_R + xx) if int(column[at]) >> 17 & 1 else _ZIG_R + xx), k + 3
+    return None
 
 
 def _run_chunk(spec: TrialSpec, seed: int, start: int, stop: int) -> tuple[int, int, int]:
     successes = errors = inconclusive = 0
-    for lo, states in _block_rngs(seed, start, stop, spec.block_trials):
+    for lo, states in _block_rngs(seed, start, stop, _SEED_WINDOW):
         block = spec.run_block(states, lo)
         hits = int(np.count_nonzero(block.declared == block.labels))
         blanks = int(np.count_nonzero(block.declared == 0))

@@ -661,8 +661,8 @@ class ExitInWorker:
 
 def chunk_draws(seed: int, start: int, stop: int, size: int, d: int, depth: int) -> tuple:
     """The labels, references and step uniforms of trials start, ..., stop -
-    1, drawn by simulate._draw from the seed states of blocks of size."""
-    draws = [simulate._draw(states, EQUAL_PRIORS, d, depth)
+    1, drawn in bulk from the seed states of windows of size."""
+    draws = [simulate._draw(simulate._bulk_draws(states, d, depth), EQUAL_PRIORS, d, depth)
              for _, states in simulate._block_rngs(seed, start, stop, size)]
     return tuple(map(np.concatenate, zip(*draws)))
 
@@ -723,6 +723,46 @@ def ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
                 hi = mid
         ki[idx] = lo
     return ki, wi
+
+
+def crafted(first: int, second: int) -> tuple[Generator, PCG64]:
+    """A generator whose next two outputs are first and second (each < 2^64).
+    A PCG64 state whose high word is 0 outputs its low word, so the states
+    after the two steps are the outputs themselves; inc and the state before
+    follow from state' = state * mult + inc mod 2^128."""
+    mult = simulate._PCG_MULT
+    inc = (second - first * mult) % 2**128
+    state = (first - inc) * pow(mult, -1, 2**128) % 2**128
+    bits = PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return Generator(bits), bits
+
+
+def ziggurat_events(raw: list[int], n: int) -> list[str]:
+    """The slow-path draws of n standard normals read from the outputs raw
+    as numpy's sampler reads them: "accept" or "reject" per wedge, "tail"
+    per tail."""
+    ki, wi, fi = simulate._KI.tolist(), simulate._WI.tolist(), simulate._FI.tolist()
+    events, k = [], 0
+    while n:
+        r = raw[k]
+        idx, rabs = r & 0xFF, r >> 9 & (2**52 - 1)
+        k += 1
+        if rabs < ki[idx]:
+            n -= 1
+        elif idx:
+            x = rabs * wi[idx]
+            u = (raw[k] >> 11) * 2.0**-53
+            k += 1
+            accepted = (fi[idx - 1] - fi[idx]) * u + fi[idx] < math.exp(-0.5 * x * x)
+            events.append("accept" if accepted else "reject")
+            n -= accepted
+        else:
+            k += simulate._tail(np.array(raw, np.uint64), k - 1)[1] - 1
+            events.append("tail")
+            n -= 1
+    return events
 
 
 # Pinned draws: 40 trials at d = 8 across 2^32, 16 of them drawn again from
@@ -826,6 +866,115 @@ class TestBulkDraws:
         with pytest.raises(RuntimeError, match="^bulk draws differ"):
             chunk_draws(seed, 0, 10, 10, d, 1)
 
+
+    def test_canary_catches_a_corrupted_fi(self, monkeypatch):
+        # trial 0 of seed 24 at d = 2 takes the wedge at idx 14 and is
+        # accepted; with fi[14] raised to fi[13], every wedge there rejects
+        seed, d = 24, 2
+        raw = PCG64(SeedSequence((seed, 0))).random_raw(64).tolist()
+        assert ziggurat_events(raw[1:], 4 * d) == ["accept"]
+        assert first_slow_idx(seed, 0, d, simulate._KI) == 14
+        chunk_draws(seed, 0, 10, 10, d, 1)
+        fi = simulate._FI.copy()
+        fi[14] = fi[13]
+        monkeypatch.setattr(simulate, "_FI", fi)
+        with pytest.raises(RuntimeError, match="^bulk draws differ"):
+            chunk_draws(seed, 0, 10, 10, d, 1)
+
+    def test_wi_1_is_numpys(self):
+        # idx 1 is never on the fast path (ki[1] = 0); at rabs = 1 the wedge
+        # accepts for every uniform below 1, so the normal is wi[1]
+        rng, bits = crafted(1 | 1 << 9, 0)
+        assert rng.standard_normal() == simulate._WI[1]
+        assert bits.state["state"]["state"] == 0   # it read two outputs
+
+    def test_fi_decides_each_wedge_as_numpy_does(self):
+        # per layer, an output halfway up its wedge and one 7/8 of the way, and
+        # the uniforms on the 2^-53 grid on either side of its acceptance
+        # threshold under the committed fi: numpy accepts the first after two
+        # outputs, returning x, and rejects the second
+        ki, wi, fi = simulate._KI.tolist(), simulate._WI.tolist(), simulate._FI.tolist()
+        for idx, rabs in ((idx, rabs) for idx in range(1, 256)
+                          for rabs in ((ki[idx] + 2**52) // 2, (ki[idx] + 7 * 2**52) // 8)):
+            x = rabs * wi[idx]
+            t = math.exp(-0.5 * x * x)
+            a, b = fi[idx - 1] - fi[idx], fi[idx]
+
+            def accepts(k: int) -> bool:
+                return a * (k * 2.0**-53) + b < t
+
+            k = int((t - b) / a * 2**53)
+            while accepts(k + 1):
+                k += 1
+            while not accepts(k):
+                k -= 1
+            assert 0 < k < 2**53 - 1
+            for grid, accepted in ((k, True), (k + 1, False)):
+                rng, bits = crafted(idx | rabs << 9, grid << 11)
+                value = rng.standard_normal()
+                assert (bits.state["state"]["state"] == grid << 11) == accepted, idx
+                assert (value == x) == accepted, idx
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    @pytest.mark.parametrize("u1", [0, 1, 2**51, 12345678901234, 2**53 - 1])
+    def test_tail_is_numpys(self, u1, sign):
+        # a tail output whose own sign bit is the opposite of its tail sign
+        # (bit 8 of rabs), then a first uniform u1 2^-53: at u1 = 0 the normal
+        # is +-r; near 1 it rejects pairs until one holds
+        rabs = 2**52 - 1 if sign else (2**52 - 1) ^ 0x100
+        rng, bits = crafted((1 - sign) << 8 | rabs << 9, u1 << 11)
+        stream = PCG64(0)
+        stream.state = bits.state
+        raw = stream.random_raw(64)
+        value = rng.standard_normal()
+        read = raw.tolist().index(int(bits.random_raw()))
+        assert simulate._tail(raw, 0) == (value, read)
+        assert (value < 0) == bool(sign)
+        if u1 == 0:
+            assert abs(value) == simulate._ZIG_R and read == 3
+
+    def test_pinned_sample_takes_every_slow_path(self):
+        # trials 0-199 of seed 7 at d = 2-8: bit for bit numpy's draws, and
+        # among them wedge accepts, wedge rejects and tails
+        events = []
+        for d in range(2, 9):
+            assert_draws_equal(7, 0, 200, 200, d, 2)
+            for i in range(200):
+                raw = PCG64(SeedSequence((7, i))).random_raw(4 * d + 64).tolist()
+                events += ziggurat_events(raw[1:], 4 * d)
+        assert {"accept", "reject", "tail"} <= set(events)
+
+    @pytest.mark.parametrize("margin", [1, 2])
+    def test_slow_trials_continue_their_streams(self, monkeypatch, margin):
+        # with outputs added one or two at a time, slow trials take several
+        # rounds, and still draw numpy's numbers
+        rounds = []
+        resolve = simulate._resolve
+
+        def counted(*args):
+            rounds.append(len(args[0]))
+            return resolve(*args)
+
+        monkeypatch.setattr(simulate, "_SLOW_MARGIN", margin)
+        monkeypatch.setattr(simulate, "_resolve", counted)
+        assert_draws_equal(2**127 + 12345, 80, 280, 100, 8, 3)
+        assert len(rounds) > 2
+
+    def test_a_window_builds_one_generator(self, monkeypatch):
+        # at d <= 8 only the canary, the first trial of each 4096-trial
+        # window, is drawn from a generator; the counts are the benchmark's
+        built = []
+
+        def counted(bits):
+            built.append(bits)
+            return Generator(bits)
+
+        monkeypatch.setattr(simulate, "Generator", counted)
+        spec = make_locc_spec("minerr", 2, 2, 0.5)
+        assert _run_chunk(spec, 7, 0, 4000) == (2848, 1152, 0)
+        assert len(built) == 1
+        _run_chunk(spec, 7, 0, 5000)
+        assert len(built) == 3
 
 def run_python(code: str) -> None:
     """Run code in a fresh interpreter that imports stateid from this checkout."""
