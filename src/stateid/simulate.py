@@ -46,9 +46,10 @@ ziggurat.  Most trials read their normals from consecutive outputs, by its
 fast path; the slow trials, with a normal off that path, whose next numbers
 numpy takes from further outputs, continue their PCG64 streams and are
 resolved together by its slow path (_draw_slow).  Only every trial above d =
-8 (_BULK_NORMALS) and the first trial of each window, the canary that checks
-all its bulk numbers against numpy's, are drawn from their own generators,
-numpy's PCG64 on their rows (_State).
+8 (_BULK_NORMALS), whose numbers are drawn a block at a time, and the first
+trial of each window, the canary that checks all its bulk numbers against
+numpy's, are drawn from their own generators, numpy's PCG64 on their rows
+(_State).
 
 A batch on several workers is split into consecutive chunks (chunk_bounds),
 at most one per usable CPU and only as many as hold MIN_FORK_CHUNK trials
@@ -84,7 +85,7 @@ BRANCH_PROB_FLOOR = 1e-12
 # Bytes of a global block's complex references (1024 trials at d = 4), of
 # an LOCC block's prefix probabilities (442 trials for a tree of 37 prefixes),
 # and of a window's seed states (4096 trials), whose numbers are drawn at once
-# and walked a block at a time.  An LOCC block's other arrays take a few times
+# up to d = 8 and walked a block at a time.  An LOCC block's other arrays take a few times
 # its probabilities; whole windows as LOCC blocks raised the peak memory of
 # each batch process by about 4 MB at (2,2).
 BLOCK_STATE_BYTES = 128 * 1024
@@ -165,29 +166,25 @@ class Block(NamedTuple):
     path: np.ndarray
 
 
-def _draw(rngs: Sequence | tuple, priors: Priors, d: int,
-          depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw(draws: tuple, priors: Priors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True labels (n,), unit references (n, 2, d) and step uniforms (n,
-    depth) of n trials in the contract order.  rngs are the trials' numbers,
-    as _bulk_draws gives them, or the trials' generators, each drawn by
-    _draw_trial."""
-    if isinstance(rngs, tuple):
-        label_u, normals, step_u = rngs
-    else:
-        n = len(rngs)
-        label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
-        for j, rng in enumerate(rngs):
-            label_u[j] = _draw_trial(rng, normals[j], step_u[j])
+    depth) of n trials from their numbers draws, as _generator_draws and
+    _bulk_draws give them."""
+    label_u, normals, step_u = draws
     return np.where(label_u < priors.eta1, 1, 2), haar_refs(normals), step_u
 
 
-def _draw_trial(rng: np.random.Generator, normals: np.ndarray, step_u: np.ndarray) -> float:
-    """One trial's numbers from its generator: returns the label uniform and
-    fills its normals (2, 2, d) and step uniforms (depth,)."""
-    label_u = rng.random()
-    rng.standard_normal(out=normals)
-    rng.random(out=step_u)
-    return label_u
+def _generator_draws(rngs: Iterable, n: int, d: int,
+                     depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label uniforms (n,), normals (n, 2, 2, d) and step uniforms (n,
+    depth) of n trials, each drawn from its own generator in rngs in the
+    contract order."""
+    label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
+    for j, rng in enumerate(rngs):
+        label_u[j] = rng.random()
+        rng.standard_normal(out=normals[j])
+        rng.random(out=step_u[j])
+    return label_u, normals, step_u
 
 
 def haar_refs(normals: np.ndarray) -> np.ndarray:
@@ -201,22 +198,28 @@ def haar_refs(normals: np.ndarray) -> np.ndarray:
 
 def _run_block(spec: TrialSpec, rngs: Sequence, first_index: int = 0) -> Block:
     """The block body of both specs: trials first_index, ... of rngs, their
-    seed states or their generators.  The numbers of a window of seed states
-    are drawn at once (_bulk_draws) and walked in slices of spec.block_trials
-    (_walk); generators are walked as one slice."""
+    seed states (n, 4) or their generators, which are walked as one slice.
+    Seed states are walked in slices of spec.block_trials (_walk).  Up to
+    _BULK_NORMALS normals a trial, a window's numbers are drawn at once, so
+    that its slow trials are resolved together (_bulk_draws); above, each
+    slice draws its own, so that a block's memory stays bounded at any d."""
     if not isinstance(rngs, np.ndarray):
-        return _walk(spec, rngs, first_index)
-    draws, size = _bulk_draws(rngs, spec.d, spec.depth), spec.block_trials
-    return Block(*map(np.concatenate, zip(*(
-        _walk(spec, tuple(x[a:a + size] for x in draws), first_index + a)
-        for a in range(0, len(rngs), size)))))
+        return _walk(spec, _generator_draws(rngs, len(rngs), spec.d, spec.depth), first_index)
+    size = spec.block_trials
+    drawn = len(rngs) if 4 * spec.d <= _BULK_NORMALS else size
+    blocks = []
+    for b in range(0, len(rngs), drawn):
+        draws = _bulk_draws(rngs[b:b + drawn], spec.d, spec.depth)
+        blocks += (_walk(spec, tuple(x[a:a + size] for x in draws), first_index + b + a)
+                   for a in range(0, len(draws[0]), size))
+    return Block(*map(np.concatenate, zip(*blocks)))
 
 
-def _walk(spec: TrialSpec, rngs: Sequence | tuple, first_index: int) -> Block:
-    """Trials first_index, ... drawn from rngs (see _draw), a level at a time
+def _walk(spec: TrialSpec, draws: tuple, first_index: int) -> Block:
+    """Trials first_index, ... of numbers draws (see _draw), a level at a time
     through spec.table, whose padding reads a zero row.  An abort names the
     lowest trial of the shallowest failing level, the sum check first."""
-    labels, refs, step_u = _draw(rngs, spec.priors, spec.d, spec.depth)
+    labels, refs, step_u = _draw(draws, spec.priors)
     children, counts, leaves = spec.table
     node = np.zeros(len(labels), int)
     path = np.full((len(labels), spec.depth), -1)
@@ -872,11 +875,9 @@ def _bulk_draws(states: np.ndarray, d: int,
     all its bulk numbers must be the generator's, or RuntimeError.
     """
     n, count = len(states), 1 + 4 * d + depth
-    label_u, normals, step_u = np.empty(n), np.empty((n, 4 * d)), np.empty((n, depth))
     if not n or 4 * d > _BULK_NORMALS:
-        for j in range(n):
-            label_u[j] = _draw_trial(Generator(PCG64(_State(states[j]))), normals[j], step_u[j])
-        return label_u, normals.reshape(n, 2, 2, d), step_u
+        return _generator_draws((Generator(PCG64(_State(row))) for row in states), n, d, depth)
+    label_u, normals, step_u = np.empty(n), np.empty((n, 4 * d)), np.empty((n, depth))
 
     def fast(a: int) -> tuple:
         """Draw trials a, ..., a + part - 1 by the fast path; return which of
@@ -899,14 +900,12 @@ def _bulk_draws(states: np.ndarray, d: int,
     # slow trials of all resolved together
     part = -(-n // -(-n * count // _OUTPUT_ELEMENTS))
     _draw_slow(states, map(fast, range(0, n, part)), normals, step_u)
-    normals = normals.reshape(n, 2, 2, d)
-    first = label_u[0], normals[0].copy(), step_u[0].copy()
-    label_u[0] = _draw_trial(Generator(PCG64(_State(states[0]))), normals[0], step_u[0])
-    if not (first[0] == label_u[0] and np.array_equal(first[1], normals[0])
-            and np.array_equal(first[2], step_u[0])):
+    draws = label_u, normals.reshape(n, 2, 2, d), step_u
+    first = _generator_draws([Generator(PCG64(_State(states[0])))], 1, d, depth)
+    if not all(np.array_equal(x[:1], y) for x, y in zip(draws, first)):
         raise RuntimeError("bulk draws differ from numpy's PCG64 and ziggurat at the first "
                            "trial of a window")
-    return label_u, normals, step_u
+    return draws
 
 
 def _draw_slow(states: np.ndarray, parts: Iterable[tuple], normals: np.ndarray,

@@ -392,7 +392,7 @@ def draw(rngs, priors, d: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     """The seeding contract's numbers of trials, each drawn from its own
     generator in rngs, a call per kind of number: true labels (n,), unit
     references (n, 2, d) and step uniforms (n, depth).  The reference for
-    the bulk draws of simulate._draw."""
+    the bulk draws of simulate._bulk_draws."""
     n = len(rngs)
     label_u, normals, step_u = np.empty(n), np.empty((n, 2, 2, d)), np.empty((n, depth))
     for j, rng in enumerate(rngs):

@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -379,6 +380,11 @@ class Scripted:
         return self.normals.pop(0)
 
 
+def discarded(n: int) -> list[np.random.Generator]:
+    """Generators for n trials whose numbers a patched simulate._draw replaces."""
+    return [np.random.default_rng(0) for _ in range(n)]
+
+
 def test_tiny_prefix_samples_like_the_dense_walk(monkeypatch):
     # nearly equal references (s = 1 - 1e-9) make alice "sym", bob "mixed" a
     # prefix of probability about 3e-10, whose children sum to it only within
@@ -407,8 +413,8 @@ def test_tiny_prefix_samples_like_the_dense_walk(monkeypatch):
          (probs[last][:widest].sum() + probs[last][widest] / 2) / probs[tiny]]
     u += [0.5] * (spec.depth - len(u))
     monkeypatch.setattr(simulate, "_draw",
-                        lambda rngs, priors, d, depth: (np.array([1]), refs, np.array([u])))
-    record = spec.run(None, 0)
+                        lambda draws, priors: (np.array([1]), refs, np.array([u])))
+    record = spec.run(*discarded(1), 0)
     assert record.transcript[:2] == ((ALICE, "sym"), (BOB, "mixed"))
     assert record == dense_walk(spec, Scripted([0.0] + u, [phi1.real, phi1.imag,
                                                           phi2.real, phi2.imag]), 0)
@@ -423,10 +429,10 @@ def test_sample_aborts_on_a_nan_probability(monkeypatch):
     refs = np.full((2, 2, 4), 0.5 + 0j)
     refs[1, 0, 0] = np.nan
     monkeypatch.setattr(simulate, "_draw",
-                        lambda rngs, priors, d, depth: (np.array([1, 2]), refs,
-                                                        np.full((2, depth), 0.3)))
+                        lambda draws, priors: (np.array([1, 2]), refs,
+                                               np.full((2, spec.depth), 0.3)))
     with pytest.raises(TrialAbort, match=r"^trial 11 at bob: outcome probabilities sum to nan$"):
-        spec.run_block([None, None], 10)
+        spec.run_block(discarded(2), 10)
 
 
 def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
@@ -437,14 +443,14 @@ def test_global_trial_aborts_on_a_dead_branch(monkeypatch):
     povm = Povm((2,), {1: (1 - eps) * S3.identity, 2: eps * S3.identity})
     spec = GlobalTrialSpec(povm, 2, EQUAL_PRIORS)
     refs = np.array([[[1, 0], [0.6, 0.8]]], complex)
-    def draw(rngs, priors, d, depth):
+    def draw(*args):   # simulate._draw(draws, priors) and dense_reference.draw alike
         return np.array([1]), refs, np.array([[1 - 1e-15]])
 
     monkeypatch.setattr(simulate, "_draw", draw)
     monkeypatch.setattr(dense_reference, "draw", draw)
     assert global_block(povm, 2, EQUAL_PRIORS, [None]).declared.tolist() == [2]
     with pytest.raises(TrialAbort, match=r"^trial 0: sampled branch with probability 1e-14$"):
-        spec.run(None, 0)
+        spec.run(*discarded(1), 0)
 
 
 def test_block_abort_names_the_shallowest_failing_level(monkeypatch):
@@ -463,14 +469,14 @@ def test_block_abort_names_the_shallowest_failing_level(monkeypatch):
     u = np.full((2, spec.depth), 0.5)
     u[0, 0] = 1 - probs[mixed, 0] / probs[0, 0] / 2
     u[1, 0] = probs[sym, 1] / probs[0, 1] / 2
-    monkeypatch.setattr(simulate, "_draw", lambda rngs, priors, d, depth: (labels, refs, u))
-    assert spec.run_block([None, None]).path[:, 0].tolist() == [2, 0]
+    monkeypatch.setattr(simulate, "_draw", lambda draws, priors: (labels, refs, u))
+    assert spec.run_block(discarded(2)).path[:, 0].tolist() == [2, 0]
     # the rows below a step follow it in preorder, up to its next sibling
     scale = np.ones((len(spec.nodes), 1))
     scale[sym + 1:antisym] = scale[mixed + 1:] = 0.75
     object.__setattr__(spec, "weights", spec.weights * scale)
     with pytest.raises(TrialAbort, match=r"^trial 0 at bob: outcome probabilities sum to"):
-        spec.run_block([None, None])
+        spec.run_block(discarded(2))
 
 
 def test_a_tree_without_a_step_reads_no_state(monkeypatch):
@@ -547,13 +553,13 @@ def test_level_walk_matches_the_scalar_walk(tree, data):
     aborts = [(walk.abort[:2], j, walk.abort[2]) for j, walk in enumerate(walks) if walk.abort]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_draw",
-                      lambda rngs, priors, d, depth: (np.ones(n, int), None, u))
+                      lambda draws, priors: (np.ones(n, int), None, u))
         if aborts:
             _, j, text = min(aborts)
             with pytest.raises(TrialAbort, match=f"^{re.escape(f'trial {j}{text}')}$"):
-                simulate._run_block(spec, [None] * n)
+                simulate._run_block(spec, discarded(n))
             return
-        block = simulate._run_block(spec, [None] * n)
+        block = simulate._run_block(spec, discarded(n))
     assert block.declared.tolist() == [walk.declared for walk in walks]
     assert block.path.tolist() == [walk.path + [-1] * (depth - len(walk.path))
                                    for walk in walks]
@@ -662,7 +668,7 @@ class ExitInWorker:
 def chunk_draws(seed: int, start: int, stop: int, size: int, d: int, depth: int) -> tuple:
     """The labels, references and step uniforms of trials start, ..., stop -
     1, drawn in bulk from the seed states of windows of size."""
-    draws = [simulate._draw(simulate._bulk_draws(states, d, depth), EQUAL_PRIORS, d, depth)
+    draws = [simulate._draw(simulate._bulk_draws(states, d, depth), EQUAL_PRIORS)
              for _, states in simulate._block_rngs(seed, start, stop, size)]
     return tuple(map(np.concatenate, zip(*draws)))
 
@@ -975,6 +981,21 @@ class TestBulkDraws:
         assert len(built) == 1
         _run_chunk(spec, 7, 0, 5000)
         assert len(built) == 3
+
+    def test_a_window_above_the_bound_draws_a_block_at_a_time(self):
+        # above _BULK_NORMALS each block of a window draws its own numbers: at
+        # d = 1000 a block holds 4 trials, and a 1024-trial window's normals
+        # drawn at once would take 32 MiB
+        spec = GlobalTrialSpec(optimal_global_povm(1000, EQUAL_PRIORS), 1000, EQUAL_PRIORS)
+        states = simulate._seed_states(7, 0, 1024)
+        tracemalloc.start()
+        try:
+            block = spec.run_block(states, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block.labels) == 1024 and peak < 4 * 2**20
+
 
 def run_python(code: str) -> None:
     """Run code in a fresh interpreter that imports stateid from this checkout."""
